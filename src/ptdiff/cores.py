@@ -25,7 +25,6 @@ BOUNDARY_CLAMP = 1e-12
 # core kinds
 BUMP = "bump"
 BUMP_MONOMIAL = "bump_monomial"
-TENSOR_1D = "tensor"
 
 
 class UnsupportedOrderError(ValueError):
@@ -90,31 +89,17 @@ def _exp_factor(s: np.ndarray) -> np.ndarray:
 def core_eval(n: int, kind: str, core_xi: Tuple[int, ...] | None,
               deriv_xi: MultiIndex, pts: np.ndarray) -> np.ndarray:
     """D^deriv_xi of the core at points (npts, n) in core coordinates."""
+    if kind not in (BUMP, BUMP_MONOMIAL):
+        raise ValueError(f"unknown core kind {kind!r}")
     pts = np.asarray(pts, dtype=float).reshape(-1, n)
-    if kind in (BUMP, BUMP_MONOMIAL):
-        cxi = tuple(core_xi) if kind == BUMP_MONOMIAL else (0,) * n
-        s = np.sum(pts ** 2, axis=1)
-        inside = s < 1.0 - BOUNDARY_CLAMP
-        out = np.zeros(pts.shape[0])
-        if inside.any():
-            q = _prefactor_func(n, cxi, deriv_xi.entries)(pts[inside])
-            out[inside] = q * _exp_factor(s[inside])
-        return out
-    if kind == TENSOR_1D:
-        # product of 1-D bumps b(sqrt(n) u_j); support is the inscribed cube
-        root = float(np.sqrt(n))
-        out = np.ones(pts.shape[0])
-        for j in range(n):
-            v = (root * pts[:, j]).reshape(-1, 1)
-            s = v[:, 0] ** 2
-            inside = s < 1.0 - BOUNDARY_CLAMP
-            fac = np.zeros(pts.shape[0])
-            if inside.any():
-                q = _prefactor_func(1, (0,), (deriv_xi.entries[j],))(v[inside])
-                fac[inside] = q * _exp_factor(s[inside])
-            out = out * fac * root ** deriv_xi.entries[j]
-        return out
-    raise ValueError(f"unknown core kind {kind!r}")
+    cxi = tuple(core_xi) if kind == BUMP_MONOMIAL else (0,) * n
+    s = np.sum(pts ** 2, axis=1)
+    inside = s < 1.0 - BOUNDARY_CLAMP
+    out = np.zeros(pts.shape[0])
+    if inside.any():
+        q = _prefactor_func(n, cxi, deriv_xi.entries)(pts[inside])
+        out[inside] = q * _exp_factor(s[inside])
+    return out
 
 
 def bump_1d(x: np.ndarray, order: int = 0) -> np.ndarray:

@@ -20,7 +20,7 @@ from .distribution import Distribution, derivative, pair, subtract_jet
 from .momentkernel import MAX_DEGREE, MomentKernel, build_kernel
 from .quadrature import QuadratureConfig
 from .tensor import MultiIndex, PolyJet, xi_set
-from .testfn import ProbeDictionary, TestFn, make_dictionary
+from .testfn import ProbeDictionary, make_dictionary
 
 CONFIRMED = "confirmed"
 REFUTED = "refuted"
@@ -109,16 +109,6 @@ def _accelerate(values: np.ndarray, ratio: float) -> Tuple[np.ndarray, bool]:
     return out, length >= 2
 
 
-def _directed_kernel(kernel: MomentKernel, a, r: float, d: int, component: int) -> TestFn:
-    fn = kernel.translated_scaled(a, r)
-    if d == 1:
-        return fn
-    atoms = tuple(
-        replace(t, coeff=tuple(t.coeff[0] if j == component else 0.0 for j in range(d)))
-        for t in fn.atoms)
-    return replace(fn, atoms=atoms, d=d)
-
-
 def estimate_jet(T: Distribution, a, k: int, kernel: Optional[MomentKernel] = None,
                  config: JetConfig = JetConfig()) -> JetEstimate:
     """Order-k jet of T at a: D^xi P(a) = lim_r (D^xi T)(kernel_r(. - a))."""
@@ -139,7 +129,7 @@ def estimate_jet(T: Distribution, a, k: int, kernel: Optional[MomentKernel] = No
             bnds = np.zeros(levels)
             for j, r in enumerate(radii):
                 for c in range(T.d):
-                    phi = _directed_kernel(kernel, a, float(r), T.d, c)
+                    phi = kernel.directed(a, float(r), T.d, c)
                     res = pair(Txi, phi, config.quad, strict=False)
                     vals[j, c] = res.value
                     bnds[j] = max(bnds[j], res.abs_error_bound)

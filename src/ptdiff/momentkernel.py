@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Dict, Optional, Tuple
 
@@ -29,6 +29,9 @@ VERIFY_QUAD = QuadratureConfig(rel_tol=1e-12, abs_floor=1e-13)
 RESIDUAL_GATE = 1e-10
 MAX_DEGREE = 5
 BUMP_ID = "radial_exp_reciprocal"
+# cached deriv_supnorms are reused as stored; raise this whenever seminorm
+# changes its values, so that older cache entries are rebuilt
+SUPNORM_REVISION = 2
 
 
 class KernelConstructionError(RuntimeError):
@@ -52,6 +55,16 @@ class MomentKernel:
     def translated_scaled(self, a, r: float) -> TestFn:
         """x -> Phi_r(x - a)."""
         return self.testfn.rescale(np.asarray(a, dtype=float), r).scaled_by(r ** (-self.n))
+
+    def directed(self, a, r: float, d: int, component: int) -> TestFn:
+        """x -> Phi_r(x - a) e_component, a test function with values in R^d."""
+        fn = self.translated_scaled(a, r)
+        if d == 1:
+            return fn
+        atoms = tuple(
+            replace(t, coeff=tuple(t.coeff[0] if j == component else 0.0 for j in range(d)))
+            for t in fn.atoms)
+        return replace(fn, atoms=atoms, d=d)
 
     def cache_key(self) -> str:
         return _cache_key(self.n, self.degree)
@@ -102,7 +115,8 @@ def _even_indices(n: int, max_order: int):
 
 def _cache_key(n: int, k: int) -> str:
     payload = json.dumps({"n": n, "k": k, "bump": BUMP_ID,
-                          "quad_tol": MOMENT_QUAD.rel_tol}, sort_keys=True)
+                          "quad_tol": MOMENT_QUAD.rel_tol,
+                          "supnorm_rev": SUPNORM_REVISION}, sort_keys=True)
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 

@@ -15,7 +15,7 @@ reports the ratio table.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -152,21 +152,12 @@ def build_jet(T: Distribution, a, k: int, kernel: MomentKernel, r: float,
               config: QuadratureConfig = QuadratureConfig()) -> PolyJet:
     """Degree-(k-1) jet from kernel convolution: D^xi P(a) = (D^xi T)(Phi_r(. - a))."""
     a = np.asarray(a, dtype=float).reshape(T.n)
-    phi = kernel.translated_scaled(a, r)
     coeffs: Dict[Tuple[int, ...], np.ndarray] = {}
     for m in range(0, k):
         for xi in xi_set(T.n, m):
-            vals = np.zeros(T.d)
-            for c in range(T.d):
-                if T.d == 1:
-                    fn = phi
-                else:
-                    fn = replace(phi, d=T.d, atoms=tuple(
-                        replace(t, coeff=tuple(t.coeff[0] if j == c else 0.0
-                                               for j in range(T.d)))
-                        for t in phi.atoms))
-                vals[c] = pair(derivative(T, xi), fn, config).value
-            coeffs[xi.entries] = vals
+            coeffs[xi.entries] = np.array([
+                pair(derivative(T, xi), kernel.directed(a, r, T.d, c), config).value
+                for c in range(T.d)])
     if not coeffs:
         return PolyJet.zero(T.n, T.d, a)
     return PolyJet.from_coeff_map(T.n, a, coeffs, target_dim=T.d)

@@ -1,18 +1,23 @@
 """Multi-index combinatorics, symmetric tensors, and polynomial jets.
 
-Coefficients of a degree-m symmetric tensor are stored per multi-index of
-order m: ``coeffs[xi]`` is the tensor's value on the basis monomial
-``e^xi = e_1^{xi_1} (.) ... (.) e_n^{xi_n}``.  Multinomial weights are
-applied on evaluation, so for a jet the coefficient at ``xi`` is exactly
-the partial derivative ``D^xi P(a)``.
+The multi-indices of order <= k in dimension n are the rows of a cached
+table, graded by order (``xi_set`` order within one), so each order is a
+contiguous block and a row keeps its place in every larger table.  A
+``PolyJet`` of degree k holds one (N, d) coefficient array over that table
+and a degree-m ``SymTensor`` its (N_m, d) block.  Row ``xi`` is the value
+on the basis monomial ``e^xi = e_1^{xi_1} (.) ... (.) e_n^{xi_n}``;
+multinomial weights are applied on evaluation, so for a jet it is exactly
+``D^xi P(a)``.  Evaluation is a monomial table times the array,
+differentiation an index gather and recentering a shift matrix.  No other
+module reads this layout.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, Iterable, Mapping, Sequence, Tuple
+from typing import Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -104,75 +109,126 @@ def multinomial(xi: MultiIndex) -> int:
     return math.factorial(xi.order) // xi.factorial()
 
 
+def _size(n: int, k: int) -> int:
+    """Number of multi-indices of order <= k (0 for k = -1)."""
+    return math.comb(k + n, n)
+
+
+def _block(n: int, m: int) -> slice:
+    """Rows of order exactly m."""
+    return slice(_size(n, m - 1), _size(n, m))
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """Cached arrays are shared by every caller, so they are made read-only."""
+    a.flags.writeable = False
+    return a
+
+
+@lru_cache(maxsize=None)
+def _table(n: int, k: int) -> np.ndarray:
+    """(N, n) integer rows of the multi-indices of order <= k."""
+    rows = [xi.entries for m in range(k + 1) for xi in xi_set(n, m)]
+    return _frozen(np.array(rows, dtype=np.int64).reshape(-1, n))
+
+
+@lru_cache(maxsize=None)
+def _row(n: int, k: int) -> Dict[Tuple[int, ...], int]:
+    return {tuple(r): i for i, r in enumerate(_table(n, k).tolist())}
+
+
+@lru_cache(maxsize=None)
+def _inv_factorial(n: int, k: int) -> np.ndarray:
+    """1 / xi! over the rows."""
+    fact = [math.prod(map(math.factorial, r)) for r in _table(n, k).tolist()]
+    return _frozen(1.0 / np.array(fact, dtype=float))
+
+
+def _multinomials(n: int, m: int) -> np.ndarray:
+    """m! / xi! over the order-m rows."""
+    return math.factorial(m) * _inv_factorial(n, m)[_block(n, m)]
+
+
+@lru_cache(maxsize=None)
+def _shift(n: int, k: int, o: Tuple[int, ...]) -> np.ndarray:
+    """Row of zeta + o in the degree-(k + |o|) table, for each row zeta of order <= k."""
+    rows = _row(n, k + sum(o))
+    return _frozen(np.array([rows[tuple(r)] for r in (_table(n, k) + o).tolist()],
+                            dtype=np.int64))
+
+
+@lru_cache(maxsize=None)
+def _differences(n: int, k: int) -> np.ndarray:
+    """(N, N): row of t_c - t_r, or N where t_c does not dominate t_r."""
+    t = _table(n, k)
+    rows = _row(n, k)
+    out = [[rows.get(tuple(e), len(t)) for e in (t - a).tolist()] for a in t]
+    return _frozen(np.array(out, dtype=np.int64).reshape(len(t), len(t)))
+
+
+def _monomials(x: np.ndarray, exps: np.ndarray, top: int) -> np.ndarray:
+    """prod_j x_j^exps[r, j] for each row r of exps (entries <= top).
+
+    x has shape (..., n); the result has shape (R, ...).  Powers come from
+    repeated multiplication and a gather, much faster than a float power.
+    """
+    p = np.empty((max(top, 0) + 1,) + x.shape)
+    p[0] = 1.0
+    for e in range(1, top + 1):
+        np.multiply(p[e - 1], x, out=p[e])
+    out = p[exps[:, 0], ..., 0]
+    for j in range(1, exps.shape[1]):
+        out *= p[exps[:, j], ..., j]
+    return out
+
+
 @dataclass(frozen=True)
 class SymTensor:
-    """Element of the m-fold symmetric power with values in R^d."""
+    """Element of the m-fold symmetric power with values in R^d.
+
+    ``coeffs`` has shape (N_m, d), one row per multi-index in ``xi_set`` order.
+    """
 
     n: int
     degree: int
     target_dim: int
-    coeffs: Mapping[MultiIndex, np.ndarray]
+    coeffs: np.ndarray
 
     def __post_init__(self):
-        expected = xi_set(self.n, self.degree)
-        coeffs = {}
-        for xi in expected:
-            v = np.asarray(self.coeffs.get(xi, np.zeros(self.target_dim)), dtype=float)
-            v = np.atleast_1d(v)
-            if v.shape != (self.target_dim,):
-                raise ValueError(f"coefficient at {xi.entries} has wrong shape {v.shape}")
-            coeffs[xi] = v
-        if len(self.coeffs) > len(expected):
-            extra = set(self.coeffs) - set(expected)
-            raise ValueError(f"unexpected multi-indices: {sorted(e.entries for e in extra)}")
-        object.__setattr__(self, "coeffs", coeffs)
+        shape = (len(xi_set(self.n, self.degree)), self.target_dim)
+        object.__setattr__(self, "coeffs", np.asarray(self.coeffs, dtype=float).reshape(shape))
 
     @staticmethod
     def zero(n: int, degree: int, target_dim: int = 1) -> "SymTensor":
-        return SymTensor(n, degree, target_dim, {})
+        return SymTensor(n, degree, target_dim, np.zeros((len(xi_set(n, degree)), target_dim)))
 
     @staticmethod
     def from_scalar_map(n: int, degree: int, values: Mapping[Tuple[int, ...], float]) -> "SymTensor":
-        return SymTensor(n, degree, 1, {MultiIndex(k): np.array([v]) for k, v in values.items()})
+        psi = SymTensor.zero(n, degree)
+        for key, v in values.items():
+            psi.coeffs[xi_set(n, degree).index(MultiIndex(tuple(key)))] = v
+        return psi
 
     def __getitem__(self, xi) -> np.ndarray:
-        if not isinstance(xi, MultiIndex):
-            xi = MultiIndex(tuple(xi))
-        return self.coeffs[xi]
+        return self.coeffs[xi_set(self.n, self.degree).index(MultiIndex(tuple(xi)))]
 
     def __add__(self, other: "SymTensor") -> "SymTensor":
-        self._compat(other)
-        return SymTensor(self.n, self.degree, self.target_dim,
-                         {xi: self.coeffs[xi] + other.coeffs[xi] for xi in self.coeffs})
+        if (self.n, self.degree, self.target_dim) != (other.n, other.degree, other.target_dim):
+            raise ValueError("incompatible symmetric tensors")
+        return SymTensor(self.n, self.degree, self.target_dim, self.coeffs + other.coeffs)
 
     def __sub__(self, other: "SymTensor") -> "SymTensor":
         return self + other.scale(-1.0)
 
     def scale(self, c: float) -> "SymTensor":
-        return SymTensor(self.n, self.degree, self.target_dim,
-                         {xi: c * v for xi, v in self.coeffs.items()})
-
-    def _compat(self, other: "SymTensor") -> None:
-        if (self.n, self.degree, self.target_dim) != (other.n, other.degree, other.target_dim):
-            raise ValueError("incompatible symmetric tensors")
-
-    def eval_diagonal(self, v: np.ndarray) -> np.ndarray:
-        """psi(v, ..., v) = sum_xi (m!/xi!) v^xi coeffs[xi], in R^d."""
-        v = np.asarray(v, dtype=float)
-        out = np.zeros(self.target_dim)
-        for xi, c in self.coeffs.items():
-            mono = 1.0
-            for vj, ej in zip(v, xi.entries):
-                mono *= vj ** ej
-            out += multinomial(xi) * mono * c
-        return out
+        return SymTensor(self.n, self.degree, self.target_dim, c * self.coeffs)
 
     def max_coeff_norm(self) -> float:
-        return max((float(np.linalg.norm(v)) for v in self.coeffs.values()), default=0.0)
+        return float(np.linalg.norm(self.coeffs, axis=1).max(initial=0.0))
 
     def l1_bound(self) -> float:
         """Upper bound for the operator norm: multinomially weighted l1."""
-        return float(sum(multinomial(xi) * np.linalg.norm(v) for xi, v in self.coeffs.items()))
+        return float(_multinomials(self.n, self.degree) @ np.linalg.norm(self.coeffs, axis=1))
 
 
 def interior_mult(o: MultiIndex, psi: SymTensor) -> SymTensor:
@@ -182,8 +238,79 @@ def interior_mult(o: MultiIndex, psi: SymTensor) -> SymTensor:
     if o.order > psi.degree:
         raise ValueError(f"order of {o.entries} exceeds tensor degree {psi.degree}")
     deg = psi.degree - o.order
-    return SymTensor(psi.n, deg, psi.target_dim,
-                     {zeta: psi.coeffs[zeta + o] for zeta in xi_set(psi.n, deg)})
+    rows = _shift(psi.n, deg, o.entries)[_block(psi.n, deg)] - _size(psi.n, psi.degree - 1)
+    return SymTensor(psi.n, deg, psi.target_dim, psi.coeffs[rows])
+
+
+SCAN_DIRECTIONS = 720
+_CHUNK = 2 ** 18  # elements in one (tensors x directions) block of the scan
+
+
+def _angular_monomials(thetas: np.ndarray, m: int) -> np.ndarray:
+    """m!/xi! cos^xi_1 sin^xi_2 over the order-m rows; shape (N_m,) + thetas.shape."""
+    v = np.stack([np.cos(thetas), np.sin(thetas)], axis=-1)
+    weights = _multinomials(2, m).reshape((-1,) + (1,) * thetas.ndim)
+    return _monomials(v, _table(2, m)[_block(2, m)], m) * weights
+
+
+def _norms(v: np.ndarray, B: int, d: int) -> np.ndarray:
+    """Euclidean norms over R^d of values laid out as (B * d, ...) or (B, d, ...)."""
+    v = v.reshape(B, d, -1)
+    return np.abs(v[:, 0]) if d == 1 else np.linalg.norm(v, axis=1)
+
+
+def opnorms(n: int, degree: int, coeffs: np.ndarray, rel_tol: Optional[float] = 1e-6,
+            directions: int = SCAN_DIRECTIONS) -> Tuple[np.ndarray, bool]:
+    """Operator norms sup_{|v|=1} |psi(v, ..., v)| of B tensors, coeffs (B, N_m, d).
+
+    Returns (values, exact_path).  Degree 0 and n = 1 are exact.  For n = 2
+    the best of ``directions`` equispaced angles is refined, unless rel_tol
+    is None, until a step gains less than rel_tol relatively; each value is
+    attained at a unit vector, so it is a lower bound.  For n > 2 the value
+    is the weighted l1 upper bound and exact_path is False.
+    """
+    coeffs = np.asarray(coeffs, dtype=float)
+    if degree == 0 or n == 1:
+        return np.linalg.norm(coeffs[:, 0, :], axis=1), True
+    if n > 2:
+        return np.linalg.norm(coeffs, axis=2) @ _multinomials(n, degree), False
+    B, _, d = coeffs.shape
+    W = coeffs.transpose(0, 2, 1)  # (B, d, N_m)
+    flat = np.ascontiguousarray(W).reshape(B * d, -1)
+    thetas = np.linspace(0.0, 2 * np.pi, directions, endpoint=False)
+    mono = _angular_monomials(thetas, degree)
+    best = np.zeros(B)
+    arg = np.zeros(B, dtype=np.int64)
+    step = max(1, _CHUNK // (B * d))
+    for s in range(0, directions, step):
+        vals = _norms(flat @ mono[:, s:s + step], B, d)
+        top = vals.max(axis=1)
+        if rel_tol is not None:
+            better = top > best
+            arg[better] = s + vals[better].argmax(axis=1)
+        np.maximum(best, top, out=best)
+    if rel_tol is None:
+        return best, True
+    center = thetas[arg]
+    width = 2 * np.pi / directions
+    while width > 1e-14:
+        local = center[:, None] + width * np.linspace(-1.0, 1.0, 33)  # (B, 33)
+        vals = _norms(W @ _angular_monomials(local, degree).transpose(1, 0, 2), B, d)
+        j = vals.argmax(axis=1)
+        top = vals[np.arange(B), j]
+        center = local[np.arange(B), j]
+        done = top - best <= rel_tol * np.maximum(top, 1e-300)
+        best = np.maximum(best, top)
+        if done.all():
+            break
+        width /= 8.0
+    return best, True
+
+
+def opnorm_bounds(psi: SymTensor, rel_tol: float = 1e-6) -> Tuple[float, bool]:
+    """Return (value, exact_path).  exact_path is False for the n>2 fallback."""
+    vals, exact = opnorms(psi.n, psi.degree, psi.coeffs[None], rel_tol)
+    return float(vals[0]), exact
 
 
 def tensor_opnorm(psi: SymTensor, rel_tol: float = 1e-6) -> float:
@@ -198,101 +325,58 @@ def tensor_opnorm(psi: SymTensor, rel_tol: float = 1e-6) -> float:
     return val
 
 
-def opnorm_bounds(psi: SymTensor, rel_tol: float = 1e-6) -> Tuple[float, bool]:
-    """Return (value, exact_path).  exact_path is False for the n>2 fallback."""
-    if psi.degree == 0:
-        return float(np.linalg.norm(psi.coeffs[zero_index(psi.n)])), True
-    if psi.n == 1:
-        # psi(v..v) = v^m * c; sup over v = +-1 is |c|.
-        return float(np.linalg.norm(psi.coeffs[MultiIndex((psi.degree,))])), True
-    if psi.n == 2:
-        return _opnorm_angular(psi, rel_tol), True
-    return psi.l1_bound(), False
-
-
-def _opnorm_angular(psi: SymTensor, rel_tol: float) -> float:
-    def value(thetas: np.ndarray) -> np.ndarray:
-        v1, v2 = np.cos(thetas), np.sin(thetas)
-        acc = np.zeros((len(thetas), psi.target_dim))
-        for xi, c in psi.coeffs.items():
-            mono = multinomial(xi) * v1 ** xi.entries[0] * v2 ** xi.entries[1]
-            acc += mono[:, None] * c[None, :]
-        return np.linalg.norm(acc, axis=1)
-
-    thetas = np.linspace(0.0, 2 * np.pi, 720, endpoint=False)
-    vals = value(thetas)
-    best = float(vals.max())
-    center = thetas[int(vals.argmax())]
-    width = 2 * np.pi / 720
-    while width > 1e-14:
-        local = np.linspace(center - width, center + width, 33)
-        lv = value(local)
-        new_best = float(lv.max())
-        center = local[int(lv.argmax())]
-        if new_best - best <= rel_tol * max(new_best, 1e-300):
-            best = max(best, new_best)
-            break
-        best = max(best, new_best)
-        width /= 8.0
-    return best
-
-
 @dataclass(frozen=True)
 class PolyJet:
     """Polynomial of degree <= k stored through its derivatives at a center.
 
-    ``derivs[m]`` is the degree-m symmetric tensor of m-th derivatives at
-    ``center``; evaluation is the exact Taylor form
-    ``P(x) = sum_m < (x-a)^m / m!, D^m P(a) >``.  ``degree_bound = -1``
-    encodes the zero polynomial.
+    ``coeffs`` has shape (N, d), row ``xi`` holding ``D^xi P(center)``;
+    evaluation is the exact Taylor form ``P(x) = sum_xi (x-a)^xi / xi!
+    D^xi P(a)``.  ``degree_bound = -1`` encodes the zero polynomial.
     """
 
     n: int
     target_dim: int
     center: np.ndarray
     degree_bound: int
-    derivs: Mapping[int, SymTensor] = field(default_factory=dict)
+    coeffs: np.ndarray
 
     def __post_init__(self):
-        c = np.asarray(self.center, dtype=float).reshape(self.n)
-        object.__setattr__(self, "center", c)
         if self.degree_bound < -1:
             raise ValueError("degree bound must be >= -1")
-        ders: Dict[int, SymTensor] = {}
-        for m in range(0, self.degree_bound + 1):
-            t = self.derivs.get(m)
-            if t is None:
-                t = SymTensor.zero(self.n, m, self.target_dim)
-            if (t.n, t.degree, t.target_dim) != (self.n, m, self.target_dim):
-                raise ValueError(f"derivative tensor at order {m} is malformed")
-            ders[m] = t
-        if self.degree_bound == -1 and self.derivs:
-            raise ValueError("the zero jet carries no derivative tensors")
-        object.__setattr__(self, "derivs", ders)
+        object.__setattr__(self, "center",
+                           np.asarray(self.center, dtype=float).reshape(self.n))
+        shape = (_size(self.n, self.degree_bound), self.target_dim)
+        object.__setattr__(self, "coeffs", np.asarray(self.coeffs, dtype=float).reshape(shape))
 
     @staticmethod
     def zero(n: int, target_dim: int = 1, center=None) -> "PolyJet":
         c = np.zeros(n) if center is None else center
-        return PolyJet(n, target_dim, c, -1)
+        return PolyJet(n, target_dim, c, -1, np.zeros((0, target_dim)))
 
     @staticmethod
     def from_coeff_map(n: int, center, coeffs: Mapping[Tuple[int, ...], float], target_dim: int = 1) -> "PolyJet":
         """Build from a map multi-index -> D^xi P(center) (scalars for d=1)."""
-        by_order: Dict[int, Dict[MultiIndex, np.ndarray]] = {}
-        k = -1
-        for key, v in coeffs.items():
-            xi = MultiIndex(tuple(key))
-            arr = np.atleast_1d(np.asarray(v, dtype=float))
-            by_order.setdefault(xi.order, {})[xi] = arr
-            k = max(k, xi.order)
-        derivs = {m: SymTensor(n, m, target_dim, by_order.get(m, {})) for m in range(k + 1)}
-        return PolyJet(n, target_dim, center, k, derivs)
+        keys = [MultiIndex(tuple(key)) for key in coeffs]
+        if any(xi.n != n for xi in keys):
+            raise ValueError(f"multi-indices must have {n} entries")
+        k = max((xi.order for xi in keys), default=-1)
+        out = np.zeros((_size(n, k), target_dim))
+        out[[_row(n, k)[xi.entries] for xi in keys]] = np.array(
+            [np.atleast_1d(np.asarray(v, dtype=float)) for v in coeffs.values()]
+        ).reshape(len(keys), target_dim)
+        return PolyJet(n, target_dim, center, k, out)
 
     def coefficient(self, xi: MultiIndex) -> np.ndarray:
         """D^xi P(center); zero beyond the degree bound."""
         if xi.order > self.degree_bound:
             return np.zeros(self.target_dim)
-        return self.derivs[xi.order][xi]
+        return self.coeffs[_row(self.n, xi.order)[xi.entries]]
+
+    def tensor(self, m: int) -> SymTensor:
+        """The order-m derivative tensor D^m P(center); zero beyond the degree bound."""
+        if m > self.degree_bound:
+            return SymTensor.zero(self.n, m, self.target_dim)
+        return SymTensor(self.n, m, self.target_dim, self.coeffs[_block(self.n, m)])
 
     def __call__(self, x) -> np.ndarray:
         return self.eval(x)
@@ -300,76 +384,44 @@ class PolyJet:
     def eval(self, x) -> np.ndarray:
         """Evaluate at a point (n,) or batch (npts, n); returns (d,) or (npts, d)."""
         x = np.asarray(x, dtype=float)
-        single = x.ndim == 1
-        pts = x.reshape(-1, self.n) - self.center
-        out = np.zeros((pts.shape[0], self.target_dim))
-        for m in range(0, self.degree_bound + 1):
-            t = self.derivs[m]
-            for xi, c in t.coeffs.items():
-                mono = np.ones(pts.shape[0])
-                for j, e in enumerate(xi.entries):
-                    if e:
-                        mono = mono * pts[:, j] ** e
-                out += (mono / xi.factorial())[:, None] * c[None, :]
-        return out[0] if single else out
+        k = self.degree_bound
+        mono = _monomials(x.reshape(-1, self.n) - self.center, _table(self.n, k), k)
+        out = mono.T @ (_inv_factorial(self.n, k)[:, None] * self.coeffs)
+        return out[0] if x.ndim == 1 else out
 
     def derivative(self, xi: MultiIndex) -> "PolyJet":
         """The jet of D^xi P: degree drops by |xi|, coefficients shift."""
         if xi.n != self.n:
             raise ValueError("dimension mismatch")
-        m0 = xi.order
-        k = max(self.degree_bound - m0, -1)
-        derivs = {m: interior_mult(xi, self.derivs[m + m0]) for m in range(k + 1)}
-        return PolyJet(self.n, self.target_dim, self.center, k, derivs)
+        k = max(self.degree_bound - xi.order, -1)
+        return PolyJet(self.n, self.target_dim, self.center, k,
+                       self.coeffs[_shift(self.n, k, xi.entries)])
 
     def recenter(self, new_center) -> "PolyJet":
         """Same polynomial function, derivatives re-expanded at new_center."""
-        if self.degree_bound == -1:
-            return PolyJet.zero(self.n, self.target_dim, new_center)
         b = np.asarray(new_center, dtype=float).reshape(self.n)
-        h = b - self.center
-        derivs: Dict[int, SymTensor] = {}
-        for m in range(0, self.degree_bound + 1):
-            coeffs = {}
-            for xi in xi_set(self.n, m):
-                acc = np.zeros(self.target_dim)
-                for mm in range(m, self.degree_bound + 1):
-                    for zeta in xi_set(self.n, mm - m):
-                        mono = 1.0
-                        for hj, ej in zip(h, zeta.entries):
-                            mono *= hj ** ej
-                        acc += mono / zeta.factorial() * self.derivs[mm][xi + zeta]
-                coeffs[xi] = acc
-            derivs[m] = SymTensor(self.n, m, self.target_dim, coeffs)
-        return PolyJet(self.n, self.target_dim, b, self.degree_bound, derivs)
+        k = self.degree_bound
+        taylor = _monomials(b - self.center, _table(self.n, k), k) * _inv_factorial(self.n, k)
+        shift = np.append(taylor, 0.0)[_differences(self.n, k)]  # h^(t_c - t_r) / (t_c - t_r)!
+        return PolyJet(self.n, self.target_dim, b, k, shift @ self.coeffs)
 
     def truncate(self, k: int) -> "PolyJet":
         """Keep derivatives of order <= k."""
-        k = min(k, self.degree_bound)
-        if k <= -1:
-            return PolyJet.zero(self.n, self.target_dim, self.center)
-        return PolyJet(self.n, self.target_dim, self.center, k,
-                       {m: self.derivs[m] for m in range(k + 1)})
+        k = max(min(k, self.degree_bound), -1)
+        return PolyJet(self.n, self.target_dim, self.center, k, self.coeffs[:_size(self.n, k)])
 
     def __add__(self, other: "PolyJet") -> "PolyJet":
         if (self.n, self.target_dim) != (other.n, other.target_dim):
             raise ValueError("incompatible jets")
         other = other.recenter(self.center)
         k = max(self.degree_bound, other.degree_bound)
-        derivs = {}
-        for m in range(k + 1):
-            a = self.derivs.get(m, SymTensor.zero(self.n, m, self.target_dim))
-            b = other.derivs.get(m, SymTensor.zero(self.n, m, self.target_dim))
-            derivs[m] = a + b
-        return PolyJet(self.n, self.target_dim, self.center, k, derivs)
+        out = np.zeros((_size(self.n, k), self.target_dim))
+        out[:len(self.coeffs)] += self.coeffs
+        out[:len(other.coeffs)] += other.coeffs
+        return PolyJet(self.n, self.target_dim, self.center, k, out)
 
     def scale(self, c: float) -> "PolyJet":
-        return PolyJet(self.n, self.target_dim, self.center, self.degree_bound,
-                       {m: t.scale(c) for m, t in self.derivs.items()})
+        return PolyJet(self.n, self.target_dim, self.center, self.degree_bound, c * self.coeffs)
 
     def coeff_map(self) -> Dict[Tuple[int, ...], np.ndarray]:
-        out = {}
-        for m in range(0, self.degree_bound + 1):
-            for xi, v in self.derivs[m].coeffs.items():
-                out[xi.entries] = v
-        return out
+        return dict(zip(map(tuple, _table(self.n, self.degree_bound).tolist()), self.coeffs))

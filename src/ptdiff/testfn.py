@@ -1,10 +1,10 @@
 """Compactly supported smooth test functions with exact derivatives.
 
-A TestFn is a finite sum of core atoms (bump, bump-times-monomial, or
-tensor-product core), each translated, dilated, and weighted by a vector
-coefficient in R^d.  Derivatives up to ``max_deriv_order`` evaluate through
-the closed-form prefactor recursion in :mod:`ptdiff.cores`, so integration
-by parts downstream is exact.
+A TestFn is a finite sum of core atoms (bump or bump-times-monomial),
+each translated, dilated, and weighted by a vector coefficient in R^d.
+Derivatives up to ``max_deriv_order`` evaluate through the closed-form
+prefactor recursion in :mod:`ptdiff.cores`, so integration by parts
+downstream is exact.
 """
 
 from __future__ import annotations
@@ -17,9 +17,13 @@ import numpy as np
 
 from . import cores
 from .cores import UnsupportedOrderError
-from .tensor import MultiIndex, SymTensor, opnorm_bounds, xi_set, zero_index
+from .tensor import MultiIndex, opnorms, xi_set, zero_index
 
 DEFAULT_MAX_DERIV_ORDER = 6
+# seminorm screens its whole grid with this many directions (n = 2) and
+# refines the norm in angle only at the best screened points
+SCREEN_DIRECTIONS = 64
+SCREEN_CANDIDATES = 64
 
 
 @dataclass(frozen=True)
@@ -42,10 +46,6 @@ class TestFn:
     support_radius: float
     max_deriv_order: int = DEFAULT_MAX_DERIV_ORDER
     label: str = ""
-
-    @property
-    def deriv_offset(self) -> MultiIndex:
-        return zero_index(self.n)
 
     def eval_deriv(self, xi: MultiIndex, x) -> np.ndarray:
         """D^xi phi at points (npts, n) or a single point (n,); values in R^d."""
@@ -192,9 +192,15 @@ def seminorm(phi, i: int, K: Optional[Tuple[Sequence[float], float]] = None,
              grid_points: int = 512, rel_tol: float = 1e-4) -> float:
     """sup over K of the operator norm of D^i phi.
 
-    Dense grid scan (>= grid_points per axis over the relevant box) followed
-    by local refinement; the result is certified from below at the stated
-    relative tolerance.  K defaults to the support ball.
+    The order-i derivative tensors are evaluated on a grid of grid_points
+    intervals per axis over the relevant box (K defaults to the support
+    ball), and their norms are screened there with the unrefined angular
+    scan.  The best screened points get the norm refined in angle, and a
+    local grid search around the best of them refines in space.  What is
+    certified: the spatial search and every angular scan in it stop only
+    once a refinement step gains less than rel_tol relatively, and the
+    result is the norm at one point, so it is a lower bound of the sup.
+    For n > 2 the pointwise norm is the weighted l1 upper bound.
     """
     n = phi.n
     if i > phi.max_deriv_order:
@@ -210,30 +216,32 @@ def seminorm(phi, i: int, K: Optional[Tuple[Sequence[float], float]] = None,
         hi = np.minimum(sc + sr, kc + kr)
         if np.any(lo >= hi):
             return 0.0
-    axes = [np.linspace(lo[j], hi[j], max(grid_points, 8) + 1) for j in range(n)]
-    if n == 1:
-        pts = axes[0][:, None]
-    else:
-        mesh = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack([m.ravel() for m in mesh], axis=1)
     indices = xi_set(n, i)
-    values = {xi: phi.eval_deriv(xi, pts) for xi in indices}
-    norms = _pointwise_opnorm(n, i, values, pts.shape[0], phi.d)
+
+    def grid(axes):
+        mesh = np.meshgrid(*axes, indexing="ij")
+        return np.stack([m.ravel() for m in mesh], axis=1)
+
+    def tensors(pts):
+        out = np.empty((pts.shape[0], len(indices), phi.d))
+        for r, xi in enumerate(indices):
+            out[:, r] = phi.eval_deriv(xi, pts)
+        return out
+
+    pts = grid([np.linspace(lo[j], hi[j], max(grid_points, 8) + 1) for j in range(n)])
+    values = tensors(pts)
+    screen, _ = opnorms(n, i, values, None, SCREEN_DIRECTIONS)
+    top = np.sort(np.argsort(-screen, kind="stable")[:SCREEN_CANDIDATES])
+    norms, _ = opnorms(n, i, values[top], rel_tol)
     best_idx = int(np.argmax(norms))
     best = float(norms[best_idx])
     # local refinement around the grid argmax
-    center = pts[best_idx]
+    center = pts[top[best_idx]]
     width = float(np.max((hi - lo))) / max(grid_points, 8)
     for _ in range(8):
-        local_axes = [np.linspace(max(lo[j], center[j] - width),
-                                  min(hi[j], center[j] + width), 17) for j in range(n)]
-        if n == 1:
-            lpts = local_axes[0][:, None]
-        else:
-            mesh = np.meshgrid(*local_axes, indexing="ij")
-            lpts = np.stack([m.ravel() for m in mesh], axis=1)
-        lvals = {xi: phi.eval_deriv(xi, lpts) for xi in indices}
-        lnorms = _pointwise_opnorm(n, i, lvals, lpts.shape[0], phi.d)
+        lpts = grid([np.linspace(max(lo[j], center[j] - width),
+                                 min(hi[j], center[j] + width), 17) for j in range(n)])
+        lnorms, _ = opnorms(n, i, tensors(lpts), rel_tol)
         j = int(np.argmax(lnorms))
         new_best = float(lnorms[j])
         improved = new_best > best
@@ -245,31 +253,6 @@ def seminorm(phi, i: int, K: Optional[Tuple[Sequence[float], float]] = None,
         best = new_best
         width /= 8.0
     return best
-
-
-def _pointwise_opnorm(n: int, degree: int, values, npts: int, d: int) -> np.ndarray:
-    """Operator norm of the degree-i derivative tensor at each point."""
-    if degree == 0:
-        return np.linalg.norm(values[zero_index(n)], axis=1)
-    if n == 1:
-        return np.linalg.norm(values[MultiIndex((degree,))], axis=1)
-    if n == 2:
-        from .tensor import multinomial
-        thetas = np.linspace(0.0, 2 * np.pi, 64, endpoint=False)
-        best = np.zeros(npts)
-        for t in thetas:
-            c, s = np.cos(t), np.sin(t)
-            acc = np.zeros((npts, d))
-            for xi, v in values.items():
-                acc += (multinomial(xi) * c ** xi.entries[0] * s ** xi.entries[1]) * v
-            best = np.maximum(best, np.linalg.norm(acc, axis=1))
-        return best
-    # higher n: weighted l1 upper bound per point (documented fallback)
-    from .tensor import multinomial
-    acc = np.zeros(npts)
-    for xi, v in values.items():
-        acc += multinomial(xi) * np.linalg.norm(v, axis=1)
-    return acc
 
 
 @dataclass(frozen=True)

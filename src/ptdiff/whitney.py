@@ -114,20 +114,22 @@ class JetField:
         return self.jets[0].target_dim if self.jets else 1
 
 
-def _pair_term(Pa: PolyJet, Pb: PolyJet, b: np.ndarray, m: int, k: int,
-               dist: float) -> float:
-    ta = Pa.recenter(b).derivs.get(m)
-    tb = Pb.recenter(b).derivs.get(m)
-    if ta is None and tb is None:
-        return 0.0
-    if ta is None:
-        diff = tb.scale(-1.0)
-    elif tb is None:
-        diff = ta
-    else:
-        diff = ta - tb
-    norm, _ = opnorm_bounds(diff)
-    return norm * dist ** (m - k) * math.factorial(k - m)
+def _pair_terms(F: JetField, delta: float = math.inf):
+    """(a, b, m, |a-b|, term) over ordered pairs with 0 < |a-b| <= delta, m = 0..k.
+
+    term = ||D^m P_a(b) - D^m P_b(b)|| |a-b|^{m-k} (k-m)!.
+    """
+    k = F.degree
+    pts = [np.asarray(p, dtype=float) for p in F.points]
+    for ia, ib in itertools.permutations(range(len(pts)), 2):
+        d = float(np.linalg.norm(pts[ia] - pts[ib]))
+        if d == 0.0 or d > delta:
+            continue
+        Pa = F.jets[ia].recenter(pts[ib])
+        Pb = F.jets[ib].recenter(pts[ib])
+        for m in range(0, k + 1):
+            norm, _ = opnorm_bounds(Pa.tensor(m) - Pb.tensor(m))
+            yield ia, ib, m, d, norm * d ** (m - k) * math.factorial(k - m)
 
 
 def rho(F: JetField, delta: float) -> float:
@@ -138,15 +140,7 @@ def rho(F: JetField, delta: float) -> float:
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
-    pts = [np.asarray(p, dtype=float) for p in F.points]
-    best = 0.0
-    for ia, ib in itertools.permutations(range(len(pts)), 2):
-        d = float(np.linalg.norm(pts[ia] - pts[ib]))
-        if d == 0.0 or d > delta:
-            continue
-        for m in range(0, F.degree + 1):
-            best = max(best, _pair_term(F.jets[ia], F.jets[ib], pts[ib], m, F.degree, d))
-    return best
+    return max((term for *_, term in _pair_terms(F, delta)), default=0.0)
 
 
 class PartitionConstructionError(RuntimeError):
@@ -443,17 +437,12 @@ def extend(F: JetField, region: Optional[Ball] = None,
     kappa_F omitted, the smallest admissible constant is recorded.
     """
     n = F.n
-    pts = [np.asarray(p, dtype=float) for p in F.points]
     worst = 0.0
     worst_pair = None
-    for ia, ib in itertools.permutations(range(len(pts)), 2):
-        d = float(np.linalg.norm(pts[ia] - pts[ib]))
-        if d == 0.0:
-            continue
-        for m in range(0, F.degree + 1):
-            q = _pair_term(F.jets[ia], F.jets[ib], pts[ib], m, F.degree, d) / d ** F.alpha
-            if q > worst:
-                worst, worst_pair = q, (F.points[ia], F.points[ib], m)
+    for ia, ib, m, d, term in _pair_terms(F):
+        q = term / d ** F.alpha
+        if q > worst:
+            worst, worst_pair = q, (F.points[ia], F.points[ib], m)
     if kappa_F is not None and worst > kappa_F * (1 + 1e-9):
         raise WhitneyGateError(
             f"field violates the (k, alpha) gate: defect {worst:.6g} > {kappa_F:.6g}",

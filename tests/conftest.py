@@ -1,5 +1,7 @@
 """Shared fixtures: kernels, probe dictionaries, corpus, fast configs."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -55,6 +57,27 @@ def fast_classifier():
             jet_config=JetConfig(levels=8))
 
     return make
+
+
+def dense_directional_max(values, degree):
+    """max over 4,096 equispaced unit v of |psi(v, ..., v)| for 2-D order-degree tensors.
+
+    values has shape (npts, degree + 1, d), rows in xi_set(2, degree) order:
+    (degree, 0), (degree - 1, 1), ..., (0, degree).  An independent dense
+    reference for the operator norms: no refinement, only many directions.
+    """
+    thetas = np.linspace(0.0, 2.0 * np.pi, 4096, endpoint=False)
+    a = np.arange(degree, -1, -1)
+    weights = np.array([math.comb(degree, int(e)) for e in a], dtype=float)
+    npts, _, d = values.shape
+    flat = values.transpose(0, 2, 1).reshape(npts * d, degree + 1)
+    best = np.zeros(npts)  # squared norms
+    for s in range(0, len(thetas), 128):  # 128 directions at a time bound memory
+        t = thetas[s:s + 128, None]
+        mono = weights * np.cos(t) ** a * np.sin(t) ** (degree - a)  # (t, N)
+        sq = np.square((flat @ mono.T).reshape(npts, d, -1)).sum(axis=1)
+        best = np.maximum(best, sq.max(axis=1))
+    return np.sqrt(best)
 
 
 _REPORT_LINES = []

@@ -85,10 +85,10 @@ class TestScaling:
             assert scaled == pytest.approx(2.0 ** n * base, rel=1e-3)
 
     def test_deriv_supnorms_match_seminorm(self, kernel_cache):
-        kernel = kernel_cache(1, 3)
-        for i in range(0, 3):
-            assert kernel.deriv_supnorms[i] == pytest.approx(
-                seminorm(kernel.testfn, i), rel=1e-6)
+        for kernel in (kernel_cache(1, 3), kernel_cache(2, 2)):
+            for i in range(0, 3):
+                assert kernel.deriv_supnorms[i] == pytest.approx(
+                    seminorm(kernel.testfn, i), rel=1e-6)
 
     def test_scaled_derivative_supnorm(self, kernel_cache):
         # sup||D^i Phi_r|| = r^{-n-i} sup||D^i Phi||

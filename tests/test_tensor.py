@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import dense_directional_max
 from ptdiff import (MultiIndex, PolyJet, SymTensor, interior_mult,
                     opnorm_bounds, tensor_opnorm, xi_set, zero_index)
 
@@ -160,3 +161,14 @@ class TestOpnorm:
         value, certified = opnorm_bounds(psi)
         assert psi.max_coeff_norm() - 1e-9 <= value <= psi.l1_bound() + 1e-9
         assert certified in (True, False)
+
+    @pytest.mark.parametrize("degree", [1, 2, 3, 4])
+    def test_n2_matches_dense_reference(self, degree):
+        rng = np.random.default_rng(degree)
+        for d in (1, 2):
+            for _ in range(10):
+                coeffs = rng.normal(size=(degree + 1, d))
+                value, certified = opnorm_bounds(SymTensor(2, degree, d, coeffs))
+                ref = dense_directional_max(coeffs[None], degree)[0]
+                assert certified
+                assert abs(value - ref) <= 1e-4 * ref, (d, value, ref)

@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import dense_directional_max
 from ptdiff import (MultiIndex, bump_monomial, make_dictionary, seminorm,
-                    standard_bump)
+                    standard_bump, xi_set)
 from ptdiff.cores import UnsupportedOrderError, bump_1d
+from ptdiff.testfn import _sum_of_bumps
 
 
 class TestEvalDeriv:
@@ -58,6 +60,52 @@ class TestEvalDeriv:
             rtol=1e-14)
 
 
+def _off_axis_probe(seed):
+    """Seeded 2-D sum of three signed bumps with off-axis centers."""
+    if seed is None:
+        return _sum_of_bumps(2, 1, [((0.3, 0.2), 0.5, 1.0),
+                                    ((-0.2, -0.35), 0.4, -0.7)], 0, "off")
+    rng = np.random.default_rng(seed)
+    terms = []
+    for _ in range(3):
+        rad, ang = rng.uniform(0.1, 0.5), rng.uniform(0.0, 2.0 * np.pi)
+        terms.append(((rad * np.cos(ang), rad * np.sin(ang)),
+                      float(rng.uniform(0.25, 0.45)), float(rng.uniform(-1.0, 1.0))))
+    return _sum_of_bumps(2, 1, terms, 0, f"off_{seed}")
+
+
+def _dense_seminorm(phi, i):
+    """sup of the order-i operator norm by grid search, 4,096 directions per point.
+
+    A 129^2 grid over the support box, then around each of its 8 best
+    points three nested 21^2 grids, each ten times finer than the one
+    before (final spacing 2 r / 128 / 1000).
+    """
+    indices = xi_set(2, i)
+
+    def norms(pts):
+        values = np.stack([phi.eval_deriv(xi, pts) for xi in indices], axis=1)
+        return dense_directional_max(values, i)
+
+    def square(half, count):
+        g = np.linspace(-half, half, count)
+        return np.stack(np.meshgrid(g, g, indexing="ij"), axis=-1).reshape(-1, 2)
+
+    h = 2.0 * phi.support_radius / 128
+    pts = np.asarray(phi.support_center) + square(phi.support_radius, 129)
+    vals = norms(pts)
+    best = float(vals.max())
+    for center in pts[np.argsort(vals)[-8:]]:
+        width = h
+        for _ in range(3):
+            local = center + square(width, 21)
+            lv = norms(local)
+            center = local[int(lv.argmax())]
+            best = max(best, float(lv.max()))
+            width /= 10.0
+    return best
+
+
 class TestSeminorm:
     def test_nu0_closed_form(self):
         assert seminorm(standard_bump(1), 0) == pytest.approx(math.exp(-1.0), rel=1e-6)
@@ -75,6 +123,15 @@ class TestSeminorm:
         for r in (0.5, 0.25, 2.0):
             scaled = b.rescale([0.0], r)
             assert seminorm(scaled, 1) == pytest.approx(seminorm(b, 1) / r, rel=1e-3)
+
+    @pytest.mark.parametrize("i", [1, 2])
+    @pytest.mark.parametrize("seed", [None, 1, 2])
+    def test_2d_matches_dense_reference(self, seed, i):
+        # the documented tolerance: a lower bound within rel_tol = 1e-4
+        phi = _off_axis_probe(seed)
+        got = seminorm(phi, i)
+        ref = _dense_seminorm(phi, i)
+        assert abs(got - ref) <= 1e-4 * ref, (got, ref)
 
 
 class TestRescale:
