@@ -298,11 +298,10 @@ def cmd_whitney(args) -> int:
             orders.append(MultiIndex(tuple(m if j == ax else 0 for j in range(n))))
     header = ["x"] + [f"D{''.join(map(str, o.entries))}g" for o in orders]
     lines = [",".join(header)]
-    for q in queries:
-        row = [";".join(_fmt(c) for c in q)]
-        for o in orders:
-            row.append(_fmt(float(np.atleast_1d(ext.eval(q, o))[0])))
-        lines.append(",".join(row))
+    Q = np.asarray(queries, dtype=float).reshape(-1, n)
+    columns = [ext.eval(Q, o)[:, 0] for o in orders]
+    for q, values in zip(queries, zip(*columns)):
+        lines.append(",".join([";".join(_fmt(c) for c in q)] + [_fmt(v) for v in values]))
     csv_path = out / "whitney_extension.csv"
     csv_path.write_text("\n".join(lines) + "\n")
     seminorm, c_impl = (None, None)

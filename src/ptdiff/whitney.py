@@ -8,13 +8,23 @@ the packing, and the extension g = sum_c zeta_c P_{xi(c)} off A with
 xi(c) a nearest point of A.  Derivative bounds V_m are measured on probe
 grids rather than derived a priori; they feed the localization constant
 Gamma = Delta 30^{n+i} 3^lambda / alpha(n) with Delta = sum_m C(i,m) V_m 3^m.
+
+Weights and the extension are evaluated for a batch of points at once:
+``WhitneyExtension.eval`` takes a point (n,) and returns (d,), or a batch
+(npts, n) and returns (npts, d), as ``PolyJet.eval`` does.  The active
+(point, center) pairs, |x - c| < 10 h(c), are found without a dense
+(points x centers) table: h is 1/20-Lipschitz, so an active pair has
+|x - c| < 20 h(x), and the candidates are the centers in that slab of
+coordinate 0.  There is then one ``core_eval`` call per derivative of eta
+over all pairs.  The greedy packing uses the same bound with (40/19) h(t).
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -28,16 +38,33 @@ from .testfn import ProbeDictionary
 
 Ball = Tuple[Sequence[float], float]
 
+_SLAB_MARGIN = 1e-9  # relative margin on the Lipschitz slab bounds
+_PAIR_BLOCK = 2 ** 20  # candidate (point, center) pairs filtered at once
+
+
+def _nearest(points: np.ndarray, X: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(index of a nearest row of points, distance to it) for each row of X.
+
+    A running minimum of squared distances over the rows of points, then
+    one sqrt: the same distances as the minimum of the norms, in O(npts)
+    memory.  With no points the distance is inf.
+    """
+    best = np.full(X.shape[0], np.inf)
+    arg = np.zeros(X.shape[0], dtype=np.int64)
+    for j, p in enumerate(points):
+        d2 = np.sum((X - p) ** 2, axis=1)
+        closer = d2 < best
+        best[closer] = d2[closer]
+        arg[closer] = j
+    return arg, np.sqrt(best)
+
 
 @dataclass(frozen=True)
 class FinitePointSet:
     points: Tuple[Tuple[float, ...], ...]
 
     def dist(self, pts: np.ndarray) -> np.ndarray:
-        if not self.points:
-            return np.full(pts.shape[0], np.inf)
-        arr = np.asarray(self.points, dtype=float)
-        return np.min(np.linalg.norm(pts[:, None, :] - arr[None, :, :], axis=2), axis=1)
+        return _nearest(np.asarray(self.points, dtype=float), pts)[1]
 
     def ball_complement_measure(self, n: int, a, radius: float) -> float:
         # finitely many points are Lebesgue null
@@ -151,8 +178,10 @@ class PartitionConstructionError(RuntimeError):
 class WhitneyPartition:
     """Greedy maximal packing with normalized bump weights.
 
-    Weight evaluation supports derivatives up to order 2 through the
-    quotient rule D zeta = (D eta - zeta D S) / S with S = sum eta.
+    Weights and their derivatives up to order 2 are evaluated for a batch
+    of points at once, through the quotient rule D zeta = (D eta - zeta
+    D S) / S with S = sum eta.  ``radii`` must be h at the centers: the
+    search for active centers relies on h being 1/20-Lipschitz.
     """
 
     n: int
@@ -167,62 +196,109 @@ class WhitneyPartition:
     def h(self, pts: np.ndarray) -> np.ndarray:
         return h_function(self.A, pts)
 
-    def active(self, x: np.ndarray) -> np.ndarray:
-        d = np.linalg.norm(self.centers - x[None, :], axis=1)
-        return np.nonzero(d < 10.0 * self.radii)[0]
+    def active_pairs(self, X: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """(rows, centers) of the pairs with |X[row] - c| < 10 h(c), sorted by row, then center.
 
-    def _eta(self, x: np.ndarray, idx: np.ndarray, xi: MultiIndex) -> np.ndarray:
-        """D^xi eta_c(x) for the selected centers."""
-        out = np.zeros(len(idx))
-        for row, ci in enumerate(idx):
-            s = 10.0 * self.radii[ci]
-            u = (x - self.centers[ci]) / s
-            v = cores.core_eval(self.n, cores.BUMP, None, xi, u[None, :])[0]
-            out[row] = v * s ** (-xi.order)
-        return out
+        |x - c| < 10 h(c) <= 10 h(x) + |x - c| / 2 gives |x - c| < 20 h(x), so
+        the candidates of x are the centers in the slab |c_0 - x_0| < 20 h(x)
+        of the centers sorted by coordinate 0.  Points are taken in blocks
+        of about _PAIR_BLOCK candidates, so memory stays bounded.
+        """
+        X = np.asarray(X, dtype=float).reshape(-1, self.n)
+        order = np.argsort(self.centers[:, 0], kind="stable")
+        c0 = self.centers[order, 0]
+        w = 20.0 * self.h(X) * (1.0 + _SLAB_MARGIN)
+        lo = np.searchsorted(c0, X[:, 0] - w, side="left")
+        counts = np.searchsorted(c0, X[:, 0] + w, side="right") - lo
+        ends = np.cumsum(counts)
+        out_rows, out_ci = [], []
+        start = 0
+        while start < X.shape[0]:
+            done = ends[start] - counts[start]
+            stop = max(start + 1, int(np.searchsorted(ends, done + _PAIR_BLOCK, side="right")))
+            c = counts[start:stop]
+            rows = np.repeat(np.arange(start, stop), c)
+            # the k-th candidate of a row sits k places after its lo
+            pos = np.arange(rows.size) + np.repeat(lo[start:stop] - (ends[start:stop] - c - done), c)
+            ci = order[pos]
+            keep = np.linalg.norm(X[rows] - self.centers[ci], axis=1) < 10.0 * self.radii[ci]
+            rows, ci = rows[keep], ci[keep]
+            srt = np.lexsort((ci, rows))
+            out_rows.append(rows[srt])
+            out_ci.append(ci[srt])
+            start = stop
+        if not out_rows:
+            return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+        return np.concatenate(out_rows), np.concatenate(out_ci)
+
+    def weight_jets(self, X: np.ndarray, order: int
+                    ) -> Tuple[np.ndarray, np.ndarray, Dict[MultiIndex, np.ndarray]]:
+        """(rows, centers, D): the active pairs of X (npts, n) and D^xi zeta on them.
+
+        D maps every multi-index xi of order <= ``order`` (<= 2) to the values
+        of D^xi zeta_c(X[row]) over the pairs.  There is one ``core_eval``
+        call per multi-index; the sums S, D_j S, D_jl S come per point from
+        a sum over each point's run of pairs.  Points where S vanishes get
+        zero weights.
+        """
+        if order > 2:
+            raise ValueError("partition weights expose derivatives up to order 2")
+        X = np.asarray(X, dtype=float).reshape(-1, self.n)
+        rows, ci = self.active_pairs(X)
+        used, at = np.unique(ci, return_inverse=True)
+        s = 10.0 * self.radii[used]
+        u = (X[rows] - self.centers[ci]) / s[at, None]
+        counts = np.bincount(rows, minlength=X.shape[0])
+        starts = np.cumsum(counts) - counts
+        runs = []  # (points, their pair positions) per number of active pairs
+        for size in np.unique(counts[counts > 0]):
+            pts = np.nonzero(counts == size)[0]
+            runs.append((pts, starts[pts, None] + np.arange(size)))
+
+        def eta(xi: MultiIndex) -> np.ndarray:
+            # (10 h(c))^-m by libm pow per center: numpy's vectorized power
+            # can differ from it in the last bit, and tables carry 17 digits
+            scale = np.array([math.pow(v, -xi.order) for v in s.tolist()])
+            return cores.core_eval(self.n, cores.BUMP, None, xi, u) * scale[at]
+
+        def total(v: np.ndarray) -> np.ndarray:
+            # numpy's (pairwise) sum of each point's run of pairs: the value
+            # of summing that point alone, which a sequential bincount is not
+            out = np.zeros(X.shape[0])
+            for pts, run in runs:
+                out[pts] = v[run].sum(axis=1)
+            return out[rows]
+
+        eta0 = eta(zero_index(self.n))
+        S0 = total(eta0)
+        covered = S0 > 0.0
+        S0[~covered] = 1.0
+        zeta0 = eta0 / S0
+        D = {zero_index(self.n): zeta0}
+        if order >= 1:
+            units = [unit_index(self.n, j) for j in range(self.n)]
+            eta1 = [eta(e) for e in units]
+            S1 = [total(v) for v in eta1]
+            zeta1 = [(eta1[j] - zeta0 * S1[j]) / S0 for j in range(self.n)]
+            D.update(zip(units, zeta1))
+        if order == 2:
+            # D_jl zeta = (D_jl eta - D_j zeta D_l S - D_l zeta D_j S - zeta D_jl S) / S
+            for xi in xi_set(self.n, 2):
+                j, l = [a for a, e in enumerate(xi.entries) for _ in range(e)]
+                eta2 = eta(xi)
+                D[xi] = (eta2 - zeta1[j] * S1[l] - zeta1[l] * S1[j] - zeta0 * total(eta2)) / S0
+        for v in D.values():
+            v[~covered] = 0.0
+        return rows, ci, D
 
     def weights(self, x) -> Tuple[np.ndarray, np.ndarray]:
         """(active center indices, zeta values) at a single point."""
-        x = np.asarray(x, dtype=float).reshape(self.n)
-        idx = self.active(x)
-        if idx.size == 0:
-            return idx, np.zeros(0)
-        eta = self._eta(x, idx, zero_index(self.n))
-        S = float(eta.sum())
-        if S <= 0.0:
-            return idx, np.zeros(idx.size)
-        return idx, eta / S
+        return self.weight_deriv(x, zero_index(self.n))
 
     def weight_deriv(self, x, xi: MultiIndex) -> Tuple[np.ndarray, np.ndarray]:
-        """(active indices, D^xi zeta values); |xi| <= 2."""
-        if xi.order > 2:
-            raise ValueError("partition weights expose derivatives up to order 2")
-        x = np.asarray(x, dtype=float).reshape(self.n)
-        idx = self.active(x)
-        if idx.size == 0:
-            return idx, np.zeros(0)
-        eta0 = self._eta(x, idx, zero_index(self.n))
-        S0 = float(eta0.sum())
-        if S0 <= 0.0:
-            return idx, np.zeros(idx.size)
-        zeta0 = eta0 / S0
-        if xi.order == 0:
-            return idx, zeta0
-        units = [unit_index(self.n, j) for j in range(self.n)]
-        eta1 = {j: self._eta(x, idx, units[j]) for j in range(self.n)}
-        S1 = {j: float(eta1[j].sum()) for j in range(self.n)}
-        zeta1 = {j: (eta1[j] - zeta0 * S1[j]) / S0 for j in range(self.n)}
-        if xi.order == 1:
-            j = next(jj for jj, e in enumerate(xi.entries) if e)
-            return idx, zeta1[j]
-        # order 2: D_{jl} zeta = (D_{jl} eta - D_j zeta D_l S - D_l zeta D_j S
-        #                         - zeta D_{jl} S) / S
-        active_axes = [jj for jj, e in enumerate(xi.entries) for _ in range(e)]
-        j, l = active_axes[0], active_axes[1]
-        eta2 = self._eta(x, idx, xi)
-        S2 = float(eta2.sum())
-        val = (eta2 - zeta1[j] * S1[l] - zeta1[l] * S1[j] - zeta0 * S2) / S0
-        return idx, val
+        """(active indices, D^xi zeta values) at a single point; |xi| <= 2."""
+        _, idx, D = self.weight_jets(np.asarray(x, dtype=float).reshape(1, self.n), xi.order)
+        return idx, D[xi]
 
 
 def _candidate_grid(A: ASet, region: Ball, n: int, max_level: int) -> np.ndarray:
@@ -243,13 +319,44 @@ def _candidate_grid(A: ASet, region: Ball, n: int, max_level: int) -> np.ndarray
     return np.concatenate(cands, axis=0) if cands else np.zeros((0, n))
 
 
+def _pack(cand: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Rows of a greedy maximal packing: in order, keep t unless a kept c has |c - t| < h(c) + h(t).
+
+    h is 1/20-Lipschitz, so |c - t| < h(c) + h(t) <= 2 h(t) + |c - t| / 20
+    gives |c - t| < (40/19) h(t): only kept centers in that slab of
+    coordinate 0 are tested.  The kept rows are held sorted by coordinate 0.
+    """
+    pts = cand.tolist()
+    hs = h.tolist()
+    keys: List[float] = []
+    kept: List[int] = []
+
+    def overlaps(c: int, t: int) -> bool:
+        d2 = 0.0
+        for a, b in zip(pts[c], pts[t]):
+            d2 += (a - b) * (a - b)
+        return math.sqrt(d2) < hs[c] + hs[t]
+
+    for t, (x0, ht) in enumerate(zip(cand[:, 0].tolist(), hs)):
+        w = 40.0 / 19.0 * ht * (1.0 + _SLAB_MARGIN)
+        lo = bisect.bisect_left(keys, x0 - w)
+        hi = bisect.bisect_right(keys, x0 + w, lo)
+        if any(overlaps(c, t) for c in kept[lo:hi]):
+            continue
+        at = bisect.bisect_right(keys, x0, lo, hi)
+        keys.insert(at, x0)
+        kept.insert(at, t)
+    return np.array(sorted(kept), dtype=np.int64)
+
+
 def partition_of_unity(A: ASet, region: Ball, max_level: Optional[int] = None,
                        probe_count: int = 1000, seed: int = 0) -> WhitneyPartition:
     """Packing-based partition subordinate to {B(c, 10h(c))} on region minus A.
 
     Verifies, on a random probe set, the normalization sum, the support
     containment, h(x) >= h(c)/3 on each support, and measures V_m for
-    m <= 2 and the overlap bound.
+    m <= 2 and the overlap bound.  A check with no probe above the floor
+    fails, so the grid is refined rather than certified vacuously.
     """
     center = np.asarray(region[0], dtype=float).reshape(-1)
     n = center.size
@@ -263,17 +370,9 @@ def partition_of_unity(A: ASet, region: Ball, max_level: Optional[int] = None,
         h = h_function(A, cand)
         order = np.argsort(-h)
         cand, h = cand[order], h[order]
-        chosen_pts = np.empty((0, n))
-        chosen_h = np.empty(0)
-        for t in range(cand.shape[0]):
-            if chosen_pts.shape[0]:
-                d = np.linalg.norm(chosen_pts - cand[t][None, :], axis=1)
-                if np.any(d < chosen_h + h[t]):
-                    continue
-            chosen_pts = np.vstack([chosen_pts, cand[t][None, :]])
-            chosen_h = np.append(chosen_h, h[t])
+        chosen = _pack(cand, h)
         part = WhitneyPartition(n, A, (tuple(center), radius),
-                                chosen_pts, chosen_h, {}, 0)
+                                cand[chosen], h[chosen], {}, 0)
         # probes with h below the finest resolved scale fall in the collar
         # around A that the grid cannot cover; they are excluded from checks
         floor = 2.0 * radius / 2 ** lv
@@ -295,28 +394,25 @@ def _verify_partition(part: WhitneyPartition, probe_count: int, seed: int,
                       size=(probe_count, part.n))
     h = part.h(pts)
     V = {0: 1.0, 1: 0.0, 2: 0.0}
-    overlap = 0
-    first_order = xi_set(part.n, 1)
-    second_order = xi_set(part.n, 2)
-    for t in range(pts.shape[0]):
-        if h[t] <= floor:
-            continue
-        idx, z = part.weights(pts[t])
-        if abs(z.sum() - 1.0) > 1e-10:
-            return False, V, overlap
-        overlap = max(overlap, int(np.count_nonzero(z > 0)))
-        hx = float(h[t])
-        for ci, zi in zip(idx, z):
-            if zi > 0 and np.linalg.norm(pts[t] - part.centers[ci]) > 10 * part.radii[ci]:
-                return False, V, overlap
-            if zi > 0 and hx < part.radii[ci] / 3.0:
-                return False, V, overlap
-        for xi in first_order:
-            _, dz = part.weight_deriv(pts[t], xi)
-            V[1] = max(V[1], float(np.max(np.abs(dz), initial=0.0)) * hx)
-        for xi in second_order:
-            _, dz = part.weight_deriv(pts[t], xi)
-            V[2] = max(V[2], float(np.max(np.abs(dz), initial=0.0)) * hx ** 2)
+    pts, h = pts[h > floor], h[h > floor]
+    if pts.shape[0] == 0:
+        return False, V, 0
+    rows, ci, D = part.weight_jets(pts, 2)
+    z = D[zero_index(part.n)]
+    total = np.bincount(rows, weights=z, minlength=pts.shape[0])
+    if np.any(np.abs(total - 1.0) > 1e-10):
+        return False, V, 0
+    pos = z > 0
+    overlap = int(np.bincount(rows[pos], minlength=pts.shape[0]).max())
+    r, c = rows[pos], ci[pos]
+    if np.any(np.linalg.norm(pts[r] - part.centers[c], axis=1) > 10 * part.radii[c]):
+        return False, V, overlap
+    if np.any(h[r] < part.radii[c] / 3.0):
+        return False, V, overlap
+    hx = h[rows]
+    for m in (1, 2):
+        for xi in xi_set(part.n, m):
+            V[m] = max(V[m], float(np.max(np.abs(D[xi]) * hx ** m, initial=0.0)))
     return True, V, overlap
 
 
@@ -391,36 +487,45 @@ class WhitneyExtension:
     atol: float = 1e-12
 
     def eval(self, x, xi: Optional[MultiIndex] = None) -> np.ndarray:
+        """D^xi g at a point (n,) or a batch (npts, n); returns (d,) or (npts, d).
+
+        Rows within ``atol`` of a data point take the nearest jet.  So do
+        rows in the collar around A below the grid resolution, where the
+        packing has no coverage: the nearest jet is the limit value there.
+        """
         n = self.field.n
-        x = np.asarray(x, dtype=float).reshape(n)
+        x = np.asarray(x, dtype=float)
+        X = x.reshape(1, n) if x.ndim <= 1 else x.reshape(x.shape[0], n)
         xi = xi if xi is not None else zero_index(n)
-        pts = np.asarray(self.field.points, dtype=float)
-        if len(self.field.points):
-            dists = np.linalg.norm(pts - x[None, :], axis=1)
-            nearest = int(np.argmin(dists))
-            if dists[nearest] <= self.atol:
-                return self.field.jets[nearest].derivative(xi).eval(x)
-        if not self.field.points:
-            return np.zeros(self.field.d)
-        _, z = self.partition.weights(x)
-        if z.size == 0 or z.sum() <= 0.0:
-            # inside the collar around A below the grid resolution the
-            # packing has no coverage; the nearest jet is the limit value
-            return self.field.jets[nearest].derivative(xi).eval(x)
-        out = np.zeros(self.field.d)
-        sub_indices = [eta for m in range(0, xi.order + 1) for eta in xi_set(n, m)
-                       if xi.dominates(eta)]
-        for eta in sub_indices:
-            idx, dz = self.partition.weight_deriv(x, eta)
-            if idx.size == 0:
-                continue
-            rest = xi - eta
-            coef = _multi_binom(xi, eta)
-            for ci, w in zip(idx, dz):
-                if w == 0.0:
+        out = np.zeros((X.shape[0], self.field.d))
+        if self.field.points:
+            nearest, dist = _nearest(np.asarray(self.field.points, dtype=float), X)
+            rows, ci, D = self.partition.weight_jets(X, xi.order)
+            covered = np.bincount(rows, weights=D[zero_index(n)], minlength=X.shape[0]) > 0.0
+            own = (dist <= self.atol) | ~covered
+            out[own] = self._jets_at(nearest[own], X[own], xi)
+            # sum_{eta <= xi} C(xi, eta) D^eta zeta_c D^{xi - eta} P_{xi(c)}, accumulated
+            # per row in (eta, c) order
+            off = ~own[rows]
+            where, terms = [], []
+            for eta in (e for m in range(xi.order + 1) for e in xi_set(n, m)):
+                if not xi.dominates(eta):
                     continue
-                P = self.field.jets[self.nearest[ci]]
-                out += coef * w * P.derivative(rest).eval(x)
+                w = D[eta]
+                sel = off & (w != 0.0)
+                r = rows[sel]
+                vals = self._jets_at(self.nearest[ci[sel]], X[r], xi - eta)
+                where.append(r)
+                terms.append(_multi_binom(xi, eta) * w[sel][:, None] * vals)
+            np.add.at(out, np.concatenate(where), np.concatenate(terms))
+        return out[0] if x.ndim <= 1 else out
+
+    def _jets_at(self, which: np.ndarray, X: np.ndarray, xi: MultiIndex) -> np.ndarray:
+        """D^xi P_which[p] at X[p] for each row p: one batched eval per distinct jet."""
+        out = np.empty((X.shape[0], self.field.d))
+        for j in np.unique(which):
+            sel = which == j
+            out[sel] = self.field.jets[j].derivative(xi).eval(X[sel])
         return out
 
     def __call__(self, x) -> np.ndarray:
@@ -461,9 +566,7 @@ def extend(F: JetField, region: Optional[Ball] = None,
         radius = float(np.max(np.linalg.norm(arr - center[None, :], axis=1))) + 1.0
         region = (tuple(center), radius)
     part = partition_of_unity(A, region, max_level=max_level)
-    arr = np.asarray(F.points, dtype=float)
-    nearest = np.array([int(np.argmin(np.linalg.norm(arr - c[None, :], axis=1)))
-                        for c in part.centers], dtype=int)
+    nearest, _ = _nearest(np.asarray(F.points, dtype=float), part.centers)
     return WhitneyExtension(F, part, nearest, kf)
 
 
@@ -489,10 +592,9 @@ def empirical_hoelder(ext: WhitneyExtension, pair_count: int = 10 ** 4,
         dirs = rng.normal(size=(batch, F.n))
         dirs /= np.maximum(np.linalg.norm(dirs, axis=1, keepdims=True), 1e-300)
         ys = xs + sep * dirs
-        for x, y in zip(xs, ys):
-            num = 0.0
-            for xi in top:
-                num = max(num, float(np.max(np.abs(ext.eval(x, xi) - ext.eval(y, xi)))))
-            best = max(best, num / sep ** F.alpha)
+        for xi in top:
+            g = ext.eval(np.concatenate([xs, ys]), xi)
+            num = np.max(np.abs(g[:batch] - g[batch:]), axis=1)
+            best = max(best, float(np.max(num)) / sep ** F.alpha)
     c_impl = best / ext.kappa_F if ext.kappa_F > 0 else 0.0
     return best, c_impl

@@ -1,12 +1,22 @@
 """Shared fixtures: kernels, probe dictionaries, corpus, fast configs."""
 
 import math
+import os
 
 import numpy as np
 import pytest
 
 from ptdiff import (ClassifierConfig, JetConfig, QuadratureConfig,
                     build_kernel, load_corpus, make_dictionary)
+
+
+def pytest_configure(config):
+    # kernels built by the suite go to pytest's cache directory, not to
+    # ~/.cache/ptdiff: nothing is written outside the checkout, and later
+    # runs still find them
+    cache = getattr(config, "cache", None)
+    if "PTDIFF_CACHE" not in os.environ and cache is not None:
+        os.environ["PTDIFF_CACHE"] = str(cache.mkdir("ptdiff-kernels"))
 
 
 @pytest.fixture(scope="session")

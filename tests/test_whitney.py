@@ -291,3 +291,111 @@ class TestExtension:
         semi, c_impl = empirical_hoelder(ext, pair_count=1000)
         assert semi >= 0.0
         assert math.isfinite(c_impl)
+
+
+def field_2d(points):
+    """Exact order-2 jets of sin(x) cos(y) at 2-D points."""
+    jets = []
+    for x, y in points:
+        s, c, sy, cy = math.sin(x), math.cos(x), math.sin(y), math.cos(y)
+        jets.append(PolyJet.from_coeff_map(2, [x, y], {
+            (0, 0): s * cy, (1, 0): c * cy, (0, 1): -s * sy,
+            (2, 0): -s * cy, (1, 1): -c * sy, (0, 2): -s * cy}))
+    return JetField(tuple(map(tuple, points)), tuple(jets), 2, 1.0)
+
+
+def brute_force_pairs(part, X):
+    """The (row, center) pairs with |x - c| < 10 h(c), one point at a time over all centers."""
+    out = []
+    for r, x in enumerate(X):
+        d = np.linalg.norm(part.centers - x[None, :], axis=1)
+        out.extend((r, int(c)) for c in np.nonzero(d < 10.0 * part.radii)[0])
+    return out
+
+
+class TestBatch:
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_eval_matches_pointwise(self, dim):
+        rng = np.random.default_rng(4)
+        if dim == 1:
+            data = np.linspace(0.0, 1.0, 12)[:, None]
+            ext = extend(sin_field(data[:, 0]))
+            off = rng.uniform(-0.5, 1.5, size=(40, 1))
+        else:
+            data = np.array([[0.2, 0.3], [0.7, 0.4], [0.5, 0.8], [0.1, 0.9], [0.9, 0.1]])
+            ext = extend(field_2d(data), max_level=6)
+            off = rng.uniform(-0.3, 1.3, size=(40, dim))
+        # collar points: far below the floor, where no center is active
+        collar = data[:3] + 1e-7
+        for x in collar:
+            assert ext.partition.weights(x)[1].sum() == 0.0
+        X = np.concatenate([data, collar, off])
+        h = ext.partition.h(X)
+        for m in range(3):
+            for xi in xi_set(dim, m):
+                batch = ext.eval(X, xi)
+                rows = np.array([ext.eval(x, xi) for x in X])
+                assert batch.shape == rows.shape == (X.shape[0], 1)
+                # a row's D^rest P can differ in the last bit with the size of the
+                # batch it is evaluated in (BLAS blocking); that bit is multiplied
+                # by D^eta zeta, which grows like h^-|eta| near the data
+                tol = 1e-13 + 1e-15 * np.where(h > 0, h, 1.0) ** -m
+                assert np.all(np.abs(batch - rows)[:, 0] <= tol), xi
+
+    @pytest.mark.parametrize("case", ["points-1d", "points-2d", "halfspace-2d"])
+    def test_active_pairs_match_brute_force(self, case):
+        rng = np.random.default_rng(6)
+        if case == "points-1d":
+            part = partition_of_unity(make_point_set([[0.0], [0.3], [0.35]]), ([0.2], 1.0),
+                                      max_level=10, probe_count=200)
+            X = rng.uniform(-0.8, 1.2, size=(300, 1))
+        elif case == "points-2d":
+            part = partition_of_unity(make_point_set([[0.0, 0.0], [0.3, 0.1]]),
+                                      ((0.0, 0.0), 1.0), max_level=6, probe_count=200)
+            X = rng.uniform(-0.9, 0.9, size=(200, 2))
+        else:
+            part = partition_of_unity(HalfSpace(0, 0.0, "le"), ((0.5, 0.0), 1.0),
+                                      max_level=6, probe_count=200)
+            X = rng.uniform([-0.5, -1.0], [1.5, 1.0], size=(200, 2))
+        rows, centers = part.active_pairs(X)
+        assert list(zip(rows.tolist(), centers.tolist())) == brute_force_pairs(part, X)
+        assert len(rows) > len(X)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_point_set_dist_exact(self, dim):
+        rng = np.random.default_rng(8)
+        arr = rng.uniform(-1.0, 1.0, size=(37, dim))
+        pts = rng.uniform(-2.0, 2.0, size=(500, dim))
+        reference = np.min(np.linalg.norm(pts[:, None, :] - arr[None, :, :], axis=2), axis=1)
+        assert np.array_equal(make_point_set(arr).dist(pts), reference)
+
+    def test_empty_point_set_dist(self):
+        assert np.all(FinitePointSet(()).dist(np.zeros((4, 2))) == np.inf)
+
+
+class TestPartitionPins:
+    # centers, overlap and V of two partitions, taken from the one-point
+    # implementation before evaluation was batched
+
+    def test_point_1d(self):
+        part = partition_of_unity(make_point_set([[0.0]]), ([0.0], 1.0))
+        assert part.centers.shape == (142, 1)
+        assert part.overlap_bound == 11
+        assert part.V[1] == pytest.approx(0.07166853331447237, rel=1e-12)
+        assert part.V[2] == pytest.approx(0.09815721099568832, rel=1e-12)
+
+    def test_halfspace_2d(self):
+        part = partition_of_unity(HalfSpace(0, 0.0, "le"), ((0.5, 0.0), 1.0),
+                                  max_level=7, probe_count=200)
+        assert part.centers.shape == (3103, 2)
+        assert part.overlap_bound == 76
+        assert part.V[1] == pytest.approx(0.014931030058468972, rel=1e-12)
+        assert part.V[2] == pytest.approx(0.01831140503429391, rel=1e-12)
+
+    def test_no_probe_above_floor_refines(self):
+        # at level 5 the floor is 0.0625 and h never exceeds 0.05, so no probe
+        # is checked; that attempt fails and the grid is refined
+        part = partition_of_unity(HalfSpace(0, 0.0, "le"), ((0.5, 0.0), 1.0),
+                                  max_level=5, probe_count=200)
+        assert part.overlap_bound >= 1
+        assert part.V[1] > 0.0
