@@ -391,7 +391,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except InputError as exc:
+    except (InputError, CorpusError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

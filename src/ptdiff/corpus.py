@@ -52,10 +52,15 @@ class CorpusItem:
     jet_claims: Tuple[JetClaim, ...] = ()
     exploratory: bool = False
     polynomial_degree: Optional[int] = None
+    source: str = ""  # name of the document the item was read from
 
     def build(self) -> Distribution:
-        return Distribution(self.n, self.d,
-                            tuple(_build_atom(a, self.n, self.d) for a in self.atoms))
+        try:
+            return Distribution(self.n, self.d,
+                                tuple(_build_atom(a, self.n, self.d) for a in self.atoms))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CorpusError(f"corpus document {self.source or self.id}: "
+                              f"bad atom: {_describe(exc)}") from exc
 
     @property
     def is_function_type(self) -> bool:
@@ -64,6 +69,12 @@ class CorpusItem:
 
 class CorpusError(ValueError):
     pass
+
+
+def _describe(exc: Exception) -> str:
+    if isinstance(exc, KeyError):
+        return f"missing field {exc}"
+    return str(exc) or type(exc).__name__
 
 
 def _build_atom(spec: dict, n: int, d: int):
@@ -90,7 +101,7 @@ def _build_atom(spec: dict, n: int, d: int):
     raise CorpusError(f"unknown atom kind {kind!r}")
 
 
-def _parse_item(doc: dict) -> CorpusItem:
+def _parse_item(doc: dict, source: str = "") -> CorpusItem:
     claims = []
     jets = []
     for ann in doc.get("annotations", []):
@@ -107,15 +118,17 @@ def _parse_item(doc: dict) -> CorpusItem:
     return CorpusItem(doc["id"], int(doc["dim"]), int(doc.get("target_dim", 1)),
                       tuple(doc["atoms"]), tuple(claims), tuple(jets),
                       bool(doc.get("exploratory", False)),
-                      doc.get("polynomial_degree"))
+                      doc.get("polynomial_degree"), source)
 
 
 def load_corpus(directory: Optional[Path] = None) -> Dict[str, CorpusItem]:
     base = Path(directory) if directory else DATA_DIR
     items: Dict[str, CorpusItem] = {}
     for path in sorted(base.glob("*.json")):
-        doc = json.loads(path.read_text())
-        item = _parse_item(doc)
+        try:
+            item = _parse_item(json.loads(path.read_text()), path.name)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CorpusError(f"corpus document {path.name}: {_describe(exc)}") from exc
         if item.id in items:
             raise CorpusError(f"duplicate corpus id {item.id!r}")
         items[item.id] = item

@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import tempfile
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Dict, Optional, Tuple
@@ -228,12 +229,24 @@ def build_kernel(n: int, k: int, use_cache: bool = True,
         supnorms = {i: seminorm(fn, i) for i in range(0, 5)}
     if use_cache:
         cdir.mkdir(parents=True, exist_ok=True)
-        cpath.write_text(json.dumps(
+        _write_atomic(cpath, json.dumps(
             {"n": n, "k": k, "bump": BUMP_ID,
              "coeffs": [[list(e), c] for e, c in coeffs.items()],
              "supnorms": {str(i): v for i, v in supnorms.items()},
              "residuals": {str(e): r for e, r in residuals.items()}}, indent=1))
     return MomentKernel(n, k, fn, residuals, supnorms)
+
+
+def _write_atomic(path: Path, text: str) -> None:
+    """Write path whole or not at all: a temp file beside it, then os.replace."""
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def verify_reproduction(kernel: MomentKernel, Q: PolyJet, x, r: float,

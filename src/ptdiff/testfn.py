@@ -5,12 +5,32 @@ each translated, dilated, and weighted by a vector coefficient in R^d.
 Derivatives up to ``max_deriv_order`` evaluate through the closed-form
 prefactor recursion in :mod:`ptdiff.cores`, so integration by parts
 downstream is exact.
+
+A batch of points is evaluated with each atom only at the points inside
+its support ball.  The points are sorted once by a key made of their bin
+over the first n - 1 coordinates (bins a quarter of the smallest atom
+radius wide) and then their last coordinate, so that the points of one
+bin inside an atom's bounding box along the last axis are one run of the
+sorted order: the candidate (atom, point) pairs are these runs, slightly
+more than the boxes.  A pair is kept when |u|^2 < 1 - BOUNDARY_CLAMP for
+the point u in the atom's core coordinates, the test ``core_eval`` makes.
+Kept pairs go to ``core_eval`` in one call per core group, PAIR_BLOCK
+candidates at a time, which bounds the temporaries whatever the batch.
+
+The result is bit-identical to summing the atoms one by one over all
+points: a pair's terms are the same float operations as before, the
+radius power is still a Python float power per atom, and ``np.add.at``
+over atom-major pairs adds each point's terms in atom order, block after
+block.  The pairs it skips added exact zeros, which change no sum.  One
+atom, one point, or atoms that all share one support ball (moment
+kernels) leave nothing to cull and keep the per-atom loop.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -24,6 +44,10 @@ DEFAULT_MAX_DERIV_ORDER = 6
 # refines the norm in angle only at the best screened points
 SCREEN_DIRECTIONS = 64
 SCREEN_CANDIDATES = 64
+# candidate (atom, point) pairs per core_eval block
+PAIR_BLOCK = 1 << 12
+# most bins per axis of the candidate search
+MAX_BINS = 1024
 
 
 @dataclass(frozen=True)
@@ -55,13 +79,59 @@ class TestFn:
         x = np.asarray(x, dtype=float)
         single = x.ndim <= 1
         pts = x.reshape(-1, self.n)
-        out = np.zeros((pts.shape[0], self.d))
-        for a in self.atoms:
-            u = (pts - np.asarray(a.center)) / a.radius
-            vals = cores.core_eval(self.n, a.kind, a.core_xi, xi, u)
-            scale = a.radius ** (-xi.order)
-            out += (scale * vals)[:, None] * np.asarray(a.coeff)[None, :]
+        # the loop serves what culling cannot help, and non-finite points,
+        # which the bins of the culled path cannot place (every atom is 0 there)
+        if pts.shape[0] > 1 and not self._one_support and np.isfinite(pts).all():
+            out = self._eval_culled(xi, pts)
+        else:
+            out = np.zeros((pts.shape[0], self.d))
+            for a in self.atoms:
+                u = (pts - np.asarray(a.center)) / a.radius
+                vals = cores.core_eval(self.n, a.kind, a.core_xi, xi, u)
+                scale = a.radius ** (-xi.order)
+                out += (scale * vals)[:, None] * np.asarray(a.coeff)[None, :]
         return out[0] if single else out
+
+    @cached_property
+    def _one_support(self) -> bool:
+        """All atoms share one support ball (one atom, moment kernels)."""
+        first = self.atoms[0] if self.atoms else None
+        return all(a.center == first.center and a.radius == first.radius
+                   for a in self.atoms)
+
+    @cached_property
+    def _stacked(self) -> "_StackedAtoms":
+        return _StackedAtoms.of(self)
+
+    def _eval_culled(self, xi: MultiIndex, pts: np.ndarray) -> np.ndarray:
+        """D^xi phi at pts, each atom evaluated only inside its support ball."""
+        st = self._stacked
+        perm, run_atom, run_start, run_len = _box_runs(st.centers, st.radii, pts)
+        ends = np.cumsum(run_len)
+        offset = run_start - (ends - run_len)
+        order = xi.order
+        scale = np.array([a.radius ** (-order) for a in self.atoms])
+        out = np.zeros((pts.shape[0], self.d))
+        total = int(ends[-1]) if ends.size else 0
+        for first in range(0, total, PAIR_BLOCK):
+            k = np.arange(first, min(first + PAIR_BLOCK, total))
+            run = np.searchsorted(ends, k, side="right")
+            atom = run_atom[run]
+            p = perm[k + offset[run]]
+            u = (pts[p] - st.centers[atom]) / st.radii[atom, None]
+            inside = np.sum(u ** 2, axis=1) < 1.0 - cores.BOUNDARY_CLAMP
+            atom, p, u = atom[inside], p[inside], u[inside]
+            if len(st.groups) == 1:
+                vals = cores.core_eval(self.n, *st.groups[0], xi, u)
+            else:
+                vals = np.empty(len(atom))
+                group = st.group[atom]
+                for g, (kind, core_xi) in enumerate(st.groups):
+                    sel = group == g
+                    if sel.any():
+                        vals[sel] = cores.core_eval(self.n, kind, core_xi, xi, u[sel])
+            np.add.at(out, p, (scale[atom] * vals)[:, None] * st.coeffs[atom])
+        return out
 
     def __call__(self, x) -> np.ndarray:
         return self.eval_deriv(zero_index(self.n), x)
@@ -103,6 +173,73 @@ class TestFn:
         return replace(self, atoms=self.atoms + other.atoms,
                        support_center=tuple(center), support_radius=radius,
                        max_deriv_order=min(self.max_deriv_order, other.max_deriv_order))
+
+
+@dataclass(frozen=True)
+class _StackedAtoms:
+    """A TestFn's atoms as arrays, with each atom's core group."""
+
+    centers: np.ndarray  # (A, n)
+    radii: np.ndarray  # (A,)
+    coeffs: np.ndarray  # (A, d)
+    groups: Tuple[Tuple[str, Optional[Tuple[int, ...]]], ...]  # distinct (kind, core_xi)
+    group: np.ndarray  # (A,) index into groups
+
+    @classmethod
+    def of(cls, fn: TestFn) -> "_StackedAtoms":
+        atoms = fn.atoms
+        keys = [(a.kind, a.core_xi) for a in atoms]
+        groups = tuple(dict.fromkeys(keys))
+        return cls(np.array([a.center for a in atoms], dtype=float).reshape(-1, fn.n),
+                   np.array([a.radius for a in atoms], dtype=float),
+                   np.array([a.coeff for a in atoms], dtype=float).reshape(-1, fn.d),
+                   groups, np.array([groups.index(k) for k in keys], dtype=np.intp))
+
+
+def _box_runs(centers: np.ndarray, radii: np.ndarray, pts: np.ndarray):
+    """Each atom's candidate points, as runs of one sorted order of pts.
+
+    The first n - 1 axes are cut into bins.  Points sort by their last
+    coordinate plus stride times their linear bin, with the stride wider
+    than the points' span, so the keys of one bin keep the order of the
+    last coordinate and never meet another bin's.  The points of a bin
+    within [c - r, c + r] on the last axis are then one run of keys.
+    Returns the order and, atom-major, each non-empty run's atom, start
+    and length; the runs of an atom cover its bounding box.
+    """
+    n = pts.shape[1]
+    lo, hi = pts.min(axis=0), pts.max(axis=0)
+    width = np.maximum(radii.min() / 4.0, (hi - lo)[:-1] / (MAX_BINS - 1))
+    nbins = np.floor((hi - lo)[:-1] / width) + 1
+    stride = 2.0 * (hi[-1] - lo[-1]) + 1.0
+    point_bin = np.zeros(pts.shape[0])
+    for j in range(n - 1):
+        point_bin = point_bin * nbins[j] + np.floor((pts[:, j] - lo[j]) / width[j])
+    keys = pts[:, -1] + stride * point_bin
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+
+    # bins first[j] .. first[j] + size[j] - 1 of each atom's box on axis j
+    first, sizes = [], []
+    for j in range(n - 1):
+        f = np.maximum(np.floor((centers[:, j] - radii - lo[j]) / width[j]), 0.0)
+        top = np.minimum(np.floor((centers[:, j] + radii - lo[j]) / width[j]), nbins[j] - 1)
+        first.append(f)
+        sizes.append(np.maximum(top - f + 1, 0.0).astype(np.intp))
+    count = np.prod(sizes, axis=0) if sizes else np.ones(len(radii), dtype=np.intp)
+    atom = np.repeat(np.arange(len(radii)), count)
+    local = np.arange(atom.size) - np.repeat(np.cumsum(count) - count, count)
+    run_bin = np.zeros(atom.size)
+    for j in range(n - 1):
+        size = sizes[j][atom]
+        rest = np.prod(sizes[j + 1:], axis=0)[atom] if j < n - 2 else 1
+        run_bin = run_bin * nbins[j] + first[j][atom] + (local // rest) % size
+    c, r = centers[atom, -1], radii[atom]
+    base = stride * run_bin
+    start = np.searchsorted(keys, np.maximum(c - r, lo[-1]) + base, side="left")
+    length = np.searchsorted(keys, np.minimum(c + r, hi[-1]) + base, side="right") - start
+    keep = length > 0
+    return order, atom[keep], start[keep], length[keep]
 
 
 @dataclass(frozen=True)

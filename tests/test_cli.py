@@ -1,10 +1,12 @@
 """Command-line front-end: exit codes, report payloads, CSV schemas."""
 
 import json
+import shutil
 
 import pytest
 
 from ptdiff.cli import main
+from ptdiff.corpus import DATA_DIR
 
 FAST_GRID = ["--grid", "0.5,8", "--dict", "6,0"]
 
@@ -43,6 +45,27 @@ class TestExitCodes:
         code = run(["poincare", "--item", "sin4", "--point", "0", "--k", "1",
                     "--dict", "6,0", "--out", str(tmp_path)])
         assert code == 0
+
+    def test_document_without_atoms_is_input_error(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        shutil.copy(DATA_DIR / "exp.json", corpus)
+        (corpus / "no_atoms.json").write_text(json.dumps({"id": "bare", "dim": 1}))
+        code = run(["jet", "--corpus", str(corpus), "--item", "exp", "--point", "0",
+                    "--k", "3", "--out", str(tmp_path)])
+        assert code == 3
+        assert "no_atoms.json" in capsys.readouterr().err
+
+    def test_expression_syntax_error_is_input_error(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        (corpus / "broken.json").write_text(json.dumps(
+            {"id": "broken", "dim": 1,
+             "atoms": [{"kind": "function", "exprs": ["sin(x1"]}]}))
+        code = run(["jet", "--corpus", str(corpus), "--item", "broken", "--point", "0",
+                    "--k", "1", "--out", str(tmp_path)])
+        assert code == 3
+        assert "broken.json" in capsys.readouterr().err
 
     def test_poincare_divergent_inconclusive(self, tmp_path, capsys):
         code = run(["poincare", "--item", "heaviside", "--point", "0",

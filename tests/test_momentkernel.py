@@ -122,5 +122,14 @@ class TestCache:
         kernel = build_kernel(1, 2, cache_dir=tmp_path)
         assert max(kernel.moment_residuals.values()) <= RESIDUAL_GATE
 
+    def test_truncated_entry_rewritten_whole(self, tmp_path):
+        build_kernel(1, 2, cache_dir=tmp_path)
+        path = next(tmp_path.glob("*.json"))
+        text = path.read_text()
+        path.write_text(text[: len(text) // 2])  # a write cut short
+        build_kernel(1, 2, cache_dir=tmp_path)
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
+        assert json.loads(path.read_text())["coeffs"] == json.loads(text)["coeffs"]
+
     def test_cache_key_distinguishes_orders(self, kernel_cache):
         assert kernel_cache(1, 2).cache_key() != kernel_cache(1, 3).cache_key()

@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 from conftest import dense_directional_max
 from ptdiff import (MultiIndex, bump_monomial, make_dictionary, seminorm,
                     standard_bump, xi_set)
+from ptdiff import cores, testfn
 from ptdiff.cores import UnsupportedOrderError, bump_1d
-from ptdiff.testfn import _sum_of_bumps
+from ptdiff.testfn import _candidate_stream, _sum_of_bumps
 
 
 class TestEvalDeriv:
@@ -104,6 +105,108 @@ def _dense_seminorm(phi, i):
             best = max(best, float(lv.max()))
             width /= 10.0
     return best
+
+
+def _atom_loop(phi, xi, pts):
+    """D^xi phi summed one atom at a time over every point: the reference."""
+    if isinstance(phi, testfn.DerivedTestFn):
+        return _atom_loop(phi.base, xi + phi.offset, pts)
+    out = np.zeros((pts.shape[0], phi.d))
+    for a in phi.atoms:
+        u = (pts - np.asarray(a.center)) / a.radius
+        vals = cores.core_eval(phi.n, a.kind, a.core_xi, xi, u)
+        out += (a.radius ** (-xi.order) * vals)[:, None] * np.asarray(a.coeff)[None, :]
+    return out
+
+
+def _probe(n, label, seed=3):
+    return next(c for c in _candidate_stream(n, 1, seed) if c.label == label)
+
+
+def _boundary_points(phi, rng, count=6):
+    """Points within 1e-12 (relative) of atom support spheres, on both sides."""
+    n = phi.n
+    atoms = getattr(phi, "base", phi).atoms
+    rows = []
+    for a in atoms[:: max(1, len(atoms) // count)]:
+        for rel in (-1e-12, -4e-13, 0.0, 4e-13, 1e-12):
+            v = rng.normal(size=n)
+            rows.append(np.asarray(a.center) + a.radius * (1.0 + rel) * v / np.linalg.norm(v))
+    return np.asarray(rows)
+
+
+def _mixed_kinds():
+    """Bump and bump-times-monomial atoms at different centers: two core groups."""
+    mono = bump_monomial(2, (1, 1)).rescale([0.2, -0.1], 0.6)
+    return mono.plus(standard_bump(2).rescale([-0.3, 0.25], 0.5)).plus(
+        bump_monomial(2, (0, 2)).rescale([0.1, 0.3], 0.4))
+
+
+BATCH_PROBES = {
+    "plateau_1d_w0.2": lambda kc: _probe(1, "plateau_w0.2"),
+    "plateau_1d_w0.05": lambda kc: _probe(1, "plateau_w0.05"),
+    "odd_plateau_1d_w0.1": lambda kc: _probe(1, "odd_plateau_axis0_w0.1"),
+    "random_1d": lambda kc: _probe(1, "random_0"),
+    "plateau_2d_w0.2": lambda kc: _probe(2, "plateau_w0.2"),
+    "odd_plateau_2d_axis1_w0.2": lambda kc: _probe(2, "odd_plateau_axis1_w0.2"),
+    "random_2d_rescaled": lambda kc: _probe(2, "random_1").rescale([0.3, -0.2], 0.7),
+    "mixed_kinds_2d": lambda kc: _mixed_kinds(),
+    "moment_kernel_1d_deg4": lambda kc: kc(1, 4).translated_scaled([0.1], 0.3),
+    "derived_plateau_1d": lambda kc: _probe(1, "plateau_w0.1").derivative_view(
+        MultiIndex((1,))),
+}
+
+
+class TestBatchedAtoms:
+    """Batched eval_deriv is bit-identical to the per-atom loop."""
+
+    @pytest.mark.parametrize("name", sorted(BATCH_PROBES))
+    def test_bit_identical(self, name, kernel_cache):
+        phi = BATCH_PROBES[name](kernel_cache)
+        rng = np.random.default_rng(11)
+        c = np.asarray(phi.support_center)
+        r = phi.support_radius
+        pts = np.concatenate([c + rng.uniform(-1.3 * r, 1.3 * r, size=(400, phi.n)),
+                              _boundary_points(phi, rng)])
+        for order in range(0, 4):
+            for xi in xi_set(phi.n, order):
+                got = phi.eval_deriv(xi, pts)
+                assert got.shape == (pts.shape[0], phi.d)
+                assert np.array_equal(got, _atom_loop(phi, xi, pts)), (name, xi.entries)
+                one = phi.eval_deriv(xi, pts[7])
+                assert one.shape == (phi.d,)
+                assert np.array_equal(one, _atom_loop(phi, xi, pts[7:8])[0])
+                empty = phi.eval_deriv(xi, np.empty((0, phi.n)))
+                assert empty.shape == (0, phi.d)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_blocks_cross_pairs(self, n, monkeypatch):
+        phi = _probe(n, "plateau_w0.1")
+        rng = np.random.default_rng(5)
+        pts = rng.uniform(-1.1, 1.1, size=(600, n))
+        want = [_atom_loop(phi, xi, pts) for xi in xi_set(n, 1)]
+        monkeypatch.setattr(testfn, "PAIR_BLOCK", 97)
+        for xi, ref in zip(xi_set(n, 1), want):
+            assert np.array_equal(phi.eval_deriv(xi, pts), ref)
+
+    def test_far_and_non_finite_points(self):
+        # points far outside every box make a batch span far more bins than
+        # the atoms need; a non-finite point is 0, as in the per-atom loop
+        phi = _probe(2, "plateau_w0.2")
+        pts = np.array([[5.0, 5.0], [-7.0, 0.0], [0.0, 0.0], [0.05, -0.3],
+                        [300.0, -200.0], [1e-9, 1e-9]])
+        for xi in xi_set(2, 2):
+            assert np.array_equal(phi.eval_deriv(xi, pts), _atom_loop(phi, xi, pts))
+        with np.errstate(invalid="ignore"):
+            for bad in (np.nan, np.inf):
+                odd = np.vstack([pts, [[bad, 0.1]]])
+                got = phi.eval_deriv(xi_set(2, 0)[0], odd)
+                assert got[-1, 0] == 0.0
+                assert np.array_equal(got[:-1], phi.eval_deriv(xi_set(2, 0)[0], pts))
+
+    def test_plateau_2d_seminorm_pinned(self):
+        # the value before atoms were culled, to the last bit
+        assert seminorm(_probe(2, "plateau_w0.2", seed=0), 0) == 1.9636091265808011
 
 
 class TestSeminorm:

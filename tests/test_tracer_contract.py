@@ -9,7 +9,10 @@ and changes nothing there.
 import importlib.util
 from pathlib import Path
 
-from ptdiff import tensor, testfn, whitney
+import numpy as np
+
+from ptdiff import cores, tensor, testfn, whitney
+from ptdiff.tensor import MultiIndex
 
 TRACER = Path(__file__).resolve().parents[1] / "benchmark" / "tracer.py"
 
@@ -24,8 +27,8 @@ def _load_tracer():
 def _boundaries(tracer_module):
     """(owner, attribute) of the boundaries checked here, read from the owner's own dict."""
     out = [(tensor.PolyJet, attr) for attr in tracer_module.POLYJET_METHODS]
-    out += [(tensor, "opnorm_bounds"), (testfn.TestFn, "eval_deriv"),
-            (whitney.WhitneyExtension, "eval")]
+    out += [(cores, "core_eval"), (tensor, "opnorm_bounds"),
+            (testfn.TestFn, "eval_deriv"), (whitney.WhitneyExtension, "eval")]
     return out
 
 
@@ -42,3 +45,25 @@ def test_install_then_uninstall(tmp_path):
         tracer.uninstall()
     for (owner, attr), original in zip(boundaries, originals):
         assert vars(owner)[attr] is original, f"{attr} was not restored"
+
+
+def test_batched_eval_deriv_calls_traced_core_eval(tmp_path):
+    # the batched path must look core_eval up on the cores module, where
+    # the tracer rebinds it; a local binding would leave the layer empty
+    phi = next(c for c in testfn._candidate_stream(2, 1, 0) if c.label == "plateau_w0.2")
+    pts = np.random.default_rng(2).uniform(-1.1, 1.1, size=(500, 2))
+    active = 0
+    for a in phi.atoms:
+        u = (pts - np.asarray(a.center)) / a.radius
+        active += int(np.sum(np.sum(u ** 2, axis=1) < 1.0 - cores.BOUNDARY_CLAMP))
+    assert 0 < active < len(phi.atoms) * len(pts)
+    tracer_module = _load_tracer()
+    tracer = tracer_module.Tracer(tmp_path)
+    try:
+        tracer_module.install(tracer)
+        phi.eval_deriv(MultiIndex((1, 0)), pts)
+    finally:
+        tracer.uninstall()
+    assert tracer.calls["testfn.eval_deriv"] == 1
+    assert tracer.calls["cores.core_eval"] >= 1
+    assert tracer.counts["cores.core_eval.points"] == active
