@@ -1,9 +1,21 @@
 """Smooth compactly supported cores with exact derivatives.
 
-Every core is of the form  q0(u) * exp(1/(|u|^2 - 1))  on the open unit
-ball (zero outside), so each partial derivative is  q(u) * exp(1/(|u|^2-1))
-with a rational prefactor q.  The prefactors are built symbolically once
-per (core, multi-index) and cached as numpy-vectorized callables.
+Every core is of the form  u^c * exp(f),  f = 1/(s - 1),  s = |u|^2,  on the
+open unit ball (zero outside), so each partial derivative is
+N(u) / (s-1)^p * exp(f)  with an integer-coefficient polynomial N.  Taking
+one more derivative along u_j gives
+
+    N_j = d_j N * (s-1)^2 - 2 u_j N (p (s-1) + 1),   p_j = p + 2.
+
+N is built by this recursion once per (n, core, multi-index), exactly in
+Python integers, and cached as a table of monomial exponents and
+coefficients.  Evaluation keeps the factored form, with s - 1 computed
+directly: an expanded denominator would cancel catastrophically near
+|u| = 1.  The powers of u_j and of 1/(s-1) come from repeated
+multiplication, and the terms are summed in table order point by point,
+so a point's value never depends on the batch it is evaluated in.  Points
+go through in row blocks of ROW_BLOCK, which bounds the size of the power
+table.
 
 Evaluation clamps to 0 when |u|^2 > 1 - 1e-12: the exponential factor
 decays faster than any rational blow-up, so the clamp is below double
@@ -13,77 +25,100 @@ precision resolution.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Tuple
+from typing import Dict, Tuple
 
 import numpy as np
-import sympy as sp
 
-from .tensor import MultiIndex
+from .tensor import MultiIndex, _powers
 
 BOUNDARY_CLAMP = 1e-12
+ROW_BLOCK = 2 ** 11  # points per block of the prefactor evaluation
 
 # core kinds
 BUMP = "bump"
 BUMP_MONOMIAL = "bump_monomial"
+
+Poly = Dict[Tuple[int, ...], int]  # exponent tuple -> integer coefficient
 
 
 class UnsupportedOrderError(ValueError):
     """Derivative order above the configured exact-evaluation bound."""
 
 
-@lru_cache(maxsize=None)
-def _symbols(n: int):
-    return sp.symbols(f"u0:{n}", real=True)
+def _poly_mul(a: Poly, b: Poly) -> Poly:
+    out: Poly = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            out[e] = out.get(e, 0) + ca * cb
+    return out
 
 
 @lru_cache(maxsize=None)
-def _prefactor_expr(n: int, core_xi: Tuple[int, ...], deriv_xi: Tuple[int, ...]):
-    """Factored prefactor (N, p): D^deriv [u^core_xi * e^f] = N/(s-1)^p * e^f.
-
-    The factored form is load-bearing: the expanded denominator polynomial
-    cancels catastrophically near |u| = 1, while (s-1)^{-p} with s-1
-    computed directly stays accurate.
-    """
-    u = _symbols(n)
-    s = sum(x ** 2 for x in u)
+def _prefactor(n: int, core_xi: Tuple[int, ...], deriv_xi: Tuple[int, ...]) -> Tuple[Poly, int]:
+    """(N, p) with  D^deriv [u^core_xi e^f] = N / (s-1)^p * e^f."""
     if sum(deriv_xi) == 0:
-        N = sp.Integer(1)
-        for x, e in zip(u, core_xi):
-            N *= x ** e
-        return sp.expand(N), 0
+        return {tuple(core_xi): 1}, 0
     j = next(i for i, e in enumerate(deriv_xi) if e > 0)
     prev = list(deriv_xi)
     prev[j] -= 1
-    Np, p = _prefactor_expr(n, core_xi, tuple(prev))
-    # d/du_j [N/(s-1)^p e^f] = [N_j/(s-1)^{p+2}] e^f with f = 1/(s-1)
-    Nj = sp.diff(Np, u[j]) * (s - 1) ** 2 - 2 * u[j] * Np * (p * (s - 1) + 1)
-    return sp.expand(Nj), p + 2
+    N, p = _prefactor(n, core_xi, tuple(prev))
+
+    def mono(axis, e):
+        return tuple(e * (i == axis) for i in range(n))
+
+    zero = mono(0, 0)
+    sm1 = {zero: -1, **{mono(i, 2): 1 for i in range(n)}}
+    lin = {zero: 1 - p, **{mono(i, 2): p for i in range(n)}}  # p (s-1) + 1
+    dN = {e[:j] + (e[j] - 1,) + e[j + 1:]: c * e[j] for e, c in N.items() if e[j]}
+    Nj = _poly_mul(dN, _poly_mul(sm1, sm1))
+    for e, c in _poly_mul({mono(j, 1): -2}, _poly_mul(N, lin)).items():
+        Nj[e] = Nj.get(e, 0) + c
+    return {e: c for e, c in Nj.items() if c}, p + 2
 
 
 @lru_cache(maxsize=None)
-def _prefactor_func(n: int, core_xi: Tuple[int, ...], deriv_xi: Tuple[int, ...]):
-    u = _symbols(n)
-    N, p = _prefactor_expr(n, core_xi, deriv_xi)
-    f = sp.lambdify(u, N, modules="numpy")
-
-    def call(pts: np.ndarray) -> np.ndarray:
-        cols = [pts[:, j] for j in range(n)]
-        num = np.broadcast_to(np.asarray(f(*cols), dtype=float), (pts.shape[0],))
-        if p == 0:
-            return num.copy()
-        sm1 = np.sum(pts ** 2, axis=1) - 1.0  # <= -BOUNDARY_CLAMP inside
-        return num * sm1 ** (-p)
-
-    return call
+def _table(n: int, core_xi: Tuple[int, ...], deriv_xi: Tuple[int, ...]):
+    """(terms, top, p): the (float coefficient, exponents) terms of N in a
+    fixed order, its largest exponent, and p."""
+    N, p = _prefactor(n, core_xi, deriv_xi)
+    return tuple((float(c), e) for e, c in sorted(N.items())), max(map(max, N)), p
 
 
-def _exp_factor(s: np.ndarray) -> np.ndarray:
-    """exp(1/(s-1)) inside the clamped unit ball, 0 outside."""
-    inside = s < 1.0 - BOUNDARY_CLAMP
-    out = np.zeros_like(s)
-    with np.errstate(divide="ignore", over="ignore", under="ignore"):
-        out[inside] = np.exp(1.0 / (s[inside] - 1.0))
-    return out
+def sq_norms(pts: np.ndarray) -> np.ndarray:
+    """|u|^2 of each row as a sum of squared columns, in column order.
+
+    For n <= 2 this is bit-identical to np.sum(pts ** 2, axis=1), which
+    reduces over a short axis far more slowly.
+    """
+    s = pts[:, 0] * pts[:, 0]
+    for j in range(1, pts.shape[1]):
+        s += pts[:, j] * pts[:, j]
+    return s
+
+
+def _block_values(u: np.ndarray, sm1: np.ndarray, terms, top: int, p: int) -> np.ndarray:
+    """N(u) / (s-1)^p * exp(1/(s-1)) at points strictly inside the ball."""
+    t = 1.0 / sm1
+    if top == 0:  # a constant prefactor
+        num = terms[0][0]
+    else:
+        # term by term from the power table, each power of a coordinate one
+        # contiguous row: no (terms, points) temporary
+        pw = _powers(u.T, top)
+        num = np.zeros(len(u))
+        for c, e in terms:
+            m = pw[e[0], 0]
+            for j in range(1, len(e)):
+                m = m * pw[e[j], j]
+            num += c * m
+    if p:
+        tp = t.copy()
+        for _ in range(p - 1):
+            tp *= t
+        num = num * tp
+    with np.errstate(under="ignore"):
+        return num * np.exp(t)
 
 
 def core_eval(n: int, kind: str, core_xi: Tuple[int, ...] | None,
@@ -93,12 +128,19 @@ def core_eval(n: int, kind: str, core_xi: Tuple[int, ...] | None,
         raise ValueError(f"unknown core kind {kind!r}")
     pts = np.asarray(pts, dtype=float).reshape(-1, n)
     cxi = tuple(core_xi) if kind == BUMP_MONOMIAL else (0,) * n
-    s = np.sum(pts ** 2, axis=1)
+    terms, top, p = _table(n, cxi, deriv_xi.entries)
+    s = sq_norms(pts)
     inside = s < 1.0 - BOUNDARY_CLAMP
+    every = inside.all()
+    u, sm1 = (pts, s - 1.0) if every else (pts[inside], s[inside] - 1.0)
+    vals = np.empty(len(u))
+    for b in range(0, len(u), ROW_BLOCK):
+        rows = slice(b, b + ROW_BLOCK)
+        vals[rows] = _block_values(u[rows], sm1[rows], terms, top, p)
+    if every:
+        return vals
     out = np.zeros(pts.shape[0])
-    if inside.any():
-        q = _prefactor_func(n, cxi, deriv_xi.entries)(pts[inside])
-        out[inside] = q * _exp_factor(s[inside])
+    out[inside] = vals
     return out
 
 

@@ -18,7 +18,6 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
-import sympy as sp
 
 
 class ExprError(ValueError):
@@ -291,6 +290,8 @@ class _Parser:
 # Singularity derivation
 
 def _to_sympy(node: Node, symbols):
+    import sympy as sp
+
     if isinstance(node, Const):
         return sp.Float(node.value)
     if isinstance(node, Var):
@@ -358,13 +359,17 @@ def _candidate_args(node: Node, out: List[Node]):
 def _derive_singularities(root: Node, n: int) -> SingularitySet:
     candidates: List[Node] = []
     _candidate_args(root, candidates)
+    candidates = [c for c in candidates if len(_free_vars(c)) == 1]
+    if not candidates:
+        return SingularitySet()
+    # imported here, not at module level: sympy takes about half of the
+    # import time of ptdiff, and most expressions have nothing to solve
+    import sympy as sp
+
     hyperplanes: List[Tuple[int, float]] = []
     symbols = sp.symbols(f"x1:{n + 1}", real=True)
     for cand in candidates:
-        fv = _free_vars(cand)
-        if len(fv) != 1:
-            continue
-        axis = next(iter(fv))
+        axis = next(iter(_free_vars(cand)))
         try:
             expr = _to_sympy(cand, symbols)
             roots = sp.solveset(sp.nsimplify(expr, rational=True), symbols[axis], domain=sp.S.Reals)

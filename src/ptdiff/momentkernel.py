@@ -31,8 +31,9 @@ RESIDUAL_GATE = 1e-10
 MAX_DEGREE = 5
 BUMP_ID = "radial_exp_reciprocal"
 # cached deriv_supnorms are reused as stored; raise this whenever seminorm
-# changes its values, so that older cache entries are rebuilt
-SUPNORM_REVISION = 2
+# or the core evaluation changes its values, so that older cache entries
+# are rebuilt
+SUPNORM_REVISION = 3
 
 
 class KernelConstructionError(RuntimeError):

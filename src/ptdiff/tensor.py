@@ -7,9 +7,9 @@ contiguous block and a row keeps its place in every larger table.  A
 and a degree-m ``SymTensor`` its (N_m, d) block.  Row ``xi`` is the value
 on the basis monomial ``e^xi = e_1^{xi_1} (.) ... (.) e_n^{xi_n}``;
 multinomial weights are applied on evaluation, so for a jet it is exactly
-``D^xi P(a)``.  Evaluation is a monomial table times the array,
-differentiation an index gather and recentering a shift matrix.  No other
-module reads this layout.
+``D^xi P(a)``.  Evaluation sums a monomial table against the array term
+by term, differentiation is an index gather and recentering a shift
+matrix.  No other module reads this layout.
 """
 
 from __future__ import annotations
@@ -166,16 +166,24 @@ def _differences(n: int, k: int) -> np.ndarray:
     return _frozen(np.array(out, dtype=np.int64).reshape(len(t), len(t)))
 
 
-def _monomials(x: np.ndarray, exps: np.ndarray, top: int) -> np.ndarray:
-    """prod_j x_j^exps[r, j] for each row r of exps (entries <= top).
+def _powers(x: np.ndarray, top: int) -> np.ndarray:
+    """x^e for e = 0 ... top, shape (top + 1,) + x.shape.
 
-    x has shape (..., n); the result has shape (R, ...).  Powers come from
-    repeated multiplication and a gather, much faster than a float power.
+    Repeated multiplication, much faster than a float power.
     """
     p = np.empty((max(top, 0) + 1,) + x.shape)
     p[0] = 1.0
     for e in range(1, top + 1):
         np.multiply(p[e - 1], x, out=p[e])
+    return p
+
+
+def _monomials(x: np.ndarray, exps: np.ndarray, top: int) -> np.ndarray:
+    """prod_j x_j^exps[r, j] for each row r of exps (entries <= top).
+
+    x has shape (..., n); the result has shape (R, ...).
+    """
+    p = _powers(x, top)
     out = p[exps[:, 0], ..., 0]
     for j in range(1, exps.shape[1]):
         out *= p[exps[:, j], ..., j]
@@ -386,7 +394,12 @@ class PolyJet:
         x = np.asarray(x, dtype=float)
         k = self.degree_bound
         mono = _monomials(x.reshape(-1, self.n) - self.center, _table(self.n, k), k)
-        out = mono.T @ (_inv_factorial(self.n, k)[:, None] * self.coeffs)
+        weights = _inv_factorial(self.n, k)[:, None] * self.coeffs
+        # term by term, not a matrix product: BLAS would add the terms in an
+        # order that depends on the batch, and so the last bits of a point
+        out = np.zeros((mono.shape[1], self.target_dim))
+        for m, w in zip(mono, weights):
+            out += m[:, None] * w
         return out[0] if x.ndim == 1 else out
 
     def derivative(self, xi: MultiIndex) -> "PolyJet":

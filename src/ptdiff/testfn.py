@@ -119,7 +119,7 @@ class TestFn:
             atom = run_atom[run]
             p = perm[k + offset[run]]
             u = (pts[p] - st.centers[atom]) / st.radii[atom, None]
-            inside = np.sum(u ** 2, axis=1) < 1.0 - cores.BOUNDARY_CLAMP
+            inside = cores.sq_norms(u) < 1.0 - cores.BOUNDARY_CLAMP
             atom, p, u = atom[inside], p[inside], u[inside]
             if len(st.groups) == 1:
                 vals = cores.core_eval(self.n, *st.groups[0], xi, u)

@@ -139,6 +139,17 @@ class TestPolyJet:
             x = rng.uniform(-2, 2, size=n)
             assert Q.eval(x)[0] == pytest.approx(P.eval(x)[0], rel=1e-9, abs=1e-9)
 
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_point_value_independent_of_batch(self, n, d):
+        # a point gets the same bits alone as in a batch of any size
+        rng = np.random.default_rng(10 * n + d)
+        P = random_jet(rng, n, 2, d)
+        X = rng.uniform(-2, 2, size=(64, n))
+        alone = np.array([P.eval(x) for x in X])
+        for size in range(1, 65):
+            assert np.array_equal(P.eval(X[:size]), alone[:size]), size
+
 
 class TestOpnorm:
     def test_linear_functional_euclidean(self):
