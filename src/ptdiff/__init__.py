@@ -9,11 +9,11 @@ from .testfn import (CoreAtom, DerivedTestFn, ProbeDictionary, TestFn,
                      bump_monomial, make_dictionary, seminorm, standard_bump)
 from .funcexpr import ExprError, SingularitySet, eval_expr, parse
 from .quadrature import (QuadratureConfig, QuadratureNonConvergence,
-                         integrate_box)
+                         integrate_box, integrate_boxes)
 from .distribution import (DeltaAtom, DerivativeAtom, Distribution,
                            FunctionAtom, PairingResult, PolynomialAtom,
                            delta_distribution, derivative, dual_norm,
-                           function_distribution, pair,
+                           function_distribution, pair, pair_many,
                            polynomial_distribution, subtract_jet)
 from .momentkernel import (KernelConstructionError, MomentKernel,
                            build_kernel, verify_reproduction)

@@ -22,13 +22,15 @@ import numpy as np
 from . import __version__
 from . import corpus as corpus_mod
 from .corpus import CorpusError, CorpusItem
+from .funcexpr import DomainError
 from .jetestimator import (CONFIRMED, INCONCLUSIVE, ClassifierConfig,
                            JetConfig, check_derivative_transfer, classify,
                            estimate_jet)
 from .momentkernel import build_kernel
 from .poincare import DivergentKappaError, verify
+from .quadrature import QuadratureNonConvergence
 from .tensor import MultiIndex, PolyJet
-from .testfn import make_dictionary
+from .testfn import DEFAULT_MAX_DERIV_ORDER, make_dictionary
 from .whitney import JetField, WhitneyGateError, empirical_hoelder, extend
 
 EXIT_OK = 0
@@ -37,6 +39,7 @@ EXIT_INCONCLUSIVE = 2
 EXIT_INPUT = 3
 
 JET_TOL = 1e-6
+MAX_ORDER = DEFAULT_MAX_DERIV_ORDER  # highest --k, --i and --l: the probes' bound
 
 
 class InputError(ValueError):
@@ -59,31 +62,45 @@ def _parse_point(text: Optional[str], n: int) -> Tuple[float, ...]:
     return coords
 
 
-def _parse_pair(text: Optional[str], name: str):
-    if text is None:
-        return None
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise InputError(f"--{name} expects two comma-separated values")
-    return parts
+def _typed(convert, ok, expected: str):
+    """Parser type: convert(text) if ok(value); else an error naming expected."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+            if ok(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+    return parse
+
+
+def _order(low: Optional[int]):  # parser type: an integer order in low..MAX_ORDER
+    return _typed(int, lambda k: k <= MAX_ORDER and (low is None or k >= low),
+                  "an integer " + ("" if low is None else f">= {low} and ")
+                  + f"<= {MAX_ORDER}, the supported derivative order bound")
+
+
+_GRID = _typed(lambda t: (float(t.split(",")[0]), *map(int, t.split(",")[1:])),
+               lambda g: len(g) == 2 and 0 < g[0] < np.inf and g[1] >= 1,
+               "r0,levels with r0 > 0 and an integer levels >= 1")
+_DICT = _typed(lambda t: tuple(map(int, t.split(","))), lambda s: len(s) == 2 and s[0] >= 4
+               and s[1] >= 0, "size,seed with an integer size >= 4 and seed >= 0")
 
 
 def _classifier_config(args) -> ClassifierConfig:
     cfg = ClassifierConfig()
-    grid = _parse_pair(args.grid, "grid")
-    if grid:
-        cfg = replace(cfg, r0=float(grid[0]), levels=int(grid[1]))
-    dct = _parse_pair(args.dict, "dict")
-    if dct:
-        cfg = replace(cfg, dict_size=int(dct[0]), seed=int(dct[1]))
+    if args.grid:
+        cfg = replace(cfg, r0=args.grid[0], levels=args.grid[1])
+    if args.dict:
+        cfg = replace(cfg, dict_size=args.dict[0], seed=args.dict[1])
     return cfg
 
 
 def _jet_config(args) -> JetConfig:
     cfg = JetConfig()
-    grid = _parse_pair(args.grid, "grid")
-    if grid:
-        cfg = replace(cfg, r0=float(grid[0]), levels=int(grid[1]))
+    if args.grid:
+        cfg = replace(cfg, r0=args.grid[0], levels=args.grid[1])
     return cfg
 
 
@@ -192,6 +209,8 @@ def cmd_transfer(args) -> int:
     point = _parse_point(args.point, item.n)
     if args.k is None:
         raise InputError("--k is required")
+    if args.k + args.l > MAX_ORDER:
+        raise InputError(f"transfer needs --k + --l <= {MAX_ORDER}")
     cfg = _classifier_config(args)
     rep = check_derivative_transfer(T, point, args.k, l=args.l, config=cfg)
     out = _out_dir(args)
@@ -222,8 +241,11 @@ def cmd_poincare(args) -> int:
     if item.n > 2:
         raise InputError("kernels are available for dimensions 1 and 2")
     kernel = build_kernel(item.n, min(max(args.k, 2), 5))
-    dct = _parse_pair(args.dict, "dict") or (8, 0)
-    probes = make_dictionary(item.n, item.d, i, int(dct[0]), int(dct[1]))
+    if i not in kernel.deriv_supnorms:
+        raise InputError(f"poincare needs --i <= {max(kernel.deriv_supnorms)}, "
+                         "the highest order of the kernel's sup norms")
+    dct = args.dict or (8, 0)
+    probes = make_dictionary(item.n, item.d, i, dct[0], dct[1])
     kappa = None
     if corpus_mod.has_analytic_kappa(item.id):
         K = (point, 1.0 + args.k * 1.0)
@@ -240,7 +262,7 @@ def cmd_poincare(args) -> int:
         "command": "poincare",
         "configuration": {"item": item.id, "point": list(point), "k": args.k,
                           "i": i, "r": rep.r, "C": [list(rep.C[0]), rep.C[1]],
-                          "dict": [int(dct[0]), int(dct[1])]},
+                          "dict": [dct[0], dct[1]]},
         "kappa": rep.kappa,
         "kappa_is_analytic": rep.kappa_is_analytic,
         "kappa_hat": rep.kappa_hat,
@@ -335,26 +357,34 @@ def cmd_suite(args) -> int:
     return EXIT_OK if proc.returncode == 0 else EXIT_MISMATCH
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with usage errors exiting 3, input error, instead of 2, inconclusive."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ptdiff",
         description="numerical toolkit for pointwise differentiability of distributions")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, k_min=0):
         p.add_argument("--corpus", help="directory of corpus documents")
         p.add_argument("--item", help="corpus item id")
         p.add_argument("--point", help="comma-separated coordinates")
-        p.add_argument("--k", type=int)
+        p.add_argument("--k", type=_order(k_min))
         p.add_argument("--alpha", type=float)
-        p.add_argument("--i", type=int)
-        p.add_argument("--grid", help="r0,levels")
-        p.add_argument("--dict", help="size,seed")
+        p.add_argument("--i", type=_order(0))
+        p.add_argument("--grid", type=_GRID, help="r0,levels")
+        p.add_argument("--dict", type=_DICT, help="size,seed")
         p.add_argument("--out", help="report directory (default ./reports)")
         p.add_argument("--format", choices=("json", "csv"), default="json")
 
     p = sub.add_parser("classify", help="order / (k, alpha) verdict at a point")
-    common(p)
+    common(p, k_min=None)  # negative orders are defined (delta_0 has order -2 on R)
     p.set_defaults(fn=cmd_classify)
 
     p = sub.add_parser("jet", help="estimate the order-k jet at a point")
@@ -362,8 +392,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_jet)
 
     p = sub.add_parser("transfer", help="derivative order/jet consistency check")
-    common(p)
-    p.add_argument("--l", type=int, default=0, help="jet order on the derivative side")
+    common(p, k_min=1)
+    p.add_argument("--l", type=_order(0), default=0, help="jet order on the derivative side")
     p.set_defaults(fn=cmd_transfer)
 
     p = sub.add_parser("poincare", help="negative-order inequality ratio table")
@@ -391,9 +421,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (InputError, CorpusError) as exc:
+    except (InputError, CorpusError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except QuadratureNonConvergence as exc:
+        print(f"inconclusive: quadrature did not converge: value {exc.value!r}, "
+              f"bound {exc.error_bound!r}, cells {exc.cells}", file=sys.stderr)
+        return EXIT_INCONCLUSIVE
 
 
 if __name__ == "__main__":

@@ -5,19 +5,25 @@ differentiates the function data, only the (smooth by construction) test
 function.  Polynomial atoms met at the same nesting level are merged into
 a single jet before quadrature so that jet subtraction cancels at the
 coefficient level rather than between separately integrated atoms.
+
+``pair_many`` runs the integrals of many pairings in one quadrature engine,
+each on its own mesh, and adds each pairing's parts in atom order, so
+every result is the pairing's alone: ``pair`` is the one-pair case.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import functools
+import operator
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .funcexpr import ExprAST, SingularitySet, eval_expr, parse
-from .quadrature import QuadratureConfig, integrate_box
+from .quadrature import QuadratureConfig, integrate_boxes
 from .tensor import MultiIndex, PolyJet, zero_index
-from .testfn import ProbeDictionary, TestFn, seminorm
+from .testfn import DerivedTestFn, ProbeDictionary, StackedFns, eval_stacked
 
 MAX_DERIVATIVE_DEPTH = 8
 
@@ -139,62 +145,111 @@ def subtract_jet(T: Distribution, P: PolyJet) -> Distribution:
     return Distribution(T.n, T.d, T.atoms + (PolynomialAtom(P.scale(-1.0)),))
 
 
-def _support_box(phi) -> Tuple[np.ndarray, np.ndarray]:
-    c = np.asarray(phi.support_center, dtype=float)
-    r = phi.support_radius
-    return c - r, c + r
+def _delta(atom: DeltaAtom, phi) -> Tuple[float, float, int]:
+    xi = MultiIndex(atom.xi)
+    dval = phi.eval_deriv(xi, np.asarray(atom.location))
+    return (-1.0) ** xi.order * float(np.dot(np.asarray(atom.coeff), dval)), 0.0, 0
 
 
-def pair(T: Distribution, phi, config: QuadratureConfig = QuadratureConfig(),
-         strict: bool = True) -> PairingResult:
-    """T(phi) with a certified quadrature error bound.
+def _walk(T: Distribution, phi, part, memo: dict) -> PairingResult:
+    """T(phi), with part(data, phi, split_coords) -> (value, err, cells).
 
-    phi is a TestFn or a derivative view of one; it must carry enough exact
-    derivative orders for any DerivativeAtom nesting in T.
+    data is a DeltaAtom, a FunctionAtom or the merged jet, which comes
+    last; memo keeps one merged jet per T, so that the pairings of one T
+    share their data.
     """
     if (phi.n, phi.d) != (T.n, T.d):
         raise ValueError("test function incompatible with distribution")
-    value = 0.0
-    err = 0.0
-    cells = 0
-    lo, hi = _support_box(phi)
-
-    merged_jet: Optional[PolyJet] = None
-    for atom in T.atoms:
-        if isinstance(atom, DeltaAtom):
-            xi = MultiIndex(atom.xi)
-            dval = phi.eval_deriv(xi, np.asarray(atom.location))
-            value += (-1.0) ** xi.order * float(np.dot(np.asarray(atom.coeff), dval))
+    if id(T) not in memo:
+        jets = [a.jet for a in T.atoms if isinstance(a, PolynomialAtom)]
+        memo[id(T)] = (T, functools.reduce(operator.add, jets) if jets else None)
+    merged = memo[id(T)][1]
+    last = (merged,) if merged is not None and merged.degree_bound >= 0 else ()
+    value, err, cells = 0.0, 0.0, 0
+    for atom in T.atoms + last:
+        if isinstance(atom, (DeltaAtom, PolyJet)):
+            v, e, c = part(atom, phi, ())
         elif isinstance(atom, DerivativeAtom):
             xi = MultiIndex(atom.xi)
-            sub = pair(atom.inner, phi.derivative_view(xi), config, strict)
-            value += (-1.0) ** xi.order * sub.value
-            err += sub.abs_error_bound
-            cells += sub.quadrature_cells
-        elif isinstance(atom, PolynomialAtom):
-            merged_jet = atom.jet if merged_jet is None else merged_jet + atom.jet
+            sub = _walk(atom.inner, phi.derivative_view(xi), part, memo)
+            v, e, c = (-1.0) ** xi.order * sub.value, sub.abs_error_bound, sub.quadrature_cells
         elif isinstance(atom, FunctionAtom):
-            def integrand(pts, atom=atom):
-                fv = atom.eval(pts)
-                pv = phi.eval_deriv(zero_index(T.n), pts)
-                return np.einsum("ij,ij->i", fv, pv)
-            splits = [atom.singularities.axis_coordinates(j) for j in range(T.n)]
-            v, e, c = integrate_box(integrand, lo, hi, splits, config, strict)
-            value += v
-            err += e
-            cells += c
+            v, e, c = part(atom, phi, [atom.singularities.axis_coordinates(j)
+                                       for j in range(T.n)])
+        elif isinstance(atom, PolynomialAtom):
+            continue
         else:
             raise TypeError(f"unknown atom {atom!r}")
-    if merged_jet is not None and merged_jet.degree_bound >= 0:
-        def poly_integrand(pts):
-            pv = phi.eval_deriv(zero_index(T.n), pts)
-            jv = np.atleast_2d(merged_jet.eval(pts))
-            return np.einsum("ij,ij->i", jv, pv)
-        v, e, c = integrate_box(poly_integrand, lo, hi, (), config, strict)
         value += v
         err += e
         cells += c
     return PairingResult(value, err, cells)
+
+
+def _integrand(jobs: list, n: int):
+    """The engine's f(pts, job): data times phi.  A 2-D cell has hundreds of
+    points, so each job's run goes to its own test function; 1-D runs go to
+    one stacked evaluator, and data shared by jobs is evaluated once.
+    """
+    zero = zero_index(n)
+    if n >= 2:
+        def own(pts, job):
+            out = np.empty(len(pts))
+            starts = np.flatnonzero(np.diff(job, prepend=-1))
+            for s, e in zip(starts, np.append(starts[1:], len(job))):
+                data, phi, _ = jobs[job[s]]
+                out[s:e] = np.einsum("ij,ij->i", data.eval(pts[s:e]),
+                                     phi.eval_deriv(zero, pts[s:e]))
+            return out
+        return own
+    stack = StackedFns.of([(phi.base, phi.offset) if isinstance(phi, DerivedTestFn)
+                           else (phi, zero) for _, phi, _ in jobs])
+    index: dict = {}
+    which_data = np.array([index.setdefault(id(data), len(index)) for data, _, _ in jobs])
+    data = list({id(data): data for data, _, _ in jobs}.values())
+
+    def stacked(pts, job):
+        fv = np.empty((len(pts), stack.d))
+        which = which_data[job]
+        for g in np.flatnonzero(np.bincount(which, minlength=len(data))):
+            sel = which == g
+            fv[sel] = data[g].eval(pts[sel])
+        return np.einsum("ij,ij->i", fv, eval_stacked(stack, pts, job))
+    return stacked
+
+
+def pair_many(pairs: Sequence[Tuple[Distribution, object]],
+              config: QuadratureConfig = QuadratureConfig(),
+              strict: bool = True) -> List[PairingResult]:
+    """T(phi) with a certified quadrature error bound, for many (T, phi).
+
+    Each phi is a TestFn or a derivative view of one; it must carry enough
+    exact derivative orders for any DerivativeAtom nesting in its T.
+    """
+    parts: list = []
+    memo: dict = {}
+    for T, phi in pairs:  # plan: collect the parts
+        _walk(T, phi, lambda *part: parts.append(part) or (0.0, 0.0, 0), memo)
+    results = [_delta(data, phi) if isinstance(data, DeltaAtom) else None
+               for data, phi, _ in parts]
+    shapes: dict = {}  # the integrals: one engine per (n, d)
+    for i, (_, phi, _) in enumerate(parts):
+        if results[i] is None:
+            shapes.setdefault((phi.n, phi.d), []).append(i)
+    for (n, _), idx in shapes.items():
+        jobs = [parts[i] for i in idx]
+        boxes = [(np.subtract(phi.support_center, phi.support_radius),
+                  np.add(phi.support_center, phi.support_radius), splits) for _, phi, splits in jobs]
+        for i, r in zip(idx, integrate_boxes(_integrand(jobs, n), boxes, config, strict)):
+            results[i] = r
+    done = iter(results)
+    return [_walk(T, phi, lambda *part: next(done), memo) for T, phi in pairs]
+
+
+def pair(T: Distribution, phi, config: QuadratureConfig = QuadratureConfig(),
+         strict: bool = True) -> PairingResult:
+    """T(phi) with a certified quadrature error bound: one pairing of pair_many."""
+    return pair_many([(T, phi)], config, strict)[0]
 
 
 def dual_norm(T: Distribution, K: Tuple[Sequence[float], float], i: int,
@@ -209,8 +264,7 @@ def dual_norm(T: Distribution, K: Tuple[Sequence[float], float], i: int,
     center = np.asarray(K[0], dtype=float).reshape(T.n)
     radius = float(K[1])
     best = 0.0
-    for member in probes.members:
-        cand = member.rescale(center, radius).scaled_by(radius ** i)
-        res = pair(T, cand, config)
+    for res in pair_many([(T, member.rescale(center, radius).scaled_by(radius ** i))
+                          for member in probes.members], config):
         best = max(best, abs(res.value))
     return best

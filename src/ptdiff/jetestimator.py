@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .distribution import Distribution, derivative, pair, subtract_jet
+from .distribution import Distribution, derivative, pair, pair_many, subtract_jet
 from .momentkernel import MAX_DEGREE, MomentKernel, build_kernel
 from .quadrature import QuadratureConfig
 from .tensor import MultiIndex, PolyJet, xi_set
@@ -122,24 +122,25 @@ def estimate_jet(T: Distribution, a, k: int, kernel: Optional[MomentKernel] = No
     traces: Dict[Tuple[int, ...], CoefficientTrace] = {}
     coeff_map: Dict[Tuple[int, ...], np.ndarray] = {}
     all_converged = True
-    for m in range(0, k + 1):
-        for xi in xi_set(T.n, m):
-            Txi = derivative(T, xi)
-            vals = np.zeros((levels, T.d))
-            bnds = np.zeros(levels)
-            for j, r in enumerate(radii):
-                for c in range(T.d):
-                    phi = kernel.directed(a, float(r), T.d, c)
-                    res = pair(Txi, phi, config.quad, strict=False)
-                    vals[j, c] = res.value
-                    bnds[j] = max(bnds[j], res.abs_error_bound)
-            est, conv = _accelerate(vals, config.contraction_ratio)
-            traces[xi.entries] = CoefficientTrace(
-                xi.entries, tuple(map(float, radii)),
-                tuple(tuple(map(float, row)) for row in vals),
-                tuple(map(float, bnds)), tuple(map(float, est)), conv)
-            coeff_map[xi.entries] = est
-            all_converged = all_converged and conv
+    xis = [xi for m in range(0, k + 1) for xi in xi_set(T.n, m)]
+    results = iter(pair_many([(Txi, kernel.directed(a, float(r), T.d, c))
+                              for Txi in [derivative(T, xi) for xi in xis]
+                              for r in radii for c in range(T.d)], config.quad, strict=False))
+    for xi in xis:
+        vals = np.zeros((levels, T.d))
+        bnds = np.zeros(levels)
+        for j, r in enumerate(radii):
+            for c in range(T.d):
+                res = next(results)
+                vals[j, c] = res.value
+                bnds[j] = max(bnds[j], res.abs_error_bound)
+        est, conv = _accelerate(vals, config.contraction_ratio)
+        traces[xi.entries] = CoefficientTrace(
+            xi.entries, tuple(map(float, radii)),
+            tuple(tuple(map(float, row)) for row in vals),
+            tuple(map(float, bnds)), tuple(map(float, est)), conv)
+        coeff_map[xi.entries] = est
+        all_converged = all_converged and conv
     jet = PolyJet.from_coeff_map(T.n, a, coeff_map, target_dim=T.d)
     return JetEstimate(jet, traces, all_converged)
 
@@ -226,9 +227,11 @@ def classify(T: Distribution, a, k: int, alpha: Optional[float] = None,
     nm = len(probes.members)
     V = np.zeros((nm, levels))
     B = np.zeros((nm, levels))
-    for m, member in enumerate(probes.members):
+    results = iter(pair_many([(R, member.rescale(a, float(r))) for member in probes.members
+                              for r in radii], config.quad, strict=False))
+    for m in range(nm):
         for j, r in enumerate(radii):
-            res = pair(R, member.rescale(a, float(r)), config.quad, strict=False)
+            res = next(results)
             V[m, j] = abs(res.value) * r ** (-expo)
             B[m, j] = res.abs_error_bound * r ** (-expo)
     env = V.max(axis=0)

@@ -15,6 +15,7 @@ import json
 import os
 import tempfile
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from pathlib import Path
 from typing import Dict, Optional, Tuple
 
@@ -72,9 +73,9 @@ class MomentKernel:
         return _cache_key(self.n, self.degree)
 
 
-def _moment(n: int, xi: MultiIndex, eta: MultiIndex) -> float:
-    """integral of x^{xi+eta} * bump(x) over B(0,1), by quadrature."""
-    total = xi + eta
+@lru_cache(maxsize=None)
+def _moment(n: int, total: MultiIndex) -> float:
+    """integral of x^total * bump(x) over B(0,1), by quadrature."""
     if n == 2:
         a, b = total.entries
         if a % 2 or b % 2:
@@ -134,7 +135,7 @@ def _solve_coefficients(n: int, k: int) -> Dict[Tuple[int, ...], float]:
     M = np.empty((m, m))
     for i, eta in enumerate(ansatz):
         for j, xi in enumerate(ansatz):
-            M[i, j] = _moment(n, xi, eta)
+            M[i, j] = _moment(n, xi + eta)
     rhs = np.zeros(m)
     rhs[0] = 1.0  # unit mass; higher even moments vanish
     try:

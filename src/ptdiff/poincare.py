@@ -16,11 +16,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .distribution import (Distribution, derivative, pair,
+from .distribution import (Distribution, derivative, pair, pair_many,
                            polynomial_distribution)
 from .momentkernel import MomentKernel
 from .quadrature import QuadratureConfig
@@ -64,24 +64,19 @@ def measure_kappa(T: Distribution, k: int, i: int, probes: ProbeDictionary,
     best = 0.0
     best_o: Tuple[int, ...] = orders[0].entries
     best_label = ""
-    deriv_Ts = {o: derivative(T, o) for o in orders}
+    deriv_Ts = [derivative(T, o) for o in orders]
+    # the probes rescaled into K, then the shrinking family at the center of K
+    families = [(radius, probes.members)] + [
+        (radius * 2.0 ** (-t), probes.members[:shrink_members]) for t in range(shrink_steps + 1)]
+    results = iter(pair_many([(To, member.rescale(center, s)) for s, members in families
+                              for member in members for To in deriv_Ts], config))
     for member in probes.members:
-        phi = member.rescale(center, radius)
-        comp = radius ** i
-        for o, To in deriv_Ts.items():
-            v = abs(pair(To, phi, config).value) * comp
+        for o in orders:
+            v = abs(next(results).value) * radius ** i
             if v > best:
                 best, best_o, best_label = v, o.entries, member.label
-    # shrinking family at the center of K
-    levels = []
-    for t in range(shrink_steps + 1):
-        s = radius * 2.0 ** (-t)
-        lv = 0.0
-        for member in probes.members[:shrink_members]:
-            phi = member.rescale(center, s)
-            for To in deriv_Ts.values():
-                lv = max(lv, abs(pair(To, phi, config).value) * s ** i)
-        levels.append(lv)
+    levels = [max([abs(next(results).value) * s ** i for _ in members for _ in orders],
+                  default=0.0) for s, members in families[1:]]
     growth = tuple(levels[t + 1] / levels[t] if levels[t] > 0 else 0.0
                    for t in range(shrink_steps))
     divergent = all(g > math.sqrt(2.0) for g in growth)
@@ -152,12 +147,11 @@ def build_jet(T: Distribution, a, k: int, kernel: MomentKernel, r: float,
               config: QuadratureConfig = QuadratureConfig()) -> PolyJet:
     """Degree-(k-1) jet from kernel convolution: D^xi P(a) = (D^xi T)(Phi_r(. - a))."""
     a = np.asarray(a, dtype=float).reshape(T.n)
-    coeffs: Dict[Tuple[int, ...], np.ndarray] = {}
-    for m in range(0, k):
-        for xi in xi_set(T.n, m):
-            coeffs[xi.entries] = np.array([
-                pair(derivative(T, xi), kernel.directed(a, r, T.d, c), config).value
-                for c in range(T.d)])
+    xis = [xi for m in range(0, k) for xi in xi_set(T.n, m)]
+    values = iter(res.value for res in pair_many(
+        [(derivative(T, xi), kernel.directed(a, r, T.d, c)) for xi in xis for c in range(T.d)],
+        config))
+    coeffs = {xi.entries: np.array([next(values) for _ in range(T.d)]) for xi in xis}
     if not coeffs:
         return PolyJet.zero(T.n, T.d, a)
     return PolyJet.from_coeff_map(T.n, a, coeffs, target_dim=T.d)

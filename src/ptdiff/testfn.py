@@ -7,23 +7,25 @@ prefactor recursion in :mod:`ptdiff.cores`, so integration by parts
 downstream is exact.
 
 A batch of points is evaluated with each atom only at the points inside
-its support ball.  The points are sorted once by a key made of their bin
-over the first n - 1 coordinates (bins a quarter of the smallest atom
-radius wide) and then their last coordinate, so that the points of one
-bin inside an atom's bounding box along the last axis are one run of the
-sorted order: the candidate (atom, point) pairs are these runs, slightly
-more than the boxes.  A pair is kept when |u|^2 < 1 - BOUNDARY_CLAMP for
-the point u in the atom's core coordinates, the test ``core_eval`` makes.
-Kept pairs go to ``core_eval`` in one call per core group, PAIR_BLOCK
-candidates at a time, which bounds the temporaries whatever the batch.
+its support ball, by one evaluator for many (test function, derivative)
+jobs, ``eval_stacked``; ``TestFn.eval_deriv`` is its one-job case.  The
+points are sorted once by a key made of their job, their bin over the
+first n - 1 coordinates (bins a quarter of the smallest atom radius wide)
+and their last coordinate, so that the points of one job and bin inside
+an atom's bounding box along the last axis are one run of the sorted
+order: the candidate (atom, point) pairs are these runs, slightly more
+than the boxes.  A pair is kept when |u|^2 < 1 - BOUNDARY_CLAMP for the
+point u in the atom's core coordinates, the test ``core_eval`` makes.  A
+job whose atoms share one support ball (one atom, moment kernels) skips
+the search and the test.  Kept pairs go to ``core_eval`` in one call per
+core group and derivative, PAIR_BLOCK candidates at a time, which bounds
+the temporaries whatever the batch.
 
-The result is bit-identical to summing the atoms one by one over all
-points: a pair's terms are the same float operations as before, the
-radius power is still a Python float power per atom, and ``np.add.at``
-over atom-major pairs adds each point's terms in atom order, block after
-block.  The pairs it skips added exact zeros, which change no sum.  One
-atom, one point, or atoms that all share one support ball (moment
-kernels) leave nothing to cull and keep the per-atom loop.
+The result is bit-identical to summing each function's atoms one by one
+over all points: a pair's terms are the same float operations, the radius
+power is a Python float power per atom, and ``np.add.at`` over atom-major
+pairs adds each point's terms in atom order, block after block.  The pairs
+it skips added exact zeros, which change no sum.
 """
 
 from __future__ import annotations
@@ -82,7 +84,8 @@ class TestFn:
         # the loop serves what culling cannot help, and non-finite points,
         # which the bins of the culled path cannot place (every atom is 0 there)
         if pts.shape[0] > 1 and not self._one_support and np.isfinite(pts).all():
-            out = self._eval_culled(xi, pts)
+            # one job: a byte per point for its index, not eight
+            out = eval_stacked(StackedFns.of([(self, xi)]), pts, np.zeros(len(pts), np.int8))
         else:
             out = np.zeros((pts.shape[0], self.d))
             for a in self.atoms:
@@ -98,40 +101,6 @@ class TestFn:
         first = self.atoms[0] if self.atoms else None
         return all(a.center == first.center and a.radius == first.radius
                    for a in self.atoms)
-
-    @cached_property
-    def _stacked(self) -> "_StackedAtoms":
-        return _StackedAtoms.of(self)
-
-    def _eval_culled(self, xi: MultiIndex, pts: np.ndarray) -> np.ndarray:
-        """D^xi phi at pts, each atom evaluated only inside its support ball."""
-        st = self._stacked
-        perm, run_atom, run_start, run_len = _box_runs(st.centers, st.radii, pts)
-        ends = np.cumsum(run_len)
-        offset = run_start - (ends - run_len)
-        order = xi.order
-        scale = np.array([a.radius ** (-order) for a in self.atoms])
-        out = np.zeros((pts.shape[0], self.d))
-        total = int(ends[-1]) if ends.size else 0
-        for first in range(0, total, PAIR_BLOCK):
-            k = np.arange(first, min(first + PAIR_BLOCK, total))
-            run = np.searchsorted(ends, k, side="right")
-            atom = run_atom[run]
-            p = perm[k + offset[run]]
-            u = (pts[p] - st.centers[atom]) / st.radii[atom, None]
-            inside = cores.sq_norms(u) < 1.0 - cores.BOUNDARY_CLAMP
-            atom, p, u = atom[inside], p[inside], u[inside]
-            if len(st.groups) == 1:
-                vals = cores.core_eval(self.n, *st.groups[0], xi, u)
-            else:
-                vals = np.empty(len(atom))
-                group = st.group[atom]
-                for g, (kind, core_xi) in enumerate(st.groups):
-                    sel = group == g
-                    if sel.any():
-                        vals[sel] = cores.core_eval(self.n, kind, core_xi, xi, u[sel])
-            np.add.at(out, p, (scale[atom] * vals)[:, None] * st.coeffs[atom])
-        return out
 
     def __call__(self, x) -> np.ndarray:
         return self.eval_deriv(zero_index(self.n), x)
@@ -176,43 +145,90 @@ class TestFn:
 
 
 @dataclass(frozen=True)
-class _StackedAtoms:
-    """A TestFn's atoms as arrays, with each atom's core group."""
+class StackedFns:
+    """The atoms of many jobs D^xi_j phi_j as arrays, job-major; culled is
+    False for the atoms of a job whose atoms share one support ball."""
 
+    n: int
+    d: int
     centers: np.ndarray  # (A, n)
     radii: np.ndarray  # (A,)
     coeffs: np.ndarray  # (A, d)
-    groups: Tuple[Tuple[str, Optional[Tuple[int, ...]]], ...]  # distinct (kind, core_xi)
+    scale: np.ndarray  # (A,) radius ** -|xi|
+    groups: Tuple[Tuple[str, Optional[Tuple[int, ...]], MultiIndex], ...]
     group: np.ndarray  # (A,) index into groups
+    job: np.ndarray  # (A,)
+    culled: np.ndarray  # (A,)
 
     @classmethod
-    def of(cls, fn: TestFn) -> "_StackedAtoms":
-        atoms = fn.atoms
-        keys = [(a.kind, a.core_xi) for a in atoms]
-        groups = tuple(dict.fromkeys(keys))
-        return cls(np.array([a.center for a in atoms], dtype=float).reshape(-1, fn.n),
-                   np.array([a.radius for a in atoms], dtype=float),
-                   np.array([a.coeff for a in atoms], dtype=float).reshape(-1, fn.d),
-                   groups, np.array([groups.index(k) for k in keys], dtype=np.intp))
+    def of(cls, jobs: Sequence[Tuple[TestFn, MultiIndex]]) -> "StackedFns":
+        rows, keys = [], {}  # keys: distinct (kind, core_xi, xi) -> group
+        for j, (fn, xi) in enumerate(jobs):
+            if xi.order > fn.max_deriv_order:
+                raise UnsupportedOrderError(
+                    f"derivative order {xi.order} exceeds configured bound {fn.max_deriv_order}")
+            rows += [(a.center, a.radius, a.coeff, a.radius ** (-xi.order),
+                      keys.setdefault((a.kind, a.core_xi, xi), len(keys)), j,
+                      not fn._one_support) for a in fn.atoms]
+        cols = [np.array(col) for col in zip(*rows)]
+        return cls(jobs[0][0].n, jobs[0][0].d, *cols[:4], tuple(keys), *cols[4:])
 
 
-def _box_runs(centers: np.ndarray, radii: np.ndarray, pts: np.ndarray):
-    """Each atom's candidate points, as runs of one sorted order of pts.
+def eval_stacked(st: StackedFns, pts: np.ndarray, job: np.ndarray) -> np.ndarray:
+    """D^xi_j phi_j at each point, j = job[i] of pts[i]; values (npts, d)."""
+    out = np.zeros((pts.shape[0], st.d))
+    counts = np.bincount(job, minlength=st.job[-1] + 1)  # points per job
+    cull = np.flatnonzero((counts[st.job] > 0) & st.culled)
+    whole = np.flatnonzero((counts[st.job] > 0) & ~st.culled)
+    perm, run_atom, run_start, run_len = _box_runs(st.centers[cull], st.radii[cull], pts, job,
+                                                   st.job[cull])
+    # a one-ball job's atoms run over all its points, which sort in job order
+    run_atom, run_start, run_len = (np.concatenate(x) for x in (
+        [cull[run_atom], whole], [run_start, (np.cumsum(counts) - counts)[st.job[whole]]],
+        [run_len, counts[st.job[whole]]]))
+    ends = np.cumsum(run_len)
+    offset = run_start - (ends - run_len)
+    total = int(ends[-1]) if ends.size else 0
+    for first in range(0, total, PAIR_BLOCK):
+        k = np.arange(first, min(first + PAIR_BLOCK, total))
+        run = np.searchsorted(ends, k, side="right")
+        atom = run_atom[run]
+        p = perm[k + offset[run]]
+        u = (pts[p] - st.centers[atom]) / st.radii[atom, None]
+        keep = ~st.culled[atom] | (cores.sq_norms(u) < 1.0 - cores.BOUNDARY_CLAMP)
+        atom, p, u = atom[keep], p[keep], u[keep]
+        group = st.group[atom]
+        used = np.flatnonzero(np.bincount(group, minlength=len(st.groups)))
+        vals = np.empty(len(atom))
+        for g in used:
+            sel = slice(None) if len(used) == 1 else group == g
+            vals[sel] = cores.core_eval(st.n, *st.groups[g], u[sel])
+        # flat indices add each (point, component) in pair order, like rows would
+        terms = (st.scale[atom] * vals)[:, None] * st.coeffs[atom]
+        np.add.at(out.reshape(-1), (p[:, None] * st.d + np.arange(st.d)).reshape(-1),
+                  terms.reshape(-1))
+    return out
 
-    The first n - 1 axes are cut into bins.  Points sort by their last
-    coordinate plus stride times their linear bin, with the stride wider
-    than the points' span, so the keys of one bin keep the order of the
-    last coordinate and never meet another bin's.  The points of a bin
-    within [c - r, c + r] on the last axis are then one run of keys.
+
+def _box_runs(centers: np.ndarray, radii: np.ndarray, pts: np.ndarray,
+              point_job: np.ndarray, atom_job: np.ndarray):
+    """Each atom's candidate points of its job, as runs of one sorted order of pts.
+
+    The first n - 1 axes are cut into bins, and the job is one more,
+    leading bin.  Points sort by their last coordinate plus stride times
+    their linear bin, with the stride wider than the points' span, so the
+    keys of one bin keep the order of the last coordinate and never meet
+    another bin's.  The points of a bin within [c - r, c + r] on the last
+    axis are then one run of keys.
     Returns the order and, atom-major, each non-empty run's atom, start
     and length; the runs of an atom cover its bounding box.
     """
     n = pts.shape[1]
     lo, hi = pts.min(axis=0), pts.max(axis=0)
-    width = np.maximum(radii.min() / 4.0, (hi - lo)[:-1] / (MAX_BINS - 1))
+    width = np.maximum(np.min(radii, initial=np.inf) / 4.0, (hi - lo)[:-1] / (MAX_BINS - 1))
     nbins = np.floor((hi - lo)[:-1] / width) + 1
     stride = 2.0 * (hi[-1] - lo[-1]) + 1.0
-    point_bin = np.zeros(pts.shape[0])
+    point_bin = point_job.astype(float)
     for j in range(n - 1):
         point_bin = point_bin * nbins[j] + np.floor((pts[:, j] - lo[j]) / width[j])
     keys = pts[:, -1] + stride * point_bin
@@ -229,7 +245,7 @@ def _box_runs(centers: np.ndarray, radii: np.ndarray, pts: np.ndarray):
     count = np.prod(sizes, axis=0) if sizes else np.ones(len(radii), dtype=np.intp)
     atom = np.repeat(np.arange(len(radii)), count)
     local = np.arange(atom.size) - np.repeat(np.cumsum(count) - count, count)
-    run_bin = np.zeros(atom.size)
+    run_bin = atom_job[atom].astype(float)
     for j in range(n - 1):
         size = sizes[j][atom]
         rest = np.prod(sizes[j + 1:], axis=0)[atom] if j < n - 2 else 1

@@ -30,7 +30,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from . import cores
-from .distribution import Distribution, pair
+from .distribution import Distribution, pair_many
 from .poincare import unit_ball_volume
 from .quadrature import QuadratureConfig
 from .tensor import MultiIndex, PolyJet, opnorm_bounds, unit_index, xi_set, zero_index
@@ -451,9 +451,9 @@ def localization_check(T: Distribution, A: ASet, a, r: float, i: int,
     measure = A.ball_complement_measure(T.n, a, 3.0 * r)
     rows = []
     max_ratio = 0.0
-    for member in probes.members:
-        phi = member.rescale(a, r)
-        lhs = abs(pair(T, phi, config).value)
+    results = pair_many([(T, member.rescale(a, r)) for member in probes.members], config)
+    for member, res in zip(probes.members, results):
+        lhs = abs(res.value)
         rhs = gamma * kappa * r ** (lam + i) * measure * r ** (-i)
         ratio = lhs / rhs if rhs > 0 else (0.0 if lhs == 0 else math.inf)
         rows.append(LocalizationRow(member.label, lhs, rhs, ratio))

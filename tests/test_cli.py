@@ -153,3 +153,72 @@ class TestSuiteCommand:
     def test_unknown_suite_rejected(self):
         with pytest.raises(SystemExit):
             run(["suite", "nope"])
+
+
+def exit_code(argv):
+    """main's return code, or the code of the SystemExit a parser error raises."""
+    try:
+        return run(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+class TestArgumentValidation:
+    """Malformed arguments are input errors (exit 3), rejected at the parser."""
+
+    @pytest.mark.parametrize("extra", [["--grid", "1.0,abc"], ["--grid", "0,4"],
+                                       ["--dict", "3,0"], ["--dict", "8,x"],
+                                       ["--k", "abc"], ["--k", "7"]])
+    def test_classify_bad_argument(self, tmp_path, capsys, extra):
+        argv = ["classify", "--item", "heaviside", "--point", "0", "--k", "0",
+                "--out", str(tmp_path)] + extra
+        assert exit_code(argv) == 3
+        assert "error: argument" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    def test_jet_order_above_bound_names_it(self, tmp_path, capsys):
+        code = exit_code(["jet", "--item", "exp", "--point", "0", "--k", "9",
+                          "--out", str(tmp_path)])
+        assert code == 3
+        assert "<= 6" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["jet", "--item", "exp", "--k", "-1"],
+                                      ["transfer", "--item", "exp", "--k", "0"],
+                                      ["transfer", "--item", "exp", "--k", "1", "--l", "-1"],
+                                      ["transfer", "--item", "exp", "--k", "4", "--l", "3"],
+                                      ["poincare", "--item", "sin4", "--k", "1", "--i", "5"]])
+    def test_order_below_or_above_range(self, tmp_path, argv):
+        assert exit_code(argv + ["--point", "0", "--out", str(tmp_path)]) == 3
+
+    def test_negative_order_is_a_claim_not_an_error(self, tmp_path):
+        # delta_0 is annotated refuted at order -1: r^{0} delta_0(phi_r) = phi(0)
+        code = exit_code(["classify", "--item", "delta0", "--point", "0", "--k", "-1",
+                          "--out", str(tmp_path)] + FAST_GRID)
+        assert code == 0
+
+
+class TestNumericalFailures:
+    def test_domain_error_is_input_error(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        (corpus / "root.json").write_text(json.dumps(
+            {"id": "root", "dim": 1,
+             "atoms": [{"kind": "function", "exprs": ["x1^(1/2)"]}]}))
+        code = exit_code(["classify", "--corpus", str(corpus), "--item", "root",
+                          "--point", "0", "--k", "0", "--out", str(tmp_path)] + FAST_GRID)
+        assert code == 3
+        assert "singularity" in capsys.readouterr().err
+
+    def test_nonconvergence_is_inconclusive(self, tmp_path, capsys, monkeypatch):
+        from ptdiff import poincare
+        from ptdiff.quadrature import QuadratureNonConvergence
+
+        def exhausted(pairs, config=None, strict=True):
+            raise QuadratureNonConvergence(0.125, 0.5, 64)
+
+        monkeypatch.setattr(poincare, "pair_many", exhausted)
+        code = exit_code(["poincare", "--item", "sin4", "--point", "0", "--k", "1",
+                          "--dict", "6,0", "--out", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "0.125" in err and "0.5" in err and "cells 64" in err
