@@ -59,6 +59,8 @@ def _parse_point(text: Optional[str], n: int) -> Tuple[float, ...]:
         raise InputError(f"bad --point {text!r}") from exc
     if len(coords) != n:
         raise InputError(f"--point needs {n} coordinates, got {len(coords)}")
+    if not all(np.isfinite(coords)):
+        raise InputError(f"non-finite coordinate in {text!r}")
     return coords
 
 

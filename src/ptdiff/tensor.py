@@ -9,7 +9,9 @@ on the basis monomial ``e^xi = e_1^{xi_1} (.) ... (.) e_n^{xi_n}``;
 multinomial weights are applied on evaluation, so for a jet it is exactly
 ``D^xi P(a)``.  Evaluation sums a monomial table against the array term
 by term, differentiation is an index gather and recentering a shift
-matrix.  No other module reads this layout.
+matrix.  Many jets stack as (B, N, d), zero-padded to a common degree
+(``stack_jets``); ``recenter_jets`` and ``eval_jets`` act on such a stack
+and give each jet's ``PolyJet`` result bit for bit.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -188,6 +190,77 @@ def _monomials(x: np.ndarray, exps: np.ndarray, top: int) -> np.ndarray:
     for j in range(1, exps.shape[1]):
         out *= p[exps[:, j], ..., j]
     return out
+
+
+def _taylor(h: np.ndarray, k: int, coeffs: np.ndarray) -> np.ndarray:
+    """sum_xi h^xi / xi! coeffs[xi] for each row of h (P, n); returns (P, d).
+
+    coeffs is (N_k, d), one jet for every row, or (P, N_k, d), one per row.
+    Term by term in table order, not a matrix product: BLAS would add the
+    terms in an order that depends on the batch, and so the last bits of a
+    point.
+    """
+    n = h.shape[1]
+    mono = _monomials(h, _table(n, k), k)
+    weights = _inv_factorial(n, k)[:, None] * coeffs
+    out = np.zeros((h.shape[0], coeffs.shape[-1]))
+    for r, m in enumerate(mono):
+        out += m[:, None] * weights[..., r, :]
+    return out
+
+
+def _recenter(coeffs: np.ndarray, k: int, h: np.ndarray) -> np.ndarray:
+    """Degree-k jets (B, N_k, d) re-expanded at offsets h (B, n) from their centers.
+
+    One stacked product with the shift matrices h^(t_c - t_r) / (t_c - t_r)!.
+    They are made C-contiguous: np.matmul then makes the same BLAS call for
+    every jet of the stack, where a strided stack would take numpy's own
+    loop, which adds the terms in another order.
+    """
+    n = h.shape[1]
+    taylor = (_monomials(h, _table(n, k), k) * _inv_factorial(n, k)[:, None]).T
+    shift = np.concatenate([taylor, np.zeros((h.shape[0], 1))], axis=1)[:, _differences(n, k)]
+    return np.matmul(np.ascontiguousarray(shift), coeffs)
+
+
+def stack_jets(jets: Sequence[PolyJet], n: int, d: int, k: int
+               ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(centers (B, n), coeffs (B, N_k, d), degrees (B,)) of jets of degree <= k.
+
+    Each jet's rows above its own degree are zero.
+    """
+    coeffs = np.zeros((len(jets), _size(n, k), d))
+    for row, P in zip(coeffs, jets):
+        row[:len(P.coeffs)] = P.coeffs
+    centers = np.array([P.center for P in jets], dtype=float).reshape(len(jets), n)
+    return centers, coeffs, np.array([P.degree_bound for P in jets], dtype=np.int64)
+
+
+def recenter_jets(coeffs: np.ndarray, degrees: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """A stack of jets (B, N_k, d) of degrees (B,) re-expanded at offsets h (B, n).
+
+    A matrix product's last bits depend on its size, so the jets go by
+    degree, each through shift matrices of its own size: row b equals
+    ``PolyJet.recenter`` of jet b bit for bit.
+    """
+    out = np.zeros_like(coeffs)
+    for k in np.unique(degrees).tolist():
+        sel = degrees == k
+        size = _size(h.shape[1], k)
+        out[sel, :size] = _recenter(coeffs[sel, :size], k, h[sel])
+    return out
+
+
+def eval_jets(coeffs: np.ndarray, k: int, centers: np.ndarray, X: np.ndarray,
+              xi: MultiIndex) -> np.ndarray:
+    """D^xi P_p(X[p]) for a stack of jets P_p of degree <= k: coeffs (P, N_k, d), centers (P, n).
+
+    Row p equals ``P_p.derivative(xi).eval(X[p])`` bit for bit: the terms
+    run in the same order, and the zero rows above a jet's own degree come
+    last and add nothing.
+    """
+    kd = max(k - xi.order, -1)
+    return _taylor(X - centers, kd, coeffs[:, _shift(X.shape[1], kd, xi.entries)])
 
 
 @dataclass(frozen=True)
@@ -392,14 +465,7 @@ class PolyJet:
     def eval(self, x) -> np.ndarray:
         """Evaluate at a point (n,) or batch (npts, n); returns (d,) or (npts, d)."""
         x = np.asarray(x, dtype=float)
-        k = self.degree_bound
-        mono = _monomials(x.reshape(-1, self.n) - self.center, _table(self.n, k), k)
-        weights = _inv_factorial(self.n, k)[:, None] * self.coeffs
-        # term by term, not a matrix product: BLAS would add the terms in an
-        # order that depends on the batch, and so the last bits of a point
-        out = np.zeros((mono.shape[1], self.target_dim))
-        for m, w in zip(mono, weights):
-            out += m[:, None] * w
+        out = _taylor(x.reshape(-1, self.n) - self.center, self.degree_bound, self.coeffs)
         return out[0] if x.ndim == 1 else out
 
     def derivative(self, xi: MultiIndex) -> "PolyJet":
@@ -414,9 +480,8 @@ class PolyJet:
         """Same polynomial function, derivatives re-expanded at new_center."""
         b = np.asarray(new_center, dtype=float).reshape(self.n)
         k = self.degree_bound
-        taylor = _monomials(b - self.center, _table(self.n, k), k) * _inv_factorial(self.n, k)
-        shift = np.append(taylor, 0.0)[_differences(self.n, k)]  # h^(t_c - t_r) / (t_c - t_r)!
-        return PolyJet(self.n, self.target_dim, b, k, shift @ self.coeffs)
+        coeffs = _recenter(self.coeffs[None], k, (b - self.center)[None])[0]
+        return PolyJet(self.n, self.target_dim, b, k, coeffs)
 
     def truncate(self, k: int) -> "PolyJet":
         """Keep derivatives of order <= k."""

@@ -341,6 +341,21 @@ def _plateau_terms(n: int, width: float, signed_axis: Optional[int] = None):
     return terms
 
 
+def _top_indices(values: np.ndarray, count: int) -> np.ndarray:
+    """Ascending indices of the count largest values, ties to the lowest indices.
+
+    The first count of a stable argsort of -values, sorted, without the
+    sort: everything above the count-th largest value, then that value's
+    first indices.
+    """
+    if values.size <= count:
+        return np.arange(values.size)
+    cut = np.partition(values, values.size - count)[values.size - count]
+    above = np.flatnonzero(values > cut)
+    ties = np.flatnonzero(values == cut)[:count - above.size]
+    return np.sort(np.concatenate([above, ties]))
+
+
 def seminorm(phi, i: int, K: Optional[Tuple[Sequence[float], float]] = None,
              grid_points: int = 512, rel_tol: float = 1e-4) -> float:
     """sup over K of the operator norm of D^i phi.
@@ -384,7 +399,7 @@ def seminorm(phi, i: int, K: Optional[Tuple[Sequence[float], float]] = None,
     pts = grid([np.linspace(lo[j], hi[j], max(grid_points, 8) + 1) for j in range(n)])
     values = tensors(pts)
     screen, _ = opnorms(n, i, values, None, SCREEN_DIRECTIONS)
-    top = np.sort(np.argsort(-screen, kind="stable")[:SCREEN_CANDIDATES])
+    top = _top_indices(screen, SCREEN_CANDIDATES)
     norms, _ = opnorms(n, i, values[top], rel_tol)
     best_idx = int(np.argmax(norms))
     best = float(norms[best_idx])

@@ -9,6 +9,14 @@ xi(c) a nearest point of A.  Derivative bounds V_m are measured on probe
 grids rather than derived a priori; they feed the localization constant
 Gamma = Delta 30^{n+i} 3^lambda / alpha(n) with Delta = sum_m C(i,m) V_m 3^m.
 
+A ``JetField`` holds its jets stacked: centers (N, n) and coefficients
+(N, S, d), zero-padded to the field degree.  The compatibility gate
+rho <= kappa_F delta^alpha, which ``extend`` and ``rho`` share, works on
+these arrays a block of ordered pairs at a time: every P_a is recentered
+at its b in one stacked shift contraction, and each derivative order is
+one ``opnorms`` call.  For n = 1 its values, and the worst pair, are
+those of one pair at a time to the last bit.
+
 Weights and the extension are evaluated for a batch of points at once:
 ``WhitneyExtension.eval`` takes a point (n,) and returns (d,), or a batch
 (npts, n) and returns (npts, d), as ``PolyJet.eval`` does.  The active
@@ -16,15 +24,16 @@ Weights and the extension are evaluated for a batch of points at once:
 (points x centers) table: h is 1/20-Lipschitz, so an active pair has
 |x - c| < 20 h(x), and the candidates are the centers in that slab of
 coordinate 0.  There is then one ``core_eval`` call per derivative of eta
-over all pairs.  The greedy packing uses the same bound with (40/19) h(t).
+over all pairs, and the jets' derivatives at the rows are read from the
+stacked arrays in one pass.  The greedy packing uses the same bound with
+(40/19) h(t).
 """
 
 from __future__ import annotations
 
 import bisect
-import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -33,13 +42,15 @@ from . import cores
 from .distribution import Distribution, pair_many
 from .poincare import unit_ball_volume
 from .quadrature import QuadratureConfig
-from .tensor import MultiIndex, PolyJet, opnorm_bounds, unit_index, xi_set, zero_index
+from .tensor import (MultiIndex, PolyJet, _block, eval_jets, opnorms, recenter_jets,
+                     stack_jets, unit_index, xi_set, zero_index)
 from .testfn import ProbeDictionary
 
 Ball = Tuple[Sequence[float], float]
 
 _SLAB_MARGIN = 1e-9  # relative margin on the Lipschitz slab bounds
 _PAIR_BLOCK = 2 ** 20  # candidate (point, center) pairs filtered at once
+_GATE_BLOCK = 2 ** 12  # ordered jet pairs of the compatibility gate at once
 
 
 def _nearest(points: np.ndarray, X: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -116,21 +127,41 @@ def h_function(A: ASet, pts: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class JetField:
-    """Finite family of polynomial jets P_a of common degree, one per point."""
+    """Finite family of polynomial jets P_a of common degree, one per point.
+
+    The jets are also held stacked: ``centers`` (N, n), ``coeffs`` (N, S, d)
+    over the S multi-indices of order <= degree, zero above each jet's own
+    degree ``degrees`` (N,).  The gate and the extension read these arrays.
+    Points, centers, coefficients and alpha must be finite.
+    """
 
     points: Tuple[Tuple[float, ...], ...]
     jets: Tuple[PolyJet, ...]
     degree: int
     alpha: float
+    centers: np.ndarray = field(init=False, repr=False, compare=False)
+    coeffs: np.ndarray = field(init=False, repr=False, compare=False)
+    degrees: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.points) != len(self.jets):
             raise ValueError("one jet per point required")
         if not 0.0 < self.alpha <= 1.0:
             raise ValueError("Hoelder exponent must lie in (0, 1]")
+        n, d = self.n, self.d
+        if any((P.n, P.target_dim) != (n, d) or len(p) != n
+               for p, P in zip(self.points, self.jets)):
+            raise ValueError("points and jets must share one dimension and target dimension")
         for P in self.jets:
             if P.degree_bound > self.degree:
                 raise ValueError("jet degree exceeds the field degree bound")
+        centers, coeffs, degrees = stack_jets(self.jets, n, d, self.degree)
+        if not (np.isfinite(self.points).all() and np.isfinite(centers).all()
+                and np.isfinite(coeffs).all()):
+            raise ValueError("jet field points, centers and coefficients must be finite")
+        object.__setattr__(self, "centers", centers)
+        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "degrees", degrees)
 
     @property
     def n(self) -> int:
@@ -141,22 +172,45 @@ class JetField:
         return self.jets[0].target_dim if self.jets else 1
 
 
-def _pair_terms(F: JetField, delta: float = math.inf):
-    """(a, b, m, |a-b|, term) over ordered pairs with 0 < |a-b| <= delta, m = 0..k.
+def _gate(F: JetField, delta: float = math.inf) -> Tuple[float, float, Optional[tuple]]:
+    """(rho, worst, worst_pair) over ordered pairs a, b with 0 < |a-b| <= delta.
 
-    term = ||D^m P_a(b) - D^m P_b(b)|| |a-b|^{m-k} (k-m)!.
+    For m = 0..k, term = ||D^m P_a(b) - D^m P_b(b)|| |a-b|^{m-k} (k-m)!;
+    rho is the largest term and worst the largest term / |a-b|^alpha, first
+    attained, in the order (a, b, m), at worst_pair = (a, b, m), or None
+    when it is 0.  Pairs go through _GATE_BLOCK at a time: P_a is recentered
+    at b for all of them at once, and each order m is one ``opnorms`` call.
+    The powers of |a-b| are libm pow per pair, so that terms are those of
+    one pair at a time to the last bit.
     """
-    k = F.degree
-    pts = [np.asarray(p, dtype=float) for p in F.points]
-    for ia, ib in itertools.permutations(range(len(pts)), 2):
-        d = float(np.linalg.norm(pts[ia] - pts[ib]))
-        if d == 0.0 or d > delta:
+    N, n, k = len(F.points), F.n, F.degree
+    pts = np.asarray(F.points, dtype=float).reshape(N, n)
+    own = recenter_jets(F.coeffs, F.degrees, pts - F.centers)  # P_b at b
+    rho, worst, worst_pair = 0.0, 0.0, None
+    total = N * (N - 1)
+    for start in range(0, total, _GATE_BLOCK):
+        # the t-th ordered pair (a, b), a != b, in the order of itertools.permutations
+        ia, j = np.divmod(np.arange(start, min(start + _GATE_BLOCK, total)), N - 1)
+        ib = j + (j >= ia)
+        dist = np.linalg.norm(pts[ia] - pts[ib], axis=1)
+        close = (dist > 0.0) & (dist <= delta)
+        ia, ib, dist = ia[close], ib[close], dist[close]
+        if not ia.size:
             continue
-        Pa = F.jets[ia].recenter(pts[ib])
-        Pb = F.jets[ib].recenter(pts[ib])
-        for m in range(0, k + 1):
-            norm, _ = opnorm_bounds(Pa.tensor(m) - Pb.tensor(m))
-            yield ia, ib, m, d, norm * d ** (m - k) * math.factorial(k - m)
+        diff = recenter_jets(F.coeffs[ia], F.degrees[ia], pts[ib] - F.centers[ia]) - own[ib]
+        terms = np.empty((ia.size, k + 1))
+        for m in range(k + 1):
+            norms, _ = opnorms(n, m, diff[:, _block(n, m)])
+            # |a-b|^0 = 1 exactly, so the top order skips its powers
+            scale = np.array([math.pow(v, m - k) for v in dist.tolist()]) if m < k else 1.0
+            terms[:, m] = norms * scale * math.factorial(k - m)
+        q = terms / np.array([math.pow(v, F.alpha) for v in dist.tolist()])[:, None]
+        rho = max(rho, float(terms.max()))
+        at = int(np.argmax(q))
+        if q.flat[at] > worst:
+            p, m = divmod(at, k + 1)
+            worst, worst_pair = float(q.flat[at]), (F.points[ia[p]], F.points[ib[p]], m)
+    return rho, worst, worst_pair
 
 
 def rho(F: JetField, delta: float) -> float:
@@ -167,7 +221,7 @@ def rho(F: JetField, delta: float) -> float:
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
-    return max((term for *_, term in _pair_terms(F, delta)), default=0.0)
+    return _gate(F, delta)[0]
 
 
 class PartitionConstructionError(RuntimeError):
@@ -521,12 +575,9 @@ class WhitneyExtension:
         return out[0] if x.ndim <= 1 else out
 
     def _jets_at(self, which: np.ndarray, X: np.ndarray, xi: MultiIndex) -> np.ndarray:
-        """D^xi P_which[p] at X[p] for each row p: one batched eval per distinct jet."""
-        out = np.empty((X.shape[0], self.field.d))
-        for j in np.unique(which):
-            sel = which == j
-            out[sel] = self.field.jets[j].derivative(xi).eval(X[sel])
-        return out
+        """D^xi P_which[p] at X[p] for each row p, from the field's stacked jets."""
+        F = self.field
+        return eval_jets(F.coeffs[which], F.degree, F.centers[which], X, xi)
 
     def __call__(self, x) -> np.ndarray:
         return self.eval(x)
@@ -542,12 +593,7 @@ def extend(F: JetField, region: Optional[Ball] = None,
     kappa_F omitted, the smallest admissible constant is recorded.
     """
     n = F.n
-    worst = 0.0
-    worst_pair = None
-    for ia, ib, m, d, term in _pair_terms(F):
-        q = term / d ** F.alpha
-        if q > worst:
-            worst, worst_pair = q, (F.points[ia], F.points[ib], m)
+    _, worst, worst_pair = _gate(F)
     if kappa_F is not None and worst > kappa_F * (1 + 1e-9):
         raise WhitneyGateError(
             f"field violates the (k, alpha) gate: defect {worst:.6g} > {kappa_F:.6g}",

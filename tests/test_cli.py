@@ -148,6 +148,32 @@ class TestWhitneyCommand:
         assert code == 3
         assert "rejected" in capsys.readouterr().err
 
+    def test_nan_coefficient_is_input_error(self, tmp_path, capsys):
+        # json reads NaN; the gate's comparisons would skip it and write nan rows
+        doc = json.loads(self.field_doc(tmp_path).read_text())
+        doc["jets"][1]["coeffs"]["0"] = float("nan")
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(doc))
+        assert run(["whitney", "--field", str(path), "--out", str(tmp_path)]) == 3
+        assert "finite" in capsys.readouterr().err
+        assert not (tmp_path / "whitney_extension.csv").exists()
+
+    def test_infinite_point_is_input_error(self, tmp_path, capsys):
+        doc = json.loads(self.field_doc(tmp_path).read_text())
+        doc["points"][2] = [float("inf")]
+        path = tmp_path / "inf.json"
+        path.write_text(json.dumps(doc))
+        assert run(["whitney", "--field", str(path), "--out", str(tmp_path)]) == 3
+        assert "finite" in capsys.readouterr().err
+
+    def test_nonfinite_query_is_input_error(self, tmp_path, capsys):
+        path = self.field_doc(tmp_path)
+        code = run(["whitney", "--field", str(path), "--query", "nan;inf",
+                    "--out", str(tmp_path)])
+        assert code == 3
+        assert "non-finite" in capsys.readouterr().err
+        assert not (tmp_path / "whitney_extension.csv").exists()
+
 
 class TestSuiteCommand:
     def test_unknown_suite_rejected(self):

@@ -8,8 +8,31 @@ import pytest
 
 from ptdiff import (MomentKernel, MultiIndex, PolyJet, build_kernel, seminorm,
                     xi_set)
-from ptdiff.momentkernel import RESIDUAL_GATE, verify_reproduction
+from ptdiff.momentkernel import (RESIDUAL_GATE, VERIFY_QUAD, _angular_moment,
+                                 _verify_residuals, verify_reproduction)
+from ptdiff.quadrature import integrate_box
 from ptdiff.tensor import zero_index
+
+
+def residuals_one_at_a_time(n, k, fn):
+    """The residuals with one integrate_box call per multi-index."""
+    out = {}
+    for m in range(k):
+        for xi in xi_set(n, m):
+            def f(pts, xi=xi):
+                x = pts
+                if n == 2:
+                    rho, th = pts[:, 0], pts[:, 1]
+                    x = np.stack([rho * np.cos(th), rho * np.sin(th)], axis=1)
+                vals = fn(x)[:, 0] * (pts[:, 0] if n == 2 else 1.0)
+                for j, e in enumerate(xi.entries):
+                    if e:
+                        vals = vals * x[:, j] ** e
+                return vals
+            lo, hi = ([0.0, 0.0], [1.0, 2.0 * np.pi]) if n == 2 else ([-1.0] * n, [1.0] * n)
+            v, _, _ = integrate_box(f, lo, hi, (), VERIFY_QUAD)
+            out[xi.entries] = abs(v - (1.0 if xi.order == 0 else 0.0))
+    return out
 
 
 def random_poly(rng, n, degree):
@@ -32,6 +55,12 @@ class TestResiduals:
         expected = {xi.entries for m in range(4) for xi in xi_set(1, m)}
         assert set(kernel.moment_residuals) == expected
 
+    @pytest.mark.parametrize("n,k", [(1, 3), (1, 5), (2, 2), (2, 4)])
+    def test_one_engine_call_matches_one_integral_at_a_time(self, kernel_cache, n, k):
+        # the lockstep engine gives each job the value it has alone
+        fn = kernel_cache(n, k).testfn
+        assert _verify_residuals(n, k, fn) == residuals_one_at_a_time(n, k, fn)
+
     def test_degree_out_of_range(self):
         with pytest.raises(ValueError):
             build_kernel(1, 0)
@@ -39,6 +68,23 @@ class TestResiduals:
             build_kernel(1, 6)
         with pytest.raises(ValueError):
             build_kernel(3, 2)
+
+
+class TestAngularMoment:
+    def test_against_scipy_beta(self):
+        from scipy.special import beta
+        # every (a, b) = (2p, 2q) that a moment system up to MAX_DEGREE uses
+        for p in range(5):
+            for q in range(5 - p):
+                want = 2.0 * beta(p + 0.5, q + 0.5)
+                got = _angular_moment(p, q)
+                assert abs(got - want) <= 2 * np.spacing(want), (p, q)
+
+    def test_exact_rational_times_pi(self):
+        assert _angular_moment(0, 0) == 2.0 * math.pi
+        assert _angular_moment(1, 0) == math.pi
+        assert _angular_moment(1, 1) == 0.25 * math.pi
+        assert _angular_moment(2, 1) == 0.125 * math.pi
 
 
 class TestReproduction:

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from conftest import dense_directional_max
 from ptdiff import (MultiIndex, PolyJet, SymTensor, interior_mult,
                     opnorm_bounds, tensor_opnorm, xi_set, zero_index)
+from ptdiff.tensor import eval_jets, recenter_jets, stack_jets
 
 
 class TestXiSet:
@@ -149,6 +150,47 @@ class TestPolyJet:
         alone = np.array([P.eval(x) for x in X])
         for size in range(1, 65):
             assert np.array_equal(P.eval(X[:size]), alone[:size]), size
+
+
+class TestStackedJets:
+    # a matrix product's last bits depend on its size, so a stack padded to a
+    # common degree must still recenter each jet at its own size
+
+    @staticmethod
+    def random_jets(rng, n, d, k, count):
+        jets = []
+        for _ in range(count):
+            deg = int(rng.integers(-1, k + 1))
+            cm = {xi.entries: rng.normal(size=d) * 10 ** rng.uniform(-2, 2)
+                  for m in range(deg + 1) for xi in xi_set(n, m)}
+            center = rng.uniform(-1.0, 1.0, size=n)
+            jets.append(PolyJet.from_coeff_map(n, center, cm, d) if cm
+                        else PolyJet.zero(n, d, center))
+        return jets
+
+    @pytest.mark.parametrize("n,d", [(1, 1), (1, 2), (2, 1), (2, 2)])
+    def test_recenter_matches_polyjet(self, n, d):
+        rng = np.random.default_rng(n + 2 * d)
+        jets = self.random_jets(rng, n, d, 3, 200)
+        centers, coeffs, degrees = stack_jets(jets, n, d, 3)
+        b = rng.uniform(-1.0, 1.0, size=(200, n))
+        got = recenter_jets(coeffs, degrees, b - centers)
+        for row, P, at in zip(got, jets, b):
+            want = P.recenter(at).coeffs
+            assert np.array_equal(row[:len(want)], want)
+            assert not row[len(want):].any()
+
+    @pytest.mark.parametrize("n,d", [(1, 1), (2, 2)])
+    def test_eval_matches_polyjet(self, n, d):
+        rng = np.random.default_rng(7 * n + d)
+        jets = self.random_jets(rng, n, d, 3, 100)
+        centers, coeffs, _ = stack_jets(jets, n, d, 3)
+        X = rng.uniform(-2.0, 2.0, size=(100, n))
+        for m in range(5):
+            for xi in xi_set(n, m):
+                got = eval_jets(coeffs, 3, centers, X, xi)
+                for row, P, x in zip(got, jets, X):
+                    assert np.array_equal(row, P.derivative(xi).eval(x)), xi
 
 
 class TestOpnorm:

@@ -227,6 +227,23 @@ class TestSeminorm:
             scaled = b.rescale([0.0], r)
             assert seminorm(scaled, 1) == pytest.approx(seminorm(b, 1) / r, rel=1e-3)
 
+    def test_top_indices_match_stable_argsort(self):
+        # the screen's candidates: the first count of a stable argsort of -values
+        rng = np.random.default_rng(7)
+        screens = [np.zeros(100), np.zeros(9), rng.uniform(size=9), rng.uniform(size=64),
+                   np.round(rng.uniform(size=500), 1), rng.integers(0, 3, size=300) * 0.5,
+                   np.where(rng.uniform(size=400) < 0.9, 0.0, rng.uniform(size=400)),
+                   np.repeat(rng.uniform(size=40), 5), np.zeros(0)]
+        for values in screens:
+            for count in (1, 5, 64, 65, 200):
+                want = np.sort(np.argsort(-values, kind="stable")[:count])
+                assert np.array_equal(testfn._top_indices(values, count), want), (values, count)
+
+    def test_short_grid(self):
+        # 9 grid points, fewer than SCREEN_CANDIDATES: every point is a candidate
+        assert seminorm(standard_bump(1), 0, grid_points=8) == pytest.approx(
+            math.exp(-1.0), rel=1e-6)
+
     @pytest.mark.parametrize("i", [1, 2])
     @pytest.mark.parametrize("seed", [None, 1, 2])
     def test_2d_matches_dense_reference(self, seed, i):

@@ -1,5 +1,6 @@
 """Jet-consistency functional, partition of unity, localization, extension."""
 
+import itertools
 import math
 
 import numpy as np
@@ -10,7 +11,8 @@ from ptdiff import (FinitePointSet, HalfSpace, JetField, MultiIndex, PolyJet,
                     function_distribution, localization_check, make_point_set,
                     partition_of_unity, rho, xi_set)
 from ptdiff.quadrature import QuadratureConfig
-from ptdiff.whitney import PartitionConstructionError, h_function
+from ptdiff.tensor import opnorm_bounds
+from ptdiff.whitney import PartitionConstructionError, WhitneyExtension, h_function
 
 QUAD = QuadratureConfig(rel_tol=1e-9, abs_floor=1e-13, max_cells=2 ** 12)
 
@@ -49,6 +51,32 @@ class TestJetField:
         P = PolyJet.from_coeff_map(1, [0.0], {(0,): 1.0, (1,): 2.0})
         with pytest.raises(ValueError):
             JetField(((0.0,),), (P,), 0, 1.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, bad):
+        P = PolyJet.from_coeff_map(1, [0.0], {(0,): 1.0})
+        with pytest.raises(ValueError, match="finite"):
+            JetField(((0.0,),), (PolyJet.from_coeff_map(1, [0.0], {(0,): bad}),), 0, 1.0)
+        with pytest.raises(ValueError, match="finite"):
+            JetField(((bad,),), (P,), 0, 1.0)
+        with pytest.raises(ValueError):
+            JetField(((0.0,),), (P,), 0, bad)
+
+    def test_mixed_dimensions_rejected(self):
+        P1 = PolyJet.from_coeff_map(1, [0.0], {(0,): 1.0})
+        P2 = PolyJet.from_coeff_map(2, [0.0, 0.0], {(0, 0): 1.0})
+        with pytest.raises(ValueError):
+            JetField(((0.0,), (1.0, 0.0)), (P1, P2), 0, 1.0)
+        with pytest.raises(ValueError):
+            JetField(((0.0, 0.0),), (P1,), 0, 1.0)
+
+    def test_stacked_layout(self):
+        jets = (PolyJet.from_coeff_map(1, [0.5], {(0,): 1.0, (1,): 2.0}),
+                PolyJet.zero(1, 1, [1.0]))
+        F = JetField(((0.5,), (1.0,)), jets, 2, 1.0)
+        assert F.centers.tolist() == [[0.5], [1.0]]
+        assert F.coeffs[:, :, 0].tolist() == [[1.0, 2.0, 0.0], [0.0, 0.0, 0.0]]
+        assert F.degrees.tolist() == [1, -1]
 
 
 class TestRho:
@@ -106,6 +134,98 @@ class TestRho:
             lhs = rho(Fs, s * 1.0)
             rhs = s ** (-k) * rho(F, 1.0)
             assert lhs == pytest.approx(rhs, rel=1e-10), trial
+
+
+def gate_one_pair_at_a_time(F, delta=math.inf):
+    """(rho, worst, worst_pair) by the per-pair loop: a recenter and an
+    operator norm per ordered pair and order."""
+    k = F.degree
+    pts = [np.asarray(p, dtype=float) for p in F.points]
+    rho_v, worst, worst_pair = 0.0, 0.0, None
+    for ia, ib in itertools.permutations(range(len(pts)), 2):
+        d = float(np.linalg.norm(pts[ia] - pts[ib]))
+        if d == 0.0 or d > delta:
+            continue
+        Pa = F.jets[ia].recenter(pts[ib])
+        Pb = F.jets[ib].recenter(pts[ib])
+        for m in range(k + 1):
+            norm, _ = opnorm_bounds(Pa.tensor(m) - Pb.tensor(m))
+            term = norm * d ** (m - k) * math.factorial(k - m)
+            rho_v = max(rho_v, term)
+            q = term / d ** F.alpha
+            if q > worst:
+                worst, worst_pair = q, (F.points[ia], F.points[ib], m)
+    return rho_v, worst, worst_pair
+
+
+def random_field(rng, n, d, k, count):
+    """Jets of mixed degrees -1..k (the zero jet included) at points with
+    repeats, centered at their points or nearby."""
+    pts = rng.uniform(-1.0, 1.0, size=(count, n))
+    pts[1] = pts[0]
+    pts[4] = pts[2]
+    jets = []
+    for j, p in enumerate(pts):
+        deg = -1 if j == 3 else int(rng.integers(-1, k + 1))
+        center = p + (0.0 if j % 2 else rng.normal(scale=0.1, size=n))
+        cm = {xi.entries: rng.normal(size=d) for m in range(deg + 1) for xi in xi_set(n, m)}
+        jets.append(PolyJet.from_coeff_map(n, center, cm, d) if cm else PolyJet.zero(n, d, center))
+    return JetField(tuple(map(tuple, pts)), tuple(jets), k, float(rng.uniform(0.3, 1.0)))
+
+
+class TestBatchedGate:
+    @pytest.mark.parametrize("n,d", [(1, 1), (1, 2), (2, 1), (2, 2)])
+    def test_matches_one_pair_at_a_time(self, n, d):
+        rng = np.random.default_rng(10 * n + d)
+        for trial in range(6):
+            F = random_field(rng, n, d, trial % 4, 11)
+            for delta in (0.05, 0.4, 1.0, math.inf):
+                want, _, _ = gate_one_pair_at_a_time(F, delta)
+                if n == 1:
+                    assert rho(F, delta) == want, (trial, delta)
+                else:
+                    # a batched opnorms call refines every row while any is unfinished
+                    assert rho(F, delta) == pytest.approx(want, rel=1e-6), (trial, delta)
+            rho_ref, worst, pair = gate_one_pair_at_a_time(F)
+            with pytest.raises(WhitneyGateError) as exc:
+                extend(F, kappa_F=0.5 * worst)
+            if n == 1:
+                assert exc.value.worst_pair == pair
+                assert str(exc.value).startswith(f"field violates the (k, alpha) gate: "
+                                                 f"defect {worst:.6g} ")
+
+    def test_extend_records_exact_worst(self):
+        F = sin_field(np.random.default_rng(3).uniform(0.0, 1.0, size=30))
+        _, worst, _ = gate_one_pair_at_a_time(F)
+        assert extend(F, max_level=8).kappa_F == worst
+
+    def test_blocks(self, monkeypatch):
+        # more ordered pairs than one block holds: the worst pair is still the first
+        from ptdiff import whitney
+        F = random_field(np.random.default_rng(5), 1, 1, 2, 23)
+        want = gate_one_pair_at_a_time(F, 0.7)
+        monkeypatch.setattr(whitney, "_GATE_BLOCK", 17)
+        assert whitney._gate(F, 0.7) == want
+        # constant jets: (a, b) and (b, a) tie, in different blocks
+        F = constant_field((0.0, 0.1, 0.5, 0.9), (0.0, 1.0, 0.2, 0.3))
+        monkeypatch.setattr(whitney, "_GATE_BLOCK", 2)
+        assert whitney._gate(F) == gate_one_pair_at_a_time(F)
+        assert whitney._gate(F)[2] == ((0.0,), (0.1,), 0)
+
+    @pytest.mark.parametrize("n,d", [(1, 1), (2, 2)])
+    def test_jets_at_matches_per_jet_eval(self, n, d):
+        rng = np.random.default_rng(20 + n)
+        F = random_field(rng, n, d, 2, 9)
+        ext = WhitneyExtension(F, None, np.zeros(0, dtype=int), 0.0)  # reads only the field
+        which = rng.integers(0, 9, size=60)
+        X = rng.uniform(-1.5, 1.5, size=(60, n))
+        for m in range(4):
+            for xi in xi_set(n, m):
+                got = ext._jets_at(which, X, xi)
+                for j in range(9):
+                    sel = which == j
+                    want = F.jets[j].derivative(xi).eval(X[sel])
+                    assert np.array_equal(got[sel], want), (xi, j)
 
 
 class TestPartition:
