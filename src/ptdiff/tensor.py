@@ -10,8 +10,9 @@ multinomial weights are applied on evaluation, so for a jet it is exactly
 ``D^xi P(a)``.  Evaluation sums a monomial table against the array term
 by term, differentiation is an index gather and recentering a shift
 matrix.  Many jets stack as (B, N, d), zero-padded to a common degree
-(``stack_jets``); ``recenter_jets`` and ``eval_jets`` act on such a stack
-and give each jet's ``PolyJet`` result bit for bit.
+(``stack_jets``); ``recenter_jets``, ``eval_jets`` and ``jet_opnorms`` act
+on such a stack, and the first two give each jet's ``PolyJet`` result bit
+for bit.  No other module reads this layout.
 """
 
 from __future__ import annotations
@@ -251,16 +252,21 @@ def recenter_jets(coeffs: np.ndarray, degrees: np.ndarray, h: np.ndarray) -> np.
     return out
 
 
-def eval_jets(coeffs: np.ndarray, k: int, centers: np.ndarray, X: np.ndarray,
+def eval_jets(coeffs: np.ndarray, degrees: np.ndarray, centers: np.ndarray, X: np.ndarray,
               xi: MultiIndex) -> np.ndarray:
-    """D^xi P_p(X[p]) for a stack of jets P_p of degree <= k: coeffs (P, N_k, d), centers (P, n).
+    """D^xi P_p(X[p]) for a stack of jets P_p: coeffs (P, N_k, d), degrees (P,), centers (P, n).
 
-    Row p equals ``P_p.derivative(xi).eval(X[p])`` bit for bit: the terms
-    run in the same order, and the zero rows above a jet's own degree come
-    last and add nothing.
+    The jets go by degree, each evaluated at its own degree: row p equals
+    ``P_p.derivative(xi).eval(X[p])`` bit for bit, and the zero rows above a
+    jet's degree add nothing, not even 0 * inf where a monomial overflows.
     """
-    kd = max(k - xi.order, -1)
-    return _taylor(X - centers, kd, coeffs[:, _shift(X.shape[1], kd, xi.entries)])
+    n = X.shape[1]
+    out = np.zeros((X.shape[0], coeffs.shape[-1]))
+    for k in np.unique(degrees).tolist():
+        sel = degrees == k
+        kd = max(k - xi.order, -1)
+        out[sel] = _taylor(X[sel] - centers[sel], kd, coeffs[sel][:, _shift(n, kd, xi.entries)])
+    return out
 
 
 @dataclass(frozen=True)
@@ -386,6 +392,17 @@ def opnorms(n: int, degree: int, coeffs: np.ndarray, rel_tol: Optional[float] = 
             break
         width /= 8.0
     return best, True
+
+
+def jet_opnorms(n: int, k: int, coeffs: np.ndarray) -> np.ndarray:
+    """Operator norms of the order-m parts, m = 0..k, of jets coeffs (B, N_k, d); (B, k+1).
+
+    One ``opnorms`` call per order over the whole stack.
+    """
+    out = np.empty((coeffs.shape[0], k + 1))
+    for m in range(k + 1):
+        out[:, m], _ = opnorms(n, m, coeffs[:, _block(n, m)])
+    return out
 
 
 def opnorm_bounds(psi: SymTensor, rel_tol: float = 1e-6) -> Tuple[float, bool]:

@@ -14,8 +14,10 @@ A ``JetField`` holds its jets stacked: centers (N, n) and coefficients
 rho <= kappa_F delta^alpha, which ``extend`` and ``rho`` share, works on
 these arrays a block of ordered pairs at a time: every P_a is recentered
 at its b in one stacked shift contraction, and each derivative order is
-one ``opnorms`` call.  For n = 1 its values, and the worst pair, are
-those of one pair at a time to the last bit.
+one ``opnorms`` call.  These arrays select the largest defect; its value
+is then recomputed from its own pair, one tensor, so that no reported
+number depends on the block it was found in.  For n = 1 the values, and
+the worst pair, are those of one pair at a time to the last bit.
 
 Weights and the extension are evaluated for a batch of points at once:
 ``WhitneyExtension.eval`` takes a point (n,) and returns (d,), or a batch
@@ -42,8 +44,8 @@ from . import cores
 from .distribution import Distribution, pair_many
 from .poincare import unit_ball_volume
 from .quadrature import QuadratureConfig
-from .tensor import (MultiIndex, PolyJet, _block, eval_jets, opnorms, recenter_jets,
-                     stack_jets, unit_index, xi_set, zero_index)
+from .tensor import (MultiIndex, PolyJet, eval_jets, jet_opnorms, opnorm_bounds,
+                     recenter_jets, stack_jets, unit_index, xi_set, zero_index)
 from .testfn import ProbeDictionary
 
 Ball = Tuple[Sequence[float], float]
@@ -172,6 +174,15 @@ class JetField:
         return self.jets[0].target_dim if self.jets else 1
 
 
+def _pair_term(F: JetField, ia: int, ib: int, m: int) -> Tuple[float, float]:
+    """(||D^m P_a(b) - D^m P_b(b)|| |a-b|^{m-k} (k-m)!, |a-b|) of one pair, as one tensor."""
+    k, b = F.degree, F.points[ib]
+    dist = float(np.linalg.norm(np.subtract(F.points[ia], b)))
+    norm, _ = opnorm_bounds(F.jets[ia].recenter(b).tensor(m) - F.jets[ib].recenter(b).tensor(m))
+    # |a-b|^0 = 1 exactly, so the top order skips its power
+    return norm * (math.pow(dist, m - k) if m < k else 1.0) * math.factorial(k - m), dist
+
+
 def _gate(F: JetField, delta: float = math.inf) -> Tuple[float, float, Optional[tuple]]:
     """(rho, worst, worst_pair) over ordered pairs a, b with 0 < |a-b| <= delta.
 
@@ -182,11 +193,20 @@ def _gate(F: JetField, delta: float = math.inf) -> Tuple[float, float, Optional[
     at b for all of them at once, and each order m is one ``opnorms`` call.
     The powers of |a-b| are libm pow per pair, so that terms are those of
     one pair at a time to the last bit.
+
+    The arrays select the two maxima; their values are then those of the
+    selected pair alone (``_pair_term``).  For n = 1 that changes no bit.
+    For n = 2 a batched ``opnorms`` call refines a row for as long as any
+    row of its block is unfinished, so a row's norm depends on its block;
+    the returned values do not.
     """
     N, n, k = len(F.points), F.n, F.degree
+    if k < 0:  # only zero jets: no pair has a defect
+        return 0.0, 0.0, None
     pts = np.asarray(F.points, dtype=float).reshape(N, n)
     own = recenter_jets(F.coeffs, F.degrees, pts - F.centers)  # P_b at b
-    rho, worst, worst_pair = 0.0, 0.0, None
+    rho, worst = 0.0, 0.0
+    rho_at = worst_at = None  # (a, b, m)
     total = N * (N - 1)
     for start in range(0, total, _GATE_BLOCK):
         # the t-th ordered pair (a, b), a != b, in the order of itertools.permutations
@@ -198,19 +218,27 @@ def _gate(F: JetField, delta: float = math.inf) -> Tuple[float, float, Optional[
         if not ia.size:
             continue
         diff = recenter_jets(F.coeffs[ia], F.degrees[ia], pts[ib] - F.centers[ia]) - own[ib]
-        terms = np.empty((ia.size, k + 1))
+        norms = jet_opnorms(n, k, diff)
+        terms = np.empty_like(norms)
         for m in range(k + 1):
-            norms, _ = opnorms(n, m, diff[:, _block(n, m)])
-            # |a-b|^0 = 1 exactly, so the top order skips its powers
             scale = np.array([math.pow(v, m - k) for v in dist.tolist()]) if m < k else 1.0
-            terms[:, m] = norms * scale * math.factorial(k - m)
+            terms[:, m] = norms[:, m] * scale * math.factorial(k - m)
         q = terms / np.array([math.pow(v, F.alpha) for v in dist.tolist()])[:, None]
-        rho = max(rho, float(terms.max()))
+        at = int(np.argmax(terms))
+        if terms.flat[at] > rho:
+            p, m = divmod(at, k + 1)
+            rho, rho_at = float(terms.flat[at]), (int(ia[p]), int(ib[p]), m)
         at = int(np.argmax(q))
         if q.flat[at] > worst:
             p, m = divmod(at, k + 1)
-            worst, worst_pair = float(q.flat[at]), (F.points[ia[p]], F.points[ib[p]], m)
-    return rho, worst, worst_pair
+            worst, worst_at = float(q.flat[at]), (int(ia[p]), int(ib[p]), m)
+    if rho_at is not None:
+        rho = _pair_term(F, *rho_at)[0]
+    if worst_at is None:
+        return rho, 0.0, None
+    term, dist = _pair_term(F, *worst_at)
+    a, b, m = worst_at
+    return rho, term / math.pow(dist, F.alpha), (F.points[a], F.points[b], m)
 
 
 def rho(F: JetField, delta: float) -> float:
@@ -577,7 +605,7 @@ class WhitneyExtension:
     def _jets_at(self, which: np.ndarray, X: np.ndarray, xi: MultiIndex) -> np.ndarray:
         """D^xi P_which[p] at X[p] for each row p, from the field's stacked jets."""
         F = self.field
-        return eval_jets(F.coeffs[which], F.degree, F.centers[which], X, xi)
+        return eval_jets(F.coeffs[which], F.degrees[which], F.centers[which], X, xi)
 
     def __call__(self, x) -> np.ndarray:
         return self.eval(x)

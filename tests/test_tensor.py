@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from conftest import dense_directional_max
 from ptdiff import (MultiIndex, PolyJet, SymTensor, interior_mult,
                     opnorm_bounds, tensor_opnorm, xi_set, zero_index)
-from ptdiff.tensor import eval_jets, recenter_jets, stack_jets
+from ptdiff.tensor import eval_jets, jet_opnorms, recenter_jets, stack_jets
 
 
 class TestXiSet:
@@ -184,13 +184,39 @@ class TestStackedJets:
     def test_eval_matches_polyjet(self, n, d):
         rng = np.random.default_rng(7 * n + d)
         jets = self.random_jets(rng, n, d, 3, 100)
-        centers, coeffs, _ = stack_jets(jets, n, d, 3)
+        centers, coeffs, degrees = stack_jets(jets, n, d, 3)
         X = rng.uniform(-2.0, 2.0, size=(100, n))
         for m in range(5):
             for xi in xi_set(n, m):
-                got = eval_jets(coeffs, 3, centers, X, xi)
+                got = eval_jets(coeffs, degrees, centers, X, xi)
                 for row, P, x in zip(got, jets, X):
                     assert np.array_equal(row, P.derivative(xi).eval(x)), xi
+
+    def test_eval_far_point_low_degree(self):
+        # h^2 overflows at 1e155: the padded rows of the degree-0 and zero
+        # jets must not add inf * 0
+        jets = [PolyJet.from_coeff_map(1, [0.0], {(0,): 2.0}), PolyJet.zero(1),
+                PolyJet.from_coeff_map(1, [0.0], {(0,): 1.0, (1,): 1.0, (2,): 1.0})]
+        centers, coeffs, degrees = stack_jets(jets, 1, 1, 2)
+        with np.errstate(over="ignore"):
+            got = eval_jets(coeffs, degrees, centers, np.full((3, 1), 1e155), MultiIndex((0,)))
+        assert got[:, 0].tolist() == [2.0, 0.0, math.inf]
+
+    @pytest.mark.parametrize("n,d", [(1, 2), (2, 2), (3, 1)])
+    def test_opnorms_per_order(self, n, d):
+        rng = np.random.default_rng(40 + n)
+        jets = self.random_jets(rng, n, d, 3, 30)
+        _, coeffs, _ = stack_jets(jets, n, d, 3)
+        got = jet_opnorms(n, 3, coeffs)
+        assert got.shape == (30, 4)
+        for row, P in zip(got, jets):
+            want = [opnorm_bounds(P.tensor(m))[0] for m in range(4)]
+            if n == 1:
+                assert row.tolist() == want
+            else:
+                # n = 2: a batched opnorms call refines every row while any is
+                # unfinished; n = 3: the l1 bound is one matrix product per stack
+                assert row.tolist() == pytest.approx(want, rel=1e-6)
 
 
 class TestOpnorm:

@@ -176,23 +176,27 @@ def random_field(rng, n, d, k, count):
 class TestBatchedGate:
     @pytest.mark.parametrize("n,d", [(1, 1), (1, 2), (2, 1), (2, 2)])
     def test_matches_one_pair_at_a_time(self, n, d):
+        # the arrays select the maxima, whose values come from their own pair:
+        # for n = 2 too they are the per-pair loop's when it selects the same pair
+        from ptdiff import whitney
         rng = np.random.default_rng(10 * n + d)
         for trial in range(6):
             F = random_field(rng, n, d, trial % 4, 11)
             for delta in (0.05, 0.4, 1.0, math.inf):
-                want, _, _ = gate_one_pair_at_a_time(F, delta)
-                if n == 1:
-                    assert rho(F, delta) == want, (trial, delta)
-                else:
-                    # a batched opnorms call refines every row while any is unfinished
-                    assert rho(F, delta) == pytest.approx(want, rel=1e-6), (trial, delta)
-            rho_ref, worst, pair = gate_one_pair_at_a_time(F)
+                want = gate_one_pair_at_a_time(F, delta)
+                assert whitney._gate(F, delta) == want, (trial, delta)
+                assert rho(F, delta) == want[0], (trial, delta)
+            _, worst, pair = gate_one_pair_at_a_time(F)
             with pytest.raises(WhitneyGateError) as exc:
                 extend(F, kappa_F=0.5 * worst)
-            if n == 1:
-                assert exc.value.worst_pair == pair
-                assert str(exc.value).startswith(f"field violates the (k, alpha) gate: "
-                                                 f"defect {worst:.6g} ")
+            assert exc.value.worst_pair == pair
+            assert str(exc.value).startswith(f"field violates the (k, alpha) gate: "
+                                             f"defect {worst:.6g} ")
+
+    def test_zero_degree_bound(self):
+        F = JetField(((0.0,), (1.0,)), (PolyJet.zero(1), PolyJet.zero(1)), -1, 1.0)
+        assert rho(F, 2.0) == 0.0
+        assert extend(F, max_level=6).kappa_F == 0.0
 
     def test_extend_records_exact_worst(self):
         F = sin_field(np.random.default_rng(3).uniform(0.0, 1.0, size=30))
@@ -211,6 +215,12 @@ class TestBatchedGate:
         monkeypatch.setattr(whitney, "_GATE_BLOCK", 2)
         assert whitney._gate(F) == gate_one_pair_at_a_time(F)
         assert whitney._gate(F)[2] == ((0.0,), (0.1,), 0)
+        # n = 2: a batched operator norm depends on its block, the gate's values do not
+        F = random_field(np.random.default_rng(6), 2, 2, 3, 13)
+        want = gate_one_pair_at_a_time(F)
+        for size in (5, 64, 2 ** 12):
+            monkeypatch.setattr(whitney, "_GATE_BLOCK", size)
+            assert whitney._gate(F) == want, size
 
     @pytest.mark.parametrize("n,d", [(1, 1), (2, 2)])
     def test_jets_at_matches_per_jet_eval(self, n, d):
@@ -226,6 +236,20 @@ class TestBatchedGate:
                     sel = which == j
                     want = F.jets[j].derivative(xi).eval(X[sel])
                     assert np.array_equal(got[sel], want), (xi, j)
+
+    def test_jets_at_far_point_mixed_degrees(self):
+        # at 1e155 h^2 overflows; a row of a lower-degree jet stays finite
+        F = JetField(((0.0,), (1.0,), (2.0,)),
+                     (PolyJet.from_coeff_map(1, [0.0], {(0,): 3.0}), PolyJet.zero(1, 1, [1.0]),
+                      PolyJet.from_coeff_map(1, [2.0], {(0,): 1.0, (2,): 1.0})), 2, 1.0)
+        ext = WhitneyExtension(F, None, np.zeros(0, dtype=int), 0.0)
+        X = np.full((3, 1), 1e155)
+        for xi in xi_set(1, 0) + xi_set(1, 1):
+            with np.errstate(over="ignore"):
+                got = ext._jets_at(np.arange(3), X, xi)
+                want = [F.jets[j].derivative(xi).eval(X[j]) for j in range(3)]
+            assert np.array_equal(got, np.array(want)), xi
+            assert np.isfinite(got[:2]).all(), xi
 
 
 class TestPartition:
