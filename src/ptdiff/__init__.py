@@ -2,9 +2,8 @@
 
 __version__ = "0.1.0"
 
-from .tensor import (MultiIndex, PolyJet, SymTensor, interior_mult,
-                     multinomial, opnorm_bounds, tensor_opnorm, unit_index,
-                     xi_set, zero_index)
+from .tensor import (MultiIndex, PolyJet, opnorm_bounds, unit_index, xi_set,
+                     zero_index)
 from .testfn import (CoreAtom, DerivedTestFn, ProbeDictionary, TestFn,
                      bump_monomial, make_dictionary, seminorm, standard_bump)
 from .funcexpr import ExprError, SingularitySet, eval_expr, parse

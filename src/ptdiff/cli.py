@@ -23,9 +23,8 @@ from . import __version__
 from . import corpus as corpus_mod
 from .corpus import CorpusError, CorpusItem
 from .funcexpr import DomainError
-from .jetestimator import (CONFIRMED, INCONCLUSIVE, ClassifierConfig,
-                           JetConfig, check_derivative_transfer, classify,
-                           estimate_jet)
+from .jetestimator import (INCONCLUSIVE, MARGIN, ClassifierConfig, JetConfig,
+                           check_derivative_transfer, classify, estimate_jet)
 from .momentkernel import build_kernel
 from .poincare import DivergentKappaError, verify
 from .quadrature import QuadratureNonConvergence
@@ -122,12 +121,10 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _write_report(out: Path, name: str, payload: dict) -> Path:
+def _write_report(out: Path, name: str, payload: dict) -> None:
     payload = dict(payload)
     payload["toolkit_version"] = __version__
-    path = out / f"{name}.json"
-    path.write_text(json.dumps(payload, indent=1, sort_keys=True))
-    return path
+    (out / f"{name}.json").write_text(json.dumps(payload, indent=1, sort_keys=True))
 
 
 def _jet_payload(jet: PolyJet) -> Dict[str, List[float]]:
@@ -156,7 +153,7 @@ def cmd_classify(args) -> int:
                           "alpha": args.alpha, "i": args.i,
                           "grid": [cfg.r0, cfg.level_count(item.n)],
                           "dict": [cfg.dict_size, cfg.seed],
-                          "margin": cfg.margin},
+                          "margin": MARGIN},
         "verdict": rep.verdict,
         "caveat": rep.caveat,
         "beta_hat": rep.beta_hat,
@@ -349,10 +346,8 @@ def cmd_suite(args) -> int:
     root = Path(__file__).resolve().parents[2]
     if args.name == "acceptance":
         target = root / "tests" / "test_acceptance.py"
-    elif args.name == "invariants":
+    else:  # "invariants"; the parser allows no other name
         target = root / "tests"
-    else:
-        raise InputError(f"unknown suite {args.name!r}")
     if not target.exists():
         raise InputError(f"suite path {target} not found")
     proc = subprocess.run([sys.executable, "-m", "pytest", "-v", str(target)])

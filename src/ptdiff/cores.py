@@ -142,9 +142,3 @@ def core_eval(n: int, kind: str, core_xi: Tuple[int, ...] | None,
     out = np.zeros(pts.shape[0])
     out[inside] = vals
     return out
-
-
-def bump_1d(x: np.ndarray, order: int = 0) -> np.ndarray:
-    """Convenience: the order-th derivative of the standard 1-D bump."""
-    pts = np.asarray(x, dtype=float).reshape(-1, 1)
-    return core_eval(1, BUMP, None, MultiIndex((order,)), pts)

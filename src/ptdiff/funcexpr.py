@@ -2,18 +2,26 @@
 
 A small closed grammar: numeric constants, variables ``x1 .. xn``, the four
 arithmetic operations, ``^`` with rational exponents, and the intrinsic
-functions abs, sin, cos, exp, heaviside, min, max, piecewise.  Parsing also
-derives a candidate singularity set (divisor zeros, branch points of
-non-integer powers, abs kinks, heaviside/piecewise jumps) that downstream
-quadrature uses for cell splitting; ``@sing(...)`` annotations extend it.
+functions abs, sin, cos, exp, heaviside, min, max, piecewise.
+
+Parsing also derives the singularity set at which quadrature splits its
+cells.  The candidates are divisors, bases of fractional or negative
+powers, arguments of abs and heaviside, and piecewise conditions.  A
+candidate in one variable that is a polynomial in it, once each abs(u) is
+read as +u or -u, is expanded with exact rational coefficients (a constant
+c is Fraction(repr(c))), and each real zero z, exact when rational, gives
+the hyperplane x_j = float(z).  Other candidates give no cut.  Trailing
+``@sing(...)`` annotations add points.
 
 Conventions: heaviside(0) = 1; piecewise(c, a, b) = a where c > 0, else b.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
@@ -77,19 +85,18 @@ class Call(Node):
     args: Tuple[Node, ...]
 
 
-_UNARY = {"abs", "sin", "cos", "exp", "heaviside"}
-_BINARY = {"min", "max"}
-_TERNARY = {"piecewise"}
+_INTRINSICS = {  # name: (arity, evaluation on arrays)
+    "abs": (1, np.abs), "sin": (1, np.sin), "cos": (1, np.cos), "exp": (1, np.exp),
+    "heaviside": (1, lambda u: np.where(u >= 0.0, 1.0, 0.0)),
+    "min": (2, np.minimum), "max": (2, np.maximum),
+    "piecewise": (3, lambda c, a, b: np.where(c > 0.0, a, b)),
+}
 
 
 @dataclass(frozen=True)
 class ExprAST:
     root: Node
     free_dims: int
-    text: str = ""
-
-    def __str__(self) -> str:
-        return pretty(self.root)
 
 
 @dataclass(frozen=True)
@@ -139,7 +146,6 @@ def _tokenize(text: str):
 
 class _Parser:
     def __init__(self, text: str):
-        self.text = text
         self.tokens = _tokenize(text)
         self.idx = 0
         self.max_var = 0
@@ -220,35 +226,26 @@ class _Parser:
         return base
 
     def rational_exponent(self, pos: int) -> Fraction:
-        """Exponents are literals or parenthesized literal ratios."""
+        """Exponents are signed literals or literal ratios, bare or in parentheses."""
         sign = 1
         if self.peek()[1] == "-":
             self.advance()
             sign = -1
-        kind, text, p = self.peek()
-        if kind == "num":
+        paren = self.peek()[1] == "("
+        if paren:
             self.advance()
-            frac = Fraction(text).limit_denominator(10 ** 9)
-            if self.peek()[1] == "/":  # forms like 1/2 directly
-                self.advance()
-                k2, t2, p2 = self.peek()
-                if k2 != "num":
-                    raise ExprError("expected a number in rational exponent", p2)
-                self.advance()
-                frac = frac / Fraction(t2)
-            return sign * frac
-        if text == "(":
+        elif self.peek()[0] != "num":
+            raise ExprError("exponent must be a rational constant", pos)
+        frac = Fraction(self.signed_number()).limit_denominator(10 ** 9)
+        if self.peek()[1] == "/":
             self.advance()
-            num = self.signed_number()
-            if self.peek()[1] == "/":
-                self.advance()
-                den = self.signed_number()
-                frac = Fraction(num).limit_denominator(10 ** 9) / Fraction(den).limit_denominator(10 ** 9)
-            else:
-                frac = Fraction(num).limit_denominator(10 ** 9)
+            den = Fraction(self.signed_number()).limit_denominator(10 ** 9)
+            if den == 0:
+                raise ExprError("zero denominator in exponent", pos)
+            frac /= den
+        if paren:
             self.expect(")")
-            return sign * frac
-        raise ExprError("exponent must be a rational constant", pos)
+        return sign * frac
 
     def atom(self) -> Node:
         kind, text, pos = self.peek()
@@ -271,14 +268,14 @@ class _Parser:
                 return Var(j - 1)
             if text == "pi":
                 return Const(float(np.pi))
-            if text in _UNARY | _BINARY | _TERNARY:
+            if text in _INTRINSICS:
                 self.expect("(")
                 args = [self.expression()]
                 while self.peek()[1] == ",":
                     self.advance()
                     args.append(self.expression())
                 self.expect(")")
-                want = 1 if text in _UNARY else (2 if text in _BINARY else 3)
+                want = _INTRINSICS[text][0]
                 if len(args) != want:
                     raise ExprError(f"{text} takes {want} argument(s)", pos)
                 return Call(text, tuple(args))
@@ -289,49 +286,21 @@ class _Parser:
 # ---------------------------------------------------------------------------
 # Singularity derivation
 
-def _to_sympy(node: Node, symbols):
-    import sympy as sp
-
-    if isinstance(node, Const):
-        return sp.Float(node.value)
-    if isinstance(node, Var):
-        return symbols[node.index]
-    if isinstance(node, Neg):
-        return -_to_sympy(node.operand, symbols)
-    if isinstance(node, BinOp):
-        a, b = _to_sympy(node.left, symbols), _to_sympy(node.right, symbols)
-        return {"+": a + b, "-": a - b, "*": a * b, "/": a / b}[node.op]
-    if isinstance(node, Pow):
-        return _to_sympy(node.base, symbols) ** sp.Rational(node.exponent.numerator,
-                                                            node.exponent.denominator)
-    if isinstance(node, Call):
-        args = [_to_sympy(a, symbols) for a in node.args]
-        table = {"abs": sp.Abs, "sin": sp.sin, "cos": sp.cos, "exp": sp.exp,
-                 "heaviside": lambda z: sp.Heaviside(z, 1),
-                 "min": sp.Min, "max": sp.Max}
-        if node.name in table:
-            return table[node.name](*args)
-        if node.name == "piecewise":
-            return sp.Piecewise((args[1], args[0] > 0), (args[2], True))
-    raise ValueError("unsupported node for sympy conversion")
+_MAX_DEGREE = 64  # a candidate of higher degree gives no cut
+_MAX_KINKS = 8  # likewise a candidate with more distinct abs calls (2^8 branches)
 
 
-def _free_vars(node: Node, acc=None) -> set:
-    if acc is None:
-        acc = set()
-    if isinstance(node, Var):
-        acc.add(node.index)
-    elif isinstance(node, BinOp):
-        _free_vars(node.left, acc)
-        _free_vars(node.right, acc)
-    elif isinstance(node, Neg):
-        _free_vars(node.operand, acc)
-    elif isinstance(node, Pow):
-        _free_vars(node.base, acc)
-    elif isinstance(node, Call):
-        for a in node.args:
-            _free_vars(a, acc)
-    return acc
+def _walk(node: Node):
+    """node and its sub-expressions: the Node fields, and the args of a Call."""
+    yield node
+    for value in vars(node).values():
+        for child in value if isinstance(value, tuple) else (value,):
+            if isinstance(child, Node):
+                yield from _walk(child)
+
+
+def _free_vars(node: Node) -> set:
+    return {m.index for m in _walk(node) if isinstance(m, Var)}
 
 
 def _candidate_args(node: Node, out: List[Node]):
@@ -356,29 +325,109 @@ def _candidate_args(node: Node, out: List[Node]):
             _candidate_args(a, out)
 
 
-def _derive_singularities(root: Node, n: int) -> SingularitySet:
+def _poly(node: Node, signs) -> np.ndarray:
+    """node as a polynomial in its one variable, each abs(u) read as signs[abs(u)] * u.
+
+    Fraction coefficients, lowest power first, trimmed (zero is [0]).  A
+    constant c is Fraction(repr(c)); division is by nonzero constants only.
+    Anything else, inf and nan, or a degree above _MAX_DEGREE raise ValueError.
+    """
+    from numpy.polynomial import polynomial as P  # loaded only when there is a candidate
+    if isinstance(node, Const):
+        return np.array([Fraction(repr(node.value))], dtype=object)
+    if isinstance(node, Var):
+        return np.array([Fraction(0), Fraction(1)], dtype=object)
+    if isinstance(node, Neg):
+        return -_poly(node.operand, signs)
+    if isinstance(node, BinOp):
+        a, b = _poly(node.left, signs), _poly(node.right, signs)
+        if node.op == "+":
+            return P.polyadd(a, b)
+        if node.op == "-":
+            return P.polysub(a, b)
+        if node.op == "*" and len(a) + len(b) - 2 <= _MAX_DEGREE:
+            return P.polymul(a, b)
+        if node.op == "/" and len(b) == 1 and b[0] != 0:
+            return a / b[0]
+    if isinstance(node, Pow) and node.exponent.denominator == 1 and 0 <= node.exponent:
+        base = _poly(node.base, signs)
+        if max(len(base) - 1, 1) * node.exponent <= _MAX_DEGREE:
+            return P.polypow(base, int(node.exponent), _MAX_DEGREE)
+    if isinstance(node, Call) and node.name == "abs":
+        return signs[node] * _poly(node.args[0], signs)
+    raise ValueError("not a polynomial")
+
+
+def _real_roots(p: np.ndarray) -> List[Fraction]:
+    """The real zeros of a polynomial p of degree >= 1, each exact when rational.
+
+    p is first made monic and divided by gcd(p, p'), which leaves each zero
+    simple.  Degree 2 has the closed form without cancellation, q = -(b +
+    sgn(b) sqrt(b^2 - 4c)) / 2 and zeros q and c/q; the square root is
+    exact when it is rational, else to 2^-128 relative.  Higher degrees
+    start from numpy's zeros: one whose rounding to a multiple of 1/lead,
+    lead the least common denominator of p, is a zero of p is that
+    rational, and it is divided out exactly before the rest is solved.
+    What has no rational zero keeps numpy's real zeros.
+    """
+    from numpy.polynomial import polynomial as P
+    g, r = p, P.polyder(p)
+    while r.any():
+        g, r = r, P.polydiv(g, r)[1]
+    p = P.polydiv(p, g)[0]
+    p = p / p[-1]
+    if len(p) == 2:
+        return [-p[0]]
+    if len(p) == 3:
+        c, b, disc = p[0], p[1], p[1] * p[1] - 4 * p[0]
+        if disc < 0:
+            return []
+        root = Fraction(math.isqrt(disc.numerator * disc.denominator << 256),
+                        disc.denominator << 128)
+        q = -(b + (root if b >= 0 else -root)) / 2
+        return [q, c / q]
+    lead = math.lcm(*(c.denominator for c in p))
+    zeros = np.roots(p[::-1].astype(float))
+    exact = {Fraction(round(z.real * lead), lead) for z in zeros}
+    exact = [z for z in exact if P.polyval(z, p) == 0]
+    for z in exact:
+        p = P.polydiv(p, np.array([-z, Fraction(1)], dtype=object))[0]
+    if exact:
+        return exact + (_real_roots(p) if len(p) > 1 else [])
+    return [Fraction(z.real) for z in zeros if z.imag == 0]
+
+
+def _zeros(cand: Node) -> List[Fraction]:
+    """Real zeros of a candidate in one variable, ascending.
+
+    Each abs(u) is read as +u on one branch and -u on the other, and a zero
+    of a branch is kept when it lies on that branch.  A candidate that is
+    not a polynomial, or has a branch that is identically zero, gives none.
+    """
+    kinks = list(dict.fromkeys(m for m in _walk(cand) if isinstance(m, Call) and m.name == "abs"))
+    if len(kinks) > _MAX_KINKS:
+        return []
+    zeros = set()
+    try:
+        for signs in itertools.product((1, -1), repeat=len(kinks)):
+            branch = dict(zip(kinks, signs))
+            p = _poly(cand, branch)
+            if not p.any():
+                return []
+            if len(p) > 1:
+                zeros.update(z for z in _real_roots(p) if all(s * sum(
+                    c * z ** i for i, c in enumerate(_poly(k.args[0], branch))) >= 0
+                    for k, s in branch.items()))
+    except (ValueError, OverflowError):
+        return []
+    return sorted(zeros)
+
+
+def _derive_singularities(root: Node) -> SingularitySet:
     candidates: List[Node] = []
     _candidate_args(root, candidates)
     candidates = [c for c in candidates if len(_free_vars(c)) == 1]
-    if not candidates:
-        return SingularitySet()
-    # imported here, not at module level: sympy takes about half of the
-    # import time of ptdiff, and most expressions have nothing to solve
-    import sympy as sp
-
-    hyperplanes: List[Tuple[int, float]] = []
-    symbols = sp.symbols(f"x1:{n + 1}", real=True)
-    for cand in candidates:
-        axis = next(iter(_free_vars(cand)))
-        try:
-            expr = _to_sympy(cand, symbols)
-            roots = sp.solveset(sp.nsimplify(expr, rational=True), symbols[axis], domain=sp.S.Reals)
-        except Exception:
-            continue
-        if isinstance(roots, sp.FiniteSet):
-            for r in roots:
-                if r.is_real:
-                    hyperplanes.append((axis, float(r)))
+    hyperplanes = [(next(iter(_free_vars(c))), float(z)) for c in candidates for z in _zeros(c)]
     return SingularitySet((), tuple(dict.fromkeys(hyperplanes)))
 
 
@@ -394,11 +443,11 @@ def parse(text: str, dims: Optional[int] = None) -> Tuple[ExprAST, SingularitySe
     n = dims if dims is not None else max(p.max_var, 1)
     if p.max_var > n:
         raise ExprError(f"expression uses x{p.max_var} but dimension is {n}")
-    sing = _derive_singularities(root, n)
+    sing = _derive_singularities(root)
     ann_points = tuple(pt if len(pt) == n else tuple(list(pt) + [0.0] * (n - len(pt)))
                        for pt in p.sing_annotations)
     sing = sing.merged(SingularitySet(points=ann_points))
-    return ExprAST(root, n, text), sing
+    return ExprAST(root, n), sing
 
 
 def _eval_node(node: Node, cols: Sequence[np.ndarray]) -> np.ndarray:
@@ -434,32 +483,16 @@ def _eval_node(node: Node, cols: Sequence[np.ndarray]) -> np.ndarray:
     if isinstance(node, Call):
         args = [_eval_node(a, cols) for a in node.args]
         with np.errstate(invalid="ignore", over="ignore"):
-            if node.name == "abs":
-                return np.abs(args[0])
-            if node.name == "sin":
-                return np.sin(args[0])
-            if node.name == "cos":
-                return np.cos(args[0])
-            if node.name == "exp":
-                return np.exp(args[0])
-            if node.name == "heaviside":
-                return np.where(args[0] >= 0.0, 1.0, 0.0)
-            if node.name == "min":
-                return np.minimum(args[0], args[1])
-            if node.name == "max":
-                return np.maximum(args[0], args[1])
-            if node.name == "piecewise":
-                return np.where(args[0] > 0.0, args[1], args[2])
+            return _INTRINSICS[node.name][1](*args)
     raise ExprError(f"cannot evaluate node {node!r}")
 
 
-def eval_expr(ast: ExprAST, x, limits: Sequence[Tuple[Sequence[float], float]] = (),
-              strict: bool = True) -> np.ndarray:
+def eval_expr(ast: ExprAST, x, limits: Sequence[Tuple[Sequence[float], float]] = ()
+              ) -> np.ndarray:
     """IEEE-double evaluation at points (npts, n) or a single point.
 
     Non-finite results at points within 1e-12 of a declared limit point take
-    the declared value; other non-finite results raise DomainError when
-    strict.
+    the declared value; other non-finite results raise DomainError.
     """
     x = np.asarray(x, dtype=float)
     single = x.ndim <= 1
@@ -475,7 +508,7 @@ def eval_expr(ast: ExprAST, x, limits: Sequence[Tuple[Sequence[float], float]] =
             near = bad & (np.linalg.norm(pts - p, axis=1) <= 1e-12)
             vals[near] = value
             bad &= ~near
-        if bad.any() and strict:
+        if bad.any():
             where = pts[np.argmax(bad)]
             raise DomainError(f"evaluation at undeclared singularity near {where.tolist()}")
     return vals[0] if single else vals

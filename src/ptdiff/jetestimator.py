@@ -12,19 +12,25 @@ explicit noise floor so that unresolved radii never enter a verdict.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from .distribution import Distribution, derivative, pair, pair_many, subtract_jet
 from .momentkernel import MAX_DEGREE, MomentKernel, build_kernel
 from .quadrature import QuadratureConfig
-from .tensor import MultiIndex, PolyJet, xi_set
+from .tensor import PolyJet, xi_set
 from .testfn import ProbeDictionary, make_dictionary
 
 CONFIRMED = "confirmed"
 REFUTED = "refuted"
 INCONCLUSIVE = "inconclusive"
+
+CONTRACTION_RATIO = 0.75  # a coefficient's differences must shrink by this per level
+MARGIN = 0.05  # slack on the fitted decay slope
+NOISE_FACTOR = 10.0  # noise floor over the largest quadrature error bound
+GROWTH_FACTOR = 2.0  # envelope growth over the usable radii that refutes a (k, alpha) claim
+TRANSFER_JET_TOL = 1e-5  # largest jet deviation under differentiation
 
 
 def scaled_pairing(T: Distribution, P: PolyJet, a, k: int, phi, r: float,
@@ -45,7 +51,6 @@ class JetConfig:
 
     r0: float = 0.5
     levels: Optional[int] = None  # default: 14 for n=1, 10 for n=2
-    contraction_ratio: float = 0.75
     quad: QuadratureConfig = field(default_factory=lambda: QuadratureConfig(
         rel_tol=1e-11, abs_floor=1e-15, max_cells=2 ** 14))
 
@@ -134,7 +139,7 @@ def estimate_jet(T: Distribution, a, k: int, kernel: Optional[MomentKernel] = No
                 res = next(results)
                 vals[j, c] = res.value
                 bnds[j] = max(bnds[j], res.abs_error_bound)
-        est, conv = _accelerate(vals, config.contraction_ratio)
+        est, conv = _accelerate(vals, CONTRACTION_RATIO)
         traces[xi.entries] = CoefficientTrace(
             xi.entries, tuple(map(float, radii)),
             tuple(tuple(map(float, row)) for row in vals),
@@ -151,10 +156,7 @@ class ClassifierConfig:
 
     r0: float = 1.0
     levels: Optional[int] = None  # default: 18 for n=1, 12 for n=2
-    margin: float = 0.05
     confirm_floor: float = 1e-6
-    noise_factor: float = 10.0
-    growth_factor: float = 2.0
     dict_size: int = 10
     seed: int = 0
     quad: QuadratureConfig = field(default_factory=lambda: QuadratureConfig(
@@ -235,7 +237,7 @@ def classify(T: Distribution, a, k: int, alpha: Optional[float] = None,
             V[m, j] = abs(res.value) * r ** (-expo)
             B[m, j] = res.abs_error_bound * r ** (-expo)
     env = V.max(axis=0)
-    noise = config.noise_factor * B.max(axis=0)
+    noise = NOISE_FACTOR * B.max(axis=0)
     scale = float(env.max())
     labels = tuple(p.label for p in probes.members)
 
@@ -276,7 +278,7 @@ def classify(T: Distribution, a, k: int, alpha: Optional[float] = None,
     # probe values already carry the full scaling exponent (including alpha),
     # so non-decay means slope near zero for a plain order and growth (negative
     # slope) for a (k, alpha) claim
-    target_slope = config.margin if alpha is None else -config.margin
+    target_slope = MARGIN if alpha is None else -MARGIN
     for m in range(nm):
         jj = [j for j in small_third if V[m, j] > max(noise[j], config.confirm_floor * scale)]
         if len(jj) < 3:
@@ -289,7 +291,7 @@ def classify(T: Distribution, a, k: int, alpha: Optional[float] = None,
 
     if alpha is None:
         decayed = env[-1] <= max(noise[-1], config.confirm_floor * scale)
-        strong_decay = beta is not None and beta > config.margin
+        strong_decay = beta is not None and beta > MARGIN
         shrunk = env[np.argsort(radii)[0]] <= 0.1 * scale
         if (decayed or shrunk) and strong_decay and not witnesses:
             return report(CONFIRMED, beta)
@@ -298,15 +300,15 @@ def classify(T: Distribution, a, k: int, alpha: Optional[float] = None,
         return report(INCONCLUSIVE, beta)
 
     # (k, alpha): bounded scaled envelope, i.e. plain slope >= alpha
-    if beta is not None and beta + config.margin >= 0.0 and not witnesses:
+    if beta is not None and beta + MARGIN >= 0.0 and not witnesses:
         return report(CONFIRMED, beta)
     if witnesses:
         srt = np.argsort(radii)
         lo = next((j for j in srt if usable[j]), None)
         hi = next((j for j in srt[::-1] if usable[j]), None)
         grew = lo is not None and hi is not None and lo != hi and \
-            env[lo] > config.growth_factor * env[hi]
-        flat_low = beta is not None and beta + config.margin < 0.0
+            env[lo] > GROWTH_FACTOR * env[hi]
+        flat_low = beta is not None and beta + MARGIN < 0.0
         if grew or flat_low:
             return report(REFUTED, beta, witnesses)
     return report(INCONCLUSIVE, beta)
@@ -334,8 +336,7 @@ class TransferReport:
 def check_derivative_transfer(T: Distribution, a, k: int, l: int = 0,
                               probes: Optional[ProbeDictionary] = None,
                               kernel: Optional[MomentKernel] = None,
-                              config: ClassifierConfig = ClassifierConfig(),
-                              jet_tol: float = 1e-5) -> TransferReport:
+                              config: ClassifierConfig = ClassifierConfig()) -> TransferReport:
     a = np.asarray(a, dtype=float).reshape(T.n)
     if k < 1 or l < 0:
         raise ValueError("need derivative order k >= 1 and jet order l >= 0")
@@ -365,7 +366,7 @@ def check_derivative_transfer(T: Distribution, a, k: int, l: int = 0,
                 dev = max(dev, float(np.max(np.abs(d1 - d2))))
             deviations[o.entries] = dev
             max_dev = max(max_dev, dev)
-            if dev > jet_tol:
+            if dev > TRANSFER_JET_TOL:
                 violation = True
     if violation:
         status = "violation"

@@ -51,28 +51,18 @@ class MomentKernel:
     moment_residuals: Dict[Tuple[int, ...], float]
     deriv_supnorms: Dict[int, float]
 
-    def scaled(self, r: float) -> TestFn:
-        """Phi_r(x) = r^{-n} Phi(x / r); unit mass is preserved."""
-        if r <= 0:
-            raise ValueError("scale must be positive")
-        return self.testfn.rescale(np.zeros(self.n), r).scaled_by(r ** (-self.n))
+    def directed(self, a, r: float, d: int = 1, component: int = 0) -> TestFn:
+        """x -> Phi_r(x - a) e_component with Phi_r(x) = r^{-n} Phi(x / r), values in R^d.
 
-    def translated_scaled(self, a, r: float) -> TestFn:
-        """x -> Phi_r(x - a)."""
-        return self.testfn.rescale(np.asarray(a, dtype=float), r).scaled_by(r ** (-self.n))
-
-    def directed(self, a, r: float, d: int, component: int) -> TestFn:
-        """x -> Phi_r(x - a) e_component, a test function with values in R^d."""
-        fn = self.translated_scaled(a, r)
+        Phi_r keeps the unit mass.
+        """
+        fn = self.testfn.rescale(np.asarray(a, dtype=float), r).scaled_by(r ** (-self.n))
         if d == 1:
             return fn
         atoms = tuple(
             replace(t, coeff=tuple(t.coeff[0] if j == component else 0.0 for j in range(d)))
             for t in fn.atoms)
         return replace(fn, atoms=atoms, d=d)
-
-    def cache_key(self) -> str:
-        return _cache_key(self.n, self.degree)
 
 
 def _angular_moment(p: int, q: int) -> float:
@@ -263,7 +253,7 @@ def verify_reproduction(kernel: MomentKernel, Q: PolyJet, x, r: float,
                         config: QuadratureConfig = QuadratureConfig()) -> float:
     """|(Phi_r * Q)(x) - Q(x)| by quadrature; the defining property defect."""
     x = np.asarray(x, dtype=float).reshape(kernel.n)
-    phi_r = kernel.scaled(r)
+    phi_r = kernel.directed(np.zeros(kernel.n), r)
 
     def f(pts):
         # (Phi_r * Q)(x) = integral Phi_r(y) Q(x - y) dy

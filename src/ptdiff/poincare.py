@@ -24,10 +24,13 @@ from .distribution import (Distribution, derivative, pair, pair_many,
                            polynomial_distribution)
 from .momentkernel import MomentKernel
 from .quadrature import QuadratureConfig
-from .tensor import MultiIndex, PolyJet, xi_set
+from .tensor import PolyJet, xi_set
 from .testfn import ProbeDictionary
 
 Ball = Tuple[Sequence[float], float]
+
+SHRINK_STEPS = 3  # dyadic halvings of the shrinking family
+SHRINK_MEMBERS = 8  # probes in the shrinking family
 
 
 def unit_ball_volume(n: int) -> float:
@@ -45,9 +48,7 @@ class KappaEstimate:
 
 
 def measure_kappa(T: Distribution, k: int, i: int, probes: ProbeDictionary,
-                  K: Ball, config: QuadratureConfig = QuadratureConfig(),
-                  shrink_steps: int = 3,
-                  shrink_members: int = 8) -> KappaEstimate:
+                  K: Ball, config: QuadratureConfig = QuadratureConfig()) -> KappaEstimate:
     """Dictionary lower bound for sup |(D^o T)(phi)| / sup||D^i phi||, |o| = k.
 
     Probes (normalized at order i on the unit ball) are rescaled into K;
@@ -67,7 +68,7 @@ def measure_kappa(T: Distribution, k: int, i: int, probes: ProbeDictionary,
     deriv_Ts = [derivative(T, o) for o in orders]
     # the probes rescaled into K, then the shrinking family at the center of K
     families = [(radius, probes.members)] + [
-        (radius * 2.0 ** (-t), probes.members[:shrink_members]) for t in range(shrink_steps + 1)]
+        (radius * 2.0 ** (-t), probes.members[:SHRINK_MEMBERS]) for t in range(SHRINK_STEPS + 1)]
     results = iter(pair_many([(To, member.rescale(center, s)) for s, members in families
                               for member in members for To in deriv_Ts], config))
     for member in probes.members:
@@ -78,7 +79,7 @@ def measure_kappa(T: Distribution, k: int, i: int, probes: ProbeDictionary,
     levels = [max([abs(next(results).value) * s ** i for _ in members for _ in orders],
                   default=0.0) for s, members in families[1:]]
     growth = tuple(levels[t + 1] / levels[t] if levels[t] > 0 else 0.0
-                   for t in range(shrink_steps))
+                   for t in range(SHRINK_STEPS))
     divergent = all(g > math.sqrt(2.0) for g in growth)
     return KappaEstimate(best, divergent, growth, best_o, best_label)
 
@@ -152,15 +153,12 @@ def build_jet(T: Distribution, a, k: int, kernel: MomentKernel, r: float,
         [(derivative(T, xi), kernel.directed(a, r, T.d, c)) for xi in xis for c in range(T.d)],
         config))
     coeffs = {xi.entries: np.array([next(values) for _ in range(T.d)]) for xi in xis}
-    if not coeffs:
-        return PolyJet.zero(T.n, T.d, a)
     return PolyJet.from_coeff_map(T.n, a, coeffs, target_dim=T.d)
 
 
 def verify(T: Distribution, k: int, i: int, a, kernel: MomentKernel,
            probes: ProbeDictionary, C: Optional[Ball] = None, r: float = 1.0,
            kappa: Optional[float] = None,
-           kappa_probes: Optional[ProbeDictionary] = None,
            config: QuadratureConfig = QuadratureConfig()) -> PoincareReport:
     """Ratio table for the inequality over probes rescaled into C.
 
@@ -174,7 +172,7 @@ def verify(T: Distribution, k: int, i: int, a, kernel: MomentKernel,
     cc = np.asarray(C[0], dtype=float).reshape(T.n)
     cr = float(C[1])
     K: Ball = (tuple(cc), cr + k * r)
-    est = measure_kappa(T, k, i, kappa_probes or probes, K, config)
+    est = measure_kappa(T, k, i, probes, K, config)
     if est.divergent and kappa is None:
         raise DivergentKappaError(
             f"shrinking-family growth {est.growth} exceeds the divergence gate")

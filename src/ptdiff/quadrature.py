@@ -2,7 +2,7 @@
 
 ``integrate_boxes`` refines many integrals (jobs) in lockstep.  Each job
 starts from its box split at declared singular coordinates; every round it
-bisects its worst cells, at most ``batch`` while they are not individually
+bisects its worst cells, at most ``BATCH`` while they are not individually
 negligible, and the new cells of all jobs go to the integrand together.
 Each job keeps its own mesh and running totals, updated in the order of a
 job run alone, so its result does not depend on the other jobs:
@@ -21,8 +21,11 @@ from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 
-# integrand points per call, in whole cells, unless batch cells are more
+# integrand points per call, in whole cells, unless BATCH cells are more
 BLOCK_POINTS = 1 << 13
+GL_ORDER = 16  # Gauss-Legendre nodes per axis of a cell and of its halves
+GL_ORDER_LOW = 10  # the embedded low-order rule
+BATCH = 64  # most cells a job bisects in one round
 
 
 @dataclass(frozen=True)
@@ -31,9 +34,6 @@ class QuadratureConfig:
     abs_floor: float = 1e-14
     max_cells: int = 2 ** 20
     min_width: float = 1e-13
-    gl_order: int = 16
-    gl_order_low: int = 10
-    batch: int = 64
 
 
 class QuadratureNonConvergence(RuntimeError):
@@ -72,18 +72,18 @@ def _halves(lo: np.ndarray, hi: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def _cell_values(f, lo: np.ndarray, hi: np.ndarray, job: np.ndarray,
-                 config: QuadratureConfig, split: bool) -> np.ndarray:
+                 split: bool) -> np.ndarray:
     """Gauss-Legendre values of job-sorted cells, (cells, 1); f sees whole cells.
 
     With split, those of both halves and the embedded low-order value, which
     catches error the widest-axis bisection cannot see, (cells, 3).
     """
     m, n = lo.shape
-    ref, wts = _gl_nodes(config.gl_order, n)
-    low_ref, low_wts = _gl_nodes(config.gl_order_low if split else config.gl_order, n)
+    ref, wts = _gl_nodes(GL_ORDER, n)
+    low_ref, low_wts = _gl_nodes(GL_ORDER_LOW if split else GL_ORDER, n)
     q = len(wts) * split
     out = np.empty((m, 1 + 2 * split))
-    step = max(config.batch, BLOCK_POINTS // (2 * q + len(low_wts)))
+    step = max(BATCH, BLOCK_POINTS // (2 * q + len(low_wts)))
     for s in range(0, m, step):
         l, h = lo[s:s + step], hi[s:s + step]
         pts = l[:, None, :] + low_ref * (h - l)[:, None, :]
@@ -152,12 +152,12 @@ def integrate_boxes(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
     # the new cells (boxes, coarse values, jobs), job-sorted in push order
     lo, hi = np.concatenate([b[0] for b in boxes]), np.concatenate([b[1] for b in boxes])
     job = np.repeat([b[2] for b in boxes], [len(b[0]) for b in boxes])
-    coarse = _cell_values(f, lo, hi, job, config, False)[:, 0]
+    coarse = _cell_values(f, lo, hi, job, False)[:, 0]
     n = lo.shape[1]
     # cells still queued, in insertion order: lo, hi, err, values of the halves, job
     store, size = np.empty((64, 2 * n + 4)), 0
     while len(job):
-        vals = _cell_values(f, lo, hi, job, config, True)
+        vals = _cell_values(f, lo, hi, job, True)
         value = vals[:, 0] + vals[:, 1]
         a, b = np.abs(value - coarse), np.abs(coarse - vals[:, 2])
         err = np.where(b > a, b, a)
@@ -172,7 +172,7 @@ def integrate_boxes(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
         cell_job = store[:size, -1].astype(np.intp)
         active &= ~(te <= tol) & (np.bincount(cell_job, minlength=nj) > 0)
         # per job, its worst cells while they are not negligible, at most
-        # batch; the first negligible cell leaves the queue too, unsplit
+        # BATCH; the first negligible cell leaves the queue too, unsplit
         e = store[:size, 2 * n]
         order = np.lexsort((-e, cell_job))
         ojob = cell_job[order]
@@ -180,8 +180,8 @@ def integrate_boxes(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
         above = np.bincount(ojob, weights=~(e[order] <= (tol / (2 * np.maximum(entries, 1)))[
             ojob]), minlength=nj).astype(np.intp)[ojob]
         mine = active[ojob] & (above > 0)
-        taken = order[mine & (rank < above) & (rank < config.batch)]
-        popped = order[mine & (rank <= above) & (rank < config.batch)]
+        taken = order[mine & (rank < above) & (rank < BATCH)]
+        popped = order[mine & (rank <= above) & (rank < BATCH)]
         active &= np.bincount(ojob, weights=mine, minlength=nj) > 0
 
         width = (store[taken, n:2 * n] - store[taken, :n]).max(axis=1)

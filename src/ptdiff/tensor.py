@@ -1,18 +1,20 @@
-"""Multi-index combinatorics, symmetric tensors, and polynomial jets.
+"""Multi-indices, polynomial jets, and operator norms of symmetric tensors.
 
 The multi-indices of order <= k in dimension n are the rows of a cached
 table, graded by order (``xi_set`` order within one), so each order is a
 contiguous block and a row keeps its place in every larger table.  A
-``PolyJet`` of degree k holds one (N, d) coefficient array over that table
-and a degree-m ``SymTensor`` its (N_m, d) block.  Row ``xi`` is the value
-on the basis monomial ``e^xi = e_1^{xi_1} (.) ... (.) e_n^{xi_n}``;
-multinomial weights are applied on evaluation, so for a jet it is exactly
-``D^xi P(a)``.  Evaluation sums a monomial table against the array term
-by term, differentiation is an index gather and recentering a shift
-matrix.  Many jets stack as (B, N, d), zero-padded to a common degree
-(``stack_jets``); ``recenter_jets``, ``eval_jets`` and ``jet_opnorms`` act
-on such a stack, and the first two give each jet's ``PolyJet`` result bit
-for bit.  No other module reads this layout.
+``PolyJet`` of degree k holds one (N, d) coefficient array over that table,
+row ``xi`` holding ``D^xi P(center)``.  Its order-m block, ``tensor(m)``,
+is the symmetric tensor D^m P(center), row ``xi`` its value on the basis
+monomial ``e^xi``; multinomial weights are applied on evaluation.
+Evaluation sums a monomial table against the array term by term,
+differentiation is an index gather and recentering a shift matrix.  Many
+jets stack as (B, N, d), zero-padded to a common degree (``stack_jets``);
+``recenter_jets``, ``eval_jets`` and ``jet_opnorms`` act on such a stack,
+and the first two give each jet's ``PolyJet`` result bit for bit.
+``opnorms`` is the one operator norm sup_{|v|=1} |psi(v, ..., v)|, over a
+stack of blocks; ``opnorm_bounds`` is its one-block case.  No other module
+reads the row layout.
 """
 
 from __future__ import annotations
@@ -59,21 +61,9 @@ class MultiIndex:
         self._check_dim(other)
         return all(a >= b for a, b in zip(self.entries, other.entries))
 
-    def factorial(self) -> int:
-        out = 1
-        for e in self.entries:
-            out *= math.factorial(e)
-        return out
-
     def _check_dim(self, other: "MultiIndex") -> None:
         if self.n != other.n:
             raise ValueError("dimension mismatch between multi-indices")
-
-    def __iter__(self):
-        return iter(self.entries)
-
-    def __getitem__(self, j):
-        return self.entries[j]
 
 
 def unit_index(n: int, j: int) -> MultiIndex:
@@ -105,11 +95,6 @@ def xi_set(n: int, m: int) -> Tuple[MultiIndex, ...]:
         for rest in xi_set(n - 1, m - first):
             out.append(MultiIndex((first,) + rest.entries))
     return tuple(out)
-
-
-def multinomial(xi: MultiIndex) -> int:
-    """order! / xi! — the number of arrangements of the monomial e^xi."""
-    return math.factorial(xi.order) // xi.factorial()
 
 
 def _size(n: int, k: int) -> int:
@@ -269,66 +254,6 @@ def eval_jets(coeffs: np.ndarray, degrees: np.ndarray, centers: np.ndarray, X: n
     return out
 
 
-@dataclass(frozen=True)
-class SymTensor:
-    """Element of the m-fold symmetric power with values in R^d.
-
-    ``coeffs`` has shape (N_m, d), one row per multi-index in ``xi_set`` order.
-    """
-
-    n: int
-    degree: int
-    target_dim: int
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        shape = (len(xi_set(self.n, self.degree)), self.target_dim)
-        object.__setattr__(self, "coeffs", np.asarray(self.coeffs, dtype=float).reshape(shape))
-
-    @staticmethod
-    def zero(n: int, degree: int, target_dim: int = 1) -> "SymTensor":
-        return SymTensor(n, degree, target_dim, np.zeros((len(xi_set(n, degree)), target_dim)))
-
-    @staticmethod
-    def from_scalar_map(n: int, degree: int, values: Mapping[Tuple[int, ...], float]) -> "SymTensor":
-        psi = SymTensor.zero(n, degree)
-        for key, v in values.items():
-            psi.coeffs[xi_set(n, degree).index(MultiIndex(tuple(key)))] = v
-        return psi
-
-    def __getitem__(self, xi) -> np.ndarray:
-        return self.coeffs[xi_set(self.n, self.degree).index(MultiIndex(tuple(xi)))]
-
-    def __add__(self, other: "SymTensor") -> "SymTensor":
-        if (self.n, self.degree, self.target_dim) != (other.n, other.degree, other.target_dim):
-            raise ValueError("incompatible symmetric tensors")
-        return SymTensor(self.n, self.degree, self.target_dim, self.coeffs + other.coeffs)
-
-    def __sub__(self, other: "SymTensor") -> "SymTensor":
-        return self + other.scale(-1.0)
-
-    def scale(self, c: float) -> "SymTensor":
-        return SymTensor(self.n, self.degree, self.target_dim, c * self.coeffs)
-
-    def max_coeff_norm(self) -> float:
-        return float(np.linalg.norm(self.coeffs, axis=1).max(initial=0.0))
-
-    def l1_bound(self) -> float:
-        """Upper bound for the operator norm: multinomially weighted l1."""
-        return float(_multinomials(self.n, self.degree) @ np.linalg.norm(self.coeffs, axis=1))
-
-
-def interior_mult(o: MultiIndex, psi: SymTensor) -> SymTensor:
-    """Interior multiplication o -| psi: result[zeta] = psi[zeta + o]."""
-    if o.n != psi.n:
-        raise ValueError("dimension mismatch")
-    if o.order > psi.degree:
-        raise ValueError(f"order of {o.entries} exceeds tensor degree {psi.degree}")
-    deg = psi.degree - o.order
-    rows = _shift(psi.n, deg, o.entries)[_block(psi.n, deg)] - _size(psi.n, psi.degree - 1)
-    return SymTensor(psi.n, deg, psi.target_dim, psi.coeffs[rows])
-
-
 SCAN_DIRECTIONS = 720
 _CHUNK = 2 ** 18  # elements in one (tensors x directions) block of the scan
 
@@ -405,22 +330,11 @@ def jet_opnorms(n: int, k: int, coeffs: np.ndarray) -> np.ndarray:
     return out
 
 
-def opnorm_bounds(psi: SymTensor, rel_tol: float = 1e-6) -> Tuple[float, bool]:
-    """Return (value, exact_path).  exact_path is False for the n>2 fallback."""
-    vals, exact = opnorms(psi.n, psi.degree, psi.coeffs[None], rel_tol)
+def opnorm_bounds(n: int, m: int, block: np.ndarray, rel_tol: float = 1e-6
+                  ) -> Tuple[float, bool]:
+    """(operator norm, exact_path) of one order-m tensor, its (N_m, d) block."""
+    vals, exact = opnorms(n, m, np.asarray(block)[None], rel_tol)
     return float(vals[0]), exact
-
-
-def tensor_opnorm(psi: SymTensor, rel_tol: float = 1e-6) -> float:
-    """Sup of |psi(v, ..., v)| over unit vectors v.
-
-    Exact path for n = 1; for n = 2 a deterministic angular grid refined to
-    the requested relative tolerance (an approximation of the multilinear
-    sup from below, with the weighted coefficient-l1 value as an upper
-    bound).  Higher n falls back to the l1 upper bound.
-    """
-    val, _exact = opnorm_bounds(psi, rel_tol)
-    return val
 
 
 @dataclass(frozen=True)
@@ -470,14 +384,11 @@ class PolyJet:
             return np.zeros(self.target_dim)
         return self.coeffs[_row(self.n, xi.order)[xi.entries]]
 
-    def tensor(self, m: int) -> SymTensor:
-        """The order-m derivative tensor D^m P(center); zero beyond the degree bound."""
+    def tensor(self, m: int) -> np.ndarray:
+        """D^m P(center) as its (N_m, d) block in ``xi_set`` order; zero beyond the degree bound."""
         if m > self.degree_bound:
-            return SymTensor.zero(self.n, m, self.target_dim)
-        return SymTensor(self.n, m, self.target_dim, self.coeffs[_block(self.n, m)])
-
-    def __call__(self, x) -> np.ndarray:
-        return self.eval(x)
+            return np.zeros((len(xi_set(self.n, m)), self.target_dim))
+        return self.coeffs[_block(self.n, m)]
 
     def eval(self, x) -> np.ndarray:
         """Evaluate at a point (n,) or batch (npts, n); returns (d,) or (npts, d)."""

@@ -33,7 +33,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -124,24 +124,6 @@ class TestFn:
 
     def derivative_view(self, xi: MultiIndex) -> "DerivedTestFn":
         return DerivedTestFn(self, xi)
-
-    def plus(self, other: "TestFn") -> "TestFn":
-        if (self.n, self.d) != (other.n, other.d):
-            raise ValueError("incompatible test functions")
-        sc = np.asarray(self.support_center)
-        oc = np.asarray(other.support_center)
-        # smallest ball containing both support balls
-        dist = float(np.linalg.norm(sc - oc))
-        if dist < 1e-15:
-            center, radius = sc, max(self.support_radius, other.support_radius)
-        else:
-            lo = min(-self.support_radius, dist - other.support_radius)
-            hi = max(self.support_radius, dist + other.support_radius)
-            center = sc + (oc - sc) / dist * (lo + hi) / 2
-            radius = (hi - lo) / 2
-        return replace(self, atoms=self.atoms + other.atoms,
-                       support_center=tuple(center), support_radius=radius,
-                       max_deriv_order=min(self.max_deriv_order, other.max_deriv_order))
 
 
 @dataclass(frozen=True)
@@ -292,9 +274,6 @@ class DerivedTestFn:
     def eval_deriv(self, xi: MultiIndex, x) -> np.ndarray:
         return self.base.eval_deriv(xi + self.offset, x)
 
-    def __call__(self, x) -> np.ndarray:
-        return self.eval_deriv(zero_index(self.n), x)
-
     def derivative_view(self, xi: MultiIndex) -> "DerivedTestFn":
         return DerivedTestFn(self.base, self.offset + xi)
 
@@ -438,9 +417,6 @@ class ProbeDictionary:
     size: int
     seed: int
     members: Tuple[TestFn, ...]
-
-    def spec(self) -> dict:
-        return {"n": self.n, "d": self.d, "i": self.i, "size": self.size, "seed": self.seed}
 
 
 def _candidate_stream(n: int, d: int, seed: int):

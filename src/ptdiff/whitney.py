@@ -36,6 +36,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -53,6 +54,7 @@ Ball = Tuple[Sequence[float], float]
 _SLAB_MARGIN = 1e-9  # relative margin on the Lipschitz slab bounds
 _PAIR_BLOCK = 2 ** 20  # candidate (point, center) pairs filtered at once
 _GATE_BLOCK = 2 ** 12  # ordered jet pairs of the compatibility gate at once
+_DATA_ATOL = 1e-12  # query rows this close to a data point take its jet
 
 
 def _nearest(points: np.ndarray, X: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -60,16 +62,28 @@ def _nearest(points: np.ndarray, X: np.ndarray) -> Tuple[np.ndarray, np.ndarray]
 
     A running minimum of squared distances over the rows of points, then
     one sqrt: the same distances as the minimum of the norms, in O(npts)
-    memory.  With no points the distance is inf.
+    memory.  With no points the distance is inf.  Coordinates above 2^500
+    would overflow the squares, so then all are first scaled by one exact
+    power of two.  A row whose smallest squared distances tie in floating
+    point takes the nearest point in exact rational arithmetic, the first
+    of exact ties: far from the points, their distances round to one value.
     """
+    top = max(np.abs(points).max(initial=0.0), np.abs(X).max(initial=0.0))
+    scale = 2.0 ** (500 - math.frexp(top)[1]) if 2.0 ** 500 < top < math.inf else 1.0
     best = np.full(X.shape[0], np.inf)
     arg = np.zeros(X.shape[0], dtype=np.int64)
-    for j, p in enumerate(points):
-        d2 = np.sum((X - p) ** 2, axis=1)
+    tied = np.zeros(X.shape[0], dtype=bool)
+    Xs = X * scale
+    for j, p in enumerate(points * scale):
+        d2 = cores.sq_norms(Xs - p)
         closer = d2 < best
+        tied = ~closer & (tied | (d2 == best))
         best[closer] = d2[closer]
         arg[closer] = j
-    return arg, np.sqrt(best)
+    for i in np.flatnonzero(tied & np.isfinite(X).all(axis=1)):
+        exact = [sum((Fraction(a) - Fraction(b)) ** 2 for a, b in zip(X[i], p)) for p in points]
+        arg[i] = exact.index(min(exact))
+    return arg, np.sqrt(best) / scale
 
 
 @dataclass(frozen=True)
@@ -178,7 +192,8 @@ def _pair_term(F: JetField, ia: int, ib: int, m: int) -> Tuple[float, float]:
     """(||D^m P_a(b) - D^m P_b(b)|| |a-b|^{m-k} (k-m)!, |a-b|) of one pair, as one tensor."""
     k, b = F.degree, F.points[ib]
     dist = float(np.linalg.norm(np.subtract(F.points[ia], b)))
-    norm, _ = opnorm_bounds(F.jets[ia].recenter(b).tensor(m) - F.jets[ib].recenter(b).tensor(m))
+    Pa, Pb = F.jets[ia].recenter(b), F.jets[ib].recenter(b)
+    norm, _ = opnorm_bounds(F.n, m, Pa.tensor(m) - Pb.tensor(m))
     # |a-b|^0 = 1 exactly, so the top order skips its power
     return norm * (math.pow(dist, m - k) if m < k else 1.0) * math.factorial(k - m), dist
 
@@ -373,15 +388,6 @@ class WhitneyPartition:
             v[~covered] = 0.0
         return rows, ci, D
 
-    def weights(self, x) -> Tuple[np.ndarray, np.ndarray]:
-        """(active center indices, zeta values) at a single point."""
-        return self.weight_deriv(x, zero_index(self.n))
-
-    def weight_deriv(self, x, xi: MultiIndex) -> Tuple[np.ndarray, np.ndarray]:
-        """(active indices, D^xi zeta values) at a single point; |xi| <= 2."""
-        _, idx, D = self.weight_jets(np.asarray(x, dtype=float).reshape(1, self.n), xi.order)
-        return idx, D[xi]
-
 
 def _candidate_grid(A: ASet, region: Ball, n: int, max_level: int) -> np.ndarray:
     center = np.asarray(region[0], dtype=float).reshape(n)
@@ -566,12 +572,11 @@ class WhitneyExtension:
     partition: WhitneyPartition
     nearest: np.ndarray  # index into field.points per center
     kappa_F: float
-    atol: float = 1e-12
 
     def eval(self, x, xi: Optional[MultiIndex] = None) -> np.ndarray:
         """D^xi g at a point (n,) or a batch (npts, n); returns (d,) or (npts, d).
 
-        Rows within ``atol`` of a data point take the nearest jet.  So do
+        Rows within ``_DATA_ATOL`` of a data point take the nearest jet.  So do
         rows in the collar around A below the grid resolution, where the
         packing has no coverage: the nearest jet is the limit value there.
         """
@@ -584,7 +589,7 @@ class WhitneyExtension:
             nearest, dist = _nearest(np.asarray(self.field.points, dtype=float), X)
             rows, ci, D = self.partition.weight_jets(X, xi.order)
             covered = np.bincount(rows, weights=D[zero_index(n)], minlength=X.shape[0]) > 0.0
-            own = (dist <= self.atol) | ~covered
+            own = (dist <= _DATA_ATOL) | ~covered
             out[own] = self._jets_at(nearest[own], X[own], xi)
             # sum_{eta <= xi} C(xi, eta) D^eta zeta_c D^{xi - eta} P_{xi(c)}, accumulated
             # per row in (eta, c) order
@@ -606,9 +611,6 @@ class WhitneyExtension:
         """D^xi P_which[p] at X[p] for each row p, from the field's stacked jets."""
         F = self.field
         return eval_jets(F.coeffs[which], F.degrees[which], F.centers[which], X, xi)
-
-    def __call__(self, x) -> np.ndarray:
-        return self.eval(x)
 
 
 def extend(F: JetField, region: Optional[Ball] = None,

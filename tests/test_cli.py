@@ -2,6 +2,7 @@
 
 import json
 import shutil
+import warnings
 
 import pytest
 
@@ -165,6 +166,22 @@ class TestWhitneyCommand:
         path.write_text(json.dumps(doc))
         assert run(["whitney", "--field", str(path), "--out", str(tmp_path)]) == 3
         assert "finite" in capsys.readouterr().err
+
+    def test_far_query_takes_nearest_jet(self, tmp_path):
+        # the squared distances of 1e155 overflow, and its distances to the
+        # points round to one value; the nearest point is 1, with the zero jet
+        doc = {"degree": 2, "alpha": 1.0, "points": [[0.0], [0.5], [1.0]],
+               "jets": [{"coeffs": {"0": 3.0}}, {"coeffs": {"0": 0.25, "1": 1.0, "2": 2.0}},
+                        {"coeffs": {}}]}
+        path = tmp_path / "far.json"
+        path.write_text(json.dumps(doc))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = run(["whitney", "--field", str(path), "--query", "1e155;-1e155",
+                        "--out", str(tmp_path)])
+        assert code == 0
+        lines = (tmp_path / "whitney_extension.csv").read_text().splitlines()
+        assert [float(line.split(",")[1]) for line in lines[1:]] == [0.0, 3.0]
 
     def test_nonfinite_query_is_input_error(self, tmp_path, capsys):
         path = self.field_doc(tmp_path)

@@ -1,6 +1,7 @@
 """Atom pairing engine: delta rules, integration by parts, locality, dual norm."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,6 +11,11 @@ from ptdiff import (MultiIndex, PolyJet, QuadratureConfig, delta_distribution,
                     pair, polynomial_distribution, standard_bump, subtract_jet)
 
 BUMP_MASS_1D = 0.4439938161680793
+
+
+def plus(f, g):
+    """f + g for a test function g supported inside f's support ball."""
+    return replace(f, atoms=f.atoms + g.atoms)
 
 
 class TestPair:
@@ -92,8 +98,7 @@ class TestSubtractJet:
         phi = standard_bump(1)
         vals = []
         for r in (0.2, 0.1, 0.05):
-            probe = phi.rescale([0.0], r).plus(
-                phi.rescale([0.3 * r], 0.5 * r).scaled_by(2.0))
+            probe = plus(phi.rescale([0.0], r), phi.rescale([0.3 * r], 0.5 * r).scaled_by(2.0))
             vals.append(abs(pair(R, probe).value))
         assert vals[1] / vals[0] == pytest.approx(2.0 ** -4, rel=0.2)
         assert vals[2] / vals[1] == pytest.approx(2.0 ** -4, rel=0.2)
@@ -107,7 +112,7 @@ class TestLinearity:
         shifted = standard_bump(1).rescale([0.2], 0.6)
         for _ in range(50):
             a, b = rng.normal(size=2)
-            combo = base.scaled_by(a).plus(shifted.scaled_by(b))
+            combo = plus(base.scaled_by(a), shifted.scaled_by(b))
             lhs = pair(T, combo)
             rhs = a * pair(T, base).value + b * pair(T, shifted).value
             tol = lhs.abs_error_bound + (abs(a) + abs(b)) * 1e-9 + 1e-12

@@ -4,9 +4,63 @@ import math
 
 import numpy as np
 import pytest
+import sympy as sp
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ptdiff import parse
-from ptdiff.funcexpr import DomainError, ExprError, eval_expr, pretty
+from ptdiff.funcexpr import (BinOp, Call, Const, DomainError, ExprError, Neg, Pow, Var,
+                             _candidate_args, _free_vars, _zeros, eval_expr, pretty)
+
+X1 = sp.Symbol("x1", real=True)
+
+
+def to_sympy(node):
+    """An AST in the one variable x1 as a sympy expression: the oracle's input."""
+    if isinstance(node, Const):
+        return sp.Float(node.value)
+    if isinstance(node, Var):
+        return X1
+    if isinstance(node, Neg):
+        return -to_sympy(node.operand)
+    if isinstance(node, BinOp):
+        a, b = to_sympy(node.left), to_sympy(node.right)
+        return {"+": a + b, "-": a - b, "*": a * b, "/": a / b}[node.op]
+    if isinstance(node, Pow):
+        e = node.exponent
+        return to_sympy(node.base) ** sp.Rational(e.numerator, e.denominator)
+    if isinstance(node, Call) and node.name == "abs":
+        return sp.Abs(to_sympy(node.args[0]))
+    raise ValueError(f"no sympy form for {node!r}")
+
+
+def solveset_cuts(cand):
+    """(float, is rational) of each real zero, by sympy; none unless a FiniteSet.
+
+    Where sympy raises, as for some zero coefficients, there is no cut either.
+    """
+    try:
+        roots = sp.solveset(sp.nsimplify(to_sympy(cand), rational=True), X1,
+                            domain=sp.S.Reals)
+    except Exception:
+        return []
+    if not isinstance(roots, sp.FiniteSet):
+        return []
+    return sorted((float(r), bool(r.is_rational)) for r in roots if r.is_real)
+
+
+# constants of at most 15 significant digits, which sympy's nsimplify reads
+# as the same rational as Fraction(repr(c))
+CONST = st.builds(lambda i, d: f"({i / 10 ** d!r})", st.integers(-400, 400), st.integers(0, 2))
+LINEAR = st.builds("{}*x1 + {}".format, CONST, CONST)
+QUADRATIC = st.builds("{}*x1^2 + {}*x1 + {}".format, CONST, CONST, CONST)
+CANDIDATES = st.one_of(
+    LINEAR, QUADRATIC,
+    st.builds("({})*({})".format, LINEAR, QUADRATIC),
+    st.builds("({})*({})*({})".format, LINEAR, LINEAR, LINEAR),
+    st.builds("({})^{}".format, LINEAR, st.integers(2, 4)),
+    st.builds("abs({}) - {}".format, st.one_of(LINEAR, QUADRATIC), CONST),
+    st.builds("x1*abs({}) + {}".format, LINEAR, CONST))
 
 
 class TestParse:
@@ -35,6 +89,57 @@ class TestParse:
         with pytest.raises(ExprError):
             parse("x3", dims=2)
 
+    @pytest.mark.parametrize("text,cuts", [
+        ("heaviside(abs(x1)-0.5)", [-0.5, 0.0, 0.5]),
+        ("1/(0.3*x1-0.1)", [1 / 3]),
+        ("1/(x1^2-2)", [-math.sqrt(2), math.sqrt(2)]),
+        ("1/(x1^3-x1)", [-1.0, 0.0, 1.0]),
+        ("1/(x1-1)^3", [1.0]),
+        # sympy's solveset finds no zero of the first; the second is not a
+        # polynomial; the third has an identically zero branch, and its one
+        # cut is the zero of its abs argument
+        ("heaviside(abs(abs(14*x1+2.95)-2.35)-14)",
+         [-1.3785714285714286, -0.37857142857142856, -0.21071428571428572,
+          -0.04285714285714286, 0.9571428571428572]),
+        ("heaviside(exp(x1)-1)", []),
+        ("heaviside(abs(x1)-x1)", [0.0]),
+    ])
+    def test_cut_points(self, text, cuts):
+        _, sing = parse(text)
+        assert sorted(v for _, v in sing.hyperplanes) == sorted(cuts)
+
+    @given(CANDIDATES)
+    @settings(max_examples=60, deadline=None)
+    def test_cuts_match_solveset(self, text):
+        """Rational zeros as sympy's exactly, irrational ones to 4 ulp."""
+        ast, _ = parse(f"heaviside({text})")
+        candidates = []
+        _candidate_args(ast.root, candidates)
+        for cand in candidates:
+            if len(_free_vars(cand)) != 1:
+                continue
+            got = [float(z) for z in _zeros(cand)]
+            want = solveset_cuts(cand)
+            assert len(got) == len(want), (text, got, want)
+            for g, (w, rational) in zip(got, want):
+                assert g == w if rational else abs(g - w) <= 4 * math.ulp(w), (text, got, want)
+
+
+ATOMS = st.one_of(st.sampled_from(["x1", "x2", "pi", "0"]),
+                  st.integers(0, 10 ** 6).map(str),
+                  st.floats(0.0, 1e6).map("{:.6f}".format))
+EXPRS = st.recursive(ATOMS, lambda inner: st.one_of(
+    st.builds("({} {} {})".format, inner, st.sampled_from("+-*/"), inner),
+    st.builds("-{}".format, inner),
+    st.builds("{}^{}".format, inner, st.sampled_from(["2", "-1", "(1/2)", "(-3/4)", "0",
+                                                      "(1/0)", "1/3", "(0.5)"])),
+    st.builds("{}({})".format, st.sampled_from(["abs", "sin", "cos", "exp", "heaviside"]),
+              inner),
+    st.builds("{}({}, {})".format, st.sampled_from(["min", "max"]), inner, inner),
+    st.builds("piecewise({}, {}, {})".format, inner, inner, inner)), max_leaves=10)
+# well-formed expressions, and text from the grammar's alphabet, mostly malformed
+TEXTS = st.one_of(EXPRS, st.text("x12.0+-*/^(),absinpw@ ", max_size=24))
+
 
 class TestEval:
     def test_sqrt_value(self):
@@ -56,13 +161,27 @@ class TestEval:
         with pytest.raises(DomainError):
             eval_expr(ast, [0.0])
 
-    def test_roundtrip_structural(self):
-        for text in ("abs(x1)^(1/2)", "x1^2*sin(1/x1)", "heaviside(x1)",
-                     "exp(-x1)", "piecewise(x1-0.5, 1, 0)", "min(x1, x2)",
-                     "x1^3+2*x1", "sin(x1/4)"):
+    @given(TEXTS)
+    @settings(max_examples=300, deadline=None)
+    @example("abs(x1)^(1/2)")
+    @example("x1^2*sin(1/x1)")
+    @example("heaviside(x1)")
+    @example("exp(-x1)")
+    @example("piecewise(x1-0.5, 1, 0)")
+    @example("min(x1, x2)")
+    @example("x1^3+2*x1")
+    @example("sin(x1/4)")
+    @example("x1^(-3/4) - pi")
+    def test_roundtrip_structural(self, text):
+        """parse either raises ExprError or round-trips through pretty."""
+        try:
             ast, _ = parse(text)
-            ast2, _ = parse(pretty(ast.root))
-            assert pretty(ast.root) == pretty(ast2.root)
+        except ExprError:
+            return
+        printed = pretty(ast.root)
+        again, _ = parse(printed, ast.free_dims)
+        assert again.root == ast.root
+        assert pretty(again.root) == printed
 
     def test_reference_table(self, corpus):
         """Every corpus function agrees with an independent numpy evaluation."""

@@ -1,4 +1,4 @@
-"""Multi-index enumeration, symmetric tensors, jets, operator norms."""
+"""Multi-index enumeration, jets, their tensor blocks, operator norms."""
 
 import itertools
 import math
@@ -9,8 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import dense_directional_max
-from ptdiff import (MultiIndex, PolyJet, SymTensor, interior_mult,
-                    opnorm_bounds, tensor_opnorm, xi_set, zero_index)
+from ptdiff import MultiIndex, PolyJet, opnorm_bounds, xi_set, zero_index
 from ptdiff.tensor import eval_jets, jet_opnorms, recenter_jets, stack_jets
 
 
@@ -37,43 +36,44 @@ class TestXiSet:
         assert all(x.order == m and x.n == n for x in xs)
 
 
+def top_form(n, k, values):
+    """The jet whose only nonzero block is the order-k one, rows in xi_set order."""
+    return PolyJet.from_coeff_map(n, np.zeros(n), dict(zip(
+        [xi.entries for xi in xi_set(n, k)], values)))
+
+
 class TestInteriorMult:
+    """o -| psi, psi[zeta + o] at zeta, is the top block of the derivative D^o."""
+
     def test_shift_example(self):
-        psi = SymTensor.from_scalar_map(2, 2, {(2, 0): 1.0, (1, 1): 2.0, (0, 2): 3.0})
-        out = interior_mult(MultiIndex((1, 0)), psi)
-        assert out.degree == 1
-        assert out[MultiIndex((1, 0))][0] == 1.0
-        assert out[MultiIndex((0, 1))][0] == 2.0
+        out = top_form(2, 2, [1.0, 2.0, 3.0]).derivative(MultiIndex((1, 0)))
+        assert out.degree_bound == 1
+        assert out.tensor(1)[:, 0].tolist() == [1.0, 2.0]
 
     def test_zero_index_identity(self):
-        psi = SymTensor.from_scalar_map(2, 2, {(2, 0): 1.0, (1, 1): 2.0, (0, 2): 3.0})
-        out = interior_mult(zero_index(2), psi)
-        for xi in xi_set(2, 2):
-            assert out[xi][0] == psi[xi][0]
+        P = top_form(2, 2, [1.0, 2.0, 3.0])
+        assert P.derivative(zero_index(2)).tensor(2).tolist() == P.tensor(2).tolist()
 
     def test_full_contraction_scalar(self):
-        psi = SymTensor.from_scalar_map(2, 2, {(2, 0): 1.0, (1, 1): 2.0, (0, 2): 3.0})
-        out = interior_mult(MultiIndex((1, 1)), psi)
-        assert out.degree == 0
-        assert out[MultiIndex((0, 0))][0] == 2.0
+        out = top_form(2, 2, [1.0, 2.0, 3.0]).derivative(MultiIndex((1, 1)))
+        assert out.degree_bound == 0
+        assert out.tensor(0)[0, 0] == 2.0
 
     def test_coefficient_shift_exhaustive(self):
         # (o interior psi)[zeta] = psi[zeta + o] for n <= 3, degrees <= 4
         rng = np.random.default_rng(3)
         for n in (1, 2, 3):
             for k in range(0, 5):
-                psi = SymTensor.from_scalar_map(
-                    n, k, {xi.entries: float(rng.normal()) for xi in xi_set(n, k)})
+                P = top_form(n, k, rng.normal(size=len(xi_set(n, k))))
                 for m in range(0, k + 1):
                     for o in xi_set(n, m):
-                        out = interior_mult(o, psi)
+                        out = P.derivative(o)
                         for zeta in xi_set(n, k - m):
-                            assert out[zeta][0] == psi[zeta + o][0]
+                            assert out.coefficient(zeta)[0] == P.coefficient(zeta + o)[0]
 
-    def test_order_mismatch_rejected(self):
-        psi = SymTensor.from_scalar_map(1, 1, {(1,): 1.0})
+    def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            interior_mult(MultiIndex((2,)), psi)
+            top_form(1, 1, [1.0]).derivative(MultiIndex((1, 0)))
 
 
 def random_jet(rng, n, k, d=1):
@@ -210,7 +210,7 @@ class TestStackedJets:
         got = jet_opnorms(n, 3, coeffs)
         assert got.shape == (30, 4)
         for row, P in zip(got, jets):
-            want = [opnorm_bounds(P.tensor(m))[0] for m in range(4)]
+            want = [opnorm_bounds(n, m, P.tensor(m))[0] for m in range(4)]
             if n == 1:
                 assert row.tolist() == want
             else:
@@ -221,24 +221,25 @@ class TestStackedJets:
 
 class TestOpnorm:
     def test_linear_functional_euclidean(self):
-        psi = SymTensor.from_scalar_map(2, 1, {(1, 0): 3.0, (0, 1): 4.0})
-        assert tensor_opnorm(psi) == pytest.approx(5.0, rel=1e-5)
+        assert opnorm_bounds(2, 1, [[3.0], [4.0]])[0] == pytest.approx(5.0, rel=1e-5)
 
     def test_zero_tensor(self):
-        assert tensor_opnorm(SymTensor.zero(2, 2)) == 0.0
+        assert opnorm_bounds(2, 2, np.zeros((3, 1)))[0] == 0.0
 
     def test_identity_form_spectral(self):
-        psi = SymTensor.from_scalar_map(2, 2, {(2, 0): 1.0, (1, 1): 0.0, (0, 2): 1.0})
-        assert tensor_opnorm(psi) == pytest.approx(1.0, rel=1e-5)
+        assert opnorm_bounds(2, 2, [[1.0], [0.0], [1.0]])[0] == pytest.approx(1.0, rel=1e-5)
 
     @given(st.integers(1, 2), st.integers(1, 4), st.integers(0, 10 ** 6))
     @settings(max_examples=30, deadline=None)
     def test_between_coefficient_bounds(self, n, k, seed):
         rng = np.random.default_rng(seed)
-        psi = SymTensor.from_scalar_map(
-            n, k, {xi.entries: float(rng.normal()) for xi in xi_set(n, k)})
-        value, certified = opnorm_bounds(psi)
-        assert psi.max_coeff_norm() - 1e-9 <= value <= psi.l1_bound() + 1e-9
+        block = rng.normal(size=(len(xi_set(n, k)), 1))
+        value, certified = opnorm_bounds(n, k, block)
+        # largest coefficient below, multinomially weighted l1 above
+        weights = [math.factorial(k) / math.prod(map(math.factorial, xi.entries))
+                   for xi in xi_set(n, k)]
+        rows = np.abs(block[:, 0])
+        assert rows.max() - 1e-9 <= value <= float(np.dot(weights, rows)) + 1e-9
         assert certified in (True, False)
 
     @pytest.mark.parametrize("degree", [1, 2, 3, 4])
@@ -247,7 +248,7 @@ class TestOpnorm:
         for d in (1, 2):
             for _ in range(10):
                 coeffs = rng.normal(size=(degree + 1, d))
-                value, certified = opnorm_bounds(SymTensor(2, degree, d, coeffs))
+                value, certified = opnorm_bounds(2, degree, coeffs)
                 ref = dense_directional_max(coeffs[None], degree)[0]
                 assert certified
                 assert abs(value - ref) <= 1e-4 * ref, (d, value, ref)

@@ -8,10 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import dense_directional_max
-from ptdiff import (MultiIndex, bump_monomial, make_dictionary, seminorm,
+from ptdiff import (MultiIndex, TestFn, bump_monomial, make_dictionary, seminorm,
                     standard_bump, xi_set)
 from ptdiff import cores, testfn
-from ptdiff.cores import UnsupportedOrderError, bump_1d
+from ptdiff.cores import UnsupportedOrderError
 from ptdiff.testfn import _candidate_stream, _sum_of_bumps
 
 
@@ -57,8 +57,8 @@ class TestEvalDeriv:
         xs = np.linspace(-0.9, 0.9, 11)
         b = standard_bump(1)
         np.testing.assert_allclose(
-            bump_1d(xs), b.eval_deriv(MultiIndex((0,)), xs[:, None])[:, 0],
-            rtol=1e-14)
+            cores.core_eval(1, cores.BUMP, None, MultiIndex((0,)), xs[:, None]),
+            b.eval_deriv(MultiIndex((0,)), xs[:, None])[:, 0], rtol=1e-14)
 
 
 def _off_axis_probe(seed):
@@ -137,9 +137,11 @@ def _boundary_points(phi, rng, count=6):
 
 def _mixed_kinds():
     """Bump and bump-times-monomial atoms at different centers: two core groups."""
-    mono = bump_monomial(2, (1, 1)).rescale([0.2, -0.1], 0.6)
-    return mono.plus(standard_bump(2).rescale([-0.3, 0.25], 0.5)).plus(
-        bump_monomial(2, (0, 2)).rescale([0.1, 0.3], 0.4))
+    fns = (bump_monomial(2, (1, 1)).rescale([0.2, -0.1], 0.6),
+           standard_bump(2).rescale([-0.3, 0.25], 0.5),
+           bump_monomial(2, (0, 2)).rescale([0.1, 0.3], 0.4))
+    # every support ball lies in B(0, 1)
+    return TestFn(2, 1, sum((f.atoms for f in fns), ()), (0.0, 0.0), 1.0)
 
 
 BATCH_PROBES = {
@@ -151,7 +153,7 @@ BATCH_PROBES = {
     "odd_plateau_2d_axis1_w0.2": lambda kc: _probe(2, "odd_plateau_axis1_w0.2"),
     "random_2d_rescaled": lambda kc: _probe(2, "random_1").rescale([0.3, -0.2], 0.7),
     "mixed_kinds_2d": lambda kc: _mixed_kinds(),
-    "moment_kernel_1d_deg4": lambda kc: kc(1, 4).translated_scaled([0.1], 0.3),
+    "moment_kernel_1d_deg4": lambda kc: kc(1, 4).directed([0.1], 0.3),
     "derived_plateau_1d": lambda kc: _probe(1, "plateau_w0.1").derivative_view(
         MultiIndex((1,))),
 }
