@@ -3,12 +3,15 @@
 Integration by parts is applied eagerly: a DerivativeAtom never
 differentiates the function data, only the (smooth by construction) test
 function.  Polynomial atoms met at the same nesting level are merged into
-a single jet before quadrature so that jet subtraction cancels at the
-coefficient level rather than between separately integrated atoms.
+a single jet, so that jet subtraction cancels at the coefficient level.
+The merged jet is paired in closed form, as delta atoms are: a test
+function is a sum of bump atoms, so a polynomial pairs with it through a
+finite sum of bump moments, with no quadrature.
 
-``pair_many`` runs the integrals of many pairings in one quadrature engine,
-each on its own mesh, and adds each pairing's parts in atom order, so
-every result is the pairing's alone: ``pair`` is the one-pair case.
+``pair_many`` runs the integrals of function atoms of many pairings in one
+quadrature engine, each on its own mesh, pairs all their polynomial parts
+in one array pass, and adds each pairing's parts in atom order, so every
+result is the pairing's alone: ``pair`` is the one-pair case.
 """
 
 from __future__ import annotations
@@ -20,12 +23,16 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from . import cores
 from .funcexpr import ExprAST, SingularitySet, eval_expr, parse
+from .momentkernel import moment_table
 from .quadrature import QuadratureConfig, integrate_boxes
-from .tensor import MultiIndex, PolyJet, zero_index
+from .tensor import MultiIndex, PolyJet, taylor_moments, zero_index
 from .testfn import DerivedTestFn, ProbeDictionary, StackedFns, eval_stacked
 
 MAX_DERIVATIVE_DEPTH = 8
+# (jet, atom) rows per closed-form block, which bounds the temporaries
+POLY_BLOCK = 1 << 10
 
 
 @dataclass(frozen=True)
@@ -186,6 +193,59 @@ def _walk(T: Distribution, phi, part, memo: dict) -> PairingResult:
     return PairingResult(value, err, cells)
 
 
+def _base_and_offset(phi) -> Tuple[object, MultiIndex]:
+    """(psi, delta) with phi = D^delta psi and psi a TestFn."""
+    if isinstance(phi, DerivedTestFn):
+        return phi.base, phi.offset
+    return phi, zero_index(phi.n)
+
+
+def _polynomial(parts: Sequence[Tuple[PolyJet, object]]) -> List[Tuple[float, float, int]]:
+    """(value, bound, 0) of each integral <P, phi>, in closed form.
+
+    With phi = D^delta psi and psi = sum_a coeff_a core((x - c_a) / rho_a),
+    whose core is u^core_xi_a bump(u), Taylor expansion of D^delta P at c_a
+    gives
+
+        (-1)^|delta| sum_a sum_xi <coeff_a, D^(xi + delta) P(c_a)>
+                                  rho_a^(n + |xi|) M(xi + core_xi_a) / xi!
+
+    with M the bump moments of ``moment_table``.  The bound is the sum over
+    the terms of their coefficient times the moment's quadrature bound, plus
+    64 eps times the term.  It takes each coefficient from |P| recentred
+    over |c_a - center|, a majorant that also covers cancellation in the
+    recentring.  Each part adds its atoms in atom order, so its result does
+    not depend on the other parts.
+    """
+    results: list = [None] * len(parts)
+    shapes: dict = {}  # jets of one dimension, target and degree stack
+    for i, (P, _) in enumerate(parts):
+        shapes.setdefault((P.n, P.target_dim, P.degree_bound), []).append(i)
+    for (n, _, k), idx in shapes.items():
+        st = StackedFns.of([_base_and_offset(parts[i][1]) for i in idx])
+        jets = np.stack([parts[i][0].coeffs for i in idx])
+        h = st.centers - np.stack([parts[i][0].center for i in idx])[st.job]
+        top = max(sum(core or ()) for _, core, _ in st.groups)
+        M, M_bound = moment_table(n, k + top)
+        M_abs = M_bound + 64 * np.finfo(float).eps * np.abs(M)
+        terms = np.zeros((len(st.job), 2))  # value and bound of each (part, atom)
+        for g, (kind, core, delta) in enumerate(st.groups):
+            c = core if kind == cores.BUMP_MONOMIAL else (0,) * n
+            sel = np.flatnonzero(st.group == g)
+            for rows in (sel[s:s + POLY_BLOCK] for s in range(0, len(sel), POLY_BLOCK)):
+                rho, coeff, C = st.radii[rows], st.coeffs[rows], jets[st.job[rows]]
+                S = taylor_moments(C, k, h[rows], delta.entries, c, rho, M)
+                A = taylor_moments(np.abs(C), k, np.abs(h[rows]), delta.entries, c, rho, M_abs)
+                w = rho ** n
+                terms[rows, 0] = (-1.0) ** delta.order * w * np.sum(S * coeff, axis=1)
+                terms[rows, 1] = w * np.sum(A * np.abs(coeff), axis=1)
+        totals = np.zeros((len(idx), 2))
+        np.add.at(totals, st.job, terms)
+        for i, (v, e) in zip(idx, totals.tolist()):
+            results[i] = (v, e, 0)
+    return results
+
+
 def _integrand(jobs: list, n: int):
     """The engine's f(pts, job): data times phi.  A 2-D cell has hundreds of
     points, so each job's run goes to its own test function; 1-D runs go to
@@ -202,8 +262,7 @@ def _integrand(jobs: list, n: int):
                                      phi.eval_deriv(zero, pts[s:e]))
             return out
         return own
-    stack = StackedFns.of([(phi.base, phi.offset) if isinstance(phi, DerivedTestFn)
-                           else (phi, zero) for _, phi, _ in jobs])
+    stack = StackedFns.of([_base_and_offset(phi) for _, phi, _ in jobs])
     index: dict = {}
     which_data = np.array([index.setdefault(id(data), len(index)) for data, _, _ in jobs])
     data = list({id(data): data for data, _, _ in jobs}.values())
@@ -232,6 +291,9 @@ def pair_many(pairs: Sequence[Tuple[Distribution, object]],
         _walk(T, phi, lambda *part: parts.append(part) or (0.0, 0.0, 0), memo)
     results = [_delta(data, phi) if isinstance(data, DeltaAtom) else None
                for data, phi, _ in parts]
+    poly = [i for i, (data, _, _) in enumerate(parts) if isinstance(data, PolyJet)]
+    for i, r in zip(poly, _polynomial([parts[i][:2] for i in poly])):
+        results[i] = r
     shapes: dict = {}  # the integrals: one engine per (n, d)
     for i, (_, phi, _) in enumerate(parts):
         if results[i] is None:

@@ -144,6 +144,13 @@ def _tokenize(text: str):
     return tokens
 
 
+def _number(text: str, pos: int) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ExprError(f"number {text[:20]}... out of range", pos)
+    return value
+
+
 class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
@@ -191,7 +198,7 @@ class _Parser:
         if kind != "num":
             raise ExprError("expected a number", pos)
         self.advance()
-        return sign * float(text)
+        return sign * _number(text, pos)
 
     def expression(self) -> Node:
         node = self.term()
@@ -251,7 +258,7 @@ class _Parser:
         kind, text, pos = self.peek()
         if kind == "num":
             self.advance()
-            return Const(float(text))
+            return Const(_number(text, pos))
         if text == "(":
             self.advance()
             node = self.expression()
@@ -439,11 +446,15 @@ def parse(text: str, dims: Optional[int] = None) -> Tuple[ExprAST, SingularitySe
     if not text or not text.strip():
         raise ExprError("empty expression", 0)
     p = _Parser(text)
-    root = p.parse()
+    try:
+        # the parser and the singularity walk recurse once per nesting level
+        root = p.parse()
+        sing = _derive_singularities(root)
+    except RecursionError:
+        raise ExprError("expression nested too deeply") from None
     n = dims if dims is not None else max(p.max_var, 1)
     if p.max_var > n:
         raise ExprError(f"expression uses x{p.max_var} but dimension is {n}")
-    sing = _derive_singularities(root)
     ann_points = tuple(pt if len(pt) == n else tuple(list(pt) + [0.0] * (n - len(pt)))
                        for pt in p.sing_annotations)
     sing = sing.merged(SingularitySet(points=ann_points))
@@ -516,7 +527,9 @@ def eval_expr(ast: ExprAST, x, limits: Sequence[Tuple[Sequence[float], float]] =
 
 def pretty(node: Node) -> str:
     if isinstance(node, Const):
-        return repr(node.value)
+        # positional digits, which the tokenizer reads back to the same float;
+        # repr would write 6.1e-05
+        return np.format_float_positional(node.value, unique=True, trim="0")
     if isinstance(node, Var):
         return f"x{node.index + 1}"
     if isinstance(node, Neg):

@@ -7,6 +7,10 @@ bump halves the moment system by parity; moments are computed by
 quadrature at a tolerance well below the residual gate, except the angular
 factor of a 2-D moment, an exact rational multiple of pi.  The residuals
 of every multi-index are verified in one lockstep quadrature call.
+
+The bump moments, with their quadrature bounds, form one table per
+dimension (``moment_table``), filled whole on its first request; the
+kernel build and the closed-form pairing of polynomials read it.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from . import cores
+from . import cores, tensor
 from .quadrature import QuadratureConfig, integrate_box, integrate_boxes
 from .tensor import MultiIndex, PolyJet, xi_set
 from .testfn import CoreAtom, TestFn, seminorm
@@ -37,6 +41,9 @@ BUMP_ID = "radial_exp_reciprocal"
 # or the core evaluation changes its values, so that older cache entries
 # are rebuilt
 SUPNORM_REVISION = 4
+# total order the moment table is filled to: jets of degree <= 6 (the
+# probes' derivative bound) paired with monomial cores of order <= 3
+MOMENT_ORDER = 9
 
 
 class KernelConstructionError(RuntimeError):
@@ -65,38 +72,56 @@ class MomentKernel:
         return replace(fn, atoms=atoms, d=d)
 
 
-def _angular_moment(p: int, q: int) -> float:
-    """integral of cos^2p sin^2q over the circle: 2 B(p + 1/2, q + 1/2).
+def _angular_moment(*half: int) -> float:
+    """integral of u^(2 half) over the unit sphere of R^n, n = len(half).
 
-    Gamma(p + 1/2) = (2p)! sqrt(pi) / (4^p p!), so this is pi times the
-    rational 2 (2p)! (2q)! / (4^(p+q) p! q! (p+q)!), whose float the
-    integer division rounds correctly.
+    This is 2 prod_j Gamma(h_j + 1/2) / Gamma(|h| + n/2), and Gamma(h + 1/2)
+    = (2h)! sqrt(pi) / (4^h h!), so it is pi^(n // 2) times a rational
+    number whose float the integer division rounds correctly.  In 2-D it is
+    2 B(p + 1/2, q + 1/2), the integral of cos^2p sin^2q over the circle.
     """
     f = math.factorial
-    return 2 * f(2 * p) * f(2 * q) / (4 ** (p + q) * f(p) * f(q) * f(p + q)) * math.pi
+    n, m = len(half), sum(half)
+    num = 2 * math.prod(f(2 * h) for h in half)
+    den = 4 ** m * math.prod(f(h) for h in half)
+    if n % 2 == 0:
+        den *= f(m + n // 2 - 1)
+    else:  # Gamma(N + 1/2) with N = m + n // 2 in the denominator
+        big = m + n // 2
+        num *= 4 ** big * f(big)
+        den *= f(2 * big)
+    return num / den * math.pi ** (n // 2)
 
 
 @lru_cache(maxsize=None)
-def _moment(n: int, total: MultiIndex) -> float:
-    """integral of x^total * bump(x) over B(0,1), by quadrature."""
-    if n == 2:
-        a, b = total.entries
-        if a % 2 or b % 2:
-            return 0.0
-        # the radial bump factors: angular part is a beta function,
-        # radial part is a 1-D integral
-        angular = _angular_moment(a // 2, b // 2)
-        m = a + b
+def _radial_moment(p: int) -> Tuple[float, float]:
+    """(value, bound) of the integral of rho^p * bump over [0, 1], by quadrature."""
 
-        def g(pts):
-            rho = pts[:, 0]
-            out = np.zeros_like(rho)
-            inside = rho ** 2 < 1.0 - 1e-12
-            out[inside] = rho[inside] ** (m + 1) * np.exp(1.0 / (rho[inside] ** 2 - 1.0))
-            return out
+    def g(pts):
+        rho = pts[:, 0]
+        out = np.zeros_like(rho)
+        inside = rho ** 2 < 1.0 - 1e-12
+        out[inside] = rho[inside] ** p * np.exp(1.0 / (rho[inside] ** 2 - 1.0))
+        return out
 
-        radial, _, _ = integrate_box(g, [0.0], [1.0], (), MOMENT_QUAD)
-        return angular * radial
+    radial, bound, _ = integrate_box(g, [0.0], [1.0], (), MOMENT_QUAD)
+    return radial, bound
+
+
+@lru_cache(maxsize=None)
+def _moment(n: int, total: MultiIndex) -> Tuple[float, float]:
+    """(value, bound) of the integral of x^total * bump(x) over B(0,1).
+
+    Odd exponents give exact zeros.  From n = 2 on, the bump is radial: the
+    moment is an exact angular factor times a 1-D radial integral, one per
+    total order.  A 1-D moment is one quadrature over [-1, 1].
+    """
+    if any(e % 2 for e in total.entries):
+        return 0.0, 0.0
+    if n >= 2:
+        angular = _angular_moment(*(e // 2 for e in total.entries))
+        radial, bound = _radial_moment(total.order + n - 1)
+        return angular * radial, angular * bound
 
     def f(pts):
         vals = cores.core_eval(n, cores.BUMP, None, MultiIndex((0,) * n), pts)
@@ -105,8 +130,25 @@ def _moment(n: int, total: MultiIndex) -> float:
                 vals = vals * pts[:, j] ** e
         return vals
 
-    v, _, _ = integrate_box(f, [-1.0] * n, [1.0] * n, (), MOMENT_QUAD)
-    return v
+    v, bound, _ = integrate_box(f, [-1.0] * n, [1.0] * n, (), MOMENT_QUAD)
+    return v, bound
+
+
+@lru_cache(maxsize=None)
+def _moment_table(n: int, order: int) -> Tuple[np.ndarray, np.ndarray]:
+    rows = [_moment(n, MultiIndex(tuple(r))) for r in tensor._table(n, order).tolist()]
+    return tuple(tensor._frozen(np.array(col)) for col in zip(*rows))
+
+
+def moment_table(n: int, order: int = 0) -> Tuple[np.ndarray, np.ndarray]:
+    """(values, bounds) of the bump moments M(eta), eta over the rows of
+    ``tensor._table(n, top)``, top = max(order, MOMENT_ORDER).
+
+    The table is filled whole on its first request, so the quadratures all
+    run at once (in the cold kernel build) and never one exponent at a
+    time in later calls.
+    """
+    return _moment_table(n, max(order, MOMENT_ORDER))
 
 
 def _even_indices(n: int, max_order: int):
@@ -135,9 +177,11 @@ def _solve_coefficients(n: int, k: int) -> Dict[Tuple[int, ...], float]:
     ansatz = _even_indices(n, k - 1)
     m = len(ansatz)
     M = np.empty((m, m))
+    values, _ = moment_table(n, 2 * (k - 1))
+    row = tensor._row(n, 2 * (k - 1))  # the table's layout is prefix-stable
     for i, eta in enumerate(ansatz):
         for j, xi in enumerate(ansatz):
-            M[i, j] = _moment(n, xi + eta)
+            M[i, j] = values[row[(xi + eta).entries]]
     rhs = np.zeros(m)
     rhs[0] = 1.0  # unit mass; higher even moments vanish
     try:
@@ -251,7 +295,11 @@ def _write_atomic(path: Path, text: str) -> None:
 
 def verify_reproduction(kernel: MomentKernel, Q: PolyJet, x, r: float,
                         config: QuadratureConfig = QuadratureConfig()) -> float:
-    """|(Phi_r * Q)(x) - Q(x)| by quadrature; the defining property defect."""
+    """|(Phi_r * Q)(x) - Q(x)| by quadrature; the defining property defect.
+
+    It stays on quadrature, not on the closed-form pairing of polynomials,
+    so that it checks the moment table independently.
+    """
     x = np.asarray(x, dtype=float).reshape(kernel.n)
     phi_r = kernel.directed(np.zeros(kernel.n), r)
 

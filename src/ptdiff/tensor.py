@@ -11,10 +11,13 @@ Evaluation sums a monomial table against the array term by term,
 differentiation is an index gather and recentering a shift matrix.  Many
 jets stack as (B, N, d), zero-padded to a common degree (``stack_jets``);
 ``recenter_jets``, ``eval_jets`` and ``jet_opnorms`` act on such a stack,
-and the first two give each jet's ``PolyJet`` result bit for bit.
+and the first two give each jet's ``PolyJet`` result bit for bit;
+``taylor_moments`` pairs a stack's Taylor expansions with a table of
+moments laid out over the same rows.
 ``opnorms`` is the one operator norm sup_{|v|=1} |psi(v, ..., v)|, over a
 stack of blocks; ``opnorm_bounds`` is its one-block case.  No other module
-reads the row layout.
+reads the row layout, except that ``momentkernel.moment_table`` lays its
+moments out over it.
 """
 
 from __future__ import annotations
@@ -207,6 +210,28 @@ def _recenter(coeffs: np.ndarray, k: int, h: np.ndarray) -> np.ndarray:
     taylor = (_monomials(h, _table(n, k), k) * _inv_factorial(n, k)[:, None]).T
     shift = np.concatenate([taylor, np.zeros((h.shape[0], 1))], axis=1)[:, _differences(n, k)]
     return np.matmul(np.ascontiguousarray(shift), coeffs)
+
+
+def taylor_moments(coeffs: np.ndarray, k: int, h: np.ndarray, o: Tuple[int, ...],
+                   c: Tuple[int, ...], scale: np.ndarray, moments: np.ndarray) -> np.ndarray:
+    """sum_xi scale^|xi| / xi! D^(xi + o) P_b(a_b + h_b) moments[xi + c] for each jet P_b.
+
+    The jets coeffs (B, N_k, d) of degree k are centred at a_b and taken at
+    offsets h (B, n), with scales (B,); moments runs over the rows of
+    order <= k - |o| + |c|.  Each row of the result (B, d) adds its terms
+    in table order, so it does not depend on the other rows.
+    """
+    n = h.shape[1]
+    kd = k - sum(o)
+    out = np.zeros((h.shape[0], coeffs.shape[-1]))
+    if kd < 0:
+        return out
+    at = _recenter(coeffs, k, h)[:, _shift(n, kd, o)]
+    w = scale[:, None] ** _table(n, kd).sum(axis=1) \
+        * (_inv_factorial(n, kd) * moments[_shift(n, kd, c)])
+    for r in range(at.shape[1]):
+        out += w[:, r, None] * at[:, r]
+    return out
 
 
 def stack_jets(jets: Sequence[PolyJet], n: int, d: int, k: int

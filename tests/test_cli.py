@@ -68,6 +68,17 @@ class TestExitCodes:
         assert code == 3
         assert "broken.json" in capsys.readouterr().err
 
+    def test_deeply_nested_expression_is_input_error(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        (corpus / "deep.json").write_text(json.dumps(
+            {"id": "deep", "dim": 1,
+             "atoms": [{"kind": "function", "exprs": ["(" * 3000 + "x1" + ")" * 3000]}]}))
+        code = run(["jet", "--corpus", str(corpus), "--item", "deep", "--point", "0",
+                    "--k", "0", "--out", str(tmp_path)])
+        assert code == 3
+        assert "nested too deeply" in capsys.readouterr().err
+
     def test_poincare_divergent_inconclusive(self, tmp_path, capsys):
         code = run(["poincare", "--item", "heaviside", "--point", "0",
                     "--k", "2", "--dict", "6,0", "--out", str(tmp_path)])

@@ -77,6 +77,14 @@ class TestParse:
             parse("sin(")
         assert exc.value.position is not None
 
+    @pytest.mark.parametrize("text", ["(" * 3000 + "x1" + ")" * 3000,
+                                      "x1" + "+x1" * 5000, "1" + "0" * 400])
+    def test_deep_or_out_of_range_is_expr_error(self, text):
+        # nesting and operator chains deeper than the recursion limit, and
+        # constants that overflow a float, are input errors
+        with pytest.raises(ExprError):
+            parse(text)
+
     def test_unknown_identifier(self):
         with pytest.raises(ExprError):
             parse("tan(x1)")
@@ -172,6 +180,9 @@ class TestEval:
     @example("x1^3+2*x1")
     @example("sin(x1/4)")
     @example("x1^(-3/4) - pi")
+    @example("0.000061")
+    @example("123456789012345678.0")
+    @example("1" + "0" * 400)
     def test_roundtrip_structural(self, text):
         """parse either raises ExprError or round-trips through pretty."""
         try:

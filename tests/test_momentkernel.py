@@ -86,6 +86,14 @@ class TestAngularMoment:
         assert _angular_moment(1, 1) == 0.25 * math.pi
         assert _angular_moment(2, 1) == 0.125 * math.pi
 
+    def test_other_dimensions(self):
+        # S^0 is two points; S^2 has area 4 pi, x^2 averages 1/3 over it,
+        # x^2 y^2 1/15 and x^4 1/5
+        assert _angular_moment(0) == _angular_moment(3) == 2.0
+        assert _angular_moment(0, 0, 0) == 4.0 * math.pi
+        for half, share in (((1, 0, 0), 3), ((1, 1, 0), 15), ((2, 0, 0), 5)):
+            assert math.isclose(_angular_moment(*half), 4.0 * math.pi / share, rel_tol=1e-15)
+
 
 class TestReproduction:
     def test_random_polynomials(self, kernel_cache):

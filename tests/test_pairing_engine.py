@@ -2,7 +2,9 @@
 
 Every pairing, every integral and every test-function value is held to
 the one-at-a-time result bit for bit, and the values to an independent
-adaptive quadrature (scipy's QUADPACK) within their stated bounds.
+adaptive quadrature (scipy's QUADPACK) within their stated bounds.  The
+closed-form pairing of polynomials is held to quadrature, and its bump
+moments to mpmath, within the sum of the bounds.
 """
 
 import math
@@ -11,11 +13,12 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from ptdiff import (MultiIndex, PairingResult, PolyJet, QuadratureConfig,
-                    QuadratureNonConvergence, derivative, integrate_box,
+from ptdiff import (ClassifierConfig, MultiIndex, PairingResult, PolyJet, QuadratureConfig,
+                    QuadratureNonConvergence, classify, derivative, integrate_box,
                     integrate_boxes, make_dictionary, pair, pair_many,
-                    subtract_jet, xi_set)
-from ptdiff import testfn
+                    polynomial_distribution, subtract_jet, xi_set)
+from ptdiff import momentkernel, testfn
+from ptdiff.cores import core_eval
 from ptdiff.testfn import StackedFns, eval_stacked
 
 CLASSIFY_QUAD = QuadratureConfig(rel_tol=1e-9, abs_floor=1e-15, max_cells=2 ** 12)
@@ -235,3 +238,118 @@ class TestHonesty:
             ref, ref_err = _reference(T, phi)
             assert math.isfinite(res.value)
             assert abs(res.value - ref) <= res.abs_error_bound + ref_err, (phi.label, ref)
+
+
+def _by_quadrature(P, phi, config):
+    """integral <P, phi> by adaptive quadrature over phi's support."""
+    zero = MultiIndex((0,) * phi.n)
+    c, r = np.asarray(phi.support_center), phi.support_radius
+    return integrate_box(lambda pts: np.einsum("ij,ij->i", P.eval(pts), phi.eval_deriv(zero, pts)),
+                         c - r, c + r, (), config, strict=False)
+
+
+def _random_jet(rng, n, d, k, center):
+    return PolyJet(n, d, center, k, rng.normal(size=(math.comb(k + n, n), d)))
+
+
+class TestClosedForm:
+    """Polynomial parts are paired in closed form from the bump moments."""
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_against_quadrature(self, n):
+        rng = np.random.default_rng(5)
+        tight = QuadratureConfig(rel_tol=1e-13, abs_floor=1e-16, max_cells=2 ** 14)
+        # a 2-D plateau (197 atoms) takes tight quadrature 16,385 cells
+        budget = QuadratureConfig(rel_tol=1e-13, abs_floor=1e-16, max_cells=2 ** 10)
+        cores_ = [testfn.standard_bump(n)] + [testfn.bump_monomial(n, xi.entries)
+                                             for m in (1, 2, 3) for xi in xi_set(n, m)]
+        offsets = [(0,) * n, (1,) + (0,) * (n - 1), (0,) * (n - 1) + (2,)]
+        cases = []  # (jet, test function, reference quadrature)
+        for j, psi in enumerate(cores_):  # each core with some degree and offset
+            a = rng.uniform(-0.5, 0.5, size=n)
+            P = _random_jet(rng, n, 1, j % 7, a + rng.uniform(0.2, 0.6, size=n))
+            phi = psi.rescale(a, float(rng.uniform(0.3, 1.5)))
+            offset = MultiIndex(offsets[j % 3])
+            cases.append((P, phi if offset.order == 0 else phi.derivative_view(offset), tight))
+        for k in range(7):  # every degree against the bump
+            a = rng.uniform(-0.5, 0.5, size=n)
+            phi = cores_[0].rescale(a, 0.8).derivative_view(MultiIndex(offsets[k % 3]))
+            cases.append((_random_jet(rng, n, 1, k, a - 0.4), phi, tight))
+        members = make_dictionary(n, 1, 0, 16 if n == 1 else 15, 0).members
+        plateau = next(m for m in members if m.label == "plateau_w0.2")
+        cases.append((_random_jet(rng, n, 1, 6, np.full(n, 0.3)),
+                      plateau.rescale(np.full(n, -0.1), 0.9), tight if n == 1 else budget))
+        d2 = make_dictionary(n, 2, 0, 8, 0).members  # d = 2: both components
+        cases += [(_random_jet(rng, n, 2, 4, np.full(n, 0.3)), m.rescale(np.zeros(n), 0.6), tight)
+                  for m in (d2[0], d2[1], d2[-1])]
+        for P, phi, config in cases:
+            got = pair(polynomial_distribution(P), phi)
+            assert got.quadrature_cells == 0
+            assert 0.0 <= got.abs_error_bound <= 1e-11 * (1.0 + abs(got.value))
+            value, bound, _ = _by_quadrature(P, phi, config)
+            assert abs(got.value - value) <= got.abs_error_bound + bound, \
+                (phi.label, P.degree_bound, got, value, bound)
+
+    def test_many_equal_one_at_a_time(self):
+        # the polynomial parts of one call are one array pass; each result
+        # is the pairing's alone, bit for bit
+        rng = np.random.default_rng(8)
+        members = make_dictionary(1, 1, 0, 12, 0).members
+        T = subtract_jet(derivative(polynomial_distribution(
+            _random_jet(rng, 1, 1, 5, [0.1])), (1,)), _random_jet(rng, 1, 1, 3, [-0.2]))
+        pairs = [(T, m.rescale([0.0], r)) for m in members for r in (1.0, 0.01)]
+        pairs += [(polynomial_distribution(_random_jet(rng, 1, 1, k, [0.3])),
+                   members[k].rescale([0.2], 0.5).derivative_view(MultiIndex((k % 3,))))
+                  for k in range(7)]
+        assert pair_many(pairs) == _one_at_a_time(pairs, QuadratureConfig())
+
+    def test_moments_against_mpmath(self):
+        # the table's 1-D moments and 2-D radial integrals at 30 digits
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 30
+        values, bounds = momentkernel.moment_table(1)
+        for e in range(momentkernel.MOMENT_ORDER + 1):
+            if e % 2:
+                assert values[e] == 0.0 and bounds[e] == 0.0
+                continue
+            want = mp.quad(lambda x: x ** e * mp.exp(1 / (x * x - 1)), [-1, 0, 1])
+            assert abs(values[e] - want) <= bounds[e], e
+        for p in range(1, momentkernel.MOMENT_ORDER + 2, 2):
+            got, bound = momentkernel._radial_moment(p)
+            want = mp.quad(lambda r: r ** p * mp.exp(1 / (r * r - 1)), [0, 1])
+            assert abs(got - want) <= bound, p
+
+
+class TestRepeatableWork:
+    def test_classify_repeats_its_counts(self, corpus, tmp_path, monkeypatch):
+        # a fresh process: empty moment caches and an empty kernel cache.
+        # After the cold kernel build, every repeated call does the same work,
+        # so a moment filled lazily in the first call shows as a count
+        monkeypatch.setenv("PTDIFF_CACHE", str(tmp_path))
+        for cached in (momentkernel._moment, momentkernel._radial_moment,
+                       momentkernel._moment_table):
+            cached.cache_clear()
+        counts = {"integrate_box": 0, "core_eval": 0, "points": 0}
+
+        def counting_box(*args, **kwargs):
+            counts["integrate_box"] += 1
+            return integrate_box(*args, **kwargs)
+
+        def counting_core(n, kind, core_xi, deriv_xi, pts):
+            counts["core_eval"] += 1
+            counts["points"] += len(pts)
+            return core_eval(n, kind, core_xi, deriv_xi, pts)
+
+        monkeypatch.setattr(momentkernel, "integrate_box", counting_box)
+        monkeypatch.setattr(testfn.cores, "core_eval", counting_core)
+        momentkernel.build_kernel(1, 2)
+        assert counts["integrate_box"] > 0
+        T = corpus["heaviside"].build()
+        config = ClassifierConfig(levels=6, dict_size=8)
+        seen = []
+        for _ in range(2):
+            before = dict(counts)
+            classify(T, [0.0], 1, config=config)
+            seen.append({key: counts[key] - before[key] for key in counts})
+        assert seen[0] == seen[1]
+        assert seen[0]["core_eval"] > 0
