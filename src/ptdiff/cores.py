@@ -15,7 +15,9 @@ directly: an expanded denominator would cancel catastrophically near
 multiplication, and the terms are summed in table order point by point,
 so a point's value never depends on the batch it is evaluated in.  Points
 go through in row blocks of ROW_BLOCK, which bounds the size of the power
-table.
+table.  One call can evaluate several (core, derivative) specs at the same
+points, sharing |u|^2, 1/(s-1), its exponential and the power tables;
+each column equals the call with its spec alone.
 
 Evaluation clamps to 0 when |u|^2 > 1 - 1e-12: the exponential factor
 decays faster than any rational blow-up, so the clamp is below double
@@ -97,48 +99,71 @@ def sq_norms(pts: np.ndarray) -> np.ndarray:
     return s
 
 
-def _block_values(u: np.ndarray, sm1: np.ndarray, terms, top: int, p: int) -> np.ndarray:
-    """N(u) / (s-1)^p * exp(1/(s-1)) at points strictly inside the ball."""
-    t = 1.0 / sm1
-    if top == 0:  # a constant prefactor
-        num = terms[0][0]
-    else:
+def _block_values(u: np.ndarray, sm1: np.ndarray, tables, out: np.ndarray) -> None:
+    """N(u) / (s-1)^p * exp(1/(s-1)) of each table into the rows of out.
+
+    1/(s-1), its exponential, its powers and the power table of u are
+    computed once for all tables; each row takes the float operations of its
+    table evaluated alone.
+    """
+    with np.errstate(under="ignore"):
+        t = 1.0 / sm1
+        et = np.exp(t)
         # term by term from the power table, each power of a coordinate one
         # contiguous row: no (terms, points) temporary
-        pw = _powers(u.T, top)
-        num = np.zeros(len(u))
-        for c, e in terms:
-            m = pw[e[0], 0]
-            for j in range(1, len(e)):
-                m = m * pw[e[j], j]
-            num += c * m
-    if p:
-        tp = t.copy()
-        for _ in range(p - 1):
-            tp *= t
-        num = num * tp
-    with np.errstate(under="ignore"):
-        return num * np.exp(t)
+        top = max(tab[1] for tab in tables)
+        pw = _powers(u.T, top) if top else None
+        tpow = [None, t]  # t^p by repeated multiplication, as far as needed
+        for row, (terms, top_m, p) in enumerate(tables):
+            if top_m == 0:  # a constant prefactor
+                num = terms[0][0]
+            else:
+                num = np.zeros(len(u))
+                for c, e in terms:
+                    m = pw[e[0], 0]
+                    for j in range(1, len(e)):
+                        m = m * pw[e[j], j]
+                    num += c * m
+            if p:
+                while len(tpow) <= p:
+                    tpow.append(tpow[-1] * t)
+                num = num * tpow[p]
+            np.multiply(num, et, out=out[row])
 
 
-def core_eval(n: int, kind: str, core_xi: Tuple[int, ...] | None,
-              deriv_xi: MultiIndex, pts: np.ndarray) -> np.ndarray:
-    """D^deriv_xi of the core at points (npts, n) in core coordinates."""
+@lru_cache(maxsize=None)
+def _spec_table(n: int, kind: str, core_xi, deriv_xi: MultiIndex):
     if kind not in (BUMP, BUMP_MONOMIAL):
         raise ValueError(f"unknown core kind {kind!r}")
+    return _table(n, tuple(core_xi) if kind == BUMP_MONOMIAL else (0,) * n, deriv_xi.entries)
+
+
+def core_eval(n: int, kind, core_xi, deriv_xi, pts: np.ndarray) -> np.ndarray:
+    """D^deriv_xi of the core at points (npts, n) in core coordinates, (npts,).
+
+    With kind, core_xi and deriv_xi three sequences of M specs, the M
+    derivatives at the same points, (npts, M): |u|^2, the inside mask,
+    1/(s-1), its exponential and the power tables are computed once, and
+    every column is bit-identical to the call with its spec alone.
+    """
+    single = isinstance(deriv_xi, MultiIndex)
+    tables = [_spec_table(n, kind, core_xi, deriv_xi)] if single else [
+        _spec_table(n, *spec) for spec in zip(kind, core_xi, deriv_xi)]
     pts = np.asarray(pts, dtype=float).reshape(-1, n)
-    cxi = tuple(core_xi) if kind == BUMP_MONOMIAL else (0,) * n
-    terms, top, p = _table(n, cxi, deriv_xi.entries)
     s = sq_norms(pts)
     inside = s < 1.0 - BOUNDARY_CLAMP
     every = inside.all()
-    u, sm1 = (pts, s - 1.0) if every else (pts[inside], s[inside] - 1.0)
-    vals = np.empty(len(u))
-    for b in range(0, len(u), ROW_BLOCK):
-        rows = slice(b, b + ROW_BLOCK)
-        vals[rows] = _block_values(u[rows], sm1[rows], terms, top, p)
-    if every:
-        return vals
-    out = np.zeros(pts.shape[0])
-    out[inside] = vals
-    return out
+    # the points by index, the rows of the result by 1-D masks: both are
+    # faster than a 2-D boolean index
+    u, sm1 = (pts, s - 1.0) if every else (pts[np.flatnonzero(inside)], s[inside] - 1.0)
+    vals = np.empty((len(tables), len(u)))
+    if tables:
+        for b in range(0, len(u), ROW_BLOCK):
+            rows = slice(b, b + ROW_BLOCK)
+            _block_values(u[rows], sm1[rows], tables, vals[:, rows])
+    if not every:
+        out = np.zeros((len(tables), len(pts)))
+        for row, v in zip(out, vals):
+            row[inside] = v
+        vals = out
+    return vals[0] if single else vals.T

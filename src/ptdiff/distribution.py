@@ -11,7 +11,11 @@ finite sum of bump moments, with no quadrature.
 ``pair_many`` runs the integrals of function atoms of many pairings in one
 quadrature engine, each on its own mesh, pairs all their polynomial parts
 in one array pass, and adds each pairing's parts in atom order, so every
-result is the pairing's alone: ``pair`` is the one-pair case.
+result is the pairing's alone: ``pair`` is the one-pair case.  A vector
+pairing (T, (phi_1, ..., phi_M)) of test functions on one ball integrates
+each function atom of T as one M-component engine job, on one mesh, with
+T evaluated once per point and the cores of all phi_c in one fused
+``core_eval`` call; each component keeps its own value and bound.
 """
 
 from __future__ import annotations
@@ -28,7 +32,8 @@ from .funcexpr import ExprAST, SingularitySet, eval_expr, parse
 from .momentkernel import moment_table
 from .quadrature import QuadratureConfig, integrate_boxes
 from .tensor import MultiIndex, PolyJet, taylor_moments, zero_index
-from .testfn import DerivedTestFn, ProbeDictionary, StackedFns, eval_stacked
+from .testfn import (DerivedTestFn, ProbeDictionary, StackedFns, UnsupportedOrderError,
+                     eval_stacked)
 
 MAX_DERIVATIVE_DEPTH = 8
 # (jet, atom) rows per closed-form block, which bounds the temporaries
@@ -152,37 +157,39 @@ def subtract_jet(T: Distribution, P: PolyJet) -> Distribution:
     return Distribution(T.n, T.d, T.atoms + (PolynomialAtom(P.scale(-1.0)),))
 
 
-def _delta(atom: DeltaAtom, phi) -> Tuple[float, float, int]:
+def _delta(atom: DeltaAtom, phi) -> float:
     xi = MultiIndex(atom.xi)
     dval = phi.eval_deriv(xi, np.asarray(atom.location))
-    return (-1.0) ** xi.order * float(np.dot(np.asarray(atom.coeff), dval)), 0.0, 0
+    return (-1.0) ** xi.order * float(np.dot(np.asarray(atom.coeff), dval))
 
 
-def _walk(T: Distribution, phi, part, memo: dict) -> PairingResult:
-    """T(phi), with part(data, phi, split_coords) -> (value, err, cells).
+def _walk(T: Distribution, phis: tuple, part, memo: dict):
+    """(values, bounds, cells) of T(phi) for each phi of phis, with
+    part(data, phis, split_coords) -> the same for one part.
 
     data is a DeltaAtom, a FunctionAtom or the merged jet, which comes
     last; memo keeps one merged jet per T, so that the pairings of one T
     share their data.
     """
-    if (phi.n, phi.d) != (T.n, T.d):
+    if any((phi.n, phi.d) != (T.n, T.d) for phi in phis):
         raise ValueError("test function incompatible with distribution")
     if id(T) not in memo:
         jets = [a.jet for a in T.atoms if isinstance(a, PolynomialAtom)]
         memo[id(T)] = (T, functools.reduce(operator.add, jets) if jets else None)
     merged = memo[id(T)][1]
     last = (merged,) if merged is not None and merged.degree_bound >= 0 else ()
-    value, err, cells = 0.0, 0.0, 0
+    value, err, cells = np.zeros(len(phis)), np.zeros(len(phis)), 0
     for atom in T.atoms + last:
         if isinstance(atom, (DeltaAtom, PolyJet)):
-            v, e, c = part(atom, phi, ())
+            v, e, c = part(atom, phis, ())
         elif isinstance(atom, DerivativeAtom):
             xi = MultiIndex(atom.xi)
-            sub = _walk(atom.inner, phi.derivative_view(xi), part, memo)
-            v, e, c = (-1.0) ** xi.order * sub.value, sub.abs_error_bound, sub.quadrature_cells
+            v, e, c = _walk(atom.inner, tuple(phi.derivative_view(xi) for phi in phis), part,
+                            memo)
+            v = (-1.0) ** xi.order * v
         elif isinstance(atom, FunctionAtom):
-            v, e, c = part(atom, phi, [atom.singularities.axis_coordinates(j)
-                                       for j in range(T.n)])
+            v, e, c = part(atom, phis, [atom.singularities.axis_coordinates(j)
+                                        for j in range(T.n)])
         elif isinstance(atom, PolynomialAtom):
             continue
         else:
@@ -190,7 +197,7 @@ def _walk(T: Distribution, phi, part, memo: dict) -> PairingResult:
         value += v
         err += e
         cells += c
-    return PairingResult(value, err, cells)
+    return value, err, cells
 
 
 def _base_and_offset(phi) -> Tuple[object, MultiIndex]:
@@ -246,6 +253,15 @@ def _polynomial(parts: Sequence[Tuple[PolyJet, object]]) -> List[Tuple[float, fl
     return results
 
 
+def one_ball(phi):
+    """(center, radius, support center, support radius) of a test function
+    whose atoms all share one ball, or None."""
+    psi, _ = _base_and_offset(phi)
+    if not psi.atoms or not psi._one_support:
+        return None
+    return psi.atoms[0].center, psi.atoms[0].radius, psi.support_center, psi.support_radius
+
+
 def _integrand(jobs: list, n: int):
     """The engine's f(pts, job): data times phi.  A 2-D cell has hundreds of
     points, so each job's run goes to its own test function; 1-D runs go to
@@ -263,49 +279,149 @@ def _integrand(jobs: list, n: int):
             return out
         return own
     stack = StackedFns.of([_base_and_offset(phi) for _, phi, _ in jobs])
+    data_values = _shared_data(jobs, stack.d)
+
+    def stacked(pts, job):
+        return np.einsum("ij,ij->i", data_values(pts, job), eval_stacked(stack, pts, job))
+    return stacked
+
+
+def _shared_data(jobs: list, d: int):
+    """(pts, job) -> each job's data at its points, evaluated once per point
+    for the jobs that share their data."""
     index: dict = {}
     which_data = np.array([index.setdefault(id(data), len(index)) for data, _, _ in jobs])
     data = list({id(data): data for data, _, _ in jobs}.values())
 
-    def stacked(pts, job):
-        fv = np.empty((len(pts), stack.d))
+    def values(pts, job):
+        if len(data) == 1:
+            return data[0].eval(pts)
+        fv = np.empty((len(pts), d))
         which = which_data[job]
         for g in np.flatnonzero(np.bincount(which, minlength=len(data))):
             sel = which == g
             fv[sel] = data[g].eval(pts[sel])
-        return np.einsum("ij,ij->i", fv, eval_stacked(stack, pts, job))
-    return stacked
+        return fv
+    return values
+
+
+def _fused_plan(phis: tuple):
+    """(center, radius, layout, weights) of test functions whose atoms share
+    one ball.  The layout holds the distinct core specs (kind, core
+    multi-index, derivative), as columns of one fused ``core_eval`` call,
+    and per function the (column, target component) of its atoms' nonzero
+    coefficients; weights holds those coefficients times radius ** -|xi|.
+    """
+    specs: dict = {}
+    layout, weights = [], []
+    for phi in phis:
+        psi, offset = _base_and_offset(phi)
+        if offset.order > psi.max_deriv_order:
+            raise UnsupportedOrderError(
+                f"derivative order {offset.order} exceeds configured bound {psi.max_deriv_order}")
+        terms = [(specs.setdefault((a.kind, a.core_xi, offset), len(specs)), i,
+                  c * a.radius ** (-offset.order))
+                 for a in psi.atoms for i, c in enumerate(a.coeff) if c != 0.0]
+        layout.append(tuple(t[:2] for t in terms))
+        weights += [t[2] for t in terms]
+    center, radius = one_ball(phis[0])[:2]
+    return center, radius, (tuple(specs), tuple(layout)), weights
+
+
+def _fused_integrand(jobs: list, n: int, d: int):
+    """The engine's f(pts, job) -> (npts, M) for vector jobs (data, phis,
+    splits).  The data is evaluated once per point, and all cores and
+    derivatives of the jobs of one layout in one ``core_eval`` call; a
+    point's value does not depend on the other points.
+    """
+    plans = [_fused_plan(phis) for _, phis, _ in jobs]
+    layouts: dict = {}
+    group = np.array([layouts.setdefault(plan[2], len(layouts)) for plan in plans])
+    centers = np.array([plan[0] for plan in plans], dtype=float)
+    radii = np.array([plan[1] for plan in plans], dtype=float)
+    # per layout, the weights of its jobs' terms, (jobs, terms)
+    weights = [np.zeros((len(plans), sum(map(len, layout)))) for _, layout in layouts]
+    for j, plan in enumerate(plans):
+        weights[group[j]][j] = plan[3]
+    data_values = _shared_data(jobs, d)
+    m = len(jobs[0][1])
+
+    def fused(pts, job):
+        fv = data_values(pts, job).T
+        out = np.zeros((m, len(pts)))  # component-major
+        for g, ((specs, layout), w) in enumerate(zip(layouts, weights)):
+            sel = slice(None) if len(layouts) == 1 else np.flatnonzero(group[job] == g)
+            jj = job[sel]
+            vals = cores.core_eval(n, *zip(*specs), (pts[sel] - centers[jj]) / radii[jj, None]).T
+            wj = w[jj].T
+            k = 0
+            for c, terms in enumerate(layout):
+                for spec, i in terms:
+                    out[c, sel] += wj[k] * vals[spec] * fv[i, sel]
+                    k += 1
+        return out.T
+    return fused
 
 
 def pair_many(pairs: Sequence[Tuple[Distribution, object]],
               config: QuadratureConfig = QuadratureConfig(),
-              strict: bool = True) -> List[PairingResult]:
+              strict: bool = True) -> list:
     """T(phi) with a certified quadrature error bound, for many (T, phi).
 
     Each phi is a TestFn or a derivative view of one; it must carry enough
-    exact derivative orders for any DerivativeAtom nesting in its T.
+    exact derivative orders for any DerivativeAtom nesting in its T.  A
+    scalar pair gives a PairingResult.
+
+    A vector pair (T, (phi_1, ..., phi_M)) needs test functions whose atoms
+    share one ball, and one support ball.  The integral of each function
+    atom of T against all of them is one M-component engine job: one mesh,
+    the data evaluated once per point and the cores of every phi in one
+    fused ``core_eval`` call.  Delta and polynomial parts stay closed form
+    per component.  It gives a tuple of M PairingResults, each with its own
+    value and bound, and the cells of the shared meshes.  Every result,
+    scalar or vector, is the pair's alone, whatever else the call holds.
     """
+    plans = [(T, phi if isinstance(phi, tuple) else (phi,)) for T, phi in pairs]
+    for _, phis in plans:
+        balls = {one_ball(phi) for phi in phis}
+        if len(phis) > 1 and (None in balls or len(balls) > 1):
+            raise ValueError("the test functions of a vector pair must share one ball")
     parts: list = []
     memo: dict = {}
-    for T, phi in pairs:  # plan: collect the parts
-        _walk(T, phi, lambda *part: parts.append(part) or (0.0, 0.0, 0), memo)
-    results = [_delta(data, phi) if isinstance(data, DeltaAtom) else None
-               for data, phi, _ in parts]
-    poly = [i for i, (data, _, _) in enumerate(parts) if isinstance(data, PolyJet)]
-    for i, r in zip(poly, _polynomial([parts[i][:2] for i in poly])):
-        results[i] = r
-    shapes: dict = {}  # the integrals: one engine per (n, d)
-    for i, (_, phi, _) in enumerate(parts):
+    for T, phis in plans:  # plan: collect the parts
+        _walk(T, phis, lambda *part: parts.append(part) or (0.0, 0.0, 0), memo)
+    results: list = [None] * len(parts)
+    for i, (data, phis, _) in enumerate(parts):
+        if isinstance(data, DeltaAtom):
+            results[i] = (np.array([_delta(data, phi) for phi in phis]), np.zeros(len(phis)), 0)
+    poly = [(i, phi) for i, (data, phis, _) in enumerate(parts) if isinstance(data, PolyJet)
+            for phi in phis]
+    values = iter(_polynomial([(parts[i][0], phi) for i, phi in poly]))
+    for i in dict.fromkeys(i for i, _ in poly):
+        value, bound = np.array([next(values)[:2] for _ in parts[i][1]]).T
+        results[i] = (value, bound, 0)
+    shapes: dict = {}  # the integrals: one engine per (n, d, M)
+    for i, (_, phis, _) in enumerate(parts):
         if results[i] is None:
-            shapes.setdefault((phi.n, phi.d), []).append(i)
-    for (n, _), idx in shapes.items():
+            shapes.setdefault((phis[0].n, phis[0].d, len(phis)), []).append(i)
+    for (n, d, m), idx in shapes.items():
         jobs = [parts[i] for i in idx]
-        boxes = [(np.subtract(phi.support_center, phi.support_radius),
-                  np.add(phi.support_center, phi.support_radius), splits) for _, phi, splits in jobs]
-        for i, r in zip(idx, integrate_boxes(_integrand(jobs, n), boxes, config, strict)):
-            results[i] = r
+        boxes = [(np.subtract(phis[0].support_center, phis[0].support_radius),
+                  np.add(phis[0].support_center, phis[0].support_radius), splits)
+                 for _, phis, splits in jobs]
+        if m == 1:
+            f = _integrand([(data, phis[0], splits) for data, phis, splits in jobs], n)
+        else:
+            f = _fused_integrand(jobs, n, d)
+        for i, (v, e, c) in zip(idx, integrate_boxes(f, boxes, config, strict)):
+            results[i] = (np.atleast_1d(v), np.atleast_1d(e), c)
     done = iter(results)
-    return [_walk(T, phi, lambda *part: next(done), memo) for T, phi in pairs]
+    out = []
+    for (T, phis), (_, phi) in zip(plans, pairs):
+        value, err, cells = _walk(T, phis, lambda *part: next(done), memo)
+        res = tuple(PairingResult(float(v), float(e), cells) for v, e in zip(value, err))
+        out.append(res if isinstance(phi, tuple) else res[0])
+    return out
 
 
 def pair(T: Distribution, phi, config: QuadratureConfig = QuadratureConfig(),

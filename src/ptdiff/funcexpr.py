@@ -233,7 +233,8 @@ class _Parser:
         return base
 
     def rational_exponent(self, pos: int) -> Fraction:
-        """Exponents are signed literals or literal ratios, bare or in parentheses."""
+        """Exponents are signed literals, or literal ratios in parentheses:
+        a bare exponent ends at its literal, so x1^2/3 is (x1^2)/3."""
         sign = 1
         if self.peek()[1] == "-":
             self.advance()
@@ -244,7 +245,7 @@ class _Parser:
         elif self.peek()[0] != "num":
             raise ExprError("exponent must be a rational constant", pos)
         frac = Fraction(self.signed_number()).limit_denominator(10 ** 9)
-        if self.peek()[1] == "/":
+        if paren and self.peek()[1] == "/":
             self.advance()
             den = Fraction(self.signed_number()).limit_denominator(10 ** 9)
             if den == 0:

@@ -7,6 +7,12 @@ only on a contracting window, then accelerated by Aitken extrapolation.
 Classification tests the decay of the jet-subtracted pairing envelope
 over a probe dictionary, with quadrature error bounds promoted to an
 explicit noise floor so that unresolved radii never enter a verdict.
+
+Both make vector pairings (see ``distribution.pair_many``): per radius,
+the jet estimate pairs T with every derivative of the kernel at once, and
+classify pairs the remainder with every probe of one support ball at
+once, each on one quadrature mesh with its own bound per component.
+Probes with atoms on several balls stay pairings of their own.
 """
 
 from __future__ import annotations
@@ -16,7 +22,8 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .distribution import Distribution, derivative, pair, pair_many, subtract_jet
+from .distribution import (Distribution, derivative, one_ball, pair, pair_many,
+                           subtract_jet)
 from .momentkernel import MAX_DEGREE, MomentKernel, build_kernel
 from .quadrature import QuadratureConfig
 from .tensor import PolyJet, xi_set
@@ -116,7 +123,11 @@ def _accelerate(values: np.ndarray, ratio: float) -> Tuple[np.ndarray, bool]:
 
 def estimate_jet(T: Distribution, a, k: int, kernel: Optional[MomentKernel] = None,
                  config: JetConfig = JetConfig()) -> JetEstimate:
-    """Order-k jet of T at a: D^xi P(a) = lim_r (D^xi T)(kernel_r(. - a))."""
+    """Order-k jet of T at a: D^xi P(a) = lim_r (D^xi T)(kernel_r(. - a)).
+
+    Per radius one vector pairing of T with every D^xi kernel_r e_c, whose
+    components each keep their own quadrature bound.
+    """
     a = np.asarray(a, dtype=float).reshape(T.n)
     if k < 0:
         return JetEstimate(PolyJet.zero(T.n, T.d, a), {}, True)
@@ -128,16 +139,20 @@ def estimate_jet(T: Distribution, a, k: int, kernel: Optional[MomentKernel] = No
     coeff_map: Dict[Tuple[int, ...], np.ndarray] = {}
     all_converged = True
     xis = [xi for m in range(0, k + 1) for xi in xi_set(T.n, m)]
-    results = iter(pair_many([(Txi, kernel.directed(a, float(r), T.d, c))
-                              for Txi in [derivative(T, xi) for xi in xis]
-                              for r in radii for c in range(T.d)], config.quad, strict=False))
-    for xi in xis:
+    # (D^xi T)(Phi_r e_c) = (-1)^|xi| T(D^xi Phi_r e_c): one vector pairing
+    # per radius, its components every (xi, c), on one mesh
+    results = pair_many([(T, tuple(fn.derivative_view(xi) for xi in xis for fn in directed))
+                         for directed in ([kernel.directed(a, float(r), T.d, c)
+                                           for c in range(T.d)] for r in radii)],
+                        config.quad, strict=False)
+    for x, xi in enumerate(xis):
         vals = np.zeros((levels, T.d))
         bnds = np.zeros(levels)
-        for j, r in enumerate(radii):
+        for j, row in enumerate(results):
             for c in range(T.d):
-                res = next(results)
-                vals[j, c] = res.value
+                res = row[x * T.d + c]
+                # 0 - v, not -1 * v: a zero pairing stays +0.0
+                vals[j, c] = 0.0 - res.value if xi.order % 2 else res.value
                 bnds[j] = max(bnds[j], res.abs_error_bound)
         est, conv = _accelerate(vals, CONTRACTION_RATIO)
         traces[xi.entries] = CoefficientTrace(
@@ -229,13 +244,18 @@ def classify(T: Distribution, a, k: int, alpha: Optional[float] = None,
     nm = len(probes.members)
     V = np.zeros((nm, levels))
     B = np.zeros((nm, levels))
-    results = iter(pair_many([(R, member.rescale(a, float(r))) for member in probes.members
-                              for r in radii], config.quad, strict=False))
-    for m in range(nm):
-        for j, r in enumerate(radii):
-            res = next(results)
-            V[m, j] = abs(res.value) * r ** (-expo)
-            B[m, j] = res.abs_error_bound * r ** (-expo)
+    # the probes whose atoms share one ball, per ball, are one vector
+    # pairing per radius; every other probe is a pairing of its own
+    groups: Dict[object, List[int]] = {}
+    for m, member in enumerate(probes.members):
+        groups.setdefault(one_ball(member) or m, []).append(m)
+    slots = [(ms, j) for j in range(levels) for ms in groups.values()]
+    results = pair_many([(R, tuple(probes.members[m].rescale(a, float(radii[j])) for m in ms))
+                         for ms, j in slots], config.quad, strict=False)
+    for (ms, j), res in zip(slots, results):
+        for m, one in zip(ms, res):
+            V[m, j] = abs(one.value) * radii[j] ** (-expo)
+            B[m, j] = one.abs_error_bound * radii[j] ** (-expo)
     env = V.max(axis=0)
     noise = NOISE_FACTOR * B.max(axis=0)
     scale = float(env.max())

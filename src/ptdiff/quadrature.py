@@ -10,6 +10,13 @@ job run alone, so its result does not depend on the other jobs:
 are frozen with their error contribution reported, which gives oscillatory
 integrands geometric refinement toward the singularity with an honest
 final bound instead of an endless subdivision.
+
+A job may carry M components on one mesh: the integrand returns M values
+per point.  Each component keeps its own totals, so its own value and
+bound.  A cell is negligible when every component is, and ranks by its
+largest error / tolerance; a job is done when every component is within
+its tolerance.  A scalar integrand is the one-component case, with the
+same float operations as a job of its own.
 """
 
 from __future__ import annotations
@@ -73,16 +80,17 @@ def _halves(lo: np.ndarray, hi: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 
 def _cell_values(f, lo: np.ndarray, hi: np.ndarray, job: np.ndarray,
                  split: bool) -> np.ndarray:
-    """Gauss-Legendre values of job-sorted cells, (cells, 1); f sees whole cells.
+    """Gauss-Legendre values of job-sorted cells, (cells, 1, M); f sees whole cells.
 
     With split, those of both halves and the embedded low-order value, which
-    catches error the widest-axis bisection cannot see, (cells, 3).
+    catches error the widest-axis bisection cannot see, (cells, 3, M).  f
+    returns (points,) or (points, M).
     """
     m, n = lo.shape
     ref, wts = _gl_nodes(GL_ORDER, n)
     low_ref, low_wts = _gl_nodes(GL_ORDER_LOW if split else GL_ORDER, n)
     q = len(wts) * split
-    out = np.empty((m, 1 + 2 * split))
+    out = None
     step = max(BATCH, BLOCK_POINTS // (2 * q + len(low_wts)))
     for s in range(0, m, step):
         l, h = lo[s:s + step], hi[s:s + step]
@@ -93,11 +101,18 @@ def _cell_values(f, lo: np.ndarray, hi: np.ndarray, job: np.ndarray,
             pts = np.concatenate([(h_lo[:, :, None, :] + ref * h_w[:, :, None, :]).reshape(
                 len(l), 2 * q, n), pts], axis=1)
         vals = np.asarray(f(pts.reshape(-1, n), job[s:s + step].repeat(pts.shape[1])),
-                          dtype=float).reshape(len(l), -1)
+                          dtype=float)
+        # component-major, so that each component sums contiguous rows, in
+        # the float operations of a scalar integrand
+        vals = np.ascontiguousarray(vals.reshape(len(vals), -1).T).reshape(-1, len(l),
+                                                                            pts.shape[1])
+        if out is None:
+            out = np.empty((m, 1 + 2 * split, len(vals)))
         if split:
-            out[s:s + step, :2] = (vals[:, :2 * q].reshape(len(l), 2, -1) * wts).sum(axis=2) \
-                * h_w.prod(axis=2)
-        out[s:s + step, -1] = (vals[:, 2 * q:] * low_wts).sum(axis=1) * (h - l).prod(axis=1)
+            out[s:s + step, :2] = ((vals[:, :, :2 * q].reshape(len(vals), len(l), 2, -1) * wts)
+                                   .sum(axis=3) * h_w.prod(axis=2)).transpose(1, 2, 0)
+        out[s:s + step, -1] = ((vals[:, :, 2 * q:] * low_wts).sum(axis=2)
+                               * (h - l).prod(axis=1)).T
     return out
 
 
@@ -115,7 +130,8 @@ def _initial_boxes(lo: np.ndarray, hi: np.ndarray,
 
 
 def _tolerance(config: QuadratureConfig, tv: np.ndarray, ta: np.ndarray) -> np.ndarray:
-    """Per job: the absolute floor, the relative tolerance, or roundoff over ta."""
+    """Per job and component: the absolute floor, the relative tolerance, or
+    roundoff over ta."""
     return np.maximum(np.maximum(config.abs_floor, config.rel_tol * np.abs(tv)),
                       64 * np.finfo(float).eps * ta)
 
@@ -125,64 +141,126 @@ def _rank(group: np.ndarray) -> np.ndarray:
     return np.arange(len(group)) - np.searchsorted(group, group)
 
 
+def _by_columns(ufunc, a: np.ndarray) -> np.ndarray:
+    """ufunc folded over the columns of a (rows, M): for few columns much
+    faster than a reduce along the short axis."""
+    out = a[:, 0].copy()
+    for c in range(1, a.shape[1]):
+        ufunc(out, a[:, c], out=out)
+    return out
+
+
+def _ranked(job: np.ndarray, keys, small: np.ndarray, above: np.ndarray) -> np.ndarray:
+    """The cells that can be taken or popped, ranked within their job.
+
+    Of each job, its cells that are not negligible (only its BATCH best if
+    it has more) and its best negligible cell.  Cells rank by keys, most
+    significant first, then by position; a NaN ranks last.
+    """
+    pick = ~small
+    neg = np.flatnonzero(small)
+    for key in keys:  # each job's best negligible cell
+        top = np.full(len(above), -np.inf)
+        np.fmax.at(top, job[neg], key[neg])
+        neg = neg[key[neg] == top[job[neg]]]
+    first = np.full(len(above), len(job))
+    np.minimum.at(first, job[neg], neg)
+    pick[first[first < len(job)]] = True
+    for j in np.flatnonzero(above > BATCH):  # none below the job's BATCH-th
+        cells = np.flatnonzero(job == j)
+        k = np.where(np.isnan(keys[0][cells]), -np.inf, keys[0][cells])
+        pick[cells[k < np.partition(k, len(k) - BATCH)[len(k) - BATCH]]] = False
+    cand = np.flatnonzero(pick)
+    return cand[np.lexsort([-k[cand] for k in keys[::-1]] + [job[cand]])]
+
+
 def integrate_boxes(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
                     jobs: Sequence[Tuple[Sequence[float], Sequence[float],
                                          Sequence[Sequence[float]]]],
                     config: QuadratureConfig = QuadratureConfig(),
-                    strict: bool = True) -> List[Tuple[float, float, int]]:
+                    strict: bool = True) -> List[Tuple]:
     """(value, error_bound, cells) of each box (lo, hi, split_coords).
 
     f(pts, job) is job[i]'s integrand at pts[i]; a job's points are one run.
-    With strict, the first job whose budget ran out above tolerance raises.
+    f returns (npts,), and each result is floats, or (npts, M): M
+    components on one mesh, and each result's value and bound are (M,)
+    arrays.  When no box has volume, f is not called and every result is
+    (0.0, 0.0, 0).  With strict, the first job with a component whose
+    budget ran out above tolerance raises, with that component's value and
+    bound.
     """
     nj = len(jobs)
-    totals = np.zeros((nj, 3))  # value, error and sum of |cell values| (roundoff)
-    tv, te, ta = totals.T
-    ncells, entries = np.zeros((2, nj), dtype=np.intp)  # entries: cells in the totals
-    budget_hit, active = np.zeros((2, nj), dtype=bool)
     boxes = []
     for j, (lo, hi, splits) in enumerate(jobs):
         lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
         if not np.any(hi <= lo):
             boxes.append(_initial_boxes(lo, hi, splits or [[]] * lo.size) + (j,))
-            ncells[j] = len(boxes[-1][0])
-            active[j] = True
     if not boxes:
         return [(0.0, 0.0, 0)] * nj
     # the new cells (boxes, coarse values, jobs), job-sorted in push order
     lo, hi = np.concatenate([b[0] for b in boxes]), np.concatenate([b[1] for b in boxes])
     job = np.repeat([b[2] for b in boxes], [len(b[0]) for b in boxes])
-    coarse = _cell_values(f, lo, hi, job, False)[:, 0]
+    shape = []  # f's value shape, seen on the first call
+
+    def first(pts, job):
+        vals = f(pts, job)
+        shape.append(np.shape(vals))
+        return vals
+    coarse = _cell_values(first, lo, hi, job, False)[:, 0]
+    vector = len(shape[0]) > 1
+    M = shape[0][1] if vector else 1
+    totals = np.zeros((nj, 3, M))  # value, error and sum of |cell values| (roundoff)
+    tv, te, ta = totals.transpose(1, 0, 2)
+    ncells, entries = np.zeros((2, nj), dtype=np.intp)  # entries: cells in the totals
+    budget_hit, active = np.zeros((2, nj), dtype=bool)
+    for b in boxes:
+        ncells[b[2]] = len(b[0])
+        active[b[2]] = True
     n = lo.shape[1]
-    # cells still queued, in insertion order: lo, hi, err, values of the halves, job
-    store, size = np.empty((64, 2 * n + 4)), 0
+    E, H = 2 * n, 2 * n + M  # store columns: the cell's errors, its halves' values
+    # cells still queued, in insertion order: lo, hi, errors, values of the halves, job
+    store, size = np.empty((64, 2 * n + 3 * M + 1)), 0
     while len(job):
         vals = _cell_values(f, lo, hi, job, True)
         value = vals[:, 0] + vals[:, 1]
         a, b = np.abs(value - coarse), np.abs(coarse - vals[:, 2])
         err = np.where(b > a, b, a)
-        np.add.at(totals, job, np.column_stack([value, err, np.abs(value)]))
+        np.add.at(totals, job, np.stack([value, err, np.abs(value)], axis=1))
         entries += np.bincount(job, minlength=nj)
         if size + len(job) > len(store):  # grow geometrically
-            store = np.vstack([store[:size], np.empty((len(store) // 2 + len(job), 2 * n + 4))])
-        store[size:size + len(job)] = np.hstack([lo, hi, err[:, None], vals[:, :2], job[:, None]])
+            store = np.vstack([store[:size], np.empty((len(store) // 2 + len(job),
+                                                       store.shape[1]))])
+        store[size:size + len(job)] = np.hstack([lo, hi, err, vals[:, :2].reshape(-1, 2 * M),
+                                                 job[:, None]])
         size += len(job)
 
         tol = _tolerance(config, tv, ta)
         cell_job = store[:size, -1].astype(np.intp)
-        active &= ~(te <= tol) & (np.bincount(cell_job, minlength=nj) > 0)
+        active &= ~(te <= tol).all(axis=1)
         # per job, its worst cells while they are not negligible, at most
-        # BATCH; the first negligible cell leaves the queue too, unsplit
-        e = store[:size, 2 * n]
-        order = np.lexsort((-e, cell_job))
+        # BATCH; the first negligible cell leaves the queue too, unsplit.  A
+        # cell is negligible when every component is
+        e = store[:size, E:H]
+        small = _by_columns(np.logical_and, e <= (tol / (2 * np.maximum(entries, 1))[:, None])[
+            cell_job])
+        above = np.bincount(cell_job, weights=~small, minlength=nj).astype(np.intp)
+        active &= above > 0
+        pool = np.flatnonzero(active[cell_job] & (~small | (above < BATCH)[cell_job]))
+        pe, pjob = e[pool], cell_job[pool]
+        # a cell ranks by its largest error / tolerance over the components,
+        # then by its largest error; with one component the order of the
+        # errors is that order, in which the cells that are not negligible
+        # come first
+        keys = [_by_columns(np.maximum, pe)]
+        if M > 1:
+            pool_tol = tol[pjob]
+            keys.insert(0, _by_columns(np.maximum, np.divide(
+                pe, pool_tol, out=np.where(pe > 0, np.inf, 0.0), where=pool_tol > 0)))
+        order = pool[_ranked(pjob, keys, small[pool], np.where(active, above, 0))]
         ojob = cell_job[order]
         rank = _rank(ojob)
-        above = np.bincount(ojob, weights=~(e[order] <= (tol / (2 * np.maximum(entries, 1)))[
-            ojob]), minlength=nj).astype(np.intp)[ojob]
-        mine = active[ojob] & (above > 0)
-        taken = order[mine & (rank < above) & (rank < BATCH)]
-        popped = order[mine & (rank <= above) & (rank < BATCH)]
-        active &= np.bincount(ojob, weights=mine, minlength=nj) > 0
+        taken = order[(rank < above[ojob]) & (rank < BATCH)]
+        popped = order[(rank <= above[ojob]) & (rank < BATCH)]
 
         width = (store[taken, n:2 * n] - store[taken, :n]).max(axis=1)
         live = taken[~(width / 2.0 < config.min_width)]  # frozen cells keep their err
@@ -192,24 +270,28 @@ def integrate_boxes(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
         job = cell_job[split]
         nsplit = np.bincount(job, minlength=nj)
         active &= nsplit > 0
-        coarse = store[split, 2 * n + 1:2 * n + 3]
+        coarse = store[split, H:H + 2 * M].reshape(-1, 2, M)
         value = coarse[:, 0] + coarse[:, 1]
-        np.subtract.at(totals, job, np.column_stack([value, store[split, 2 * n], np.abs(value)]))
+        np.subtract.at(totals, job, np.stack([value, store[split, E:H], np.abs(value)], axis=1))
         entries -= nsplit
         ncells += 2 * nsplit
         # the halves of the split cells are the next new cells
         lo, hi = (h.reshape(-1, n) for h in _halves(store[split, :n], store[split, n:2 * n]))
-        coarse, job = coarse.reshape(-1), np.repeat(job, 2)
+        coarse, job = coarse.reshape(-1, M), np.repeat(job, 2)
         keep = active[cell_job]
         keep[popped] = False
         size = int(keep.sum())
         store[:size] = store[:len(keep)][keep]
     if strict:
-        failed = np.flatnonzero(budget_hit & (te > _tolerance(config, tv, ta)))
+        over = te > _tolerance(config, tv, ta)
+        failed = np.flatnonzero(budget_hit & over.any(axis=1))
         if failed.size:
             j = failed[0]
-            raise QuadratureNonConvergence(float(tv[j]), float(te[j]), int(ncells[j]))
-    return [(float(v), float(e), int(c)) for v, e, c in zip(tv, te, ncells)]
+            c = np.flatnonzero(over[j])[0]
+            raise QuadratureNonConvergence(float(tv[j, c]), float(te[j, c]), int(ncells[j]))
+    if vector:
+        return [(v.copy(), e.copy(), int(c)) for v, e, c in zip(tv, te, ncells)]
+    return [(float(v), float(e), int(c)) for v, e, c in zip(tv[:, 0], te[:, 0], ncells)]
 
 
 def integrate_box(f: Callable[[np.ndarray], np.ndarray], lo, hi,

@@ -65,6 +65,8 @@ class CoreAtom:
 
 @dataclass(frozen=True)
 class TestFn:
+    __test__ = False  # a test function, not a test class for pytest to collect
+
     n: int
     d: int
     atoms: Tuple[CoreAtom, ...]

@@ -2,6 +2,8 @@
 
 import math
 import os
+import shutil
+import tempfile
 
 import numpy as np
 import pytest
@@ -10,13 +12,28 @@ from ptdiff import (ClassifierConfig, JetConfig, QuadratureConfig,
                     build_kernel, load_corpus, make_dictionary)
 
 
+_SESSION_CACHE = []  # a temporary kernel cache made for this session
+
+
 def pytest_configure(config):
     # kernels built by the suite go to pytest's cache directory, not to
     # ~/.cache/ptdiff: nothing is written outside the checkout, and later
-    # runs still find them
+    # runs still find them.  Without the cache plugin they go to a
+    # temporary directory, removed when the session ends
+    if "PTDIFF_CACHE" in os.environ:
+        return
     cache = getattr(config, "cache", None)
-    if "PTDIFF_CACHE" not in os.environ and cache is not None:
+    if cache is not None:
         os.environ["PTDIFF_CACHE"] = str(cache.mkdir("ptdiff-kernels"))
+    else:
+        _SESSION_CACHE.append(tempfile.mkdtemp(prefix="ptdiff-kernels-"))
+        os.environ["PTDIFF_CACHE"] = _SESSION_CACHE[-1]
+
+
+def pytest_unconfigure(config):
+    while _SESSION_CACHE:
+        os.environ.pop("PTDIFF_CACHE", None)
+        shutil.rmtree(_SESSION_CACHE.pop(), ignore_errors=True)
 
 
 @pytest.fixture(scope="session")
@@ -93,16 +110,48 @@ def dense_directional_max(values, degree):
 _REPORT_LINES = []
 
 
-def report_line(name: str, ok: bool, detail: str = "") -> None:
+def _line(name: str, ok: bool, detail: str) -> str:
     status = "PASS" if ok else "FAIL"
     suffix = f" ({detail})" if detail else ""
-    line = f"[{status}] {name}{suffix}"
+    return f"[{status}] {name}{suffix}"
+
+
+def report_line(name: str, ok: bool, detail: str = "") -> None:
+    line = _line(name, ok, detail)
     _REPORT_LINES.append(line)
     print(line)
 
 
+_MODULE_OUTCOMES = {"passed": 0, "failed": 0}  # tests outside test_acceptance.py
+
+
+def pytest_collectreport(report):
+    if report.failed and not report.nodeid.endswith("test_acceptance.py"):
+        _MODULE_OUTCOMES["failed"] += 1
+
+
+def pytest_runtest_logreport(report):
+    if report.nodeid.split("::")[0].endswith("test_acceptance.py"):
+        return
+    if report.failed:
+        _MODULE_OUTCOMES["failed"] += 1
+    elif report.when == "call" and report.passed:
+        _MODULE_OUTCOMES["passed"] += 1
+
+
+def _invariant_battery() -> None:
+    """The acceptance line of the per-module property batteries (tensor
+    algebra, probe dictionaries, parsing, quadrature, pairing, kernels,
+    classifier, scaling, partitions): it passes when every module test of
+    this session that ran passed, and at least one ran."""
+    passed, failed = _MODULE_OUTCOMES["passed"], _MODULE_OUTCOMES["failed"]
+    _REPORT_LINES.append(_line("invariant battery", failed == 0 and passed > 0,
+                               f"{passed} module tests passed, {failed} failed"))
+
+
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     if _REPORT_LINES:
+        _invariant_battery()
         terminalreporter.section("acceptance criteria")
         for line in _REPORT_LINES:
             terminalreporter.write_line(line)

@@ -124,6 +124,23 @@ class TestEvaluation:
             assert np.array_equal(one, want[5:6])
 
     @pytest.mark.parametrize("n", [1, 2])
+    def test_fused_columns_bit_identical(self, n, monkeypatch):
+        # every core of CORES in n (bump and bump monomials), with every
+        # derivative up to order 4, in one call: each column is its one-spec
+        # call, across row blocks and with points outside the ball
+        monkeypatch.setattr(cores, "ROW_BLOCK", 97)
+        pts = np.random.default_rng(11 + n).uniform(-1.1, 1.1, size=(700, n))
+        specs = [(_kind(cxi), cxi if any(cxi) else None, xi)
+                 for m, cxi in CORES if m == n for o in range(5) for xi in xi_set(n, o)]
+        fused = cores.core_eval(n, *zip(*specs), pts)
+        assert fused.shape == (len(pts), len(specs))
+        for col, spec in enumerate(specs):
+            assert np.array_equal(fused[:, col], cores.core_eval(n, *spec, pts)), spec
+        assert np.array_equal(cores.core_eval(n, *zip(*specs), pts[3]), fused[3:4])
+        with pytest.raises(ValueError):
+            cores.core_eval(n, ("bump", "cone"), (None, None), specs[:2][0][2:] * 2, pts)
+
+    @pytest.mark.parametrize("n", [1, 2])
     def test_sq_norms_bit_identical(self, n):
         pts = np.random.default_rng(3).normal(size=(500, n))
         assert np.array_equal(cores.sq_norms(pts), np.sum(pts ** 2, axis=1))

@@ -1,6 +1,7 @@
 """Expression parser and evaluator: grammar, singularities, evaluation."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -84,6 +85,26 @@ class TestParse:
         # constants that overflow a float, are input errors
         with pytest.raises(ExprError):
             parse(text)
+
+    @pytest.mark.parametrize("text,want", [
+        ("x1^2/3", "(x1^2)/3"), ("x1^2/x2", "(x1^2)/x2"), ("x1^-2/4", "(x1^-2)/4"),
+        ("2*x1^3/x2^2", "(2*x1^3)/(x2^2)"), ("x1^(2/3)", "x1^(2/3)"),
+        ("x1^(-1/2)/3", "(x1^(-1/2))/3")])
+    def test_bare_exponent_ends_at_its_literal(self, text, want):
+        # only a parenthesized exponent is a ratio; a '/' after a bare
+        # exponent divides the power
+        pts = np.array([[0.7, 1.9], [2.5, 0.3]])
+        got, _ = parse(text, dims=2)
+        ref, _ = parse(want, dims=2)
+        assert got.root == ref.root
+        np.testing.assert_array_equal(eval_expr(got, pts), eval_expr(ref, pts))
+
+    def test_fraction_exponent_needs_parentheses(self):
+        node = parse("x1^(2/3)")[0].root
+        assert isinstance(node, Pow) and node.exponent == Fraction(2, 3)
+        node = parse("x1^2/3")[0].root
+        assert isinstance(node, BinOp) and node.op == "/"
+        assert node.left == Pow(Var(0), Fraction(2)) and node.right == Const(3.0)
 
     def test_unknown_identifier(self):
         with pytest.raises(ExprError):

@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -184,6 +188,21 @@ class TestCache:
         build_kernel(1, 2, cache_dir=tmp_path)
         assert [p.name for p in tmp_path.iterdir()] == [path.name]
         assert json.loads(path.read_text())["coeffs"] == json.loads(text)["coeffs"]
+
+    def test_suite_without_cache_plugin_writes_nothing_under_home(self, tmp_path):
+        # without pytest's cache plugin the suite's kernels go to a session
+        # temporary directory, not to ~/.cache/ptdiff
+        root = Path(__file__).resolve().parents[1]
+        env = {k: v for k, v in os.environ.items() if k != "PTDIFF_CACHE"}
+        env["HOME"] = str(tmp_path)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(root / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+        out = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+             "tests/test_momentkernel.py::TestScaling::test_invalid_scale"],
+            cwd=root, env=env, capture_output=True, text=True)
+        assert out.returncode == 0, out.stdout + out.stderr
+        assert not (tmp_path / ".cache").exists()
 
     def test_cache_key_distinguishes_orders(self):
         assert _cache_key(1, 2) != _cache_key(1, 3)

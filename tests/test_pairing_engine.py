@@ -353,3 +353,135 @@ class TestRepeatableWork:
             seen.append({key: counts[key] - before[key] for key in counts})
         assert seen[0] == seen[1]
         assert seen[0]["core_eval"] > 0
+
+
+def _columns(fs):
+    """f(pts, job) -> (npts, M) of M integrands on every job."""
+    return lambda pts, job: np.column_stack([f(pts) for f in fs])
+
+
+def _within_bounds(vector, scalars):
+    values, bounds, _ = vector
+    for c, (v, e, _) in enumerate(scalars):
+        assert abs(values[c] - v) <= bounds[c] + e, (c, values[c], v, bounds[c], e)
+
+
+class TestVectorJobs:
+    """Engine jobs with M components on one mesh, and vector pairings."""
+
+    @pytest.mark.parametrize("case", ["exp", "osc", "gauss2d"])
+    def test_engine_against_per_component(self, case):
+        if case == "gauss2d":
+            g = lambda p: np.exp(-p[:, 0] ** 2 - p[:, 1] ** 2)  # noqa: E731
+            fs = [g, lambda p: g(p) * p[:, 0], lambda p: g(p) * p[:, 1] ** 2,
+                  lambda p: g(p) * np.cos(3.0 * p[:, 0] * p[:, 1])]
+            jobs = [([-1.0, -0.5], [1.5, 1.0], ()), ([-2.0, -2.0], [2.0, 2.0], [[0.0], []])]
+        else:
+            h = (lambda p: np.exp(p[:, 0])) if case == "exp" else _oscillating
+            fs = [h, lambda p: np.cos(2.0 * p[:, 0]) * h(p), lambda p: p[:, 0] ** 3]
+            jobs = [([-1.0], [1.0], [[0.0]]), ([0.0], [2.0], ())]
+        config = QuadratureConfig(rel_tol=1e-11, abs_floor=1e-15, max_cells=2 ** 12,
+                                  min_width=1e-6)
+        got = integrate_boxes(_columns(fs), jobs, config, strict=False)
+        for job, vector in zip(jobs, got):
+            assert vector[0].shape == vector[1].shape == (len(fs),)
+            _within_bounds(vector, [integrate_box(f, *job, config=config, strict=False)
+                                    for f in fs])
+
+    def test_one_column_equals_scalar(self):
+        fs = [c[0] for c in ENGINE_CASES]
+        jobs = [c[1:] for c in ENGINE_CASES]
+        got = integrate_boxes(lambda p, j: _dispatch(fs)(p, j)[:, None], jobs, ENGINE_CONFIG,
+                              strict=False)
+        want = integrate_boxes(_dispatch(fs), jobs, ENGINE_CONFIG, strict=False)
+        assert [(float(v[0]), float(e[0]), c) for v, e, c in got] == want
+
+    def test_easy_component_keeps_its_own_bound(self):
+        # a hard component runs out of budget on the shared mesh; the easy
+        # one reports its own small bound, not the hard one's
+        hard = lambda p: np.sin(50.0 / (p[:, 0] + 1.001))  # noqa: E731
+        config = QuadratureConfig(rel_tol=1e-12, abs_floor=0.0, max_cells=64, min_width=0.0)
+        (values, bounds, cells), = integrate_boxes(
+            _columns([hard, np.cos]), [([-1.0], [1.0], ())], config, strict=False)
+        assert cells >= 64
+        assert bounds[0] > 1e-6
+        assert bounds[1] <= 1e-12 * abs(values[1])
+        assert abs(values[1] - 2.0 * math.sin(1.0)) <= bounds[1] + 1e-15
+        # abs_floor = 0 with a component that vanishes: no division by zero
+        (values, bounds, _), = integrate_boxes(
+            _columns([np.cos, lambda p: np.zeros(len(p))]), [([-1.0], [1.0], ())], config)
+        assert values[1] == bounds[1] == 0.0 and bounds[0] <= 1e-12 * values[0]
+
+    def test_strict_raises_for_the_budget_hit_component(self):
+        hard = lambda p: np.sin(50.0 / (p[:, 0] + 1.001))  # noqa: E731
+        jobs = [([-1.0], [1.0], ()), ([0.0], [1.0], ())]
+        fs = [np.cos, hard, np.exp]
+        loose = integrate_boxes(_columns(fs), jobs, ENGINE_CONFIG, strict=False)
+        with pytest.raises(QuadratureNonConvergence) as exc:
+            integrate_boxes(_columns(fs), jobs, ENGINE_CONFIG)
+        values, bounds, cells = loose[0]
+        assert (exc.value.value, exc.value.error_bound, exc.value.cells) == \
+            (values[1], bounds[1], cells)
+
+    def test_vector_pairing_against_scalar_pairs(self, corpus, kernel_cache):
+        config = QuadratureConfig(rel_tol=1e-11, abs_floor=1e-15, max_cells=2 ** 14)
+        cases = []
+        for item, n, k, a in (("exp", 1, 4, [0.1]), ("osc", 1, 3, [0.0]),
+                              ("gauss2d", 2, 2, [0.2, -0.1])):
+            T = corpus[item].build()
+            xis = [xi for m in range(k) for xi in xi_set(n, m)]
+            for r in (0.5, 0.03):
+                fn = kernel_cache(n, k).directed(a, r)
+                cases.append((T, tuple(fn.derivative_view(xi) for xi in xis)))
+        members = make_dictionary(1, 1, 0, 12, 0).members
+        one_ball = tuple(m.rescale([0.3], 0.2) for m in members[:4])  # bump, x, x^2, x^3
+        cases.append((subtract_jet(derivative(corpus["heaviside"].build(), (1,)),
+                                   PolyJet.from_coeff_map(1, [0.3], {(0,): 0.5})), one_ball))
+        for (T, phis), got in zip(cases, pair_many(cases, config, strict=False)):
+            assert len(got) == len(phis)
+            want = pair_many([(T, phi) for phi in phis], config, strict=False)
+            assert len({res.quadrature_cells for res in got}) == 1
+            for g, w in zip(got, want):
+                assert abs(g.value - w.value) <= g.abs_error_bound + w.abs_error_bound, \
+                    (g, w)
+        # each result is the pairing's alone, whatever else the call holds
+        alone = [pair_many([case], config, strict=False)[0] for case in cases[:3]]
+        assert alone == pair_many(cases[:3], config, strict=False)
+
+    def test_vector_pairing_needs_one_ball(self, corpus):
+        members = make_dictionary(1, 1, 0, 12, 0).members
+        T = corpus["exp"].build()
+        with pytest.raises(ValueError):
+            pair_many([(T, (members[0], members[0].rescale([0.5], 0.5)))])
+        with pytest.raises(ValueError):
+            pair_many([(T, (members[0], next(m for m in members if len(m.atoms) > 1)))])
+
+    def test_gauss2d_kernel_derivatives_against_cubature(self, corpus, kernel_cache):
+        # the 2-D independent check: T = exp(-|x|^2) against Phi_r and its
+        # first derivatives, each written out here from the bump formula and
+        # integrated by scipy's cubature
+        cubature = pytest.importorskip("scipy.integrate").cubature
+        T = corpus["gauss2d"].build()
+        kernel = kernel_cache(2, 2)
+        (atom,) = kernel.testfn.atoms
+        a, r = np.array([0.3, -0.2]), 0.4
+        fn = kernel.directed(a, r)
+        phis = (fn, fn.derivative_view(MultiIndex((1, 0))), fn.derivative_view(MultiIndex((0, 1))))
+        got = pair_many([(T, phis)], QuadratureConfig(rel_tol=1e-12, abs_floor=1e-15))[0]
+
+        def integrand(x):
+            u = (x - a) / r
+            s = np.sum(u * u, axis=-1)
+            inside = s < 1.0 - 1e-12
+            sm1 = np.where(inside, s - 1.0, -1.0)
+            bump = np.where(inside, np.exp(1.0 / sm1), 0.0)
+            phi = atom.coeff[0] * r ** -2 * bump
+            # d/dx_j exp(1/(s - 1)) = -2 u_j / (s - 1)^2 exp(1/(s - 1)) / r
+            grad = phi[..., None] * (-2.0 * u / (sm1[..., None] ** 2 * r))
+            g = np.exp(-np.sum(x * x, axis=-1))
+            return np.concatenate([(g * phi)[..., None], g[..., None] * grad], axis=-1)
+
+        ref = cubature(integrand, a - r, a + r, rtol=1e-11, atol=1e-14)
+        assert ref.status == "converged"
+        for res, want, err in zip(got, ref.estimate, ref.error):
+            assert abs(res.value - want) <= res.abs_error_bound + err, (res, want, err)
