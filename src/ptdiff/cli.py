@@ -25,7 +25,7 @@ from .corpus import CorpusError, CorpusItem
 from .funcexpr import DomainError
 from .jetestimator import (INCONCLUSIVE, MARGIN, ClassifierConfig, JetConfig,
                            check_derivative_transfer, classify, estimate_jet)
-from .momentkernel import build_kernel
+from .momentkernel import MAX_SUPNORM_ORDER, build_kernel
 from .poincare import DivergentKappaError, verify
 from .quadrature import QuadratureNonConvergence
 from .tensor import MultiIndex, PolyJet
@@ -239,10 +239,10 @@ def cmd_poincare(args) -> int:
     i = args.i if args.i is not None else 0
     if item.n > 2:
         raise InputError("kernels are available for dimensions 1 and 2")
-    kernel = build_kernel(item.n, min(max(args.k, 2), 5))
-    if i not in kernel.deriv_supnorms:
-        raise InputError(f"poincare needs --i <= {max(kernel.deriv_supnorms)}, "
+    if i > MAX_SUPNORM_ORDER:
+        raise InputError(f"poincare needs --i <= {MAX_SUPNORM_ORDER}, "
                          "the highest order of the kernel's sup norms")
+    kernel = build_kernel(item.n, min(max(args.k, 2), 5))
     dct = args.dict or (8, 0)
     probes = make_dictionary(item.n, item.d, i, dct[0], dct[1])
     kappa = None
@@ -424,6 +424,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except QuadratureNonConvergence as exc:
         print(f"inconclusive: quadrature did not converge: value {exc.value!r}, "
               f"bound {exc.error_bound!r}, cells {exc.cells}", file=sys.stderr)
+        if args.format == "json":  # the report the command would have written
+            _write_report(_out_dir(args), f"{args.command}_{args.item}", {
+                "command": args.command,
+                "configuration": {k: v for k, v in vars(args).items()
+                                  if k not in ("command", "fn")},
+                "nonconvergence": {"value": float(exc.value), "bound": float(exc.error_bound),
+                                   "cells": int(exc.cells)}})
         return EXIT_INCONCLUSIVE
 
 

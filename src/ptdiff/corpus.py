@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -69,6 +70,10 @@ class CorpusItem:
 
 class CorpusError(ValueError):
     pass
+
+
+class CorpusWarning(UserWarning):
+    """A corpus document skipped while looking up another item."""
 
 
 def _describe(exc: Exception) -> str:
@@ -138,11 +143,37 @@ def load_corpus(directory: Optional[Path] = None) -> Dict[str, CorpusItem]:
 
 
 def get_item(item_id: str, directory: Optional[Path] = None) -> CorpusItem:
-    items = load_corpus(directory)
-    if item_id not in items:
-        raise CorpusError(f"unknown corpus id {item_id!r}; "
-                          f"available: {', '.join(sorted(items))}")
-    return items[item_id]
+    """The item item_id; only its document is parsed into an item.
+
+    The other documents are read for their id alone.  One that cannot be
+    read, or has no id, is a CorpusWarning, not an error: it fails no other
+    item.  It is an error when it is the requested item's own file,
+    <item_id>.json, or when the requested item's document is malformed.
+    """
+    base = Path(directory) if directory else DATA_DIR
+    ids, found = [], []
+    for path in sorted(base.glob("*.json")):
+        try:
+            doc = json.loads(path.read_text())
+            ids.append(doc["id"])
+        except (KeyError, TypeError, ValueError) as exc:
+            if path.stem == item_id:
+                raise CorpusError(f"corpus document {path.name}: {_describe(exc)}") from exc
+            warnings.warn(f"skipping corpus document {path.name}: {_describe(exc)}",
+                          CorpusWarning, stacklevel=2)
+            continue
+        if ids[-1] == item_id:
+            found.append((path, doc))
+    if len(found) > 1:
+        raise CorpusError(f"duplicate corpus id {item_id!r}")
+    if not found:
+        raise CorpusError(f"unknown corpus id {item_id!r}; available: "
+                          f"{', '.join(sorted(map(str, ids))) or f'none in {base}'}")
+    path, doc = found[0]
+    try:
+        return _parse_item(doc, path.name)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CorpusError(f"corpus document {path.name}: {_describe(exc)}") from exc
 
 
 # ---------------------------------------------------------------------------

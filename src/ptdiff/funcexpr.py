@@ -296,6 +296,7 @@ class _Parser:
 
 _MAX_DEGREE = 64  # a candidate of higher degree gives no cut
 _MAX_KINKS = 8  # likewise a candidate with more distinct abs calls (2^8 branches)
+_NEWTON_STEPS = 8  # polishing steps of an irrational zero; one or two suffice
 
 
 def _walk(node: Node):
@@ -376,7 +377,8 @@ def _real_roots(p: np.ndarray) -> List[Fraction]:
     start from numpy's zeros: one whose rounding to a multiple of 1/lead,
     lead the least common denominator of p, is a zero of p is that
     rational, and it is divided out exactly before the rest is solved.
-    What has no rational zero keeps numpy's real zeros.
+    What has no rational zero keeps numpy's real zeros, each polished to
+    the correctly rounded float (``_polished``).
     """
     from numpy.polynomial import polynomial as P
     g, r = p, P.polyder(p)
@@ -402,7 +404,26 @@ def _real_roots(p: np.ndarray) -> List[Fraction]:
         p = P.polydiv(p, np.array([-z, Fraction(1)], dtype=object))[0]
     if exact:
         return exact + (_real_roots(p) if len(p) > 1 else [])
-    return [Fraction(z.real) for z in zeros if z.imag == 0]
+    return [_polished(p, z.real) for z in zeros if z.imag == 0]
+
+
+def _polished(p: np.ndarray, z: float) -> Fraction:
+    """The float nearest the simple zero of p near z, as a Fraction.
+
+    Newton steps in exact arithmetic, each from the float of the last, until
+    p changes sign between the midpoints to the float's two neighbours: the
+    zero then rounds to that float.
+    """
+    from numpy.polynomial import polynomial as P
+    dp = P.polyder(p)
+    for _ in range(_NEWTON_STEPS):
+        x = Fraction(z)
+        lo, hi = ((x + Fraction(math.nextafter(z, t))) / 2 for t in (-math.inf, math.inf))
+        slope = P.polyval(x, dp)
+        if P.polyval(lo, p) * P.polyval(hi, p) < 0 or slope == 0:
+            break
+        z = float(x - P.polyval(x, p) / slope)
+    return Fraction(z)
 
 
 def _zeros(cand: Node) -> List[Fraction]:

@@ -11,6 +11,8 @@ of every multi-index are verified in one lockstep quadrature call.
 The bump moments, with their quadrature bounds, form one table per
 dimension (``moment_table``), filled whole on its first request; the
 kernel build and the closed-form pairing of polynomials read it.
+
+The kernel cache holds coefficients and residuals, never sup norms.
 """
 
 from __future__ import annotations
@@ -37,10 +39,7 @@ VERIFY_QUAD = QuadratureConfig(rel_tol=1e-12, abs_floor=1e-13)
 RESIDUAL_GATE = 1e-10
 MAX_DEGREE = 5
 BUMP_ID = "radial_exp_reciprocal"
-# cached deriv_supnorms are reused as stored; raise this whenever seminorm
-# or the core evaluation changes its values, so that older cache entries
-# are rebuilt
-SUPNORM_REVISION = 4
+MAX_SUPNORM_ORDER = 4  # highest i of the kernel sup norms sup ||D^i Phi||
 # total order the moment table is filled to: jets of degree <= 6 (the
 # probes' derivative bound) paired with monomial cores of order <= 3
 MOMENT_ORDER = 9
@@ -56,7 +55,12 @@ class MomentKernel:
     degree: int
     testfn: TestFn
     moment_residuals: Dict[Tuple[int, ...], float]
-    deriv_supnorms: Dict[int, float]
+
+    def deriv_supnorm(self, i: int) -> float:
+        """sup ||D^i Phi|| by ``seminorm`` on request, memoized per kernel function."""
+        if not 0 <= i <= MAX_SUPNORM_ORDER:
+            raise ValueError(f"kernel sup norms have orders 0..{MAX_SUPNORM_ORDER}, not {i}")
+        return _supnorm(self.testfn, i)
 
     def directed(self, a, r: float, d: int = 1, component: int = 0) -> TestFn:
         """x -> Phi_r(x - a) e_component with Phi_r(x) = r^{-n} Phi(x / r), values in R^d.
@@ -70,6 +74,11 @@ class MomentKernel:
             replace(t, coeff=tuple(t.coeff[0] if j == component else 0.0 for j in range(d)))
             for t in fn.atoms)
         return replace(fn, atoms=atoms, d=d)
+
+
+@lru_cache(maxsize=None)
+def _supnorm(fn: TestFn, i: int) -> float:
+    return seminorm(fn, i)
 
 
 def _angular_moment(*half: int) -> float:
@@ -162,8 +171,7 @@ def _even_indices(n: int, max_order: int):
 
 def _cache_key(n: int, k: int) -> str:
     payload = json.dumps({"n": n, "k": k, "bump": BUMP_ID,
-                          "quad_tol": MOMENT_QUAD.rel_tol,
-                          "supnorm_rev": SUPNORM_REVISION}, sort_keys=True)
+                          "quad_tol": MOMENT_QUAD.rel_tol}, sort_keys=True)
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
@@ -246,16 +254,12 @@ def build_kernel(n: int, k: int, use_cache: bool = True,
     cdir = Path(cache_dir) if cache_dir else _cache_dir()
     cpath = cdir / f"{_cache_key(n, k)}.json"
     coeffs = None
-    cached_supnorms = None
     if use_cache and cpath.exists():
         try:
             payload = json.loads(cpath.read_text())
             coeffs = {tuple(e): float(c) for e, c in payload["coeffs"]}
-            cached_supnorms = {int(i): float(v)
-                               for i, v in payload.get("supnorms", {}).items()}
         except (ValueError, KeyError):
             coeffs = None
-            cached_supnorms = None
     if coeffs is None:
         coeffs = _solve_coefficients(n, k)
     fn = _assemble(n, coeffs)
@@ -267,18 +271,13 @@ def build_kernel(n: int, k: int, use_cache: bool = True,
             cpath.unlink()
             return build_kernel(n, k, use_cache=use_cache, cache_dir=cache_dir)
         raise KernelConstructionError(f"moment residual {worst:.3e} above gate")
-    if cached_supnorms and set(cached_supnorms) == set(range(0, 5)):
-        supnorms = cached_supnorms
-    else:
-        supnorms = {i: seminorm(fn, i) for i in range(0, 5)}
     if use_cache:
         cdir.mkdir(parents=True, exist_ok=True)
         _write_atomic(cpath, json.dumps(
             {"n": n, "k": k, "bump": BUMP_ID,
              "coeffs": [[list(e), c] for e, c in coeffs.items()],
-             "supnorms": {str(i): v for i, v in supnorms.items()},
              "residuals": {str(e): r for e, r in residuals.items()}}, indent=1))
-    return MomentKernel(n, k, fn, residuals, supnorms)
+    return MomentKernel(n, k, fn, residuals)
 
 
 def _write_atomic(path: Path, text: str) -> None:

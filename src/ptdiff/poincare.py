@@ -98,7 +98,7 @@ def gamma(m: int, k: int, n: int, i: int, r: float, diam_c: float,
     if sup_norm is None:
         if kernel is None:
             raise ValueError("either a kernel or an explicit sup_norm is required")
-        sup_norm = kernel.deriv_supnorms[i] * r ** (-n - i)
+        sup_norm = kernel.deriv_supnorm(i) * r ** (-n - i)
     base = n * unit_ball_volume(n) * sup_norm
     out = base ** (k - m)
     for mu in range(1, k - m + 1):

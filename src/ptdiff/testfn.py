@@ -89,13 +89,23 @@ class TestFn:
             # one job: a byte per point for its index, not eight
             out = eval_stacked(StackedFns.of([(self, xi)]), pts, np.zeros(len(pts), np.int8))
         else:
-            out = np.zeros((pts.shape[0], self.d))
-            for a in self.atoms:
-                u = (pts - np.asarray(a.center)) / a.radius
-                vals = cores.core_eval(self.n, a.kind, a.core_xi, xi, u)
-                scale = a.radius ** (-xi.order)
-                out += (scale * vals)[:, None] * np.asarray(a.coeff)[None, :]
+            out = self._atom_sums([xi], pts)[:, 0]
         return out[0] if single else out
+
+    def _atom_sums(self, xis: Sequence[MultiIndex], pts: np.ndarray) -> np.ndarray:
+        """D^xi phi for each xi of xis at all points (npts, n), (npts, len(xis), d).
+
+        Atom by atom over every point, one ``core_eval`` call per atom for
+        all of xis; each column is summed in atom order, as for its xi alone.
+        """
+        out = np.zeros((pts.shape[0], len(xis), self.d))
+        for a in self.atoms:
+            u = (pts - np.asarray(a.center)) / a.radius
+            vals = cores.core_eval(self.n, [a.kind] * len(xis), [a.core_xi] * len(xis), xis, u)
+            for r, xi in enumerate(xis):
+                scale = a.radius ** (-xi.order)
+                out[:, r] += (scale * vals[:, r])[:, None] * np.asarray(a.coeff)[None, :]
+        return out
 
     @cached_property
     def _one_support(self) -> bool:
@@ -343,12 +353,14 @@ def seminorm(phi, i: int, K: Optional[Tuple[Sequence[float], float]] = None,
 
     The order-i derivative tensors are evaluated on a grid of grid_points
     intervals per axis over the relevant box (K defaults to the support
-    ball), and their norms are screened there with the unrefined angular
-    scan.  The best screened points get the norm refined in angle, and a
-    local grid search around the best of them refines in space.  What is
-    certified: the spatial search and every angular scan in it stop only
-    once a refinement step gains less than rel_tol relatively, and the
-    result is the norm at one point, so it is a lower bound of the sup.
+    ball), all of them in one ``core_eval`` call per atom when the atoms
+    share one support ball, and their norms are screened there with the
+    unrefined angular scan.  The best screened points get the norm refined
+    in angle, and a local grid search around the best of them refines in
+    space.  What is certified: the spatial search and every angular scan in
+    it stop only once a refinement step gains less than rel_tol relatively,
+    and the result is the norm at one point, so it is a lower bound of the
+    sup.
     For n > 2 the pointwise norm is the weighted l1 upper bound.
     """
     n = phi.n
@@ -372,6 +384,8 @@ def seminorm(phi, i: int, K: Optional[Tuple[Sequence[float], float]] = None,
         return np.stack([m.ravel() for m in mesh], axis=1)
 
     def tensors(pts):
+        if isinstance(phi, TestFn) and phi._one_support:
+            return phi._atom_sums(indices, pts)
         out = np.empty((pts.shape[0], len(indices), phi.d))
         for r, xi in enumerate(indices):
             out[:, r] = phi.eval_deriv(xi, pts)

@@ -7,7 +7,7 @@ import warnings
 import pytest
 
 from ptdiff.cli import main
-from ptdiff.corpus import DATA_DIR
+from ptdiff.corpus import DATA_DIR, CorpusWarning
 
 FAST_GRID = ["--grid", "0.5,8", "--dict", "6,0"]
 
@@ -52,10 +52,28 @@ class TestExitCodes:
         corpus.mkdir()
         shutil.copy(DATA_DIR / "exp.json", corpus)
         (corpus / "no_atoms.json").write_text(json.dumps({"id": "bare", "dim": 1}))
-        code = run(["jet", "--corpus", str(corpus), "--item", "exp", "--point", "0",
+        code = run(["jet", "--corpus", str(corpus), "--item", "bare", "--point", "0",
                     "--k", "3", "--out", str(tmp_path)])
         assert code == 3
         assert "no_atoms.json" in capsys.readouterr().err
+        # only the requested document is parsed: the bad one fails no sibling
+        code = run(["jet", "--corpus", str(corpus), "--item", "exp", "--point", "0",
+                    "--k", "3", "--out", str(tmp_path)])
+        assert code == 0
+
+    def test_unreadable_sibling_is_a_warning(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        shutil.copy(DATA_DIR / "exp.json", corpus)
+        (corpus / "torn.json").write_text('{"id": "torn", "dim"')
+        with pytest.warns(CorpusWarning, match="torn.json"):
+            code = run(["jet", "--corpus", str(corpus), "--item", "exp", "--point", "0",
+                        "--k", "3", "--out", str(tmp_path)])
+        assert code == 0
+        code = run(["jet", "--corpus", str(corpus), "--item", "torn", "--point", "0",
+                    "--k", "3", "--out", str(tmp_path)])
+        assert code == 3
+        assert "torn.json" in capsys.readouterr().err
 
     def test_expression_syntax_error_is_input_error(self, tmp_path, capsys):
         corpus = tmp_path / "corpus"
@@ -276,3 +294,7 @@ class TestNumericalFailures:
         assert code == 2
         err = capsys.readouterr().err
         assert "0.125" in err and "0.5" in err and "cells 64" in err
+        report = json.loads((tmp_path / "poincare_sin4.json").read_text())
+        assert report["command"] == "poincare"
+        assert report["configuration"]["item"] == "sin4"
+        assert report["nonconvergence"] == {"value": 0.125, "bound": 0.5, "cells": 64}

@@ -1,12 +1,13 @@
 """Shipped corpus documents: schema, provenance notes, loading errors."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
 
 from ptdiff import has_analytic_kappa, load_corpus
-from ptdiff.corpus import CorpusError, get_item
+from ptdiff.corpus import DATA_DIR, CorpusError, CorpusWarning, get_item
 
 EXPECTED_IDS = {
     "heaviside", "delta0", "abs_sqrt", "osc", "exp", "exp_neg", "sq", "cubic",
@@ -43,6 +44,46 @@ class TestLoading:
     def test_empty_directory_rejected(self, tmp_path):
         with pytest.raises(CorpusError):
             load_corpus(tmp_path)
+
+
+class TestGetItem:
+    """get_item parses only the requested document."""
+
+    def corpus(self, tmp_path):
+        (tmp_path / "exp.json").write_text((DATA_DIR / "exp.json").read_text())
+        (tmp_path / "torn.json").write_text('{"id": "torn", "atoms": [')  # cut short
+        (tmp_path / "list.json").write_text("[1, 2]")  # no id
+        (tmp_path / "bare.json").write_text(json.dumps({"id": "bare", "dim": 1}))
+        return tmp_path
+
+    def test_malformed_siblings_are_warnings(self, tmp_path):
+        with pytest.warns(CorpusWarning) as record:
+            item = get_item("exp", self.corpus(tmp_path))
+        assert item == load_corpus()["exp"]
+        messages = sorted(str(w.message) for w in record)
+        assert len(messages) == 2
+        assert messages[0].startswith("skipping corpus document list.json: ")
+        assert messages[1].startswith("skipping corpus document torn.json: ")
+
+    @pytest.mark.parametrize("item_id,name", [("torn", "torn.json"), ("bare", "bare.json")])
+    def test_malformed_item_itself_is_an_error(self, tmp_path, item_id, name):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", CorpusWarning)
+            with pytest.raises(CorpusError, match=name):
+                get_item(item_id, self.corpus(tmp_path))
+
+    def test_unknown_id_lists_readable_ids(self, tmp_path):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", CorpusWarning)
+            with pytest.raises(CorpusError, match="available: bare, exp$"):
+                get_item("nope", self.corpus(tmp_path))
+
+    def test_duplicate_id_rejected(self, tmp_path):
+        doc = {"id": "dup", "dim": 1, "atoms": [{"kind": "function", "exprs": ["x1"]}]}
+        (tmp_path / "a.json").write_text(json.dumps(doc))
+        (tmp_path / "b.json").write_text(json.dumps(doc))
+        with pytest.raises(CorpusError, match="duplicate"):
+            get_item("dup", tmp_path)
 
 
 class TestAnnotations:

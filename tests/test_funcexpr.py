@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 from ptdiff import parse
 from ptdiff.funcexpr import (BinOp, Call, Const, DomainError, ExprError, Neg, Pow, Var,
-                             _candidate_args, _free_vars, _zeros, eval_expr, pretty)
+                             _candidate_args, _free_vars, _real_roots, _zeros, eval_expr,
+                             pretty)
 
 X1 = sp.Symbol("x1", real=True)
 
@@ -132,10 +133,23 @@ class TestParse:
           -0.04285714285714286, 0.9571428571428572]),
         ("heaviside(exp(x1)-1)", []),
         ("heaviside(abs(x1)-x1)", [0.0]),
+        # two irrational zeros of a cubic, (-29 -+ 12^(1/3)) / 2.49, correctly
+        # rounded (mpmath at 50 digits agrees), and the kink's rational zero
+        ("heaviside(abs((-2.49*x1-29)^3)-12)",
+         [-12.566035536187416, -11.646586345381525, -10.727137154575637]),
     ])
     def test_cut_points(self, text, cuts):
         _, sing = parse(text)
         assert sorted(v for _, v in sing.hyperplanes) == sorted(cuts)
+
+    def test_irrational_zero_correctly_rounded(self):
+        # the zero of x^3 - 2 lies within half an ulp of the returned float
+        (z,) = _real_roots(np.array([Fraction(-2), Fraction(0), Fraction(0), Fraction(1)],
+                                    dtype=object))
+        x = Fraction(float(z))
+        half = Fraction(math.ulp(float(z))) / 2
+        assert z == x
+        assert (x - half) ** 3 - 2 < 0 < (x + half) ** 3 - 2
 
     @given(CANDIDATES)
     @settings(max_examples=60, deadline=None)

@@ -10,10 +10,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ptdiff import (MomentKernel, MultiIndex, PolyJet, build_kernel, seminorm,
-                    xi_set)
-from ptdiff.momentkernel import (RESIDUAL_GATE, VERIFY_QUAD, _angular_moment,
-                                 _cache_key, _verify_residuals, verify_reproduction)
+from ptdiff import (MomentKernel, MultiIndex, PolyJet, build_kernel, momentkernel,
+                    seminorm, xi_set)
+from ptdiff.momentkernel import (MAX_SUPNORM_ORDER, RESIDUAL_GATE, VERIFY_QUAD,
+                                 _angular_moment, _cache_key, _verify_residuals,
+                                 verify_reproduction)
 from ptdiff.quadrature import integrate_box
 from ptdiff.tensor import zero_index
 
@@ -145,7 +146,7 @@ class TestScaling:
     def test_deriv_supnorms_match_seminorm(self, kernel_cache):
         for kernel in (kernel_cache(1, 3), kernel_cache(2, 2)):
             for i in range(0, 3):
-                assert kernel.deriv_supnorms[i] == pytest.approx(
+                assert kernel.deriv_supnorm(i) == pytest.approx(
                     seminorm(kernel.testfn, i), rel=1e-6)
 
     def test_scaled_derivative_supnorm(self, kernel_cache):
@@ -154,12 +155,77 @@ class TestScaling:
         r = 0.25
         for i in (0, 1, 2):
             got = seminorm(kernel.directed([0.0], r), i)
-            ref = r ** (-1 - i) * kernel.deriv_supnorms[i]
+            ref = r ** (-1 - i) * kernel.deriv_supnorm(i)
             assert got == pytest.approx(ref, rel=1e-2)
 
     def test_invalid_scale(self, kernel_cache):
         with pytest.raises(ValueError):
             kernel_cache(1, 2).directed([0.0], 0.0)
+
+
+# sup ||D^i Phi||, i = 0..4, as the kernel files stored them when every
+# build computed them; kernels of degrees 2j - 1 and 2j are one function
+STORED_SUPNORMS = {
+    (1, 2): (0.8285688398691055, 1.7982900814975429, 17.454471931764047,
+             419.8253395866316, 18729.74275908683),
+    (1, 3): (1.5688387740067788, 3.9503075195366613, 36.796556829352795,
+             1072.289557345903, 52798.89159335534),
+    (1, 5): (2.277878955070079, 7.585379667964667, 62.77833092499522,
+             1966.8715937095321, 117104.51955286661),
+    (2, 2): (0.7885737797126774, 1.711486657923328, 16.61200149677682,
+             399.56047138326187, 17825.43442108335),
+    (2, 3): (2.3768853952302633, 5.510820891088874, 41.165437897368975,
+             1224.8896595291333, 60967.537489129085),
+}
+
+
+def counting_seminorm(monkeypatch):
+    """Count the seminorm calls the kernel module makes; returns the count list."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return seminorm(*args, **kwargs)
+
+    monkeypatch.setattr(momentkernel, "seminorm", counted)
+    return calls
+
+
+class TestSupnorms:
+    def test_build_computes_none(self, tmp_path, monkeypatch):
+        calls = counting_seminorm(monkeypatch)
+        build_kernel(2, 2, cache_dir=tmp_path)  # cold
+        assert list(tmp_path.glob("*.json"))
+        build_kernel(2, 2, cache_dir=tmp_path)  # warm
+        assert calls == []
+
+    def test_kernel_file_holds_coefficients_and_residuals(self, tmp_path):
+        build_kernel(1, 3, cache_dir=tmp_path)
+        payload = json.loads(next(tmp_path.glob("*.json")).read_text())
+        assert "supnorms" not in payload
+        assert set(payload) == {"n", "k", "bump", "coeffs", "residuals"}
+
+    @pytest.mark.parametrize("n,k", sorted(STORED_SUPNORMS))
+    def test_equal_to_stored_values(self, kernel_cache, n, k):
+        kernel = kernel_cache(n, k)
+        got = tuple(kernel.deriv_supnorm(i) for i in range(MAX_SUPNORM_ORDER + 1))
+        assert got == STORED_SUPNORMS[(n, k)]
+
+    def test_memoized_per_kernel_function(self, tmp_path, monkeypatch):
+        calls = counting_seminorm(monkeypatch)
+        momentkernel._supnorm.cache_clear()
+        built = build_kernel(1, 3, cache_dir=tmp_path)
+        first = built.deriv_supnorm(2)
+        assert calls == [2]
+        assert built.deriv_supnorm(2) == first
+        # a kernel loaded from its file is the same function: no new evaluation
+        loaded = build_kernel(1, 3, cache_dir=tmp_path)
+        assert loaded.deriv_supnorm(2) == first
+        assert calls == [2]
+
+    def test_order_out_of_range(self, kernel_cache):
+        with pytest.raises(ValueError):
+            kernel_cache(1, 2).deriv_supnorm(MAX_SUPNORM_ORDER + 1)
 
 
 class TestCache:

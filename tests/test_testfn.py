@@ -211,6 +211,41 @@ class TestBatchedAtoms:
         assert seminorm(_probe(2, "plateau_w0.2", seed=0), 0) == 1.9636091265808011
 
 
+ONE_BALL_FNS = {
+    "bump_2d": lambda kc: standard_bump(2),
+    "bump_monomial_2d": lambda kc: bump_monomial(2, (1, 2)).rescale([0.2, -0.1], 0.6),
+    "kernel_1d_deg5": lambda kc: kc(1, 5).testfn,
+    "kernel_2d_deg3": lambda kc: kc(2, 3).testfn,
+    "kernel_2d_directed": lambda kc: kc(2, 3).directed([0.1, -0.2], 0.3, d=2, component=1),
+}
+
+
+class TestFusedTensors:
+    """All order-i derivatives of a one-ball function at once: one core_eval
+    call per atom, each column the per-xi value bit for bit."""
+
+    @pytest.mark.parametrize("name", sorted(ONE_BALL_FNS))
+    def test_columns_bit_identical(self, name, kernel_cache, monkeypatch):
+        phi = ONE_BALL_FNS[name](kernel_cache)
+        assert phi._one_support
+        rng = np.random.default_rng(4)
+        c, r = np.asarray(phi.support_center), phi.support_radius
+        pts = np.concatenate([c + rng.uniform(-1.2 * r, 1.2 * r, size=(300, phi.n)),
+                              _boundary_points(phi, rng)])
+        calls = []
+        core_eval = cores.core_eval
+        monkeypatch.setattr(cores, "core_eval", lambda *a: calls.append(a) or core_eval(*a))
+        for i in range(5):
+            indices = xi_set(phi.n, i)
+            calls.clear()
+            got = phi._atom_sums(indices, pts)
+            assert len(calls) == len(phi.atoms)
+            want = np.stack([_atom_loop(phi, xi, pts) for xi in indices], axis=1)
+            assert np.array_equal(got, want), (name, i)
+            per_xi = np.stack([phi.eval_deriv(xi, pts) for xi in indices], axis=1)
+            assert np.array_equal(got, per_xi), (name, i)
+
+
 class TestSeminorm:
     def test_nu0_closed_form(self):
         assert seminorm(standard_bump(1), 0) == pytest.approx(math.exp(-1.0), rel=1e-6)
