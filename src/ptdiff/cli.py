@@ -424,11 +424,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except QuadratureNonConvergence as exc:
         print(f"inconclusive: quadrature did not converge: value {exc.value!r}, "
               f"bound {exc.error_bound!r}, cells {exc.cells}", file=sys.stderr)
-        if args.format == "json":  # the report the command would have written
+        if args.format == "json":  # where the report goes: the arguments as given, the failure
             _write_report(_out_dir(args), f"{args.command}_{args.item}", {
                 "command": args.command,
-                "configuration": {k: v for k, v in vars(args).items()
-                                  if k not in ("command", "fn")},
+                "arguments": {k: v for k, v in vars(args).items() if v is not None
+                              and k not in ("command", "fn", "out", "format")},
                 "nonconvergence": {"value": float(exc.value), "bound": float(exc.error_bound),
                                    "cells": int(exc.cells)}})
         return EXIT_INCONCLUSIVE

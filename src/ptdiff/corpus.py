@@ -15,7 +15,7 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -126,17 +126,49 @@ def _parse_item(doc: dict, source: str = "") -> CorpusItem:
                       doc.get("polynomial_degree"), source)
 
 
+def _error(path: Path, exc: Exception) -> CorpusError:
+    err = CorpusError(f"corpus document {path.name}: {_describe(exc)}")
+    err.__cause__ = exc
+    return err
+
+
+def _documents(base: Path) -> Iterator[Tuple[Path, object, object]]:
+    """(path, id, JSON document) for each *.json file in base, in name order.
+
+    A file that cannot be read, or whose document has no id, yields a
+    CorpusError in place of the document (and id None); so does the second
+    file with an id already seen.
+    """
+    seen = set()
+    for path in sorted(base.glob("*.json")):
+        try:
+            doc = json.loads(path.read_text())
+            doc_id = doc["id"]
+            repeated = doc_id in seen
+        except (OSError, KeyError, TypeError, ValueError) as exc:
+            yield path, None, _error(path, exc)
+            continue
+        if repeated:
+            yield path, doc_id, CorpusError(f"duplicate corpus id {doc_id!r}")
+            continue
+        seen.add(doc_id)
+        yield path, doc_id, doc
+
+
+def _parsed(path: Path, doc) -> CorpusItem:
+    try:
+        return _parse_item(doc, path.name)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise _error(path, exc) from exc
+
+
 def load_corpus(directory: Optional[Path] = None) -> Dict[str, CorpusItem]:
     base = Path(directory) if directory else DATA_DIR
     items: Dict[str, CorpusItem] = {}
-    for path in sorted(base.glob("*.json")):
-        try:
-            item = _parse_item(json.loads(path.read_text()), path.name)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CorpusError(f"corpus document {path.name}: {_describe(exc)}") from exc
-        if item.id in items:
-            raise CorpusError(f"duplicate corpus id {item.id!r}")
-        items[item.id] = item
+    for path, doc_id, doc in _documents(base):
+        if isinstance(doc, CorpusError):
+            raise doc
+        items[doc_id] = _parsed(path, doc)
     if not items:
         raise CorpusError(f"no corpus documents found in {base}")
     return items
@@ -146,34 +178,26 @@ def get_item(item_id: str, directory: Optional[Path] = None) -> CorpusItem:
     """The item item_id; only its document is parsed into an item.
 
     The other documents are read for their id alone.  One that cannot be
-    read, or has no id, is a CorpusWarning, not an error: it fails no other
-    item.  It is an error when it is the requested item's own file,
-    <item_id>.json, or when the requested item's document is malformed.
+    read, has no id or repeats another's id is a CorpusWarning, not an
+    error: it fails no other item.  It is an error when it is the requested item's own file,
+    <item_id>.json, when it repeats the requested id, or when the requested
+    item's document is malformed.
     """
     base = Path(directory) if directory else DATA_DIR
-    ids, found = [], []
-    for path in sorted(base.glob("*.json")):
-        try:
-            doc = json.loads(path.read_text())
-            ids.append(doc["id"])
-        except (KeyError, TypeError, ValueError) as exc:
-            if path.stem == item_id:
-                raise CorpusError(f"corpus document {path.name}: {_describe(exc)}") from exc
-            warnings.warn(f"skipping corpus document {path.name}: {_describe(exc)}",
-                          CorpusWarning, stacklevel=2)
-            continue
-        if ids[-1] == item_id:
-            found.append((path, doc))
-    if len(found) > 1:
-        raise CorpusError(f"duplicate corpus id {item_id!r}")
-    if not found:
+    ids, found = [], None
+    for path, doc_id, doc in _documents(base):
+        if isinstance(doc, CorpusError):
+            if path.stem == item_id or doc_id == item_id:
+                raise doc
+            warnings.warn(f"skipping {doc}", CorpusWarning, stacklevel=2)
+        else:
+            ids.append(doc_id)
+            if doc_id == item_id:
+                found = path, doc
+    if found is None:
         raise CorpusError(f"unknown corpus id {item_id!r}; available: "
                           f"{', '.join(sorted(map(str, ids))) or f'none in {base}'}")
-    path, doc = found[0]
-    try:
-        return _parse_item(doc, path.name)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CorpusError(f"corpus document {path.name}: {_describe(exc)}") from exc
+    return _parsed(*found)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ import json
 import math
 import os
 import tempfile
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from pathlib import Path
 from typing import Dict, Optional, Tuple
@@ -55,12 +55,15 @@ class MomentKernel:
     degree: int
     testfn: TestFn
     moment_residuals: Dict[Tuple[int, ...], float]
+    _supnorms: Dict[int, float] = field(default_factory=dict, repr=False, compare=False)
 
     def deriv_supnorm(self, i: int) -> float:
-        """sup ||D^i Phi|| by ``seminorm`` on request, memoized per kernel function."""
+        """sup ||D^i Phi|| by ``seminorm``, memoized on this kernel object, not process-wide."""
         if not 0 <= i <= MAX_SUPNORM_ORDER:
             raise ValueError(f"kernel sup norms have orders 0..{MAX_SUPNORM_ORDER}, not {i}")
-        return _supnorm(self.testfn, i)
+        if i not in self._supnorms:
+            self._supnorms[i] = seminorm(self.testfn, i)
+        return self._supnorms[i]
 
     def directed(self, a, r: float, d: int = 1, component: int = 0) -> TestFn:
         """x -> Phi_r(x - a) e_component with Phi_r(x) = r^{-n} Phi(x / r), values in R^d.
@@ -74,11 +77,6 @@ class MomentKernel:
             replace(t, coeff=tuple(t.coeff[0] if j == component else 0.0 for j in range(d)))
             for t in fn.atoms)
         return replace(fn, atoms=atoms, d=d)
-
-
-@lru_cache(maxsize=None)
-def _supnorm(fn: TestFn, i: int) -> float:
-    return seminorm(fn, i)
 
 
 def _angular_moment(*half: int) -> float:

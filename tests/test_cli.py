@@ -296,5 +296,5 @@ class TestNumericalFailures:
         assert "0.125" in err and "0.5" in err and "cells 64" in err
         report = json.loads((tmp_path / "poincare_sin4.json").read_text())
         assert report["command"] == "poincare"
-        assert report["configuration"]["item"] == "sin4"
+        assert report["arguments"] == {"item": "sin4", "point": "0", "k": 1, "dict": [6, 0]}
         assert report["nonconvergence"] == {"value": 0.125, "bound": 0.5, "cells": 64}

@@ -54,6 +54,7 @@ class TestGetItem:
         (tmp_path / "torn.json").write_text('{"id": "torn", "atoms": [')  # cut short
         (tmp_path / "list.json").write_text("[1, 2]")  # no id
         (tmp_path / "bare.json").write_text(json.dumps({"id": "bare", "dim": 1}))
+        (tmp_path / "dir.json").mkdir()  # a file name that cannot be read
         return tmp_path
 
     def test_malformed_siblings_are_warnings(self, tmp_path):
@@ -61,11 +62,13 @@ class TestGetItem:
             item = get_item("exp", self.corpus(tmp_path))
         assert item == load_corpus()["exp"]
         messages = sorted(str(w.message) for w in record)
-        assert len(messages) == 2
-        assert messages[0].startswith("skipping corpus document list.json: ")
-        assert messages[1].startswith("skipping corpus document torn.json: ")
+        assert len(messages) == 3
+        assert messages[0].startswith("skipping corpus document dir.json: ")
+        assert messages[1].startswith("skipping corpus document list.json: ")
+        assert messages[2].startswith("skipping corpus document torn.json: ")
 
-    @pytest.mark.parametrize("item_id,name", [("torn", "torn.json"), ("bare", "bare.json")])
+    @pytest.mark.parametrize("item_id,name", [("torn", "torn.json"), ("bare", "bare.json"),
+                                              ("dir", "dir.json")])
     def test_malformed_item_itself_is_an_error(self, tmp_path, item_id, name):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", CorpusWarning)
@@ -82,8 +85,13 @@ class TestGetItem:
         doc = {"id": "dup", "dim": 1, "atoms": [{"kind": "function", "exprs": ["x1"]}]}
         (tmp_path / "a.json").write_text(json.dumps(doc))
         (tmp_path / "b.json").write_text(json.dumps(doc))
+        (tmp_path / "exp.json").write_text((DATA_DIR / "exp.json").read_text())
         with pytest.raises(CorpusError, match="duplicate"):
             get_item("dup", tmp_path)
+        with pytest.raises(CorpusError, match="duplicate"):
+            load_corpus(tmp_path)
+        with pytest.warns(CorpusWarning, match="duplicate corpus id 'dup'"):
+            assert get_item("exp", tmp_path).id == "exp"  # a sibling's duplicate
 
 
 class TestAnnotations:
