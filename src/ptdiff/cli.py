@@ -22,10 +22,11 @@ import numpy as np
 from . import __version__
 from . import corpus as corpus_mod
 from .corpus import CorpusError, CorpusItem
+from .distribution import Distribution
 from .funcexpr import DomainError
 from .jetestimator import (INCONCLUSIVE, MARGIN, ClassifierConfig, JetConfig,
                            check_derivative_transfer, classify, estimate_jet)
-from .momentkernel import MAX_SUPNORM_ORDER, build_kernel
+from .momentkernel import MAX_DEGREE, MAX_SUPNORM_ORDER, build_kernel
 from .poincare import DivergentKappaError, verify
 from .quadrature import QuadratureNonConvergence
 from .tensor import MultiIndex, PolyJet
@@ -115,6 +116,17 @@ def _load_item(args) -> CorpusItem:
         raise InputError(str(exc)) from exc
 
 
+def _corpus_inputs(args) -> Tuple[CorpusItem, Distribution, Tuple[float, ...]]:
+    """The item, its distribution and the point of a corpus command, checked
+    in that order, then --k: the first bad input names the error."""
+    item = _load_item(args)
+    T = item.build()
+    point = _parse_point(args.point, item.n)
+    if args.k is None:
+        raise InputError("--k is required")
+    return item, T, point
+
+
 def _out_dir(args) -> Path:
     out = Path(args.out) if args.out else Path("reports")
     out.mkdir(parents=True, exist_ok=True)
@@ -133,11 +145,7 @@ def _jet_payload(jet: PolyJet) -> Dict[str, List[float]]:
 
 
 def cmd_classify(args) -> int:
-    item = _load_item(args)
-    T = item.build()
-    point = _parse_point(args.point, item.n)
-    if args.k is None:
-        raise InputError("--k is required")
+    item, T, point = _corpus_inputs(args)
     cfg = _classifier_config(args)
     rep = classify(T, point, args.k, alpha=args.alpha, i=args.i, config=cfg)
     out = _out_dir(args)
@@ -174,11 +182,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_jet(args) -> int:
-    item = _load_item(args)
-    T = item.build()
-    point = _parse_point(args.point, item.n)
-    if args.k is None:
-        raise InputError("--k is required")
+    item, T, point = _corpus_inputs(args)
     cfg = _jet_config(args)
     est = estimate_jet(T, point, args.k, config=cfg)
     out = _out_dir(args)
@@ -203,11 +207,7 @@ def cmd_jet(args) -> int:
 
 
 def cmd_transfer(args) -> int:
-    item = _load_item(args)
-    T = item.build()
-    point = _parse_point(args.point, item.n)
-    if args.k is None:
-        raise InputError("--k is required")
+    item, T, point = _corpus_inputs(args)
     if args.k + args.l > MAX_ORDER:
         raise InputError(f"transfer needs --k + --l <= {MAX_ORDER}")
     cfg = _classifier_config(args)
@@ -231,18 +231,14 @@ def cmd_transfer(args) -> int:
 
 
 def cmd_poincare(args) -> int:
-    item = _load_item(args)
-    T = item.build()
-    point = _parse_point(args.point, item.n)
-    if args.k is None:
-        raise InputError("--k is required")
+    item, T, point = _corpus_inputs(args)
     i = args.i if args.i is not None else 0
     if item.n > 2:
         raise InputError("kernels are available for dimensions 1 and 2")
     if i > MAX_SUPNORM_ORDER:
         raise InputError(f"poincare needs --i <= {MAX_SUPNORM_ORDER}, "
                          "the highest order of the kernel's sup norms")
-    kernel = build_kernel(item.n, min(max(args.k, 2), 5))
+    kernel = build_kernel(item.n, min(max(args.k, 2), MAX_DEGREE))
     dct = args.dict or (8, 0)
     probes = make_dictionary(item.n, item.d, i, dct[0], dct[1])
     kappa = None

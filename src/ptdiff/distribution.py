@@ -16,6 +16,12 @@ pairing (T, (phi_1, ..., phi_M)) of test functions on one ball integrates
 each function atom of T as one M-component engine job, on one mesh, with
 T evaluated once per point and the cores of all phi_c in one fused
 ``core_eval`` call; each component keeps its own value and bound.
+
+One atom table, ``testfn.StackedFns``, serves every part in every
+dimension: the scalar integrals of an engine evaluate all their test
+functions with one ``eval_stacked`` call per block of points, and their
+data once per point; the polynomial parts read their atoms from it; and a
+vector job's fused plan takes its core specs and weights from it.
 """
 
 from __future__ import annotations
@@ -32,8 +38,7 @@ from .funcexpr import ExprAST, SingularitySet, eval_expr, parse
 from .momentkernel import moment_table
 from .quadrature import QuadratureConfig, integrate_boxes
 from .tensor import MultiIndex, PolyJet, taylor_moments, zero_index
-from .testfn import (DerivedTestFn, ProbeDictionary, StackedFns, UnsupportedOrderError,
-                     eval_stacked)
+from .testfn import DerivedTestFn, ProbeDictionary, StackedFns, eval_stacked
 
 MAX_DERIVATIVE_DEPTH = 8
 # (jet, atom) rows per closed-form block, which bounds the temporaries
@@ -232,7 +237,7 @@ def _polynomial(parts: Sequence[Tuple[PolyJet, object]]) -> List[Tuple[float, fl
         st = StackedFns.of([_base_and_offset(parts[i][1]) for i in idx])
         jets = np.stack([parts[i][0].coeffs for i in idx])
         h = st.centers - np.stack([parts[i][0].center for i in idx])[st.job]
-        top = max(sum(core or ()) for _, core, _ in st.groups)
+        top = max((sum(core or ()) for _, core, _ in st.groups), default=0)
         M, M_bound = moment_table(n, k + top)
         M_abs = M_bound + 64 * np.finfo(float).eps * np.abs(M)
         terms = np.zeros((len(st.job), 2))  # value and bound of each (part, atom)
@@ -262,24 +267,14 @@ def one_ball(phi):
     return psi.atoms[0].center, psi.atoms[0].radius, psi.support_center, psi.support_radius
 
 
-def _integrand(jobs: list, n: int):
-    """The engine's f(pts, job): data times phi.  A 2-D cell has hundreds of
-    points, so each job's run goes to its own test function; 1-D runs go to
-    one stacked evaluator, and data shared by jobs is evaluated once.
+def _integrand(jobs: list, d: int):
+    """The engine's f(pts, job) for scalar jobs (data, phi, splits): data
+    times phi.  The test functions of all jobs are one stack, evaluated by
+    one ``eval_stacked`` call per block of points, and data shared by jobs
+    is evaluated once per point.
     """
-    zero = zero_index(n)
-    if n >= 2:
-        def own(pts, job):
-            out = np.empty(len(pts))
-            starts = np.flatnonzero(np.diff(job, prepend=-1))
-            for s, e in zip(starts, np.append(starts[1:], len(job))):
-                data, phi, _ = jobs[job[s]]
-                out[s:e] = np.einsum("ij,ij->i", data.eval(pts[s:e]),
-                                     phi.eval_deriv(zero, pts[s:e]))
-            return out
-        return own
     stack = StackedFns.of([_base_and_offset(phi) for _, phi, _ in jobs])
-    data_values = _shared_data(jobs, stack.d)
+    data_values = _shared_data(jobs, d)
 
     def stacked(pts, job):
         return np.einsum("ij,ij->i", data_values(pts, job), eval_stacked(stack, pts, job))
@@ -308,24 +303,16 @@ def _shared_data(jobs: list, d: int):
 def _fused_plan(phis: tuple):
     """(center, radius, layout, weights) of test functions whose atoms share
     one ball.  The layout holds the distinct core specs (kind, core
-    multi-index, derivative), as columns of one fused ``core_eval`` call,
-    and per function the (column, target component) of its atoms' nonzero
-    coefficients; weights holds those coefficients times radius ** -|xi|.
+    multi-index, derivative) of their ``StackedFns``, as columns of one
+    fused ``core_eval`` call, and per nonzero atom coefficient its (test
+    function, column, target component); weights holds those coefficients
+    times radius ** -|xi|.
     """
-    specs: dict = {}
-    layout, weights = [], []
-    for phi in phis:
-        psi, offset = _base_and_offset(phi)
-        if offset.order > psi.max_deriv_order:
-            raise UnsupportedOrderError(
-                f"derivative order {offset.order} exceeds configured bound {psi.max_deriv_order}")
-        terms = [(specs.setdefault((a.kind, a.core_xi, offset), len(specs)), i,
-                  c * a.radius ** (-offset.order))
-                 for a in psi.atoms for i, c in enumerate(a.coeff) if c != 0.0]
-        layout.append(tuple(t[:2] for t in terms))
-        weights += [t[2] for t in terms]
+    st = StackedFns.of([_base_and_offset(phi) for phi in phis])
+    rows, comps = np.nonzero(st.coeffs)
+    terms = tuple(zip(st.job[rows].tolist(), st.group[rows].tolist(), comps.tolist()))
     center, radius = one_ball(phis[0])[:2]
-    return center, radius, (tuple(specs), tuple(layout)), weights
+    return center, radius, (st.groups, terms), (st.coeffs * st.scale[:, None])[rows, comps]
 
 
 def _fused_integrand(jobs: list, n: int, d: int):
@@ -340,7 +327,7 @@ def _fused_integrand(jobs: list, n: int, d: int):
     centers = np.array([plan[0] for plan in plans], dtype=float)
     radii = np.array([plan[1] for plan in plans], dtype=float)
     # per layout, the weights of its jobs' terms, (jobs, terms)
-    weights = [np.zeros((len(plans), sum(map(len, layout)))) for _, layout in layouts]
+    weights = [np.zeros((len(plans), len(terms))) for _, terms in layouts]
     for j, plan in enumerate(plans):
         weights[group[j]][j] = plan[3]
     data_values = _shared_data(jobs, d)
@@ -349,16 +336,13 @@ def _fused_integrand(jobs: list, n: int, d: int):
     def fused(pts, job):
         fv = data_values(pts, job).T
         out = np.zeros((m, len(pts)))  # component-major
-        for g, ((specs, layout), w) in enumerate(zip(layouts, weights)):
+        for g, ((specs, terms), w) in enumerate(zip(layouts, weights)):
             sel = slice(None) if len(layouts) == 1 else np.flatnonzero(group[job] == g)
             jj = job[sel]
             vals = cores.core_eval(n, *zip(*specs), (pts[sel] - centers[jj]) / radii[jj, None]).T
             wj = w[jj].T
-            k = 0
-            for c, terms in enumerate(layout):
-                for spec, i in terms:
-                    out[c, sel] += wj[k] * vals[spec] * fv[i, sel]
-                    k += 1
+            for t, (c, spec, i) in enumerate(terms):
+                out[c, sel] += wj[t] * vals[spec] * fv[i, sel]
         return out.T
     return fused
 
@@ -410,7 +394,7 @@ def pair_many(pairs: Sequence[Tuple[Distribution, object]],
                   np.add(phis[0].support_center, phis[0].support_radius), splits)
                  for _, phis, splits in jobs]
         if m == 1:
-            f = _integrand([(data, phis[0], splits) for data, phis, splits in jobs], n)
+            f = _integrand([(data, phis[0], splits) for data, phis, splits in jobs], d)
         else:
             f = _fused_integrand(jobs, n, d)
         for i, (v, e, c) in zip(idx, integrate_boxes(f, boxes, config, strict)):

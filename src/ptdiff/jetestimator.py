@@ -136,8 +136,6 @@ def estimate_jet(T: Distribution, a, k: int, kernel: Optional[MomentKernel] = No
     levels = config.level_count(T.n)
     radii = config.r0 * 2.0 ** (-np.arange(levels))
     traces: Dict[Tuple[int, ...], CoefficientTrace] = {}
-    coeff_map: Dict[Tuple[int, ...], np.ndarray] = {}
-    all_converged = True
     xis = [xi for m in range(0, k + 1) for xi in xi_set(T.n, m)]
     # (D^xi T)(Phi_r e_c) = (-1)^|xi| T(D^xi Phi_r e_c): one vector pairing
     # per radius, its components every (xi, c), on one mesh
@@ -145,24 +143,21 @@ def estimate_jet(T: Distribution, a, k: int, kernel: Optional[MomentKernel] = No
                          for directed in ([kernel.directed(a, float(r), T.d, c)
                                            for c in range(T.d)] for r in radii)],
                         config.quad, strict=False)
+    # (levels, xi, d, value and bound)
+    vb = np.array([[(res.value, res.abs_error_bound) for res in row] for row in results])
+    vb = vb.reshape(levels, len(xis), T.d, 2)
+    odd = np.array([xi.order % 2 == 1 for xi in xis])[:, None]
+    # 0 - v, not -1 * v: a zero pairing stays +0.0
+    values = np.where(odd, 0.0 - vb[..., 0], vb[..., 0])
+    bounds = vb[..., 1].max(axis=2)
     for x, xi in enumerate(xis):
-        vals = np.zeros((levels, T.d))
-        bnds = np.zeros(levels)
-        for j, row in enumerate(results):
-            for c in range(T.d):
-                res = row[x * T.d + c]
-                # 0 - v, not -1 * v: a zero pairing stays +0.0
-                vals[j, c] = 0.0 - res.value if xi.order % 2 else res.value
-                bnds[j] = max(bnds[j], res.abs_error_bound)
-        est, conv = _accelerate(vals, CONTRACTION_RATIO)
+        est, conv = _accelerate(values[:, x], CONTRACTION_RATIO)
         traces[xi.entries] = CoefficientTrace(
             xi.entries, tuple(map(float, radii)),
-            tuple(tuple(map(float, row)) for row in vals),
-            tuple(map(float, bnds)), tuple(map(float, est)), conv)
-        coeff_map[xi.entries] = est
-        all_converged = all_converged and conv
-    jet = PolyJet.from_coeff_map(T.n, a, coeff_map, target_dim=T.d)
-    return JetEstimate(jet, traces, all_converged)
+            tuple(tuple(map(float, row)) for row in values[:, x]),
+            tuple(map(float, bounds[:, x])), tuple(map(float, est)), conv)
+    jet = PolyJet.from_coeff_map(T.n, a, {e: t.estimate for e, t in traces.items()}, T.d)
+    return JetEstimate(jet, traces, all(t.converged for t in traces.values()))
 
 
 @dataclass(frozen=True)
@@ -206,16 +201,20 @@ class DecayReport:
                    tuple(col[j] for col in self.probe_values))
 
 
+def _slope(r: np.ndarray, v: np.ndarray) -> float:
+    """Least-squares slope of log v against log r."""
+    lr = np.log(r)
+    A = np.stack([lr, np.ones_like(lr)], axis=1)
+    return float(np.linalg.lstsq(A, np.log(v), rcond=None)[0][0])
+
+
 def _fit_slope(radii: np.ndarray, env: np.ndarray, usable: np.ndarray) -> Optional[float]:
     idx = np.nonzero(usable)[0]
     if idx.size < 3:
         return None
     # smallest usable radii carry the asymptotics; keep at most the lower half
     idx = idx[np.argsort(radii[idx])][: max(3, idx.size // 2 + 1)]
-    lr, le = np.log(radii[idx]), np.log(env[idx])
-    A = np.stack([lr, np.ones_like(lr)], axis=1)
-    slope, _ = np.linalg.lstsq(A, le, rcond=None)[0]
-    return float(slope)
+    return _slope(radii[idx], env[idx])
 
 
 def classify(T: Distribution, a, k: int, alpha: Optional[float] = None,
@@ -301,12 +300,7 @@ def classify(T: Distribution, a, k: int, alpha: Optional[float] = None,
     target_slope = MARGIN if alpha is None else -MARGIN
     for m in range(nm):
         jj = [j for j in small_third if V[m, j] > max(noise[j], config.confirm_floor * scale)]
-        if len(jj) < 3:
-            continue
-        lr, lv = np.log(radii[jj]), np.log(V[m, jj])
-        A = np.stack([lr, np.ones_like(lr)], axis=1)
-        s = float(np.linalg.lstsq(A, lv, rcond=None)[0][0])
-        if s <= target_slope:
+        if len(jj) >= 3 and _slope(radii[jj], V[m, jj]) <= target_slope:
             witnesses.append(labels[m])
 
     if alpha is None:
@@ -377,13 +371,9 @@ def check_derivative_transfer(T: Distribution, a, k: int, l: int = 0,
         if full.verdict == CONFIRMED and rep.verdict == REFUTED:
             violation = True  # the order implication is unconditional
         if full.verdict == CONFIRMED and rep.verdict == CONFIRMED:
-            derived = full_est.jet.derivative(o).truncate(l).coeff_map()
-            got = est.jet.coeff_map()
-            dev = 0.0
-            for e in set(derived) | set(got):
-                d1 = np.asarray(derived.get(e, np.zeros(T.d)))
-                d2 = np.asarray(got.get(e, np.zeros(T.d)))
-                dev = max(dev, float(np.max(np.abs(d1 - d2))))
+            # both jets have degree l
+            derived = full_est.jet.derivative(o).truncate(l)
+            dev = float(np.max(np.abs(derived.coeffs - est.jet.coeffs)))
             deviations[o.entries] = dev
             max_dev = max(max_dev, dev)
             if dev > TRANSFER_JET_TOL:

@@ -164,14 +164,17 @@ class StackedFns:
             rows += [(a.center, a.radius, a.coeff, a.radius ** (-xi.order),
                       keys.setdefault((a.kind, a.core_xi, xi), len(keys)), j,
                       not fn._one_support) for a in fn.atoms]
-        cols = [np.array(col) for col in zip(*rows)]
-        return cls(jobs[0][0].n, jobs[0][0].d, *cols[:4], tuple(keys), *cols[4:])
+        n, d = jobs[0][0].n, jobs[0][0].d
+        cols = [np.array(col) for col in zip(*rows)] if rows else [  # no atom: the zero function
+            np.zeros((0, n)), np.zeros(0), np.zeros((0, d)), np.zeros(0),
+            np.zeros(0, np.intp), np.zeros(0, np.intp), np.zeros(0, bool)]
+        return cls(n, d, *cols[:4], tuple(keys), *cols[4:])
 
 
 def eval_stacked(st: StackedFns, pts: np.ndarray, job: np.ndarray) -> np.ndarray:
     """D^xi_j phi_j at each point, j = job[i] of pts[i]; values (npts, d)."""
     out = np.zeros((pts.shape[0], st.d))
-    counts = np.bincount(job, minlength=st.job[-1] + 1)  # points per job
+    counts = np.bincount(job, minlength=np.max(st.job, initial=-1) + 1)  # points per job
     cull = np.flatnonzero((counts[st.job] > 0) & st.culled)
     whole = np.flatnonzero((counts[st.job] > 0) & ~st.culled)
     perm, run_atom, run_start, run_len = _box_runs(st.centers[cull], st.radii[cull], pts, job,

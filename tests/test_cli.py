@@ -27,6 +27,22 @@ class TestExitCodes:
                     "--grid", "0.5,10", "--out", str(tmp_path)])
         assert code == 0
 
+    def test_contradicted_annotation(self, tmp_path):
+        # exit 1: a result that contradicts its annotation, here annotations
+        # edited to be wrong
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        heaviside = json.loads((DATA_DIR / "heaviside.json").read_text())
+        claim = next(c for c in heaviside["annotations"][0]["claims"] if c["k"] == 0)
+        claim["verdict"] = "confirmed"
+        (corpus / "heaviside.json").write_text(json.dumps(heaviside))
+        exp = json.loads((DATA_DIR / "exp.json").read_text())
+        exp["annotations"][0]["jets"][0]["coeffs"]["2"] = 2.0
+        (corpus / "exp.json").write_text(json.dumps(exp))
+        common = ["--corpus", str(corpus), "--point", "0", "--out", str(tmp_path)]
+        assert run(["classify", "--item", "heaviside", "--k", "0"] + common + FAST_GRID) == 1
+        assert run(["jet", "--item", "exp", "--k", "3", "--grid", "0.5,10"] + common) == 1
+
     def test_unknown_item(self, tmp_path, capsys):
         code = run(["classify", "--item", "no_such", "--k", "0",
                     "--out", str(tmp_path)])

@@ -7,6 +7,7 @@ closed-form pairing of polynomials is held to quadrature, and its bump
 moments to mpmath, within the sum of the bounds.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -14,9 +15,9 @@ import pytest
 from scipy import integrate
 
 from ptdiff import (ClassifierConfig, MultiIndex, PairingResult, PolyJet, QuadratureConfig,
-                    QuadratureNonConvergence, classify, derivative, integrate_box,
-                    integrate_boxes, make_dictionary, pair, pair_many,
-                    polynomial_distribution, subtract_jet, xi_set)
+                    QuadratureNonConvergence, TestFn, classify, delta_distribution, derivative,
+                    function_distribution, integrate_box, integrate_boxes, make_dictionary,
+                    pair, pair_many, polynomial_distribution, subtract_jet, xi_set)
 from ptdiff import momentkernel, testfn
 from ptdiff.cores import core_eval
 from ptdiff.testfn import StackedFns, eval_stacked
@@ -41,15 +42,38 @@ class TestPairMany:
         assert got == _one_at_a_time(pairs, CLASSIFY_QUAD)
 
     def test_gauss2d(self, corpus):
+        # one-ball probes and multi-ball plateaus and random sums, all in one
+        # stacked evaluator
         T = corpus["gauss2d"].build()
         members = make_dictionary(2, 1, 0, 15, 0).members
         probes = [m for m in members if len(m.atoms) == 1][:6]
-        plateau = next(m for m in members if m.label == "plateau_w0.2")
+        stream = itertools.islice(testfn._candidate_stream(2, 1, 0), 40)
+        multi = [c for c in stream
+                 if c.label in ("plateau_w0.2", "odd_plateau_axis0_w0.2", "random_0")]
+        assert len(multi) == 3 and all(len(m.atoms) > 1 for m in multi)
         a = [0.2, -0.1]
         pairs = [(T, m.rescale(a, float(r))) for m in probes for r in 2.0 ** -np.arange(5)]
-        pairs.append((T, plateau.rescale(a, 0.5)))
+        pairs += [(T, m.rescale(a, r)) for m in multi for r in (1.0, 0.5, 0.25)]
         config = QuadratureConfig(rel_tol=1e-9, abs_floor=1e-15, max_cells=2 ** 7)
         assert pair_many(pairs, config, strict=False) == _one_at_a_time(pairs, config)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("kind", ["function", "polynomial", "delta"])
+    def test_zero_test_function(self, n, kind):
+        # a test function without atoms is the zero function: it pairs to 0
+        # with bound 0, alone or between other probes of one call
+        origin = (0.0,) * n
+        T = {"function": function_distribution(n, "x1"),
+             "polynomial": polynomial_distribution(PolyJet.from_coeff_map(
+                 n, origin, {(0,) * n: 1.0, (1,) + (0,) * (n - 1): 2.0})),
+             "delta": delta_distribution(n, (0.1,) * n)}[kind]
+        zero = TestFn(n, 1, (), origin, 1.0)
+        res = pair(T, zero)
+        assert (res.value, res.abs_error_bound) == (0.0, 0.0)
+        probes = make_dictionary(n, 1, 0, 4, 0).members
+        pairs = [(T, probes[0].rescale(origin, 0.5)), (T, zero), (T, probes[3])]
+        assert pair_many(pairs, CLASSIFY_QUAD, strict=False) == \
+            _one_at_a_time(pairs, CLASSIFY_QUAD)
 
     def test_mixed_atoms_and_targets(self, corpus):
         # one call: delta atoms, derivative atoms, a polynomial-only T and a
