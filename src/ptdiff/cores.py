@@ -153,9 +153,12 @@ def core_eval(n: int, kind, core_xi, deriv_xi, pts: np.ndarray) -> np.ndarray:
     s = sq_norms(pts)
     inside = s < 1.0 - BOUNDARY_CLAMP
     every = inside.all()
-    # the points by index, the rows of the result by 1-D masks: both are
-    # faster than a 2-D boolean index
-    u, sm1 = (pts, s - 1.0) if every else (pts[np.flatnonzero(inside)], s[inside] - 1.0)
+    u, sm1 = pts, s - 1.0
+    if not every:
+        # the inside points by index along the points axis of pts.T: far
+        # faster than a boolean or row index of the (points, n) array
+        keep = np.flatnonzero(inside)
+        u, sm1 = pts.T.take(keep, axis=1).T, sm1[keep]
     vals = np.empty((len(tables), len(u)))
     if tables:
         for b in range(0, len(u), ROW_BLOCK):
@@ -164,6 +167,6 @@ def core_eval(n: int, kind, core_xi, deriv_xi, pts: np.ndarray) -> np.ndarray:
     if not every:
         out = np.zeros((len(tables), len(pts)))
         for row, v in zip(out, vals):
-            row[inside] = v
+            row[keep] = v
         vals = out
     return vals[0] if single else vals.T

@@ -36,9 +36,9 @@ import numpy as np
 from . import cores
 from .funcexpr import ExprAST, SingularitySet, eval_expr, parse
 from .momentkernel import moment_table
-from .quadrature import QuadratureConfig, integrate_boxes
+from .quadrature import QuadratureConfig, integrate_boxes, job_runs, run_points
 from .tensor import MultiIndex, PolyJet, taylor_moments, zero_index
-from .testfn import DerivedTestFn, ProbeDictionary, StackedFns, eval_stacked
+from .testfn import DerivedTestFn, ProbeDictionary, StackedFns, eval_stacked, run_coords
 
 MAX_DERIVATIVE_DEPTH = 8
 # (jet, atom) rows per closed-form block, which bounds the temporaries
@@ -283,7 +283,8 @@ def _integrand(jobs: list, d: int):
 
 def _shared_data(jobs: list, d: int):
     """(pts, job) -> each job's data at its points, evaluated once per point
-    for the jobs that share their data."""
+    for the jobs that share their data, which select their points by the
+    runs of job."""
     index: dict = {}
     which_data = np.array([index.setdefault(id(data), len(index)) for data, _, _ in jobs])
     data = list({id(data): data for data, _, _ in jobs}.values())
@@ -291,10 +292,11 @@ def _shared_data(jobs: list, d: int):
     def values(pts, job):
         if len(data) == 1:
             return data[0].eval(pts)
+        starts, lengths, run_job = job_runs(job)
+        which = which_data[run_job]
         fv = np.empty((len(pts), d))
-        which = which_data[job]
         for g in np.flatnonzero(np.bincount(which, minlength=len(data))):
-            sel = which == g
+            sel = run_points(starts[which == g], lengths[which == g])
             fv[sel] = data[g].eval(pts[sel])
         return fv
     return values
@@ -320,27 +322,34 @@ def _fused_integrand(jobs: list, n: int, d: int):
     splits).  The data is evaluated once per point, and all cores and
     derivatives of the jobs of one layout in one ``core_eval`` call; a
     point's value does not depend on the other points.
+
+    It relies on the engine's contract that a job's points are one run:
+    the runs are found once per call, and each job's center, radius and
+    weights are repeated over its run, with no gather per point.
     """
     plans = [_fused_plan(phis) for _, phis, _ in jobs]
     layouts: dict = {}
     group = np.array([layouts.setdefault(plan[2], len(layouts)) for plan in plans])
     centers = np.array([plan[0] for plan in plans], dtype=float)
     radii = np.array([plan[1] for plan in plans], dtype=float)
-    # per layout, the weights of its jobs' terms, (jobs, terms)
-    weights = [np.zeros((len(plans), len(terms))) for _, terms in layouts]
+    # per layout, the weights of its jobs' terms, (terms, jobs)
+    weights = [np.zeros((len(terms), len(plans))) for _, terms in layouts]
     for j, plan in enumerate(plans):
-        weights[group[j]][j] = plan[3]
+        weights[group[j]][:, j] = plan[3]
     data_values = _shared_data(jobs, d)
     m = len(jobs[0][1])
 
     def fused(pts, job):
         fv = data_values(pts, job).T
         out = np.zeros((m, len(pts)))  # component-major
+        starts, lengths, run_job = job_runs(job)
         for g, ((specs, terms), w) in enumerate(zip(layouts, weights)):
-            sel = slice(None) if len(layouts) == 1 else np.flatnonzero(group[job] == g)
-            jj = job[sel]
-            vals = cores.core_eval(n, *zip(*specs), (pts[sel] - centers[jj]) / radii[jj, None]).T
-            wj = w[jj].T
+            mine = slice(None) if len(layouts) == 1 else np.flatnonzero(group[run_job] == g)
+            sel = slice(None) if len(layouts) == 1 else run_points(starts[mine], lengths[mine])
+            jj, size = run_job[mine], lengths[mine]
+            vals = cores.core_eval(n, *zip(*specs), run_coords(pts, sel, centers[jj], radii[jj],
+                                                               size)).T
+            wj = np.repeat(w[:, jj], size, axis=1)
             for t, (c, spec, i) in enumerate(terms):
                 out[c, sel] += wj[t] * vals[spec] * fv[i, sel]
         return out.T

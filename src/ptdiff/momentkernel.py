@@ -243,7 +243,8 @@ def build_kernel(n: int, k: int, use_cache: bool = True,
     """Kernel of degree k: unit mass, vanishing moments up to degree k-1.
 
     Cached to disk keyed by (n, k, bump id, quadrature tolerance); cache
-    hits re-verify the residuals before use.
+    hits re-verify the residuals before use.  Writing a file removes the
+    files of the same (n, k) under superseded keys.
     """
     if not (1 <= k <= MAX_DEGREE):
         raise ValueError(f"kernel degree must be in 1..{MAX_DEGREE}")
@@ -275,7 +276,23 @@ def build_kernel(n: int, k: int, use_cache: bool = True,
             {"n": n, "k": k, "bump": BUMP_ID,
              "coeffs": [[list(e), c] for e, c in coeffs.items()],
              "residuals": {str(e): r for e, r in residuals.items()}}, indent=1))
+        _remove_superseded(cpath, n, k)
     return MomentKernel(n, k, fn, residuals)
+
+
+def _remove_superseded(cpath: Path, n: int, k: int) -> None:
+    """Remove the kernel files beside cpath that hold (n, k) under another
+    cache key; files of other (n, k), or that cannot be read, stay."""
+    for other in cpath.parent.glob("*.json"):
+        if other == cpath:
+            continue
+        try:
+            payload = json.loads(other.read_text())
+            superseded = (payload["n"], payload["k"]) == (n, k)
+        except (OSError, ValueError, KeyError, TypeError):
+            continue
+        if superseded:
+            other.unlink(missing_ok=True)
 
 
 def _write_atomic(path: Path, text: str) -> None:

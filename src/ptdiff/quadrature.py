@@ -17,6 +17,13 @@ bound.  A cell is negligible when every component is, and ranks by its
 largest error / tolerance; a job is done when every component is within
 its tolerance.  A scalar integrand is the one-component case, with the
 same float operations as a job of its own.
+
+The integrand contract: f(pts, job) gets whole cells, each job's points
+one contiguous run and the runs in ascending job order, so an integrand
+can work run by run (``job_runs``).  The points are built axis by axis,
+each coordinate one contiguous block, and handed over as an F-ordered
+(points, n) view; every point equals the cell-major broadcast
+lo + node * width bit for bit.
 """
 
 from __future__ import annotations
@@ -84,36 +91,56 @@ def _cell_values(f, lo: np.ndarray, hi: np.ndarray, job: np.ndarray,
 
     With split, those of both halves and the embedded low-order value, which
     catches error the widest-axis bisection cannot see, (cells, 3, M).  f
-    returns (points,) or (points, M).
+    returns (points,) or (points, M).  The points of a block are built axis
+    by axis, one contiguous (cells, points per cell) block per coordinate,
+    and f gets their (points, n) transpose: cell-major, each point the
+    value lo + ref * width of the cell-major broadcast.
     """
     m, n = lo.shape
     ref, wts = _gl_nodes(GL_ORDER, n)
     low_ref, low_wts = _gl_nodes(GL_ORDER_LOW if split else GL_ORDER, n)
     q = len(wts) * split
+    per_cell = 2 * q + len(low_wts)  # the halves' points, then the low-order rule's
     out = None
-    step = max(BATCH, BLOCK_POINTS // (2 * q + len(low_wts)))
+    step = max(BATCH, BLOCK_POINTS // per_cell)
     for s in range(0, m, step):
         l, h = lo[s:s + step], hi[s:s + step]
-        pts = l[:, None, :] + low_ref * (h - l)[:, None, :]
+        w = h - l
+        pts = np.empty((n, len(l), per_cell))
         if split:
             h_lo, h_hi = _halves(l, h)
             h_w = h_hi - h_lo
-            pts = np.concatenate([(h_lo[:, :, None, :] + ref * h_w[:, :, None, :]).reshape(
-                len(l), 2 * q, n), pts], axis=1)
-        vals = np.asarray(f(pts.reshape(-1, n), job[s:s + step].repeat(pts.shape[1])),
+        for a in range(n):
+            if split:
+                np.add(h_lo[:, :, None, a], ref[:, a] * h_w[:, :, None, a],
+                       out=pts[a, :, :2 * q].reshape(len(l), 2, q))
+            np.add(l[:, None, a], low_ref[:, a] * w[:, None, a], out=pts[a, :, 2 * q:])
+        vals = np.asarray(f(pts.reshape(n, -1).T, job[s:s + step].repeat(per_cell)),
                           dtype=float)
         # component-major, so that each component sums contiguous rows, in
         # the float operations of a scalar integrand
-        vals = np.ascontiguousarray(vals.reshape(len(vals), -1).T).reshape(-1, len(l),
-                                                                            pts.shape[1])
+        vals = np.ascontiguousarray(vals.reshape(len(vals), -1).T).reshape(-1, len(l), per_cell)
         if out is None:
             out = np.empty((m, 1 + 2 * split, len(vals)))
         if split:
             out[s:s + step, :2] = ((vals[:, :, :2 * q].reshape(len(vals), len(l), 2, -1) * wts)
                                    .sum(axis=3) * h_w.prod(axis=2)).transpose(1, 2, 0)
         out[s:s + step, -1] = ((vals[:, :, 2 * q:] * low_wts).sum(axis=2)
-                               * (h - l).prod(axis=1)).T
+                               * w.prod(axis=1)).T
     return out
+
+
+def job_runs(job: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(starts, lengths, jobs) of the runs of equal entries of job, in order."""
+    new = np.ones(len(job), dtype=bool)
+    new[1:] = job[1:] != job[:-1]
+    starts = np.flatnonzero(new)
+    return starts, np.diff(np.append(starts, len(job))), job[starts]
+
+
+def run_points(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The indices of the entries of some runs, run after run."""
+    return np.arange(lengths.sum()) + np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
 
 
 def _initial_boxes(lo: np.ndarray, hi: np.ndarray,
@@ -181,13 +208,14 @@ def integrate_boxes(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
                     strict: bool = True) -> List[Tuple]:
     """(value, error_bound, cells) of each box (lo, hi, split_coords).
 
-    f(pts, job) is job[i]'s integrand at pts[i]; a job's points are one run.
-    f returns (npts,), and each result is floats, or (npts, M): M
-    components on one mesh, and each result's value and bound are (M,)
-    arrays.  When no box has volume, f is not called and every result is
-    (0.0, 0.0, 0).  With strict, the first job with a component whose
-    budget ran out above tolerance raises, with that component's value and
-    bound.
+    f(pts, job) is job[i]'s integrand at pts[i].  A job's points are one
+    contiguous run, the runs in ascending job order, and pts is an
+    F-ordered (points, n) array built axis by axis.  f returns (npts,),
+    and each result is floats, or (npts, M): M components on one mesh, and
+    each result's value and bound are (M,) arrays.  When no box has
+    volume, f is not called and every result is (0.0, 0.0, 0).  With
+    strict, the first job with a component whose budget ran out above
+    tolerance raises, with that component's value and bound.
     """
     nj = len(jobs)
     boxes = []

@@ -8,24 +8,28 @@ downstream is exact.
 
 A batch of points is evaluated with each atom only at the points inside
 its support ball, by one evaluator for many (test function, derivative)
-jobs, ``eval_stacked``; ``TestFn.eval_deriv`` is its one-job case.  The
-points are sorted once by a key made of their job, their bin over the
-first n - 1 coordinates (bins a quarter of the smallest atom radius wide)
-and their last coordinate, so that the points of one job and bin inside
-an atom's bounding box along the last axis are one run of the sorted
-order: the candidate (atom, point) pairs are these runs, slightly more
-than the boxes.  A pair is kept when |u|^2 < 1 - BOUNDARY_CLAMP for the
-point u in the atom's core coordinates, the test ``core_eval`` makes.  A
-job whose atoms share one support ball (one atom, moment kernels) skips
-the search and the test.  Kept pairs go to ``core_eval`` in one call per
-core group and derivative, PAIR_BLOCK candidates at a time, which bounds
-the temporaries whatever the batch.
+jobs, ``eval_stacked``; ``TestFn.eval_deriv`` is its one-job case.
+
+A job whose atoms share one support ball (one atom, moment kernels) needs
+no search: over each run of its points, its atoms add their terms one
+after another, in atom order, with the core coordinates of the one ball.
+Only the points of the other jobs are sorted, once, by a key made of
+their job, their bin over the first n - 1 coordinates (bins a quarter of
+the smallest atom radius wide) and their last coordinate, so that the
+points of one job and bin inside an atom's bounding box along the last
+axis are one run of the sorted order: the candidate (atom, point) pairs
+are these runs, slightly more than the boxes.  A pair is kept when
+|u|^2 < 1 - BOUNDARY_CLAMP for the point u in the atom's core coordinates,
+the test ``core_eval`` makes.  Kept pairs go to ``core_eval`` in one call
+per core group and derivative, PAIR_BLOCK candidates at a time, which
+bounds the temporaries whatever the batch.
 
 The result is bit-identical to summing each function's atoms one by one
 over all points: a pair's terms are the same float operations, the radius
-power is a Python float power per atom, and ``np.add.at`` over atom-major
-pairs adds each point's terms in atom order, block after block.  The pairs
-it skips added exact zeros, which change no sum.
+power is a Python float power per atom, and both paths add each point's
+terms in atom order (``np.add.at`` over atom-major pairs, block after
+block, for the sorted points).  The pairs the search skips added exact
+zeros, which change no sum.
 """
 
 from __future__ import annotations
@@ -39,6 +43,7 @@ import numpy as np
 
 from . import cores
 from .cores import UnsupportedOrderError
+from .quadrature import job_runs, run_points
 from .tensor import MultiIndex, opnorms, xi_set, zero_index
 
 DEFAULT_MAX_DERIV_ORDER = 6
@@ -174,15 +179,71 @@ class StackedFns:
 def eval_stacked(st: StackedFns, pts: np.ndarray, job: np.ndarray) -> np.ndarray:
     """D^xi_j phi_j at each point, j = job[i] of pts[i]; values (npts, d)."""
     out = np.zeros((pts.shape[0], st.d))
-    counts = np.bincount(job, minlength=np.max(st.job, initial=-1) + 1)  # points per job
+    starts, lengths, run_job = job_runs(job)
+    first = np.searchsorted(st.job, run_job)  # the atoms are job-major
+    count = np.searchsorted(st.job, run_job, side="right") - first
+    culled = count > 0  # a job's atoms are all culled or all on one ball
+    culled[culled] = st.culled[first[culled]]
+    _one_ball_sums(st, pts, starts[~culled], lengths[~culled], first[~culled], count[~culled],
+                   out)
+    _culled_sums(st, pts, job, run_points(starts[culled], lengths[culled]), out)
+    return out
+
+
+def _one_ball_sums(st: StackedFns, pts: np.ndarray, starts: np.ndarray, lengths: np.ndarray,
+                   first: np.ndarray, count: np.ndarray, out: np.ndarray) -> None:
+    """Add into out the values at the points of some runs of equal job, each
+    job's count atoms from its first sharing one ball: no search, no sort
+    and no scatter.
+
+    Pass r adds, over every run, the terms of the r-th atom of its job, so
+    each point adds its terms in atom order.
+    """
+    for r in range(np.max(count, initial=0)):
+        have = count > r
+        p = run_points(starts[have], lengths[have])
+        p = slice(None) if len(p) == len(out) else p  # the runs cover every point
+        atom, size = first[have] + r, lengths[have]
+        u = run_coords(pts, p, st.centers[atom], st.radii[atom], size)
+        used = np.flatnonzero(np.bincount(st.group[atom], minlength=len(st.groups)))
+        group = np.repeat(st.group[atom], size) if len(used) > 1 else None
+        vals = np.empty(len(u))
+        for g in used:
+            sel = slice(None) if group is None else group == g
+            vals[sel] = cores.core_eval(st.n, *st.groups[g], u[sel])
+        vals *= np.repeat(st.scale[atom], size)
+        for c in range(st.d):
+            out[p, c] += vals * np.repeat(st.coeffs[atom, c], size)
+
+
+def run_coords(pts: np.ndarray, p, centers: np.ndarray, radii: np.ndarray,
+               lengths: np.ndarray) -> np.ndarray:
+    """Core coordinates (x - center) / radius of the points pts[p], which
+    are runs of the given lengths, each with its own center and radius; an
+    F-ordered (points, n) array.
+
+    Coordinate by coordinate, with the centers and radii repeated over
+    their runs: no row index of (points, n), which is far slower.
+    """
+    u = np.empty((pts.shape[1], lengths.sum()))
+    for a in range(pts.shape[1]):
+        np.subtract(pts[:, a][p], np.repeat(centers[:, a], lengths), out=u[a])
+    u /= np.repeat(radii, lengths)
+    return u.T
+
+
+def _culled_sums(st: StackedFns, pts: np.ndarray, job: np.ndarray, idx: np.ndarray,
+                 out: np.ndarray) -> None:
+    """Add into out the values at the points idx, whose jobs' atoms are
+    culled: each atom only at its candidate points from ``_box_runs``."""
+    if not idx.size:
+        return
+    sub = slice(None) if len(idx) == len(out) else idx  # the points are every point
+    counts = np.bincount(job[sub], minlength=st.job[-1] + 1)  # points per job
     cull = np.flatnonzero((counts[st.job] > 0) & st.culled)
-    whole = np.flatnonzero((counts[st.job] > 0) & ~st.culled)
-    perm, run_atom, run_start, run_len = _box_runs(st.centers[cull], st.radii[cull], pts, job,
-                                                   st.job[cull])
-    # a one-ball job's atoms run over all its points, which sort in job order
-    run_atom, run_start, run_len = (np.concatenate(x) for x in (
-        [cull[run_atom], whole], [run_start, (np.cumsum(counts) - counts)[st.job[whole]]],
-        [run_len, counts[st.job[whole]]]))
+    perm, run_atom, run_start, run_len = _box_runs(st.centers[cull], st.radii[cull], pts[sub],
+                                                   job[sub], st.job[cull])
+    perm, run_atom = idx[perm], cull[run_atom]
     ends = np.cumsum(run_len)
     offset = run_start - (ends - run_len)
     total = int(ends[-1]) if ends.size else 0
@@ -192,7 +253,7 @@ def eval_stacked(st: StackedFns, pts: np.ndarray, job: np.ndarray) -> np.ndarray
         atom = run_atom[run]
         p = perm[k + offset[run]]
         u = (pts[p] - st.centers[atom]) / st.radii[atom, None]
-        keep = ~st.culled[atom] | (cores.sq_norms(u) < 1.0 - cores.BOUNDARY_CLAMP)
+        keep = cores.sq_norms(u) < 1.0 - cores.BOUNDARY_CLAMP
         atom, p, u = atom[keep], p[keep], u[keep]
         group = st.group[atom]
         used = np.flatnonzero(np.bincount(group, minlength=len(st.groups)))
@@ -204,7 +265,6 @@ def eval_stacked(st: StackedFns, pts: np.ndarray, job: np.ndarray) -> np.ndarray
         terms = (st.scale[atom] * vals)[:, None] * st.coeffs[atom]
         np.add.at(out.reshape(-1), (p[:, None] * st.d + np.arange(st.d)).reshape(-1),
                   terms.reshape(-1))
-    return out
 
 
 def _box_runs(centers: np.ndarray, radii: np.ndarray, pts: np.ndarray,

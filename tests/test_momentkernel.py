@@ -256,6 +256,28 @@ class TestCache:
         assert [p.name for p in tmp_path.iterdir()] == [path.name]
         assert json.loads(path.read_text())["coeffs"] == json.loads(text)["coeffs"]
 
+    def test_write_removes_superseded_keys(self, tmp_path):
+        # a file of the same (n, k) under an older key goes; a file of
+        # another (n, k) and a file that cannot be read stay
+        build_kernel(1, 3, cache_dir=tmp_path)
+        current = next(tmp_path.glob("*.json"))
+        text = current.read_text()
+        stale = tmp_path / "0123456789abcdef.json"
+        stale.write_text(text)
+        other = tmp_path / "fedcba9876543210.json"
+        other.write_text(text.replace('"k": 3', '"k": 4', 1))
+        broken = tmp_path / "0000000000000000.json"
+        broken.write_text(text[: len(text) // 2])
+        current.unlink()  # the next build writes the current key again
+        build_kernel(1, 3, cache_dir=tmp_path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            [current.name, other.name, broken.name])
+        assert json.loads(other.read_text())["k"] == 4
+        # a cache hit writes too, and so clears a stale sibling as well
+        stale.write_text(text)
+        build_kernel(1, 3, cache_dir=tmp_path)
+        assert not stale.exists() and current.exists()
+
     def test_suite_without_cache_plugin_writes_nothing_under_home(self, tmp_path):
         # without pytest's cache plugin the suite's kernels go to a session
         # temporary directory, not to ~/.cache/ptdiff

@@ -18,7 +18,7 @@ from ptdiff import (ClassifierConfig, MultiIndex, PairingResult, PolyJet, Quadra
                     QuadratureNonConvergence, TestFn, classify, delta_distribution, derivative,
                     function_distribution, integrate_box, integrate_boxes, make_dictionary,
                     pair, pair_many, polynomial_distribution, subtract_jet, xi_set)
-from ptdiff import momentkernel, testfn
+from ptdiff import momentkernel, quadrature, testfn
 from ptdiff.cores import core_eval
 from ptdiff.testfn import StackedFns, eval_stacked
 
@@ -167,6 +167,57 @@ class TestIntegrateBoxes:
         assert got == [integrate_box(f, *job, config=config, strict=False)
                        for f, job in zip(fs, jobs)]
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_points_and_runs(self, n, monkeypatch):
+        # every integrand call gets the cells' points in the cell-major
+        # broadcast order, bit for bit, and each job's points as one run,
+        # the runs in ascending job order; both in the coarse round and in
+        # the split rounds
+        calls = []  # per _cell_values call: (lo, hi, job, split, [(pts, job) per f call])
+        cell_values = quadrature._cell_values
+
+        def spy(f, lo, hi, job, split):
+            seen = []
+            calls.append((lo.copy(), hi.copy(), job.copy(), split, seen))
+
+            def g(pts, pjob):
+                seen.append((pts.copy(), pjob.copy()))
+                if n > 1:
+                    assert pts.flags.f_contiguous  # built axis by axis
+                return f(pts, pjob)
+            return cell_values(g, lo, hi, job, split)
+
+        monkeypatch.setattr(quadrature, "_cell_values", spy)
+        fs = [lambda p: np.exp(-np.sum(p * p, axis=1)),
+              lambda p: np.abs(p[:, 0] - 0.3) ** 0.5, lambda p: np.cos(5.0 * p[:, -1])]
+        jobs = [([-2.0] * n, [2.0] * n, ()), ([-1.0] * n, [1.0] * n, [[0.3]] + [[]] * (n - 1)),
+                ([0.0] * n, [0.0] + [1.0] * (n - 1), ()), ([0.0] * n, [1.5] * n, ())]
+        config = QuadratureConfig(rel_tol=1e-12, max_cells=2 ** (10 - 2 * n))
+        got = integrate_boxes(_dispatch([fs[0], fs[1], fs[2], fs[2]]), jobs, config,
+                              strict=False)
+        assert got[2] == (0.0, 0.0, 0)
+        assert sum(not split for *_, split, _ in calls) == 1 and len(calls) >= 3
+        for lo, hi, job, split, seen in calls:
+            ref = quadrature._gl_nodes(quadrature.GL_ORDER, n)[0]
+            low = quadrature._gl_nodes(quadrature.GL_ORDER_LOW if split else
+                                       quadrature.GL_ORDER, n)[0]
+            want = lo[:, None, :] + low * (hi - lo)[:, None, :]
+            if split:  # the halves along the widest axis come first
+                rows, axis = np.arange(len(lo)), (hi - lo).argmax(axis=1)
+                mid = (lo[rows, axis] + hi[rows, axis]) / 2.0
+                h_lo = np.stack([lo, lo], axis=1)
+                h_hi = np.stack([hi, hi], axis=1)
+                h_hi[rows, 0, axis] = mid
+                h_lo[rows, 1, axis] = mid
+                halves = h_lo[:, :, None, :] + ref * (h_hi - h_lo)[:, :, None, :]
+                want = np.concatenate([halves.reshape(len(lo), -1, n), want], axis=1)
+            pts = np.concatenate([p for p, _ in seen])
+            assert np.array_equal(pts, want.reshape(-1, n))
+            assert np.array_equal(np.concatenate([j for _, j in seen]),
+                                  job.repeat(want.shape[1]))
+            for _, pjob in seen:  # one run per job, ascending
+                assert np.all(np.diff(pjob) >= 0)
+
     def test_mixed_dimensions_rejected(self):
         with pytest.raises(ValueError):
             integrate_boxes(lambda p, j: np.ones(len(p)), [([0.0], [1.0], ()),
@@ -186,13 +237,15 @@ def _atom_loop(phi, xi, pts):
 class TestStackedEvaluator:
     @pytest.mark.parametrize("n", [1, 2])
     @pytest.mark.parametrize("block", [None, 97])
-    def test_equals_per_function(self, n, block, monkeypatch):
+    def test_equals_per_function(self, n, block, monkeypatch, kernel_cache):
         if block:
             monkeypatch.setattr(testfn, "PAIR_BLOCK", block)
         rng = np.random.default_rng(7)
-        members = make_dictionary(n, 1, 0, 16 if n == 1 else 15, 2).members
-        # one-support (bump, monomials) and multi-atom (plateaus, random)
-        # probes, rescaled, each with several derivative orders
+        members = make_dictionary(n, 1, 0, 16 if n == 1 else 15, 2).members + (
+            kernel_cache(n, 3).testfn,)
+        # one-support (bump, monomials, a moment kernel: several atoms on
+        # one ball) and multi-atom (plateaus, random) probes, rescaled, each
+        # with several derivative orders
         jobs, pts, job = [], [], []
         for m, member in enumerate(members):
             phi = member.rescale(rng.uniform(-1, 1, size=n), float(rng.uniform(0.05, 2.0)))
@@ -471,6 +524,31 @@ class TestVectorJobs:
         # each result is the pairing's alone, whatever else the call holds
         alone = [pair_many([case], config, strict=False)[0] for case in cases[:3]]
         assert alone == pair_many(cases[:3], config, strict=False)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_several_layouts_bit_for_bit(self, n, corpus, kernel_cache):
+        # vector pairings of two layouts (kernel derivatives, one-ball
+        # monomial probes) with one (n, d, M) share an engine, at
+        # interleaved radii, with a T built per radius, so several data:
+        # each equals its pairing alone
+        config = QuadratureConfig(rel_tol=1e-10, abs_floor=1e-15, max_cells=2 ** 12)
+        if n == 1:
+            kernel, a, data = kernel_cache(1, 4), [0.1], ("exp", "sin4")
+            xis = [xi for m in range(4) for xi in xi_set(1, m)]
+            probes = make_dictionary(1, 1, 0, 12, 0).members[:4]  # bump, x, x^2, x^3
+        else:
+            kernel, a, data = kernel_cache(2, 2), [0.2, -0.1], ("gauss2d",)
+            xis = [MultiIndex((0, 0)), MultiIndex((1, 0)), MultiIndex((0, 1))]
+            probes = (testfn.standard_bump(2), testfn.bump_monomial(2, (1, 0)),
+                      testfn.bump_monomial(2, (0, 1)))
+        cases = []
+        for i, r in enumerate((0.5, 0.2, 0.05)):
+            T = corpus[data[i % len(data)]].build()
+            fn = kernel.directed(a, r)
+            cases.append((T, tuple(fn.derivative_view(xi) for xi in xis)))
+            cases.append((T, tuple(p.rescale(a, r) for p in probes)))
+        got = pair_many(cases, config, strict=False)
+        assert got == [pair_many([case], config, strict=False)[0] for case in cases]
 
     def test_vector_pairing_needs_one_ball(self, corpus):
         members = make_dictionary(1, 1, 0, 12, 0).members
