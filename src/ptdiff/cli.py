@@ -174,11 +174,11 @@ def cmd_classify(args) -> int:
     }
     if args.format == "json":
         _write_report(out, f"classify_{item.id}", payload)
+    if rep.verdict == INCONCLUSIVE:  # no verdict can contradict a claim
+        return EXIT_INCONCLUSIVE
     claim = next((c for c in item.classification_claims
                   if c.point == point and c.k == args.k and c.alpha == args.alpha), None)
-    if claim is not None:
-        return EXIT_OK if rep.verdict == claim.verdict else EXIT_MISMATCH
-    return EXIT_INCONCLUSIVE if rep.verdict == INCONCLUSIVE else EXIT_OK
+    return EXIT_MISMATCH if claim is not None and rep.verdict != claim.verdict else EXIT_OK
 
 
 def cmd_jet(args) -> int:

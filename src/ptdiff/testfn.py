@@ -18,11 +18,18 @@ their job, their bin over the first n - 1 coordinates (bins a quarter of
 the smallest atom radius wide) and their last coordinate, so that the
 points of one job and bin inside an atom's bounding box along the last
 axis are one run of the sorted order: the candidate (atom, point) pairs
-are these runs, slightly more than the boxes.  A pair is kept when
-|u|^2 < 1 - BOUNDARY_CLAMP for the point u in the atom's core coordinates,
-the test ``core_eval`` makes.  Kept pairs go to ``core_eval`` in one call
-per core group and derivative, PAIR_BLOCK candidates at a time, which
-bounds the temporaries whatever the batch.
+are these runs, atom-major, slightly more than the boxes.  They are taken
+in blocks of PAIR_BLOCK candidates, each block whole runs but for the
+runs cut at its two edges, which bounds the temporaries whatever the
+batch.  A pair is kept when |u|^2 < 1 - BOUNDARY_CLAMP for the point u in
+the atom's core coordinates, the test ``core_eval`` makes, and the kept
+pairs of a block go to ``core_eval`` in one call per core group.
+
+Core coordinates (x - center) / radius are built one coordinate at a time
+by ``run_coords``, on all three paths (one ball, culled runs, and
+``TestFn._atom_sums``), each center and radius repeated over its run of
+points: a row index of a (points, n) array is far slower than a 1-D index
+of each coordinate.
 
 The result is bit-identical to summing each function's atoms one by one
 over all points: a pair's terms are the same float operations, the radius
@@ -104,8 +111,12 @@ class TestFn:
         all of xis; each column is summed in atom order, as for its xi alone.
         """
         out = np.zeros((pts.shape[0], len(xis), self.d))
+        ball = None
         for a in self.atoms:
-            u = (pts - np.asarray(a.center)) / a.radius
+            if (a.center, a.radius) != ball:  # atoms on one ball share its coordinates
+                ball = (a.center, a.radius)
+                u = run_coords(pts, slice(None), np.array([a.center]), np.array([a.radius]),
+                               np.array([len(pts)]))
             vals = cores.core_eval(self.n, [a.kind] * len(xis), [a.core_xi] * len(xis), xis, u)
             for r, xi in enumerate(xis):
                 scale = a.radius ** (-xi.order)
@@ -235,41 +246,52 @@ def run_coords(pts: np.ndarray, p, centers: np.ndarray, radii: np.ndarray,
 def _culled_sums(st: StackedFns, pts: np.ndarray, job: np.ndarray, idx: np.ndarray,
                  out: np.ndarray) -> None:
     """Add into out the values at the points idx, whose jobs' atoms are
-    culled: each atom only at its candidate points from ``_box_runs``."""
+    culled: each atom only at its candidate points from ``_box_runs``.
+
+    The candidates are taken PAIR_BLOCK at a time, in run order, each
+    block's runs cut at its edges, so a block's temporaries are a small
+    multiple of PAIR_BLOCK entries (per pair n coordinates, |u|^2, d terms
+    and a few indices), whatever the batch.
+    """
     if not idx.size:
         return
     sub = slice(None) if len(idx) == len(out) else idx  # the points are every point
     counts = np.bincount(job[sub], minlength=st.job[-1] + 1)  # points per job
     cull = np.flatnonzero((counts[st.job] > 0) & st.culled)
-    perm, run_atom, run_start, run_len = _box_runs(st.centers[cull], st.radii[cull], pts[sub],
-                                                   job[sub], st.job[cull])
+    perm, run_atom, run_start, run_len = _box_runs(
+        st.centers[cull], st.radii[cull], [pts[:, a][sub] for a in range(st.n)], job[sub],
+        st.job[cull])
     perm, run_atom = idx[perm], cull[run_atom]
     ends = np.cumsum(run_len)
-    offset = run_start - (ends - run_len)
+    begins = ends - run_len
     total = int(ends[-1]) if ends.size else 0
     for first in range(0, total, PAIR_BLOCK):
-        k = np.arange(first, min(first + PAIR_BLOCK, total))
-        run = np.searchsorted(ends, k, side="right")
-        atom = run_atom[run]
-        p = perm[k + offset[run]]
-        u = (pts[p] - st.centers[atom]) / st.radii[atom, None]
-        keep = cores.sq_norms(u) < 1.0 - cores.BOUNDARY_CLAMP
-        atom, p, u = atom[keep], p[keep], u[keep]
+        last = min(first + PAIR_BLOCK, total)
+        runs = slice(np.searchsorted(ends, first, side="right"), np.searchsorted(begins, last))
+        cut = np.maximum(begins[runs], first)
+        size = np.minimum(ends[runs], last) - cut
+        p = perm[run_points(run_start[runs] + (cut - begins[runs]), size)]
+        atom = run_atom[runs]
+        u = run_coords(pts, p, st.centers[atom], st.radii[atom], size)
+        # the kept pairs, by index along the points axis: (n, kept)
+        keep = np.flatnonzero(cores.sq_norms(u) < 1.0 - cores.BOUNDARY_CLAMP)
+        atom, p, u = np.repeat(atom, size)[keep], p[keep], u.T.take(keep, axis=1)
         group = st.group[atom]
         used = np.flatnonzero(np.bincount(group, minlength=len(st.groups)))
         vals = np.empty(len(atom))
         for g in used:
-            sel = slice(None) if len(used) == 1 else group == g
-            vals[sel] = cores.core_eval(st.n, *st.groups[g], u[sel])
+            sel = slice(None) if len(used) == 1 else np.flatnonzero(group == g)
+            vals[sel] = cores.core_eval(st.n, *st.groups[g], u[:, sel].T)
         # flat indices add each (point, component) in pair order, like rows would
-        terms = (st.scale[atom] * vals)[:, None] * st.coeffs[atom]
+        terms = (st.scale[atom] * vals)[:, None] * st.coeffs.take(atom, axis=0)
         np.add.at(out.reshape(-1), (p[:, None] * st.d + np.arange(st.d)).reshape(-1),
                   terms.reshape(-1))
 
 
-def _box_runs(centers: np.ndarray, radii: np.ndarray, pts: np.ndarray,
+def _box_runs(centers: np.ndarray, radii: np.ndarray, cols: Sequence[np.ndarray],
               point_job: np.ndarray, atom_job: np.ndarray):
-    """Each atom's candidate points of its job, as runs of one sorted order of pts.
+    """Each atom's candidate points of its job, as runs of one sorted order
+    of the points, given as their n coordinate columns.
 
     The first n - 1 axes are cut into bins, and the job is one more,
     leading bin.  Points sort by their last coordinate plus stride times
@@ -280,15 +302,15 @@ def _box_runs(centers: np.ndarray, radii: np.ndarray, pts: np.ndarray,
     Returns the order and, atom-major, each non-empty run's atom, start
     and length; the runs of an atom cover its bounding box.
     """
-    n = pts.shape[1]
-    lo, hi = pts.min(axis=0), pts.max(axis=0)
+    n = len(cols)
+    lo, hi = np.array([c.min() for c in cols]), np.array([c.max() for c in cols])
     width = np.maximum(np.min(radii, initial=np.inf) / 4.0, (hi - lo)[:-1] / (MAX_BINS - 1))
     nbins = np.floor((hi - lo)[:-1] / width) + 1
     stride = 2.0 * (hi[-1] - lo[-1]) + 1.0
     point_bin = point_job.astype(float)
     for j in range(n - 1):
-        point_bin = point_bin * nbins[j] + np.floor((pts[:, j] - lo[j]) / width[j])
-    keys = pts[:, -1] + stride * point_bin
+        point_bin = point_bin * nbins[j] + np.floor((cols[j] - lo[j]) / width[j])
+    keys = cols[-1] + stride * point_bin
     order = np.argsort(keys, kind="stable")
     keys = keys[order]
 
@@ -443,8 +465,12 @@ def seminorm(phi, i: int, K: Optional[Tuple[Sequence[float], float]] = None,
     indices = xi_set(n, i)
 
     def grid(axes):
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=1)
+        # the points of the ij mesh, axis by axis into one (n, points)
+        # array: its transpose is F-ordered, each coordinate contiguous
+        g = np.empty((n,) + tuple(len(x) for x in axes))
+        for j, x in enumerate(axes):
+            g[j] = x.reshape((-1,) + (1,) * (n - 1 - j))
+        return g.reshape(n, -1).T
 
     def tensors(pts):
         if isinstance(phi, TestFn) and phi._one_support:
@@ -485,9 +511,12 @@ def seminorm(phi, i: int, K: Optional[Tuple[Sequence[float], float]] = None,
 class ProbeDictionary:
     """Finite, reproducible surrogate for the unit ball {nu^i(phi) <= 1}.
 
-    All members are supported in B(0, 1) and normalized so that the order-i
-    seminorm is 1 within the seminorm tolerance.  Deterministic given
-    (n, d, i, size, seed); the member list is prefix-stable in size.
+    All members are supported in B(0, 1) and scaled by 1 / ``seminorm``,
+    so the order-i seminorm each member has on seminorm's grids is 1.
+    seminorm is a lower bound of the sup, so a member's true seminorm can
+    exceed 1, slightly: by up to 3.8e-6 relatively in a finer-grid check of
+    seed-0 dictionaries.  Deterministic given (n, d, i, size, seed); the
+    member list is prefix-stable in size.
     """
 
     n: int

@@ -22,6 +22,15 @@ class TestExitCodes:
                     "--k", "0", "--out", str(tmp_path)] + FAST_GRID)
         assert code == 0
 
+    def test_inconclusive_with_claim_is_exit_2(self, tmp_path):
+        # one grid level leaves too few radii for a verdict; heaviside at 0
+        # has a k = 0 claim, which an inconclusive verdict does not contradict
+        code = run(["classify", "--item", "heaviside", "--point", "0", "--k", "0",
+                    "--grid", "1.0,1", "--dict", "12,1", "--out", str(tmp_path)])
+        report = json.loads((tmp_path / "classify_heaviside.json").read_text())
+        assert report["verdict"] == "inconclusive"
+        assert code == 2
+
     def test_jet_matches_annotation(self, tmp_path):
         code = run(["jet", "--item", "exp", "--point", "0", "--k", "3",
                     "--grid", "0.5,10", "--out", str(tmp_path)])

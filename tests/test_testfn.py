@@ -159,6 +159,71 @@ BATCH_PROBES = {
 }
 
 
+# each member's first atom coefficient, weight / seminorm, to the last
+# bit: the dictionaries' normalizers
+PINNED_NORMALIZERS = {
+    (2, 1, 0, 15, 0): [
+        ("bump", "0x1.5bf0a8b145769p+1"),
+        ("bump*x^(1, 0)", "0x1.e4a17f1f90ef0p+2"),
+        ("bump*x^(0, 1)", "0x1.e4a17f1f90ef0p+2"),
+        ("bump*x^(2, 0)", "0x1.a68076de869d0p+3"),
+        ("bump*x^(1, 1)", "0x1.a68071651df37p+4"),
+        ("bump*x^(0, 2)", "0x1.a68076de869d0p+3"),
+        ("bump*x^(3, 0)", "0x1.4686e7f432b5ap+4"),
+        ("bump*x^(2, 1)", "0x1.a82bdad8e24e4p+5"),
+        ("bump*x^(1, 2)", "0x1.a82bdad8e24e4p+5"),
+        ("bump*x^(0, 3)", "0x1.4686e7f432b5ap+4"),
+        ("half_axis0+", "0x1.5bf0a8b145769p+1"),
+        ("half_axis0-", "0x1.5bf0a8b145769p+1"),
+        ("half_axis1+", "0x1.5bf0a8b145769p+1"),
+        ("half_axis1-", "0x1.5bf0a8b145769p+1"),
+        ("plateau_w0.2", "0x1.04be8e35c702fp-1"),
+    ],
+    (1, 1, 0, 12, 1): [
+        ("bump", "0x1.5bf0a8b145769p+1"),
+        ("bump*x^(1,)", "0x1.e4a17f1f90ef0p+2"),
+        ("bump*x^(2,)", "0x1.a68076de869d0p+3"),
+        ("bump*x^(3,)", "0x1.4686e7f432b5ap+4"),
+        ("half_axis0+", "0x1.5bf0a8b145769p+1"),
+        ("half_axis0-", "0x1.5bf0a8b145769p+1"),
+        ("plateau_w0.2", "0x1.1e028ce0785d9p+0"),
+        ("plateau_w0.1", "0x1.1e028ce0785dbp+0"),
+        ("plateau_w0.05", "0x1.1e028ce0785cfp+0"),
+        ("odd_plateau_axis0_w0.2", "-0x1.1e028ce0785d9p+0"),
+        ("odd_plateau_axis0_w0.1", "-0x1.1e028ce0785dbp+0"),
+        ("random_0", "0x1.3f72e08883d5fp-3"),
+    ],
+    (1, 1, 1, 12, 1): [
+        ("bump", "0x1.40a11e113558cp+0"),
+        ("bump*x^(1,)", "0x1.cf9176384792ep+0"),
+        ("bump*x^(2,)", "0x1.3926d8d7227efp+1"),
+        ("bump*x^(3,)", "0x1.97e7b5efa584fp+1"),
+        ("half_axis0+", "0x1.40a11e113558cp-1"),
+        ("half_axis0-", "0x1.40a11e113558cp-1"),
+        ("plateau_w0.2", "0x1.93b130af9e951p-3"),
+        ("plateau_w0.1", "0x1.93b151f9c7950p-4"),
+        ("plateau_w0.05", "0x1.93b124f1d6529p-5"),
+        ("odd_plateau_axis0_w0.2", "-0x1.00f6201d6a2e7p-3"),
+        ("odd_plateau_axis0_w0.1", "-0x1.00f62fbab8396p-4"),
+        ("random_0", "0x1.0236db0552ba1p-7"),
+    ],
+    (1, 1, 2, 12, 1): [
+        ("bump", "0x1.0844e0fcc2fd7p-3"),
+        ("bump*x^(1,)", "0x1.3f762be5b12efp-3"),
+        ("bump*x^(2,)", "0x1.7d6c77a73f51cp-3"),
+        ("bump*x^(3,)", "0x1.c2fef22efa83cp-3"),
+        ("half_axis0+", "0x1.0844e0fcc2fd7p-5"),
+        ("half_axis0-", "0x1.0844e0fcc2fd7p-5"),
+        ("plateau_w0.2", "0x1.5243af5803d3cp-8"),
+        ("plateau_w0.1", "0x1.524369423c944p-10"),
+        ("plateau_w0.05", "0x1.524c0afe9d457p-12"),
+        ("odd_plateau_axis0_w0.2", "-0x1.1a84a42649bebp-8"),
+        ("odd_plateau_axis0_w0.1", "-0x1.1a84d1b79d22cp-10"),
+        ("random_0", "0x1.755d62b6c3e3cp-14"),
+    ],
+}
+
+
 class TestBatchedAtoms:
     """Batched eval_deriv is bit-identical to the per-atom loop."""
 
@@ -191,6 +256,26 @@ class TestBatchedAtoms:
         for xi, ref in zip(xi_set(n, 1), want):
             assert np.array_equal(phi.eval_deriv(xi, pts), ref)
 
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    def test_blocks_cut_long_runs(self, layout, monkeypatch):
+        # a dense 1-D batch: an atom's run of candidates is longer than a
+        # block, so the blocks cut it
+        phi = _probe(1, "plateau_w0.2")
+        pts = np.random.default_rng(8).uniform(-1.05, 1.05, size=(5000, 1))
+        st = testfn.StackedFns.of([(phi, xi_set(1, 0)[0])])
+        zeros = np.zeros(len(pts), np.intp)
+        run_len = testfn._box_runs(st.centers, st.radii, [pts[:, 0]], zeros, st.job)[3]
+        assert run_len.max() > 97
+        wide = np.zeros((len(pts), 3))
+        wide[:, 1] = pts[:, 0]
+        given_pts = {"C": np.ascontiguousarray(pts), "F": np.asfortranarray(pts),
+                     "strided": wide[:, 1:2]}[layout]
+        want = [_atom_loop(phi, xi, pts) for order in range(3) for xi in xi_set(1, order)]
+        monkeypatch.setattr(testfn, "PAIR_BLOCK", 97)
+        got = [phi.eval_deriv(xi, given_pts) for order in range(3) for xi in xi_set(1, order)]
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+
     def test_far_and_non_finite_points(self):
         # points far outside every box make a batch span far more bins than
         # the atoms need; a non-finite point is 0, as in the per-atom loop
@@ -209,6 +294,12 @@ class TestBatchedAtoms:
     def test_plateau_2d_seminorm_pinned(self):
         # the value before atoms were culled, to the last bit
         assert seminorm(_probe(2, "plateau_w0.2", seed=0), 0) == 1.9636091265808011
+
+    @pytest.mark.parametrize("args", sorted(PINNED_NORMALIZERS))
+    def test_dictionary_normalizers_pinned(self, args):
+        members = make_dictionary(*args).members
+        got = [(m.label, float(m.atoms[0].coeff[0]).hex()) for m in members]
+        assert got == PINNED_NORMALIZERS[args]
 
 
 ONE_BALL_FNS = {
