@@ -9,19 +9,21 @@ function is a sum of bump atoms, so a polynomial pairs with it through a
 finite sum of bump moments, with no quadrature.
 
 ``pair_many`` runs the integrals of function atoms of many pairings in one
-quadrature engine, each on its own mesh, pairs all their polynomial parts
-in one array pass, and adds each pairing's parts in atom order, so every
-result is the pairing's alone: ``pair`` is the one-pair case.  A vector
-pairing (T, (phi_1, ..., phi_M)) of test functions on one ball integrates
-each function atom of T as one M-component engine job, on one mesh, with
-T evaluated once per point and the cores of all phi_c in one fused
-``core_eval`` call; each component keeps its own value and bound.
+quadrature engine, each on its own mesh, pairs all their delta and
+polynomial parts in one array pass each, and adds each pairing's parts in
+atom order, so every result is the pairing's alone: ``pair`` is the
+one-pair case.  A vector pairing (T, (phi_1, ..., phi_M)) of test
+functions on one ball integrates each function atom of T as one
+M-component engine job, on one mesh, with T evaluated once per point; each
+component keeps its own value and bound.
 
-One atom table, ``testfn.StackedFns``, serves every part in every
-dimension: the scalar integrals of an engine evaluate all their test
-functions with one ``eval_stacked`` call per block of points, and their
-data once per point; the polynomial parts read their atoms from it; and a
-vector job's fused plan takes its core specs and weights from it.
+One evaluator, ``testfn.eval_stacked``, serves every part in every
+dimension: an engine's integrand evaluates the test functions of all its
+jobs, M columns per job, with one call per block of points, and component
+c of a job is data . phi_c, the scalar integrand of (data, phi_c); the
+delta parts take D^xi phi at their locations from one call, one point per
+job; and the polynomial parts read their atoms from its atom table,
+``testfn.StackedFns``.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from .funcexpr import ExprAST, SingularitySet, eval_expr, parse
 from .momentkernel import moment_table
 from .quadrature import QuadratureConfig, integrate_boxes, job_runs, run_points
 from .tensor import MultiIndex, PolyJet, taylor_moments, zero_index
-from .testfn import DerivedTestFn, ProbeDictionary, StackedFns, eval_stacked, run_coords
+from .testfn import DerivedTestFn, ProbeDictionary, StackedFns, eval_stacked
 
 MAX_DERIVATIVE_DEPTH = 8
 # (jet, atom) rows per closed-form block, which bounds the temporaries
@@ -162,12 +164,6 @@ def subtract_jet(T: Distribution, P: PolyJet) -> Distribution:
     return Distribution(T.n, T.d, T.atoms + (PolynomialAtom(P.scale(-1.0)),))
 
 
-def _delta(atom: DeltaAtom, phi) -> float:
-    xi = MultiIndex(atom.xi)
-    dval = phi.eval_deriv(xi, np.asarray(atom.location))
-    return (-1.0) ** xi.order * float(np.dot(np.asarray(atom.coeff), dval))
-
-
 def _walk(T: Distribution, phis: tuple, part, memo: dict):
     """(values, bounds, cells) of T(phi) for each phi of phis, with
     part(data, phis, split_coords) -> the same for one part.
@@ -205,13 +201,6 @@ def _walk(T: Distribution, phis: tuple, part, memo: dict):
     return value, err, cells
 
 
-def _base_and_offset(phi) -> Tuple[object, MultiIndex]:
-    """(psi, delta) with phi = D^delta psi and psi a TestFn."""
-    if isinstance(phi, DerivedTestFn):
-        return phi.base, phi.offset
-    return phi, zero_index(phi.n)
-
-
 def _polynomial(parts: Sequence[Tuple[PolyJet, object]]) -> List[Tuple[float, float, int]]:
     """(value, bound, 0) of each integral <P, phi>, in closed form.
 
@@ -234,7 +223,7 @@ def _polynomial(parts: Sequence[Tuple[PolyJet, object]]) -> List[Tuple[float, fl
     for i, (P, _) in enumerate(parts):
         shapes.setdefault((P.n, P.target_dim, P.degree_bound), []).append(i)
     for (n, _, k), idx in shapes.items():
-        st = StackedFns.of([_base_and_offset(parts[i][1]) for i in idx])
+        st = StackedFns.of([(parts[i][1], zero_index(n)) for i in idx])
         jets = np.stack([parts[i][0].coeffs for i in idx])
         h = st.centers - np.stack([parts[i][0].center for i in idx])[st.job]
         top = max((sum(core or ()) for _, core, _ in st.groups), default=0)
@@ -261,24 +250,29 @@ def _polynomial(parts: Sequence[Tuple[PolyJet, object]]) -> List[Tuple[float, fl
 def one_ball(phi):
     """(center, radius, support center, support radius) of a test function
     whose atoms all share one ball, or None."""
-    psi, _ = _base_and_offset(phi)
+    psi = phi.base if isinstance(phi, DerivedTestFn) else phi
     if not psi.atoms or not psi._one_support:
         return None
     return psi.atoms[0].center, psi.atoms[0].radius, psi.support_center, psi.support_radius
 
 
 def _integrand(jobs: list, d: int):
-    """The engine's f(pts, job) for scalar jobs (data, phi, splits): data
-    times phi.  The test functions of all jobs are one stack, evaluated by
-    one ``eval_stacked`` call per block of points, and data shared by jobs
-    is evaluated once per point.
+    """The engine's f(pts, job) -> (npts, M) for jobs (data, phis, splits)
+    with M test functions each: column c is data times phis[c].  The test
+    functions of all jobs are one stack of M-column jobs, evaluated by one
+    ``eval_stacked`` call per block of points, and data shared by jobs is
+    evaluated once per point.
     """
-    stack = StackedFns.of([_base_and_offset(phi) for _, phi, _ in jobs])
+    stack = StackedFns.of([[(phi, zero_index(phi.n)) for phi in phis] for _, phis, _ in jobs])
     data_values = _shared_data(jobs, d)
 
-    def stacked(pts, job):
-        return np.einsum("ij,ij->i", data_values(pts, job), eval_stacked(stack, pts, job))
-    return stacked
+    def integrand(pts, job):
+        fv, phi = data_values(pts, job), eval_stacked(stack, pts, job)
+        out = np.empty((stack.m, len(pts)))  # component-major, as the engine sums
+        for c in range(stack.m):
+            np.einsum("ij,ij->i", fv, phi[:, c], out=out[c])
+        return out.T
+    return integrand
 
 
 def _shared_data(jobs: list, d: int):
@@ -302,60 +296,6 @@ def _shared_data(jobs: list, d: int):
     return values
 
 
-def _fused_plan(phis: tuple):
-    """(center, radius, layout, weights) of test functions whose atoms share
-    one ball.  The layout holds the distinct core specs (kind, core
-    multi-index, derivative) of their ``StackedFns``, as columns of one
-    fused ``core_eval`` call, and per nonzero atom coefficient its (test
-    function, column, target component); weights holds those coefficients
-    times radius ** -|xi|.
-    """
-    st = StackedFns.of([_base_and_offset(phi) for phi in phis])
-    rows, comps = np.nonzero(st.coeffs)
-    terms = tuple(zip(st.job[rows].tolist(), st.group[rows].tolist(), comps.tolist()))
-    center, radius = one_ball(phis[0])[:2]
-    return center, radius, (st.groups, terms), (st.coeffs * st.scale[:, None])[rows, comps]
-
-
-def _fused_integrand(jobs: list, n: int, d: int):
-    """The engine's f(pts, job) -> (npts, M) for vector jobs (data, phis,
-    splits).  The data is evaluated once per point, and all cores and
-    derivatives of the jobs of one layout in one ``core_eval`` call; a
-    point's value does not depend on the other points.
-
-    It relies on the engine's contract that a job's points are one run:
-    the runs are found once per call, and each job's center, radius and
-    weights are repeated over its run, with no gather per point.
-    """
-    plans = [_fused_plan(phis) for _, phis, _ in jobs]
-    layouts: dict = {}
-    group = np.array([layouts.setdefault(plan[2], len(layouts)) for plan in plans])
-    centers = np.array([plan[0] for plan in plans], dtype=float)
-    radii = np.array([plan[1] for plan in plans], dtype=float)
-    # per layout, the weights of its jobs' terms, (terms, jobs)
-    weights = [np.zeros((len(terms), len(plans))) for _, terms in layouts]
-    for j, plan in enumerate(plans):
-        weights[group[j]][:, j] = plan[3]
-    data_values = _shared_data(jobs, d)
-    m = len(jobs[0][1])
-
-    def fused(pts, job):
-        fv = data_values(pts, job).T
-        out = np.zeros((m, len(pts)))  # component-major
-        starts, lengths, run_job = job_runs(job)
-        for g, ((specs, terms), w) in enumerate(zip(layouts, weights)):
-            mine = slice(None) if len(layouts) == 1 else np.flatnonzero(group[run_job] == g)
-            sel = slice(None) if len(layouts) == 1 else run_points(starts[mine], lengths[mine])
-            jj, size = run_job[mine], lengths[mine]
-            vals = cores.core_eval(n, *zip(*specs), run_coords(pts, sel, centers[jj], radii[jj],
-                                                               size)).T
-            wj = np.repeat(w[:, jj], size, axis=1)
-            for t, (c, spec, i) in enumerate(terms):
-                out[c, sel] += wj[t] * vals[spec] * fv[i, sel]
-        return out.T
-    return fused
-
-
 def pair_many(pairs: Sequence[Tuple[Distribution, object]],
               config: QuadratureConfig = QuadratureConfig(),
               strict: bool = True) -> list:
@@ -368,9 +308,9 @@ def pair_many(pairs: Sequence[Tuple[Distribution, object]],
     A vector pair (T, (phi_1, ..., phi_M)) needs test functions whose atoms
     share one ball, and one support ball.  The integral of each function
     atom of T against all of them is one M-component engine job: one mesh,
-    the data evaluated once per point and the cores of every phi in one
-    fused ``core_eval`` call.  Delta and polynomial parts stay closed form
-    per component.  It gives a tuple of M PairingResults, each with its own
+    the data evaluated once per point and every phi by one M-column job of
+    ``eval_stacked``.  Delta and polynomial parts stay closed form per
+    component.  It gives a tuple of M PairingResults, each with its own
     value and bound, and the cells of the shared meshes.  Every result,
     scalar or vector, is the pair's alone, whatever else the call holds.
     """
@@ -384,9 +324,18 @@ def pair_many(pairs: Sequence[Tuple[Distribution, object]],
     for T, phis in plans:  # plan: collect the parts
         _walk(T, phis, lambda *part: parts.append(part) or (0.0, 0.0, 0), memo)
     results: list = [None] * len(parts)
+    deltas: dict = {}  # per (n, d), (part, component, phi) for the phis of the delta parts
     for i, (data, phis, _) in enumerate(parts):
         if isinstance(data, DeltaAtom):
-            results[i] = (np.array([_delta(data, phi) for phi in phis]), np.zeros(len(phis)), 0)
+            results[i] = (np.zeros(len(phis)), np.zeros(len(phis)), 0)
+            deltas.setdefault((phis[0].n, phis[0].d), []).extend(
+                (i, c, phi) for c, phi in enumerate(phis))
+    for group in deltas.values():  # D^xi phi at the delta's location, one point per job
+        atoms = [parts[i][0] for i, _, _ in group]
+        st = StackedFns.of([(phi, MultiIndex(a.xi)) for a, (_, _, phi) in zip(atoms, group)])
+        at = eval_stacked(st, np.array([a.location for a in atoms]), np.arange(len(group)))
+        for a, (i, c, _), dval in zip(atoms, group, at[:, 0]):
+            results[i][0][c] = (-1.0) ** sum(a.xi) * float(np.dot(np.asarray(a.coeff), dval))
     poly = [(i, phi) for i, (data, phis, _) in enumerate(parts) if isinstance(data, PolyJet)
             for phi in phis]
     values = iter(_polynomial([(parts[i][0], phi) for i, phi in poly]))
@@ -397,17 +346,13 @@ def pair_many(pairs: Sequence[Tuple[Distribution, object]],
     for i, (_, phis, _) in enumerate(parts):
         if results[i] is None:
             shapes.setdefault((phis[0].n, phis[0].d, len(phis)), []).append(i)
-    for (n, d, m), idx in shapes.items():
+    for (_, d, _), idx in shapes.items():
         jobs = [parts[i] for i in idx]
         boxes = [(np.subtract(phis[0].support_center, phis[0].support_radius),
                   np.add(phis[0].support_center, phis[0].support_radius), splits)
                  for _, phis, splits in jobs]
-        if m == 1:
-            f = _integrand([(data, phis[0], splits) for data, phis, splits in jobs], d)
-        else:
-            f = _fused_integrand(jobs, n, d)
-        for i, (v, e, c) in zip(idx, integrate_boxes(f, boxes, config, strict)):
-            results[i] = (np.atleast_1d(v), np.atleast_1d(e), c)
+        for i, result in zip(idx, integrate_boxes(_integrand(jobs, d), boxes, config, strict)):
+            results[i] = result
     done = iter(results)
     out = []
     for (T, phis), (_, phi) in zip(plans, pairs):

@@ -6,37 +6,43 @@ Derivatives up to ``max_deriv_order`` evaluate through the closed-form
 prefactor recursion in :mod:`ptdiff.cores`, so integration by parts
 downstream is exact.
 
-A batch of points is evaluated with each atom only at the points inside
-its support ball, by one evaluator for many (test function, derivative)
-jobs, ``eval_stacked``; ``TestFn.eval_deriv`` is its one-job case.
+One evaluator, ``eval_stacked``, evaluates every test function: it takes
+many jobs, each M (test function, derivative) columns, and gives the
+values of every column of each point's job.  ``TestFn.eval_deriv`` is its
+one-job case, ``seminorm`` reads its derivative tensors off one
+``eval_deriv`` call, and the pairing engine evaluates all its test
+functions with it.
 
-A job whose atoms share one support ball (one atom, moment kernels) needs
-no search: over each run of its points, its atoms add their terms one
-after another, in atom order, with the core coordinates of the one ball.
-Only the points of the other jobs are sorted, once, by a key made of
-their job, their bin over the first n - 1 coordinates (bins a quarter of
-the smallest atom radius wide) and their last coordinate, so that the
-points of one job and bin inside an atom's bounding box along the last
-axis are one run of the sorted order: the candidate (atom, point) pairs
-are these runs, atom-major, slightly more than the boxes.  They are taken
-in blocks of PAIR_BLOCK candidates, each block whole runs but for the
-runs cut at its two edges, which bounds the temporaries whatever the
-batch.  A pair is kept when |u|^2 < 1 - BOUNDARY_CLAMP for the point u in
-the atom's core coordinates, the test ``core_eval`` makes, and the kept
-pairs of a block go to ``core_eval`` in one call per core group.
+A job whose atoms share one ball (one atom, moment kernels, the
+derivatives of one) needs no search.  Its layout is its atoms' core specs
+(kind, core multi-index, derivative) and columns, in atom order; the runs
+of the jobs of one layout take one ``run_coords`` and one ``core_eval``
+call over the layout's distinct specs, and their atoms add their terms
+one after another, in atom order.  Only the points of the other jobs are
+sorted, once, by a key made of their job, their bin over the first n - 1
+coordinates (bins a quarter of the smallest atom radius wide) and their
+last coordinate, so that the points of one job and bin inside an atom's
+bounding box along the last axis are one run of the sorted order: the
+candidate (atom, point) pairs are these runs, atom-major, slightly more
+than the boxes.  They are taken in blocks of PAIR_BLOCK candidates, each
+block whole runs but for the runs cut at its two edges, which bounds the
+temporaries whatever the batch.  A pair is kept when |u|^2 < 1 -
+BOUNDARY_CLAMP for the point u in the atom's core coordinates, the test
+``core_eval`` makes, and the kept pairs of a block go to ``core_eval`` in
+one call per core group.
 
 Core coordinates (x - center) / radius are built one coordinate at a time
-by ``run_coords``, on all three paths (one ball, culled runs, and
-``TestFn._atom_sums``), each center and radius repeated over its run of
+by ``run_coords``, each center and radius repeated over its run of
 points: a row index of a (points, n) array is far slower than a 1-D index
 of each coordinate.
 
 The result is bit-identical to summing each function's atoms one by one
-over all points: a pair's terms are the same float operations, the radius
-power is a Python float power per atom, and both paths add each point's
-terms in atom order (``np.add.at`` over atom-major pairs, block after
-block, for the sorted points).  The pairs the search skips added exact
-zeros, which change no sum.
+over all points: a term is (scale * value) * coeff on both paths, the
+radius power is a Python float power per atom, and both paths add each
+point's terms in atom order (``np.add.at`` over atom-major pairs, block
+after block, for the sorted points).  The pairs the search skips added
+exact zeros, which change no sum, and so do the points that are not
+finite, where every atom is 0.
 """
 
 from __future__ import annotations
@@ -87,41 +93,23 @@ class TestFn:
     max_deriv_order: int = DEFAULT_MAX_DERIV_ORDER
     label: str = ""
 
-    def eval_deriv(self, xi: MultiIndex, x) -> np.ndarray:
-        """D^xi phi at points (npts, n) or a single point (n,); values in R^d."""
-        if xi.order > self.max_deriv_order:
-            raise UnsupportedOrderError(
-                f"derivative order {xi.order} exceeds configured bound {self.max_deriv_order}")
-        x = np.asarray(x, dtype=float)
-        single = x.ndim <= 1
-        pts = x.reshape(-1, self.n)
-        # the loop serves what culling cannot help, and non-finite points,
-        # which the bins of the culled path cannot place (every atom is 0 there)
-        if pts.shape[0] > 1 and not self._one_support and np.isfinite(pts).all():
-            # one job: a byte per point for its index, not eight
-            out = eval_stacked(StackedFns.of([(self, xi)]), pts, np.zeros(len(pts), np.int8))
-        else:
-            out = self._atom_sums([xi], pts)[:, 0]
-        return out[0] if single else out
-
-    def _atom_sums(self, xis: Sequence[MultiIndex], pts: np.ndarray) -> np.ndarray:
-        """D^xi phi for each xi of xis at all points (npts, n), (npts, len(xis), d).
-
-        Atom by atom over every point, one ``core_eval`` call per atom for
-        all of xis; each column is summed in atom order, as for its xi alone.
+    def eval_deriv(self, xi, x) -> np.ndarray:
+        """D^xi phi at one point (n,), values (d,), or at points (npts, n),
+        values (npts, d).  With xi a sequence of M multi-indices, every
+        D^xi at once: (M, d) or (npts, M, d), each column bit-identical to
+        its xi alone.
         """
-        out = np.zeros((pts.shape[0], len(xis), self.d))
-        ball = None
-        for a in self.atoms:
-            if (a.center, a.radius) != ball:  # atoms on one ball share its coordinates
-                ball = (a.center, a.radius)
-                u = run_coords(pts, slice(None), np.array([a.center]), np.array([a.radius]),
-                               np.array([len(pts)]))
-            vals = cores.core_eval(self.n, [a.kind] * len(xis), [a.core_xi] * len(xis), xis, u)
-            for r, xi in enumerate(xis):
-                scale = a.radius ** (-xi.order)
-                out[:, r] += (scale * vals[:, r])[:, None] * np.asarray(a.coeff)[None, :]
-        return out
+        x = np.asarray(x, dtype=float)
+        if x.shape != (self.n,) and (x.ndim != 2 or x.shape[1] != self.n):
+            raise ValueError(f"points must have shape ({self.n},) or (npts, {self.n}), "
+                             f"not {x.shape}")
+        pts = x.reshape(-1, self.n)
+        one = isinstance(xi, MultiIndex)
+        # one job: a byte per point for its index, not eight
+        out = eval_stacked(StackedFns.of([[(self, e) for e in ([xi] if one else xi)]]), pts,
+                           np.zeros(len(pts), np.int8))
+        out = out[:, 0] if one else out
+        return out[0] if x.ndim == 1 else out
 
     @cached_property
     def _one_support(self) -> bool:
@@ -156,11 +144,20 @@ class TestFn:
 
 @dataclass(frozen=True)
 class StackedFns:
-    """The atoms of many jobs D^xi_j phi_j as arrays, job-major; culled is
-    False for the atoms of a job whose atoms share one support ball."""
+    """The atoms of many jobs as arrays, job-major and column-major within
+    a job: column c of job j is D^xi phi for its c-th (phi, xi), and every
+    job has m columns.
+
+    A job whose atoms all share one ball has a layout: its atoms' core
+    specs (kind, core multi-index, derivative) and columns, in atom order.
+    Each distinct layout is stored once, as the group indices of its
+    distinct specs and, per atom, its spec's position among them and its
+    column.  The atoms of the other jobs are culled.
+    """
 
     n: int
     d: int
+    m: int
     centers: np.ndarray  # (A, n)
     radii: np.ndarray  # (A,)
     coeffs: np.ndarray  # (A, d)
@@ -168,63 +165,89 @@ class StackedFns:
     groups: Tuple[Tuple[str, Optional[Tuple[int, ...]], MultiIndex], ...]
     group: np.ndarray  # (A,) index into groups
     job: np.ndarray  # (A,)
-    culled: np.ndarray  # (A,)
+    col: np.ndarray  # (A,)
+    layouts: Tuple[Tuple[Tuple[int, ...], Tuple[Tuple[int, int], ...]], ...]
+    layout: np.ndarray  # (J,) index into layouts, or -1: culled
+    first: np.ndarray  # (J,) the job's first atom
 
     @classmethod
-    def of(cls, jobs: Sequence[Tuple[TestFn, MultiIndex]]) -> "StackedFns":
-        rows, keys = [], {}  # keys: distinct (kind, core_xi, xi) -> group
-        for j, (fn, xi) in enumerate(jobs):
-            if xi.order > fn.max_deriv_order:
-                raise UnsupportedOrderError(
-                    f"derivative order {xi.order} exceeds configured bound {fn.max_deriv_order}")
-            rows += [(a.center, a.radius, a.coeff, a.radius ** (-xi.order),
-                      keys.setdefault((a.kind, a.core_xi, xi), len(keys)), j,
-                      not fn._one_support) for a in fn.atoms]
-        n, d = jobs[0][0].n, jobs[0][0].d
-        cols = [np.array(col) for col in zip(*rows)] if rows else [  # no atom: the zero function
+    def of(cls, jobs) -> "StackedFns":
+        """Each job one (test function, multi-index) column, or a sequence
+        of m of them; a derivative view D^o psi at xi is psi at xi + o."""
+        jobs = [[job] if isinstance(job[-1], MultiIndex) else list(job) for job in jobs]
+        if len({len(cols) for cols in jobs}) > 1:
+            raise ValueError("every job of a stack must have the same number of columns")
+        rows, keys, layouts = [], {}, {}  # keys: distinct (kind, core_xi, xi) -> group
+        layout, first = [], []
+        for j, cols in enumerate(jobs):
+            first.append(len(rows))
+            for c, (fn, xi) in enumerate(cols):
+                if isinstance(fn, DerivedTestFn):
+                    fn, xi = fn.base, xi + fn.offset
+                if xi.order > fn.max_deriv_order:
+                    raise UnsupportedOrderError(f"derivative order {xi.order} exceeds "
+                                                f"configured bound {fn.max_deriv_order}")
+                rows += [(a.center, a.radius, a.coeff, a.radius ** (-xi.order),
+                          keys.setdefault((a.kind, a.core_xi, xi), len(keys)), j, c)
+                         for a in fn.atoms]
+            mine = rows[first[-1]:]
+            one = len({row[:2] for row in mine}) == 1  # every atom on one ball
+            layout.append(layouts.setdefault(tuple((row[4], row[6]) for row in mine),
+                                             len(layouts)) if one else -1)
+        specs = []
+        for key in layouts:
+            used = list(dict.fromkeys(g for g, _ in key))
+            specs.append((tuple(used), tuple((used.index(g), c) for g, c in key)))
+        n, d = jobs[0][0][0].n, jobs[0][0][0].d
+        arrays = [np.array(col) for col in zip(*rows)] if rows else [  # no atom: zero functions
             np.zeros((0, n)), np.zeros(0), np.zeros((0, d)), np.zeros(0),
-            np.zeros(0, np.intp), np.zeros(0, np.intp), np.zeros(0, bool)]
-        return cls(n, d, *cols[:4], tuple(keys), *cols[4:])
+            np.zeros(0, np.intp), np.zeros(0, np.intp), np.zeros(0, np.intp)]
+        return cls(n, d, len(jobs[0]), *arrays[:4], tuple(keys), *arrays[4:], tuple(specs),
+                   np.array(layout, dtype=np.intp), np.array(first, dtype=np.intp))
 
 
 def eval_stacked(st: StackedFns, pts: np.ndarray, job: np.ndarray) -> np.ndarray:
-    """D^xi_j phi_j at each point, j = job[i] of pts[i]; values (npts, d)."""
-    out = np.zeros((pts.shape[0], st.d))
-    starts, lengths, run_job = job_runs(job)
-    first = np.searchsorted(st.job, run_job)  # the atoms are job-major
-    count = np.searchsorted(st.job, run_job, side="right") - first
-    culled = count > 0  # a job's atoms are all culled or all on one ball
-    culled[culled] = st.culled[first[culled]]
-    _one_ball_sums(st, pts, starts[~culled], lengths[~culled], first[~culled], count[~culled],
-                   out)
-    _culled_sums(st, pts, job, run_points(starts[culled], lengths[culled]), out)
-    return out
+    """Every column of job j = job[i] at pts[i]: (npts, m, d), each column
+    a contiguous (npts, d) array.
 
-
-def _one_ball_sums(st: StackedFns, pts: np.ndarray, starts: np.ndarray, lengths: np.ndarray,
-                   first: np.ndarray, count: np.ndarray, out: np.ndarray) -> None:
-    """Add into out the values at the points of some runs of equal job, each
-    job's count atoms from its first sharing one ball: no search, no sort
-    and no scatter.
-
-    Pass r adds, over every run, the terms of the r-th atom of its job, so
-    each point adds its terms in atom order.
+    The runs of the jobs of one layout take one ``run_coords`` and one
+    ``core_eval`` call over the layout's specs, with no search, sort or
+    scatter; every other job's atoms are culled (``_culled_sums``).  Each
+    point adds its terms in atom order, each (scale * value) * coeff.
     """
-    for r in range(np.max(count, initial=0)):
-        have = count > r
-        p = run_points(starts[have], lengths[have])
-        p = slice(None) if len(p) == len(out) else p  # the runs cover every point
-        atom, size = first[have] + r, lengths[have]
-        u = run_coords(pts, p, st.centers[atom], st.radii[atom], size)
-        used = np.flatnonzero(np.bincount(st.group[atom], minlength=len(st.groups)))
-        group = np.repeat(st.group[atom], size) if len(used) > 1 else None
-        vals = np.empty(len(u))
-        for g in used:
-            sel = slice(None) if group is None else group == g
-            vals[sel] = cores.core_eval(st.n, *st.groups[g], u[sel])
-        vals *= np.repeat(st.scale[atom], size)
-        for c in range(st.d):
-            out[p, c] += vals * np.repeat(st.coeffs[atom, c], size)
+    out = np.zeros((st.m, len(pts), st.d))
+    starts, lengths, run_job = job_runs(job)
+    layout = st.layout[run_job]
+    for g in dict.fromkeys(layout.tolist()):
+        if g < 0:
+            continue
+        used, terms = st.layouts[g]
+        mine = layout == g
+        size, first = lengths[mine], st.first[run_job[mine]]
+        p = slice(None) if size.sum() == len(pts) else run_points(starts[mine], size)
+        u = run_coords(pts, p, st.centers[first], st.radii[first], size)
+        vals = cores.core_eval(st.n, *zip(*(st.groups[s] for s in used)), u)
+        repeated: dict = {}  # the terms of a layout often share their runs' scalars
+
+        def per_point(x):  # each run's scalars over its points, or one when all runs agree
+            if (x == x[0]).all():
+                return x[:1]
+            key = (x.shape, x.tobytes())
+            if key not in repeated:
+                repeated[key] = np.repeat(x, size, axis=0)
+            return repeated[key]
+
+        for t, (s, c) in enumerate(terms):
+            value = vals[:, s]
+            if st.groups[used[s]][2].order:  # else the scale is radius ** 0 = 1
+                value = per_point(st.scale[first + t]) * value
+            coeff = per_point(st.coeffs[first + t])
+            for k in range(st.d):
+                out[c, p, k] += value * coeff[:, k]
+    culled = layout < 0
+    if culled.any():
+        _culled_sums(st, pts, job, run_points(starts[culled], lengths[culled]), out)
+    return out.transpose(1, 0, 2)
 
 
 def run_coords(pts: np.ndarray, p, centers: np.ndarray, radii: np.ndarray,
@@ -245,22 +268,30 @@ def run_coords(pts: np.ndarray, p, centers: np.ndarray, radii: np.ndarray,
 
 def _culled_sums(st: StackedFns, pts: np.ndarray, job: np.ndarray, idx: np.ndarray,
                  out: np.ndarray) -> None:
-    """Add into out the values at the points idx, whose jobs' atoms are
-    culled: each atom only at its candidate points from ``_box_runs``.
+    """Add into out (m, npts, d) the values at the points idx, whose jobs'
+    atoms are culled: each atom only at its candidate points from
+    ``_box_runs``.  Points that are not finite are left out: every atom is
+    0 there, and no bin holds them.
 
     The candidates are taken PAIR_BLOCK at a time, in run order, each
     block's runs cut at its edges, so a block's temporaries are a small
     multiple of PAIR_BLOCK entries (per pair n coordinates, |u|^2, d terms
     and a few indices), whatever the batch.
     """
-    if not idx.size:
-        return
-    sub = slice(None) if len(idx) == len(out) else idx  # the points are every point
-    counts = np.bincount(job[sub], minlength=st.job[-1] + 1)  # points per job
-    cull = np.flatnonzero((counts[st.job] > 0) & st.culled)
-    perm, run_atom, run_start, run_len = _box_runs(
-        st.centers[cull], st.radii[cull], [pts[:, a][sub] for a in range(st.n)], job[sub],
-        st.job[cull])
+    sub = slice(None) if len(idx) == len(pts) else idx  # the points are every point
+    cols = [pts[:, a][sub] for a in range(st.n)]
+    finite = np.isfinite(cols[0])
+    for x in cols[1:]:
+        finite &= np.isfinite(x)
+    if not finite.all():
+        idx = sub = idx[finite]
+        cols = [x[finite] for x in cols]
+        if not idx.size:
+            return
+    counts = np.bincount(job[sub], minlength=len(st.layout))  # points per job
+    cull = np.flatnonzero((counts[st.job] > 0) & (st.layout[st.job] < 0))
+    perm, run_atom, run_start, run_len = _box_runs(st.centers[cull], st.radii[cull], cols,
+                                                   job[sub], st.job[cull])
     perm, run_atom = idx[perm], cull[run_atom]
     ends = np.cumsum(run_len)
     begins = ends - run_len
@@ -282,9 +313,11 @@ def _culled_sums(st: StackedFns, pts: np.ndarray, job: np.ndarray, idx: np.ndarr
         for g in used:
             sel = slice(None) if len(used) == 1 else np.flatnonzero(group == g)
             vals[sel] = cores.core_eval(st.n, *st.groups[g], u[:, sel].T)
-        # flat indices add each (point, component) in pair order, like rows would
+        # flat indices add each (column, point, component) in pair order,
+        # like rows would; column c's rows start at c * npts
         terms = (st.scale[atom] * vals)[:, None] * st.coeffs.take(atom, axis=0)
-        np.add.at(out.reshape(-1), (p[:, None] * st.d + np.arange(st.d)).reshape(-1),
+        row = p if st.m == 1 else st.col[atom] * len(pts) + p
+        np.add.at(out.reshape(-1), (row[:, None] * st.d + np.arange(st.d)).reshape(-1),
                   terms.reshape(-1))
 
 
@@ -368,8 +401,7 @@ class DerivedTestFn:
     def label(self) -> str:
         return f"D^{self.offset.entries} {self.base.label}"
 
-    def eval_deriv(self, xi: MultiIndex, x) -> np.ndarray:
-        return self.base.eval_deriv(xi + self.offset, x)
+    eval_deriv = TestFn.eval_deriv
 
     def derivative_view(self, xi: MultiIndex) -> "DerivedTestFn":
         return DerivedTestFn(self.base, self.offset + xi)
@@ -438,14 +470,13 @@ def seminorm(phi, i: int, K: Optional[Tuple[Sequence[float], float]] = None,
 
     The order-i derivative tensors are evaluated on a grid of grid_points
     intervals per axis over the relevant box (K defaults to the support
-    ball), all of them in one ``core_eval`` call per atom when the atoms
-    share one support ball, and their norms are screened there with the
-    unrefined angular scan.  The best screened points get the norm refined
-    in angle, and a local grid search around the best of them refines in
-    space.  What is certified: the spatial search and every angular scan in
-    it stop only once a refinement step gains less than rel_tol relatively,
-    and the result is the norm at one point, so it is a lower bound of the
-    sup.
+    ball), all of them by one ``eval_deriv`` call, and their norms are
+    screened there with the unrefined angular scan.  The best screened
+    points get the norm refined in angle, and a local grid search around
+    the best of them refines in space.  What is certified: the spatial
+    search and every angular scan in it stop only once a refinement step
+    gains less than rel_tol relatively, and the result is the norm at one
+    point, so it is a lower bound of the sup.
     For n > 2 the pointwise norm is the weighted l1 upper bound.
     """
     n = phi.n
@@ -472,16 +503,8 @@ def seminorm(phi, i: int, K: Optional[Tuple[Sequence[float], float]] = None,
             g[j] = x.reshape((-1,) + (1,) * (n - 1 - j))
         return g.reshape(n, -1).T
 
-    def tensors(pts):
-        if isinstance(phi, TestFn) and phi._one_support:
-            return phi._atom_sums(indices, pts)
-        out = np.empty((pts.shape[0], len(indices), phi.d))
-        for r, xi in enumerate(indices):
-            out[:, r] = phi.eval_deriv(xi, pts)
-        return out
-
     pts = grid([np.linspace(lo[j], hi[j], max(grid_points, 8) + 1) for j in range(n)])
-    values = tensors(pts)
+    values = phi.eval_deriv(indices, pts)
     screen, _ = opnorms(n, i, values, None, SCREEN_DIRECTIONS)
     top = _top_indices(screen, SCREEN_CANDIDATES)
     norms, _ = opnorms(n, i, values[top], rel_tol)
@@ -493,7 +516,7 @@ def seminorm(phi, i: int, K: Optional[Tuple[Sequence[float], float]] = None,
     for _ in range(8):
         lpts = grid([np.linspace(max(lo[j], center[j] - width),
                                  min(hi[j], center[j] + width), 17) for j in range(n)])
-        lnorms, _ = opnorms(n, i, tensors(lpts), rel_tol)
+        lnorms, _ = opnorms(n, i, phi.eval_deriv(indices, lpts), rel_tol)
         j = int(np.argmax(lnorms))
         new_best = float(lnorms[j])
         improved = new_best > best

@@ -8,7 +8,7 @@ import pytest
 
 from ptdiff import (MultiIndex, PolyJet, QuadratureConfig, delta_distribution,
                     derivative, dual_norm, function_distribution, make_dictionary,
-                    pair, polynomial_distribution, standard_bump, subtract_jet)
+                    pair, pair_many, polynomial_distribution, standard_bump, subtract_jet)
 
 BUMP_MASS_1D = 0.4439938161680793
 
@@ -24,6 +24,25 @@ class TestPair:
         res = pair(T, standard_bump(1))
         assert res.value == pytest.approx(math.exp(-1.0), abs=1e-15)
         assert res.abs_error_bound == 0.0
+        # the delta parts of one pair_many call, against a one-ball probe, a
+        # plateau and a derivative view, each its pair alone bit for bit
+        members = make_dictionary(1, 1, 0, 12, 0).members
+        plateau = next(m for m in members if m.label == "plateau_w0.2")
+        view = members[2].rescale([0.1], 0.5).derivative_view(MultiIndex((1,)))
+        phis = [members[1].rescale([0.2], 0.4), plateau, view]
+        deltas = [delta_distribution(1, [0.3], xi=(1,), coeff=(2.0,)),
+                  delta_distribution(1, [-0.15], xi=(2,)),
+                  delta_distribution(1, [0.25], coeff=(-1.5,))]
+        pairs = [(T, phi) for T in deltas for phi in phis]
+        pairs.append((derivative(deltas[0], (1,)), plateau))
+        got = pair_many(pairs)
+        assert got == [pair(T, phi) for T, phi in pairs]
+        for (T, phi), res in zip(pairs[:-1], got):
+            (atom,) = T.atoms
+            xi = MultiIndex(atom.xi)
+            want = (-1.0) ** xi.order * atom.coeff[0] * phi.eval_deriv(xi, atom.location)[0]
+            assert res.value == want and res.abs_error_bound == 0.0
+        assert all(res.value != 0.0 for res in got)
 
     def test_constant_function_mass(self):
         T = function_distribution(1, "1")

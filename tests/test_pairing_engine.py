@@ -18,7 +18,7 @@ from ptdiff import (ClassifierConfig, MultiIndex, PairingResult, PolyJet, Quadra
                     QuadratureNonConvergence, TestFn, classify, delta_distribution, derivative,
                     function_distribution, integrate_box, integrate_boxes, make_dictionary,
                     pair, pair_many, polynomial_distribution, subtract_jet, xi_set)
-from ptdiff import momentkernel, quadrature, testfn
+from ptdiff import distribution, momentkernel, quadrature, testfn
 from ptdiff.cores import core_eval
 from ptdiff.testfn import StackedFns, eval_stacked
 
@@ -226,6 +226,8 @@ class TestIntegrateBoxes:
 
 def _atom_loop(phi, xi, pts):
     """D^xi phi summed one atom at a time over every point: the reference."""
+    if isinstance(phi, testfn.DerivedTestFn):
+        return _atom_loop(phi.base, xi + phi.offset, pts)
     out = np.zeros((pts.shape[0], phi.d))
     for a in phi.atoms:
         u = (pts - np.asarray(a.center)) / a.radius
@@ -246,41 +248,57 @@ class TestStackedEvaluator:
         # one-support (bump, monomials, a moment kernel: several atoms on
         # one ball) and multi-atom (plateaus, random) probes, rescaled, each
         # with several derivative orders
-        jobs, pts, job = [], [], []
-        for m, member in enumerate(members):
+        cols = []
+        for k, member in enumerate(members):
             phi = member.rescale(rng.uniform(-1, 1, size=n), float(rng.uniform(0.05, 2.0)))
-            for order in range(3):
-                xi = xi_set(n, order)[m % len(xi_set(n, order))]
-                c, r = np.asarray(phi.support_center), phi.support_radius
-                pts.append(c + rng.uniform(-1.2 * r, 1.2 * r, size=(int(rng.integers(1, 60)), n)))
-                job += [len(jobs)] * len(pts[-1])
-                jobs.append((phi, xi))
-        pts = np.concatenate(pts)
-        job = np.asarray(job)
-        order = rng.permutation(len(job))  # runs need not be contiguous
-        got = eval_stacked(StackedFns.of(jobs), pts[order], job[order])
-        for j, (phi, xi) in enumerate(jobs):
-            sel = job[order] == j
-            want = _atom_loop(phi, xi, pts[order][sel])
-            assert np.array_equal(got[sel], want), (j, phi.label, xi.entries)
-            assert np.array_equal(got[sel], phi.eval_deriv(xi, pts[order][sel]))
+            cols.append([(phi, xi_set(n, order)[k % len(xi_set(n, order))])
+                         for order in range(3)])
+        # one column per job; then three: one function's three derivatives
+        # (one ball, or culled), a function with a derivative view of it, and
+        # two functions on two balls, culled whatever their atoms
+        first = xi_set(n, 1)[0]
+        triples = cols + [[a, b, (a[0].derivative_view(first), a[1])] for a, b, _ in cols]
+        triples += [[a, b[1], b[2]] for (a, _, _), b in zip(cols, cols[1:])]
+        for m, jobs in ((1, [col for three in cols for col in three]), (3, triples)):
+            pts, job = [], []
+            for j, columns in enumerate(jobs):
+                for phi, _ in ([columns] if m == 1 else columns):
+                    c, r = np.asarray(phi.support_center), phi.support_radius
+                    size = int(rng.integers(1, 30))
+                    pts.append(c + rng.uniform(-1.2 * r, 1.2 * r, size=(size, n)))
+                    job += [j] * size
+            pts = np.concatenate(pts)
+            job = np.asarray(job)
+            order = rng.permutation(len(job))  # runs need not be contiguous
+            got = eval_stacked(StackedFns.of(jobs), pts[order], job[order])
+            assert got.shape == (len(job), m, 1)
+            for j, columns in enumerate(jobs):
+                sel = job[order] == j
+                for c, (phi, xi) in enumerate([columns] if m == 1 else columns):
+                    want = _atom_loop(phi, xi, pts[order][sel])
+                    assert np.array_equal(got[sel, c], want), (m, j, c, phi.label, xi.entries)
+                    assert np.array_equal(got[sel, c], phi.eval_deriv(xi, pts[order][sel]))
 
     def test_derivative_views(self):
         members = make_dictionary(1, 1, 0, 12, 0).members
         rng = np.random.default_rng(3)
         pts = rng.uniform(-1.1, 1.1, size=(300, 1))
         views = [m.derivative_view(MultiIndex((1,))) for m in members]
-        jobs = [(v.base, v.offset + MultiIndex((1,))) for v in views]
+        jobs = [(v, MultiIndex((1,))) for v in views]
         job = np.repeat(np.arange(len(jobs)), 25)
         got = eval_stacked(StackedFns.of(jobs), pts, job)
         for j, v in enumerate(views):
             sel = job == j
-            assert np.array_equal(got[sel], v.eval_deriv(MultiIndex((1,)), pts[sel]))
+            assert np.array_equal(got[sel, 0], _atom_loop(v.base, MultiIndex((2,)), pts[sel]))
+            assert np.array_equal(got[sel, 0], v.eval_deriv(MultiIndex((1,)), pts[sel]))
 
     def test_order_above_bound(self):
         phi = make_dictionary(1, 1, 0, 4, 0).members[0]
         with pytest.raises(testfn.UnsupportedOrderError):
             StackedFns.of([(phi, MultiIndex((phi.max_deriv_order + 1,)))])
+        with pytest.raises(testfn.UnsupportedOrderError):
+            StackedFns.of([(phi.derivative_view(MultiIndex((2,))),
+                            MultiIndex((phi.max_deriv_order - 1,)))])
 
 
 def _reference(T, phi):
@@ -549,6 +567,30 @@ class TestVectorJobs:
             cases.append((T, tuple(p.rescale(a, r) for p in probes)))
         got = pair_many(cases, config, strict=False)
         assert got == [pair_many([case], config, strict=False)[0] for case in cases]
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_column_integrand_is_scalar_integrand(self, d, kernel_cache):
+        # component c of a vector job is data . phi_c on a contiguous
+        # (points, d) array: the scalar integrand of (data, phi_c), bit for bit
+        kernel, a = kernel_cache(2, 2), [0.2, -0.1]
+        (data,) = function_distribution(2, ["exp(-x1^2 - x2^2)", "cos(3*x1) * x2"][:d], d).atoms
+        xis = [xi for m in range(2) for xi in xi_set(2, m)]
+        jobs = [(data, tuple(kernel.directed(a, r, d, c).derivative_view(xi)
+                             for xi in xis for c in range(d)), ()) for r in (0.5, 0.05)]
+        rng = np.random.default_rng(9)
+        pts = np.concatenate([np.asarray(a) + rng.uniform(-r, r, size=(200, 2))
+                              for r in (0.5, 0.05)])
+        job = np.repeat([0, 1], 200)
+        got = distribution._integrand(jobs, d)(pts, job)
+        assert got.shape == (len(pts), len(xis) * d)
+        for c in range(got.shape[1]):
+            scalar = distribution._integrand([(f, (phis[c],), s) for f, phis, s in jobs], d)
+            assert np.array_equal(got[:, c], scalar(pts, job)[:, 0]), c
+            for j, (_, phis, _) in enumerate(jobs):
+                sel = job == j
+                want = np.einsum("ij,ij->i", data.eval(pts[sel]),
+                                 phis[c].eval_deriv(MultiIndex((0, 0)), pts[sel]))
+                assert np.array_equal(got[sel, c], want), (c, j)
 
     def test_vector_pairing_needs_one_ball(self, corpus):
         members = make_dictionary(1, 1, 0, 12, 0).members

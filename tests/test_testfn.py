@@ -48,6 +48,16 @@ class TestEvalDeriv:
             scale = np.max(np.abs(exact)) + 1.0
             assert np.max(np.abs(fd - exact)) <= 1e-5 * scale
 
+    @pytest.mark.parametrize("n, shape", [(1, (2,)), (2, (3, 4))])
+    def test_points_of_another_shape_rejected(self, n, shape):
+        # two numbers are not one 1-D point, and (3, 4) is not a batch of
+        # 2-D points: neither is read as some other set of points
+        b = standard_bump(n)
+        with pytest.raises(ValueError, match="shape"):
+            b.eval_deriv(xi_set(n, 0)[0], np.full(shape, 0.1))
+        assert b.eval_deriv(xi_set(n, 0)[0], np.full(n, 0.1)).shape == (1,)
+        assert b.eval_deriv(xi_set(n, 0)[0], np.full((5, n), 0.1)).shape == (5, 1)
+
     def test_order_too_high_rejected(self):
         b = standard_bump(1)
         with pytest.raises(UnsupportedOrderError):
@@ -313,7 +323,7 @@ ONE_BALL_FNS = {
 
 class TestFusedTensors:
     """All order-i derivatives of a one-ball function at once: one core_eval
-    call per atom, each column the per-xi value bit for bit."""
+    call, each column the per-xi value bit for bit."""
 
     @pytest.mark.parametrize("name", sorted(ONE_BALL_FNS))
     def test_columns_bit_identical(self, name, kernel_cache, monkeypatch):
@@ -329,8 +339,9 @@ class TestFusedTensors:
         for i in range(5):
             indices = xi_set(phi.n, i)
             calls.clear()
-            got = phi._atom_sums(indices, pts)
-            assert len(calls) == len(phi.atoms)
+            got = phi.eval_deriv(indices, pts)
+            assert len(calls) == 1
+            assert got.shape == (len(pts), len(indices), phi.d)
             want = np.stack([_atom_loop(phi, xi, pts) for xi in indices], axis=1)
             assert np.array_equal(got, want), (name, i)
             per_xi = np.stack([phi.eval_deriv(xi, pts) for xi in indices], axis=1)

@@ -67,3 +67,26 @@ def test_batched_eval_deriv_calls_traced_core_eval(tmp_path):
     assert tracer.calls["testfn.eval_deriv"] == 1
     assert tracer.calls["cores.core_eval"] >= 1
     assert tracer.counts["cores.core_eval.points"] == active
+
+
+def test_seminorm_calls_traced_eval_deriv_and_core_eval(tmp_path):
+    # on pairing-2d seminorm is the only caller of eval_deriv, whose layer
+    # the traced run requires; a one-ball function evaluated by any other
+    # route would leave it empty
+    tracer_module = _load_tracer()
+    tracer = tracer_module.Tracer(tmp_path)
+    plateau = next(c for c in testfn._candidate_stream(2, 1, 0) if c.label == "plateau_w0.2")
+    calls = []  # per function, its (eval_deriv, core_eval) calls
+    try:
+        tracer_module.install(tracer)
+        for phi in (testfn.standard_bump(2), plateau):
+            before = [tracer.calls[name] for name in ("testfn.eval_deriv", "cores.core_eval")]
+            testfn.seminorm(phi, 1)
+            calls.append([tracer.calls[name] - b for name, b in
+                          zip(("testfn.eval_deriv", "cores.core_eval"), before)])
+    finally:
+        tracer.uninstall()
+    assert tracer.calls["testfn.seminorm"] == 2
+    for eval_deriv, core_eval in calls:
+        # the grid, then at least one local refinement
+        assert eval_deriv >= 2 and core_eval >= eval_deriv
