@@ -267,11 +267,9 @@ def _integrand(jobs: list, d: int):
     data_values = _shared_data(jobs, d)
 
     def integrand(pts, job):
-        fv, phi = data_values(pts, job), eval_stacked(stack, pts, job)
-        out = np.empty((stack.m, len(pts)))  # component-major, as the engine sums
-        for c in range(stack.m):
-            np.einsum("ij,ij->i", fv, phi[:, c], out=out[c])
-        return out.T
+        phi = eval_stacked(stack, pts, job).transpose(1, 0, 2)  # (M, points, d)
+        # component-major, as the engine sums
+        return np.einsum("cij,ij->ci", phi, data_values(pts, job)).T
     return integrand
 
 

@@ -132,8 +132,9 @@ def _cell_values(f, lo: np.ndarray, hi: np.ndarray, job: np.ndarray,
 
 def job_runs(job: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(starts, lengths, jobs) of the runs of equal entries of job, in order."""
-    starts = np.flatnonzero(job[1:] != job[:-1]) + 1
-    starts = np.concatenate(([0], starts)) if len(job) else starts
+    new = np.ones(len(job), dtype=bool)
+    new[1:] = job[1:] != job[:-1]
+    starts = np.flatnonzero(new)
     return starts, np.diff(np.append(starts, len(job))), job[starts]
 
 

@@ -227,20 +227,12 @@ def eval_stacked(st: StackedFns, pts: np.ndarray, job: np.ndarray) -> np.ndarray
         p = slice(None) if size.sum() == len(pts) else run_points(starts[mine], size)
         u = run_coords(pts, p, st.centers[first], st.radii[first], size)
         vals = cores.core_eval(st.n, *zip(*(st.groups[s] for s in used)), u)
-        repeated: dict = {}  # the terms of a layout often share their runs' scalars
 
         def per_point(x):  # each run's scalars over its points, or one when all runs agree
-            if (x == x[0]).all():
-                return x[:1]
-            key = (x.shape, x.tobytes())
-            if key not in repeated:
-                repeated[key] = np.repeat(x, size, axis=0)
-            return repeated[key]
+            return x[:1] if (x == x[0]).all() else np.repeat(x, size, axis=0)
 
         for t, (s, c) in enumerate(terms):
-            value = vals[:, s]
-            if st.groups[used[s]][2].order:  # else the scale is radius ** 0 = 1
-                value = per_point(st.scale[first + t]) * value
+            value = per_point(st.scale[first + t]) * vals[:, s]
             coeff = per_point(st.coeffs[first + t])
             for k in range(st.d):
                 out[c, p, k] += value * coeff[:, k]

@@ -264,7 +264,7 @@ class TestStackedEvaluator:
             for j, columns in enumerate(jobs):
                 for phi, _ in ([columns] if m == 1 else columns):
                     c, r = np.asarray(phi.support_center), phi.support_radius
-                    size = int(rng.integers(1, 30))
+                    size = int(rng.integers(1, 60))
                     pts.append(c + rng.uniform(-1.2 * r, 1.2 * r, size=(size, n)))
                     job += [j] * size
             pts = np.concatenate(pts)
