@@ -2,12 +2,14 @@
 
 Samples points in [0, 1], attaches the exact order-2 jets of sin, runs the
 extension, and reports the consistency functional, interpolation defects,
-and the empirical Hoelder constant of the extension.
+and the empirical Hoelder constant of the extension.  The last line gives
+the process CPU seconds of the extend, eval and Hoelder steps.
 """
 
 import argparse
 import math
 import sys
+import time
 
 import numpy as np
 
@@ -38,17 +40,23 @@ def main(argv=None):
     F = sine_field(pts)
     for delta in (1.0, 0.5, 0.1):
         print(f"rho(F, {delta}) = {rho(F, delta):.6e}")
+    t0 = time.process_time()
     ext = extend(F)
+    t1 = time.process_time()
     print(f"gate constant kappa_F = {ext.kappa_F:.6e}")
     worst = 0.0
     cycle = [np.sin(pts), np.cos(pts), -np.sin(pts)]
     for m in range(3):
         got = ext.eval(pts[:, None], MultiIndex((m,)))[:, 0]
         worst = max(worst, float(np.max(np.abs(got - cycle[m]))))
+    t2 = time.process_time()
     print(f"worst interpolation defect over D^0..D^2: {worst:.2e}")
     semi, c_impl = empirical_hoelder(ext, pair_count=args.pairs)
+    t3 = time.process_time()
     print(f"empirical Hoelder seminorm {semi:.4g}, C_impl {c_impl:.4g} "
           f"over {args.pairs} pairs")
+    print(f"process CPU s: extend {t1 - t0:.3f}, eval {t2 - t1:.3f}, "
+          f"Hoelder {t3 - t2:.3f}")
     return 0 if worst <= 1e-8 else 1
 
 

@@ -27,8 +27,14 @@ Weights and the extension are evaluated for a batch of points at once:
 |x - c| < 20 h(x), and the candidates are the centers in that slab of
 coordinate 0.  There is then one ``core_eval`` call per derivative of eta
 over all pairs, and the jets' derivatives at the rows are read from the
-stacked arrays in one pass.  The greedy packing uses the same bound with
-(40/19) h(t).
+stacked arrays in one pass.  The greedy packing tests a candidate t
+against the kept centers in the slab |c_0 - t_0| < (40/19) h(t), by the
+same bound.  For n = 1 the kept intervals (c - h(c), c + h(c)) are
+disjoint, and only the kept centers just left and right of t are tested.
+
+Nearest points of a finite set are found by a scan over its points; for
+n = 1 by a sorted search, where the next point out on each side detects
+ties in floating point.  Either way, tied rows are settled exactly.
 """
 
 from __future__ import annotations
@@ -60,30 +66,75 @@ _DATA_ATOL = 1e-12  # query rows this close to a data point take its jet
 def _nearest(points: np.ndarray, X: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """(index of a nearest row of points, distance to it) for each row of X.
 
-    A running minimum of squared distances over the rows of points, then
-    one sqrt: the same distances as the minimum of the norms, in O(npts)
-    memory.  With no points the distance is inf.  Coordinates above 2^500
+    The smallest squared distance, then one sqrt: the same distances as the
+    minimum of the norms.  With no points the distance is inf, and so it is
+    for rows that are not finite, with index 0.  Coordinates above 2^500
     would overflow the squares, so then all are first scaled by one exact
     power of two.  A row whose smallest squared distances tie in floating
     point takes the nearest point in exact rational arithmetic, the first
     of exact ties: far from the points, their distances round to one value.
+    Otherwise the index is the one point at the smallest float distance.
+
+    For n = 1 and finite points, the points are sorted once.  A rounded
+    (x - p)^2 does not increase as p nears x from either side, so the
+    smallest value is at the neighbour of x on one side or the other, and
+    any tie with it at the next point out: the two points on each side
+    decide every row.  Otherwise a running minimum over the points scans
+    them all, in O(npts) memory.
     """
     top = max(np.abs(points).max(initial=0.0), np.abs(X).max(initial=0.0))
     scale = 2.0 ** (500 - math.frexp(top)[1]) if 2.0 ** 500 < top < math.inf else 1.0
-    best = np.full(X.shape[0], np.inf)
-    arg = np.zeros(X.shape[0], dtype=np.int64)
-    tied = np.zeros(X.shape[0], dtype=bool)
-    Xs = X * scale
-    for j, p in enumerate(points * scale):
-        d2 = cores.sq_norms(Xs - p)
-        closer = d2 < best
-        tied = ~closer & (tied | (d2 == best))
-        best[closer] = d2[closer]
-        arg[closer] = j
+    if X.shape[1] == 1 and points.size and np.isfinite(points).all():
+        arg, best, tied = _nearest_line(points.reshape(-1) * scale, X[:, 0] * scale)
+    else:
+        arg, best, tied = _nearest_scan(points * scale, X * scale)
     for i in np.flatnonzero(tied & np.isfinite(X).all(axis=1)):
         exact = [sum((Fraction(a) - Fraction(b)) ** 2 for a, b in zip(X[i], p)) for p in points]
         arg[i] = exact.index(min(exact))
     return arg, np.sqrt(best) / scale
+
+
+def _nearest_scan(points: np.ndarray, X: np.ndarray
+                  ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(first index at the smallest squared distance, that distance, tied) per row of X."""
+    best = np.full(X.shape[0], np.inf)
+    arg = np.zeros(X.shape[0], dtype=np.int64)
+    tied = np.zeros(X.shape[0], dtype=bool)
+    for j, p in enumerate(points):
+        d2 = cores.sq_norms(X - p)
+        closer = d2 < best
+        tied = ~closer & (tied | (d2 == best))
+        best[closer] = d2[closer]
+        arg[closer] = j
+    return arg, best, tied
+
+
+def _nearest_line(p: np.ndarray, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``_nearest_scan`` for finite points p (npts,) on a line and queries x (nq,).
+
+    The candidates of a query are the two sorted points on each side of
+    it; sentinels at +-inf fill the places beyond the ends, at squared
+    distance inf.  A row is tied when two candidates take its smallest
+    squared distance, as the scan finds, so also when that is inf.  Rows
+    of x that are not finite get index 0 and distance inf.
+    """
+    order = np.argsort(p, kind="stable")
+    line = np.concatenate(([-np.inf, -np.inf], p[order], [np.inf, np.inf]))
+    finite = np.isfinite(x)
+    if not finite.all():
+        x = np.where(finite, x, 0.0)
+    lo = np.searchsorted(line, x) - 2  # the first of a row's four candidates in line
+    d2 = np.empty((4, x.size))
+    for k in range(4):
+        np.subtract(x, line[lo + k], out=d2[k])
+    d2 *= d2
+    best = d2.min(axis=0)
+    at_best = d2 == best
+    tied = at_best.sum(axis=0) > 1
+    arg = order[np.clip(lo + at_best.argmax(axis=0) - 2, 0, p.size - 1)]
+    arg[~finite] = 0
+    best[~finite] = np.inf
+    return arg, best, tied
 
 
 @dataclass(frozen=True)
@@ -410,10 +461,15 @@ def _candidate_grid(A: ASet, region: Ball, n: int, max_level: int) -> np.ndarray
 def _pack(cand: np.ndarray, h: np.ndarray) -> np.ndarray:
     """Rows of a greedy maximal packing: in order, keep t unless a kept c has |c - t| < h(c) + h(t).
 
-    h is 1/20-Lipschitz, so |c - t| < h(c) + h(t) <= 2 h(t) + |c - t| / 20
-    gives |c - t| < (40/19) h(t): only kept centers in that slab of
-    coordinate 0 are tested.  The kept rows are held sorted by coordinate 0.
+    The kept rows are held sorted by coordinate 0.  For n = 1 the kept
+    intervals (c - h(c), c + h(c)) are disjoint, so t is tested only
+    against the kept centers just left and right of it (``_pack_line``).
+    For n >= 2, h is 1/20-Lipschitz, so |c - t| < h(c) + h(t) <= 2 h(t) +
+    |c - t| / 20 gives |c - t| < (40/19) h(t): only kept centers in that
+    slab of coordinate 0 are tested.
     """
+    if cand.shape[1] == 1:
+        return _pack_line(cand[:, 0].tolist(), h.tolist())
     pts = cand.tolist()
     hs = h.tolist()
     keys: List[float] = []
@@ -433,6 +489,37 @@ def _pack(cand: np.ndarray, h: np.ndarray) -> np.ndarray:
             continue
         at = bisect.bisect_right(keys, x0, lo, hi)
         keys.insert(at, x0)
+        kept.insert(at, t)
+    return np.array(sorted(kept), dtype=np.int64)
+
+
+def _pack_line(xs: List[float], hs: List[float]) -> np.ndarray:
+    """``_pack`` for n = 1: t is tested against the kept centers L and R just left and right of it.
+
+    The kept intervals (c - h(c), c + h(c)) are disjoint, so a kept c
+    beyond L has |c - L| >= h(c) + h(L).  With h(t) <= h(L) + |L - t| / 20
+    this gives |c - t| - h(c) - h(t) >= (19/20) |L - t|: when L does not
+    overlap t, neither does c, by a slack of at least (19/20) (h(L) +
+    h(t)).  Every candidate's h is at least a quarter of its grid spacing,
+    so the slack is far above rounding, and the kept rows are those of the
+    slab test.  The same holds beyond R.
+    """
+    keys: List[float] = []  # kept centers, ascending
+    khs: List[float] = []  # h at them
+    kept: List[int] = []
+    for t, (x0, ht) in enumerate(zip(xs, hs)):
+        at = bisect.bisect_right(keys, x0)
+        # the overlap test of _pack, sqrt(|c - t|^2) < h(c) + h(t), on each side
+        if at:
+            d = keys[at - 1] - x0
+            if math.sqrt(d * d) < khs[at - 1] + ht:
+                continue
+        if at < len(keys):
+            d = keys[at] - x0
+            if math.sqrt(d * d) < khs[at] + ht:
+                continue
+        keys.insert(at, x0)
+        khs.insert(at, ht)
         kept.insert(at, t)
     return np.array(sorted(kept), dtype=np.int64)
 

@@ -1,10 +1,15 @@
 """Jet-consistency functional, partition of unity, localization, extension."""
 
+import bisect
+import hashlib
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ptdiff import (FinitePointSet, HalfSpace, JetField, MultiIndex, PolyJet,
                     WhitneyGateError, empirical_hoelder, extend,
@@ -12,7 +17,8 @@ from ptdiff import (FinitePointSet, HalfSpace, JetField, MultiIndex, PolyJet,
                     partition_of_unity, rho, xi_set, zero_index)
 from ptdiff.quadrature import QuadratureConfig
 from ptdiff.tensor import opnorm_bounds
-from ptdiff.whitney import PartitionConstructionError, WhitneyExtension, h_function
+from ptdiff.whitney import (PartitionConstructionError, WhitneyExtension, _candidate_grid,
+                            _nearest, _pack, h_function)
 
 QUAD = QuadratureConfig(rel_tol=1e-9, abs_floor=1e-13, max_cells=2 ** 12)
 
@@ -507,8 +513,141 @@ class TestBatch:
         reference = np.min(np.linalg.norm(pts[:, None, :] - arr[None, :, :], axis=2), axis=1)
         assert np.array_equal(make_point_set(arr).dist(pts), reference)
 
-    def test_empty_point_set_dist(self):
-        assert np.all(FinitePointSet(()).dist(np.zeros((4, 2))) == np.inf)
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_empty_point_set_dist(self, dim):
+        # an empty set arrives as np.asarray(()), of shape (0,), whatever dim
+        assert np.all(FinitePointSet(()).dist(np.zeros((4, dim))) == np.inf)
+
+
+def scan_nearest(points, X):
+    """The n-dimensional nearest-point scan: a running minimum over every point."""
+    top = max(np.abs(points).max(initial=0.0), np.abs(X).max(initial=0.0))
+    scale = 2.0 ** (500 - math.frexp(top)[1]) if 2.0 ** 500 < top < math.inf else 1.0
+    best = np.full(X.shape[0], np.inf)
+    arg = np.zeros(X.shape[0], dtype=np.int64)
+    tied = np.zeros(X.shape[0], dtype=bool)
+    Xs = X * scale
+    for j, p in enumerate(points * scale):
+        d2 = np.sum((Xs - p) ** 2, axis=1)
+        closer = d2 < best
+        tied = ~closer & (tied | (d2 == best))
+        best[closer] = d2[closer]
+        arg[closer] = j
+    for i in np.flatnonzero(tied & np.isfinite(X).all(axis=1)):
+        exact = [sum((Fraction(a) - Fraction(b)) ** 2 for a, b in zip(X[i], p)) for p in points]
+        arg[i] = exact.index(min(exact))
+    return arg, np.sqrt(best) / scale
+
+
+@st.composite
+def line_cases(draw):
+    """(points (npts, 1), queries (nq, 1)) on a line, from one of six families."""
+    kind = draw(st.sampled_from(["random", "ties", "far", "huge", "nonfinite", "no-rows"]))
+    small = st.floats(-10.0, 10.0)
+    if kind == "ties":
+        # halves of small integers, duplicates likely; queries at the points
+        # and at exact midpoints of two of them
+        pts = [i / 2 for i in draw(st.lists(st.integers(-6, 6), min_size=1, max_size=10))]
+        pairs = draw(st.lists(st.tuples(st.sampled_from(pts), st.sampled_from(pts)), max_size=10))
+        qs = pts + [(a + b) / 2 for a, b in pairs]
+    elif kind == "far":
+        # every distance to the points rounds to one float near 1e17
+        pts = draw(st.lists(st.integers(-4, 4), min_size=1, max_size=10))
+        qs = [s * 1e17 + o for s, o in draw(st.lists(
+            st.tuples(st.sampled_from([-1.0, 1.0]), st.integers(-64, 64)), min_size=1, max_size=10))]
+    elif kind == "huge":
+        big = st.builds(lambda m, e: m * 2.0 ** e, st.floats(-1.0, 1.0), st.integers(490, 1020))
+        pts = draw(st.lists(st.one_of(big, small), min_size=1, max_size=10))
+        qs = draw(st.lists(st.one_of(big, small), max_size=10))
+    else:
+        pts = draw(st.lists(small, min_size=1, max_size=12))
+        qs = [] if kind == "no-rows" else draw(st.lists(st.floats(-20.0, 20.0), max_size=12))
+        if kind == "nonfinite":
+            odd = st.sampled_from([math.nan, math.inf, -math.inf, 1e300, -1e300])
+            qs = qs + draw(st.lists(odd, min_size=1, max_size=4))
+            qs = draw(st.permutations(qs))
+    return (np.array(pts, dtype=float).reshape(-1, 1),
+            np.array(qs, dtype=float).reshape(-1, 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(line_cases())
+@example((np.array([[0.0], [1.0]]), np.zeros((0, 1))))
+@example((np.array([[1.0], [0.0], [1.0]]), np.array([[0.5], [1.0], [math.nan]])))
+def test_nearest_line_matches_scan(case):
+    points, X = case
+    with np.errstate(over="ignore"):
+        arg, dist = _nearest(points, X)
+        ref_arg, ref_dist = scan_nearest(points, X)
+    assert arg.dtype == ref_arg.dtype and arg.tolist() == ref_arg.tolist()
+    assert dist.dtype == ref_dist.dtype and dist.tobytes() == ref_dist.tobytes()
+
+
+def slab_pack(cand, h):
+    """Greedy packing that tests every kept center in the coordinate-0 slab of (40/19) h(t)."""
+    pts, hs = cand.tolist(), h.tolist()
+    keys, kept = [], []
+
+    def overlaps(c, t):
+        d2 = 0.0
+        for a, b in zip(pts[c], pts[t]):
+            d2 += (a - b) * (a - b)
+        return math.sqrt(d2) < hs[c] + hs[t]
+
+    for t, (x0, ht) in enumerate(zip(cand[:, 0].tolist(), hs)):
+        w = 40.0 / 19.0 * ht * (1.0 + 1e-9)
+        lo = bisect.bisect_left(keys, x0 - w)
+        hi = bisect.bisect_right(keys, x0 + w, lo)
+        if any(overlaps(c, t) for c in kept[lo:hi]):
+            continue
+        at = bisect.bisect_right(keys, x0, lo, hi)
+        keys.insert(at, x0)
+        kept.insert(at, t)
+    return np.array(sorted(kept), dtype=np.int64)
+
+
+class TestPackLine:
+    @staticmethod
+    def ordered_grid(A, region, max_level):
+        # the candidates of partition_of_unity, in its order
+        cand = _candidate_grid(A, region, 1, max_level)
+        h = h_function(A, cand)
+        order = np.argsort(-h)
+        return cand[order], h[order]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_point_set_grid_matches_slab(self, seed):
+        rng = np.random.default_rng(seed)
+        pts = rng.uniform(-1.0, 1.0, size=(int(rng.integers(1, 30)), 1))
+        cand, h = self.ordered_grid(make_point_set(pts), ((0.0,), 2.0), 12)
+        kept = _pack(cand, h)
+        assert kept.size > 10 and kept.tolist() == slab_pack(cand, h).tolist()
+
+    @pytest.mark.parametrize("side", ["le", "ge"])
+    def test_half_line_grid_matches_slab(self, side):
+        cand, h = self.ordered_grid(HalfSpace(0, 0.25, side), ((0.0,), 1.5), 12)
+        kept = _pack(cand, h)
+        assert kept.size > 10 and kept.tolist() == slab_pack(cand, h).tolist()
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_touching_intervals(self, seed):
+        # h = 1/4 + x/40 is 1/40-Lipschitz; candidates sit where intervals
+        # touch exactly and one ulp either side, in a shuffled order
+        xs, x = [], 0.0
+        for _ in range(12):
+            xs.append(x)
+            # x' - x = h(x) + h(x') solved for x', then rounded
+            x = (x + 0.25 + x / 40.0 + 0.25) / (1.0 - 1.0 / 40.0)
+        near = [np.nextafter(v, s) for v in xs for s in (-np.inf, np.inf)]
+        mids = [(a + b) / 2 for a, b in zip(xs, xs[1:])]
+        rng = np.random.default_rng(seed)
+        cand = np.array(xs + near + mids)[rng.permutation(len(xs) + len(near) + len(mids))]
+        cand = cand.reshape(-1, 1)
+        h = 0.25 + cand[:, 0] / 40.0
+        kept = _pack(cand, h)
+        assert kept.tolist() == slab_pack(cand, h).tolist()
+        # the touching tests decide some candidates either way
+        assert 0 < kept.size < cand.shape[0]
 
 
 class TestPartitionPins:
@@ -529,6 +668,16 @@ class TestPartitionPins:
         assert part.overlap_bound == 76
         assert part.V[1] == pytest.approx(0.014931030058468972, rel=1e-12)
         assert part.V[2] == pytest.approx(0.01831140503429391, rel=1e-12)
+
+    def test_point_1d_jittered_digest(self):
+        # the kept centers of a 40-point field, as bytes, pinned before the
+        # 1-D packing tested only the two kept neighbours
+        rng = np.random.default_rng(5)
+        pts = (np.arange(40) + 0.5 + rng.uniform(-0.25, 0.25, size=40)) / 40
+        part = partition_of_unity(make_point_set(pts[:, None]), ((0.5,), 1.5), probe_count=200)
+        assert part.centers.shape == (2187, 1)
+        assert hashlib.sha256(part.centers.tobytes()).hexdigest() == (
+            "700cd9ed59e4f10f27467307d03fd767ac07d50fae44372c2b349511423cebf0")
 
     def test_no_probe_above_floor_refines(self):
         # at level 5 the floor is 0.0625 and h never exceeds 0.05, so no probe
