@@ -40,7 +40,7 @@ from .funcexpr import ExprAST, SingularitySet, eval_expr, parse
 from .momentkernel import moment_table
 from .quadrature import QuadratureConfig, integrate_boxes, job_runs, run_points
 from .tensor import MultiIndex, PolyJet, taylor_moments, zero_index
-from .testfn import DerivedTestFn, ProbeDictionary, StackedFns, eval_stacked
+from .testfn import ProbeDictionary, StackedFns, eval_stacked
 
 MAX_DERIVATIVE_DEPTH = 8
 # (jet, atom) rows per closed-form block, which bounds the temporaries
@@ -247,15 +247,6 @@ def _polynomial(parts: Sequence[Tuple[PolyJet, object]]) -> List[Tuple[float, fl
     return results
 
 
-def one_ball(phi):
-    """(center, radius, support center, support radius) of a test function
-    whose atoms all share one ball, or None."""
-    psi = phi.base if isinstance(phi, DerivedTestFn) else phi
-    if not psi.atoms or not psi._one_support:
-        return None
-    return psi.atoms[0].center, psi.atoms[0].radius, psi.support_center, psi.support_radius
-
-
 def _integrand(jobs: list, d: int):
     """The engine's f(pts, job) -> (npts, M) for jobs (data, phis, splits)
     with M test functions each: column c is data times phis[c].  The test
@@ -299,9 +290,9 @@ def pair_many(pairs: Sequence[Tuple[Distribution, object]],
               strict: bool = True) -> list:
     """T(phi) with a certified quadrature error bound, for many (T, phi).
 
-    Each phi is a TestFn or a derivative view of one; it must carry enough
-    exact derivative orders for any DerivativeAtom nesting in its T.  A
-    scalar pair gives a PairingResult.
+    Each phi is a TestFn, a derivative view (a TestFn with an offset)
+    included; it must carry enough exact derivative orders for any
+    DerivativeAtom nesting in its T.  A scalar pair gives a PairingResult.
 
     A vector pair (T, (phi_1, ..., phi_M)) needs test functions whose atoms
     share one ball, and one support ball.  The integral of each function
@@ -314,7 +305,7 @@ def pair_many(pairs: Sequence[Tuple[Distribution, object]],
     """
     plans = [(T, phi if isinstance(phi, tuple) else (phi,)) for T, phi in pairs]
     for _, phis in plans:
-        balls = {one_ball(phi) for phi in phis}
+        balls = {phi.ball for phi in phis}
         if len(phis) > 1 and (None in balls or len(balls) > 1):
             raise ValueError("the test functions of a vector pair must share one ball")
     parts: list = []

@@ -9,7 +9,8 @@ over a probe dictionary, with quadrature error bounds promoted to an
 explicit noise floor so that unresolved radii never enter a verdict.
 
 Both make vector pairings (see ``distribution.pair_many``): per radius,
-the jet estimate pairs T with every derivative of the kernel at once, and
+``kernel_pairings`` pairs T with every derivative of the kernel at once
+(for the jet estimate, and at one radius for ``poincare.build_jet``), and
 classify pairs the remainder with every probe of one support ball at
 once, each on one quadrature mesh with its own bound per component.
 Probes with atoms on several balls stay pairings of their own.
@@ -22,8 +23,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .distribution import (Distribution, derivative, one_ball, pair, pair_many,
-                           subtract_jet)
+from .distribution import Distribution, derivative, pair, pair_many, subtract_jet
 from .momentkernel import MAX_DEGREE, MomentKernel, build_kernel
 from .quadrature import QuadratureConfig
 from .tensor import PolyJet, xi_set
@@ -121,42 +121,47 @@ def _accelerate(values: np.ndarray, ratio: float) -> Tuple[np.ndarray, bool]:
     return out, length >= 2
 
 
+def kernel_pairings(T: Distribution, a, k: int, kernel: MomentKernel, radii,
+                    config: QuadratureConfig, strict: bool) -> Tuple[np.ndarray, np.ndarray]:
+    """(D^xi T)(Phi_r(. - a) e_c) for each radius r, |xi| <= k and component c.
+
+    (D^xi T)(Phi_r e_c) = (-1)^|xi| T(D^xi Phi_r e_c): per radius one vector
+    pairing of T, its components every (xi, c), on one mesh, each with its
+    own quadrature bound.  Returns the values (radii, N_k, d) and, per
+    (radius, xi), the largest bound over c (radii, N_k), with the xi in
+    ``tensor`` row order.
+    """
+    xis = [xi for m in range(k + 1) for xi in xi_set(T.n, m)]
+    results = pair_many([(T, tuple(fn.derivative_view(xi) for xi in xis for fn in directed))
+                         for directed in ([kernel.directed(a, float(r), T.d, c)
+                                           for c in range(T.d)] for r in radii)],
+                        config, strict)
+    vb = np.array([[(res.value, res.abs_error_bound) for res in row] for row in results])
+    vb = vb.reshape(len(radii), len(xis), T.d, 2)
+    odd = np.array([xi.order % 2 == 1 for xi in xis])[:, None]
+    # 0 - v, not -1 * v: a zero pairing stays +0.0
+    return np.where(odd, 0.0 - vb[..., 0], vb[..., 0]), vb[..., 1].max(axis=2)
+
+
 def estimate_jet(T: Distribution, a, k: int, kernel: Optional[MomentKernel] = None,
                  config: JetConfig = JetConfig()) -> JetEstimate:
-    """Order-k jet of T at a: D^xi P(a) = lim_r (D^xi T)(kernel_r(. - a)).
-
-    Per radius one vector pairing of T with every D^xi kernel_r e_c, whose
-    components each keep their own quadrature bound.
-    """
+    """Order-k jet of T at a: D^xi P(a) = lim_r (D^xi T)(kernel_r(. - a)),
+    each coefficient accelerated over the radii of ``kernel_pairings``."""
     a = np.asarray(a, dtype=float).reshape(T.n)
     if k < 0:
         return JetEstimate(PolyJet.zero(T.n, T.d, a), {}, True)
     if kernel is None:
         kernel = build_kernel(T.n, min(max(k + 1, 2), MAX_DEGREE))
-    levels = config.level_count(T.n)
-    radii = config.r0 * 2.0 ** (-np.arange(levels))
+    radii = config.r0 * 2.0 ** (-np.arange(config.level_count(T.n)))
+    values, bounds = kernel_pairings(T, a, k, kernel, radii, config.quad, strict=False)
     traces: Dict[Tuple[int, ...], CoefficientTrace] = {}
-    xis = [xi for m in range(0, k + 1) for xi in xi_set(T.n, m)]
-    # (D^xi T)(Phi_r e_c) = (-1)^|xi| T(D^xi Phi_r e_c): one vector pairing
-    # per radius, its components every (xi, c), on one mesh
-    results = pair_many([(T, tuple(fn.derivative_view(xi) for xi in xis for fn in directed))
-                         for directed in ([kernel.directed(a, float(r), T.d, c)
-                                           for c in range(T.d)] for r in radii)],
-                        config.quad, strict=False)
-    # (levels, xi, d, value and bound)
-    vb = np.array([[(res.value, res.abs_error_bound) for res in row] for row in results])
-    vb = vb.reshape(levels, len(xis), T.d, 2)
-    odd = np.array([xi.order % 2 == 1 for xi in xis])[:, None]
-    # 0 - v, not -1 * v: a zero pairing stays +0.0
-    values = np.where(odd, 0.0 - vb[..., 0], vb[..., 0])
-    bounds = vb[..., 1].max(axis=2)
-    for x, xi in enumerate(xis):
+    for x, xi in enumerate(xi for m in range(k + 1) for xi in xi_set(T.n, m)):
         est, conv = _accelerate(values[:, x], CONTRACTION_RATIO)
         traces[xi.entries] = CoefficientTrace(
             xi.entries, tuple(map(float, radii)),
             tuple(tuple(map(float, row)) for row in values[:, x]),
             tuple(map(float, bounds[:, x])), tuple(map(float, est)), conv)
-    jet = PolyJet.from_coeff_map(T.n, a, {e: t.estimate for e, t in traces.items()}, T.d)
+    jet = PolyJet(T.n, T.d, a, k, [t.estimate for t in traces.values()])
     return JetEstimate(jet, traces, all(t.converged for t in traces.values()))
 
 
@@ -247,7 +252,7 @@ def classify(T: Distribution, a, k: int, alpha: Optional[float] = None,
     # pairing per radius; every other probe is a pairing of its own
     groups: Dict[object, List[int]] = {}
     for m, member in enumerate(probes.members):
-        groups.setdefault(one_ball(member) or m, []).append(m)
+        groups.setdefault(member.ball or m, []).append(m)
     slots = [(ms, j) for j in range(levels) for ms in groups.values()]
     results = pair_many([(R, tuple(probes.members[m].rescale(a, float(radii[j])) for m in ms))
                          for ms, j in slots], config.quad, strict=False)

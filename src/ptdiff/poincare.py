@@ -22,6 +22,7 @@ import numpy as np
 
 from .distribution import (Distribution, derivative, pair, pair_many,
                            polynomial_distribution)
+from .jetestimator import kernel_pairings
 from .momentkernel import MomentKernel
 from .quadrature import QuadratureConfig
 from .tensor import PolyJet, xi_set
@@ -146,14 +147,13 @@ class DivergentKappaError(RuntimeError):
 
 def build_jet(T: Distribution, a, k: int, kernel: MomentKernel, r: float,
               config: QuadratureConfig = QuadratureConfig()) -> PolyJet:
-    """Degree-(k-1) jet from kernel convolution: D^xi P(a) = (D^xi T)(Phi_r(. - a))."""
+    """Degree-(k-1) jet from kernel convolution: D^xi P(a) = (D^xi T)(Phi_r(. - a)),
+    the one-radius case of ``kernel_pairings``; a quadrature budget hit raises."""
     a = np.asarray(a, dtype=float).reshape(T.n)
-    xis = [xi for m in range(0, k) for xi in xi_set(T.n, m)]
-    values = iter(res.value for res in pair_many(
-        [(derivative(T, xi), kernel.directed(a, r, T.d, c)) for xi in xis for c in range(T.d)],
-        config))
-    coeffs = {xi.entries: np.array([next(values) for _ in range(T.d)]) for xi in xis}
-    return PolyJet.from_coeff_map(T.n, a, coeffs, target_dim=T.d)
+    if k < 1:
+        return PolyJet.zero(T.n, T.d, a)
+    values, _ = kernel_pairings(T, a, k - 1, kernel, [r], config, strict=True)
+    return PolyJet(T.n, T.d, a, k - 1, values[0])
 
 
 def verify(T: Distribution, k: int, i: int, a, kernel: MomentKernel,

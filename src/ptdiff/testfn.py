@@ -4,7 +4,8 @@ A TestFn is a finite sum of core atoms (bump or bump-times-monomial),
 each translated, dilated, and weighted by a vector coefficient in R^d.
 Derivatives up to ``max_deriv_order`` evaluate through the closed-form
 prefactor recursion in :mod:`ptdiff.cores`, so integration by parts
-downstream is exact.
+downstream is exact.  A derivative view D^o phi is a TestFn as well: the
+same atoms with offset o, whose D^xi is the atoms' D^(xi + o).
 
 One evaluator, ``eval_stacked``, evaluates every test function: it takes
 many jobs, each M (test function, derivative) columns, and gives the
@@ -83,6 +84,12 @@ class CoreAtom:
 
 @dataclass(frozen=True)
 class TestFn:
+    """The sum of its atoms, or with an offset the derivative view
+    D^offset of that sum: D^xi of a view is the sum's D^(xi + offset), and
+    its ``max_deriv_order`` is what the sum has left.  ``rescale`` and
+    ``scaled_by`` act on the atoms; a view stays D^offset of the result.
+    """
+
     __test__ = False  # a test function, not a test class for pytest to collect
 
     n: int
@@ -92,6 +99,7 @@ class TestFn:
     support_radius: float
     max_deriv_order: int = DEFAULT_MAX_DERIV_ORDER
     label: str = ""
+    offset: Optional[MultiIndex] = None  # the derivative of the atoms' sum; None: none
 
     def eval_deriv(self, xi, x) -> np.ndarray:
         """D^xi phi at one point (n,), values (d,), or at points (npts, n),
@@ -112,11 +120,13 @@ class TestFn:
         return out[0] if x.ndim == 1 else out
 
     @cached_property
-    def _one_support(self) -> bool:
-        """All atoms share one support ball (one atom, moment kernels)."""
-        first = self.atoms[0] if self.atoms else None
-        return all(a.center == first.center and a.radius == first.radius
-                   for a in self.atoms)
+    def ball(self):
+        """(center, radius, support center, support radius) when all atoms
+        share one ball (one atom, moment kernels), or None."""
+        if not self.atoms or len({(a.center, a.radius) for a in self.atoms}) > 1:
+            return None
+        first = self.atoms[0]
+        return first.center, first.radius, self.support_center, self.support_radius
 
     def __call__(self, x) -> np.ndarray:
         return self.eval_deriv(zero_index(self.n), x)
@@ -138,8 +148,10 @@ class TestFn:
         atoms = tuple(replace(t, coeff=tuple(c * np.asarray(t.coeff))) for t in self.atoms)
         return replace(self, atoms=atoms)
 
-    def derivative_view(self, xi: MultiIndex) -> "DerivedTestFn":
-        return DerivedTestFn(self, xi)
+    def derivative_view(self, xi: MultiIndex) -> "TestFn":
+        """D^xi of this function, as a view of the same atoms."""
+        return replace(self, offset=xi if self.offset is None else self.offset + xi,
+                       max_deriv_order=self.max_deriv_order - xi.order)
 
 
 @dataclass(frozen=True)
@@ -182,11 +194,11 @@ class StackedFns:
         for j, cols in enumerate(jobs):
             first.append(len(rows))
             for c, (fn, xi) in enumerate(cols):
-                if isinstance(fn, DerivedTestFn):
-                    fn, xi = fn.base, xi + fn.offset
                 if xi.order > fn.max_deriv_order:
                     raise UnsupportedOrderError(f"derivative order {xi.order} exceeds "
                                                 f"configured bound {fn.max_deriv_order}")
+                if fn.offset is not None:
+                    xi = xi + fn.offset
                 rows += [(a.center, a.radius, a.coeff, a.radius ** (-xi.order),
                           keys.setdefault((a.kind, a.core_xi, xi), len(keys)), j, c)
                          for a in fn.atoms]
@@ -360,43 +372,6 @@ def _box_runs(centers: np.ndarray, radii: np.ndarray, cols: Sequence[np.ndarray]
     length = np.searchsorted(keys, np.minimum(c + r, hi[-1]) + base, side="right") - start
     keep = length > 0
     return order, atom[keep], start[keep], length[keep]
-
-
-@dataclass(frozen=True)
-class DerivedTestFn:
-    """View of D^offset phi, itself usable as a test function."""
-
-    base: TestFn
-    offset: MultiIndex
-
-    @property
-    def n(self) -> int:
-        return self.base.n
-
-    @property
-    def d(self) -> int:
-        return self.base.d
-
-    @property
-    def support_center(self):
-        return self.base.support_center
-
-    @property
-    def support_radius(self) -> float:
-        return self.base.support_radius
-
-    @property
-    def max_deriv_order(self) -> int:
-        return self.base.max_deriv_order - self.offset.order
-
-    @property
-    def label(self) -> str:
-        return f"D^{self.offset.entries} {self.base.label}"
-
-    eval_deriv = TestFn.eval_deriv
-
-    def derivative_view(self, xi: MultiIndex) -> "DerivedTestFn":
-        return DerivedTestFn(self.base, self.offset + xi)
 
 
 def standard_bump(n: int, d: int = 1, direction: int = 0,

@@ -70,10 +70,11 @@ def _nearest(points: np.ndarray, X: np.ndarray) -> Tuple[np.ndarray, np.ndarray]
     minimum of the norms.  With no points the distance is inf, and so it is
     for rows that are not finite, with index 0.  Coordinates above 2^500
     would overflow the squares, so then all are first scaled by one exact
-    power of two.  A row whose smallest squared distances tie in floating
-    point takes the nearest point in exact rational arithmetic, the first
-    of exact ties: far from the points, their distances round to one value.
-    Otherwise the index is the one point at the smallest float distance.
+    power of two, set by the largest finite coordinate.  A row whose
+    smallest squared distances tie in floating point takes the nearest
+    point in exact rational arithmetic, the first of exact ties: far from
+    the points, their distances round to one value.  Otherwise the index is
+    the one point at the smallest float distance.
 
     For n = 1 and finite points, the points are sorted once.  A rounded
     (x - p)^2 does not increase as p nears x from either side, so the
@@ -82,8 +83,8 @@ def _nearest(points: np.ndarray, X: np.ndarray) -> Tuple[np.ndarray, np.ndarray]
     decide every row.  Otherwise a running minimum over the points scans
     them all, in O(npts) memory.
     """
-    top = max(np.abs(points).max(initial=0.0), np.abs(X).max(initial=0.0))
-    scale = 2.0 ** (500 - math.frexp(top)[1]) if 2.0 ** 500 < top < math.inf else 1.0
+    top = max(np.abs(c[np.isfinite(c)]).max(initial=0.0) for c in (points, X))
+    scale = 2.0 ** (500 - math.frexp(top)[1]) if 2.0 ** 500 < top else 1.0
     if X.shape[1] == 1 and points.size and np.isfinite(points).all():
         arg, best, tied = _nearest_line(points.reshape(-1) * scale, X[:, 0] * scale)
     else:

@@ -100,6 +100,26 @@ class TestAngularMoment:
             assert math.isclose(_angular_moment(*half), 4.0 * math.pi / share, rel_tol=1e-15)
 
 
+class TestRadialMoment:
+    @staticmethod
+    def _own_bump_integrand(p):
+        """The radial integrand with its own bump formula and clamp, as it
+        was before it called cores.core_eval: the reference."""
+        def g(pts):
+            rho = pts[:, 0]
+            out = np.zeros_like(rho)
+            inside = rho ** 2 < 1.0 - 1e-12
+            out[inside] = rho[inside] ** p * np.exp(1.0 / (rho[inside] ** 2 - 1.0))
+            return out
+        return g
+
+    def test_bit_identical_to_own_bump_formula(self):
+        for p in range(16):
+            want = integrate_box(self._own_bump_integrand(p), [0.0], [1.0], (),
+                                 momentkernel.MOMENT_QUAD)
+            assert momentkernel._radial_moment.__wrapped__(p) == want[:2], p
+
+
 class TestReproduction:
     def test_random_polynomials(self, kernel_cache):
         # 20 probes spread over all kernels: 3 per 1-D degree, 1 per 2-D degree

@@ -17,7 +17,8 @@ from scipy import integrate
 from ptdiff import (ClassifierConfig, MultiIndex, PairingResult, PolyJet, QuadratureConfig,
                     QuadratureNonConvergence, TestFn, classify, delta_distribution, derivative,
                     function_distribution, integrate_box, integrate_boxes, make_dictionary,
-                    pair, pair_many, polynomial_distribution, subtract_jet, xi_set)
+                    pair, pair_many, polynomial_distribution, subtract_jet, xi_set,
+                    zero_index)
 from ptdiff import distribution, momentkernel, quadrature, testfn
 from ptdiff.cores import core_eval
 from ptdiff.testfn import StackedFns, eval_stacked
@@ -226,8 +227,8 @@ class TestIntegrateBoxes:
 
 def _atom_loop(phi, xi, pts):
     """D^xi phi summed one atom at a time over every point: the reference."""
-    if isinstance(phi, testfn.DerivedTestFn):
-        return _atom_loop(phi.base, xi + phi.offset, pts)
+    if phi.offset is not None:
+        xi = xi + phi.offset
     out = np.zeros((pts.shape[0], phi.d))
     for a in phi.atoms:
         u = (pts - np.asarray(a.center)) / a.radius
@@ -287,18 +288,39 @@ class TestStackedEvaluator:
         jobs = [(v, MultiIndex((1,))) for v in views]
         job = np.repeat(np.arange(len(jobs)), 25)
         got = eval_stacked(StackedFns.of(jobs), pts, job)
-        for j, v in enumerate(views):
+        for j, (m, v) in enumerate(zip(members, views)):
             sel = job == j
-            assert np.array_equal(got[sel, 0], _atom_loop(v.base, MultiIndex((2,)), pts[sel]))
+            assert v.offset == MultiIndex((1,)) and v.atoms == m.atoms
+            assert np.array_equal(got[sel, 0], _atom_loop(m, MultiIndex((2,)), pts[sel]))
             assert np.array_equal(got[sel, 0], v.eval_deriv(MultiIndex((1,)), pts[sel]))
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_view_of_view(self, n, kernel_cache):
+        # D^b (D^a phi) is D^(a + b) phi: the same function, bit for bit
+        rng = np.random.default_rng(11)
+        members = make_dictionary(n, 1, 0, 12, 0).members + (kernel_cache(n, 3).testfn,)
+        first, second = xi_set(n, 1)[0], xi_set(n, 2)[-1]
+        pts = rng.uniform(-1.1, 1.1, size=(200, n))
+        for phi in members:
+            twice = phi.derivative_view(first).derivative_view(second)
+            once = phi.derivative_view(first + second)
+            assert twice == once
+            assert twice.max_deriv_order == phi.max_deriv_order - 3
+            for xi in (zero_index(n), first):
+                assert np.array_equal(twice.eval_deriv(xi, pts), once.eval_deriv(xi, pts))
 
     def test_order_above_bound(self):
         phi = make_dictionary(1, 1, 0, 4, 0).members[0]
+        top = phi.max_deriv_order
         with pytest.raises(testfn.UnsupportedOrderError):
-            StackedFns.of([(phi, MultiIndex((phi.max_deriv_order + 1,)))])
-        with pytest.raises(testfn.UnsupportedOrderError):
-            StackedFns.of([(phi.derivative_view(MultiIndex((2,))),
-                            MultiIndex((phi.max_deriv_order - 1,)))])
+            StackedFns.of([(phi, MultiIndex((top + 1,)))])
+        # a view's bound is what its base has left: the same total order fails
+        for view in (phi.derivative_view(MultiIndex((2,))),
+                     phi.derivative_view(MultiIndex((1,))).derivative_view(MultiIndex((1,)))):
+            assert view.max_deriv_order == top - 2
+            StackedFns.of([(view, MultiIndex((top - 2,)))])
+            with pytest.raises(testfn.UnsupportedOrderError):
+                StackedFns.of([(view, MultiIndex((top - 1,)))])
 
 
 def _reference(T, phi):

@@ -5,11 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from ptdiff import (DivergentKappaError, MultiIndex, PolyJet, analytic_kappa,
-                    build_jet, delta_distribution, function_distribution,
-                    gamma, has_analytic_kappa, measure_kappa,
-                    polynomial_distribution, subtract_jet, unit_ball_volume,
-                    verify, xi_set)
+from ptdiff import (DivergentKappaError, MultiIndex, PolyJet, QuadratureNonConvergence,
+                    analytic_kappa, build_jet, delta_distribution, derivative,
+                    function_distribution, gamma, has_analytic_kappa, measure_kappa,
+                    pair_many, polynomial_distribution, subtract_jet,
+                    unit_ball_volume, verify, xi_set)
+from ptdiff.jetestimator import kernel_pairings
 from ptdiff.quadrature import QuadratureConfig
 
 QUAD = QuadratureConfig(rel_tol=1e-9, abs_floor=1e-13, max_cells=2 ** 12)
@@ -146,6 +147,42 @@ class TestBuildJet:
         T = function_distribution(1, "exp(x1)")
         jet = build_jet(T, [0.0], 0, kernel_cache(1, 2), 0.5, QUAD)
         assert np.all(jet.eval([0.3]) == 0.0)
+
+    @pytest.mark.parametrize("item, k", [("sin4", 1), ("exp", 1), ("heaviside", 1),
+                                         ("sin4", 2), ("sin4", 3), ("annuli", 1),
+                                         ("annuli", 2), ("annuli", 3)])
+    def test_against_scalar_pairings(self, item, k, corpus, kernel_cache):
+        # one vector pairing against one scalar pairing per (xi, c): the
+        # same jet bit for bit for k = 1 and d = 1, else within both bounds
+        T = corpus[item].build()
+        a, r = [0.2], 0.5
+        kernel = kernel_cache(1, max(k, 2))
+        jet = build_jet(T, a, k, kernel, r)
+        values, bounds = kernel_pairings(T, np.asarray(a), k - 1, kernel, [r],
+                                         QuadratureConfig(), strict=True)
+        assert jet.degree_bound == k - 1 and np.array_equal(jet.coeffs, values[0])
+        ref, ref_bounds = _scalar_build_jet(T, a, k, kernel, r)
+        if k == 1 and T.d == 1:
+            assert np.array_equal(jet.coeffs, ref)
+        assert np.all(np.abs(jet.coeffs - ref) <= bounds[0][:, None] + ref_bounds)
+
+    def test_budget_hit_raises(self, corpus, kernel_cache):
+        T = corpus["heaviside"].build()
+        tight = QuadratureConfig(rel_tol=1e-14, abs_floor=0.0, max_cells=8)
+        with pytest.raises(QuadratureNonConvergence):
+            build_jet(T, [0.0], 2, kernel_cache(1, 2), 0.5, tight)
+
+
+def _scalar_build_jet(T, a, k, kernel, r):
+    """The degree-(k-1) jet from one scalar pairing (D^xi T)(Phi_r e_c) per
+    (xi, c), as build_jet computed it before it was one vector pairing:
+    the reference, with each value's bound."""
+    a = np.asarray(a, dtype=float).reshape(T.n)
+    xis = [xi for m in range(0, k) for xi in xi_set(T.n, m)]
+    results = pair_many([(derivative(T, xi), kernel.directed(a, r, T.d, c))
+                         for xi in xis for c in range(T.d)], QuadratureConfig())
+    out = np.array([(res.value, res.abs_error_bound) for res in results])
+    return out[:, 0].reshape(len(xis), T.d), out[:, 1].reshape(len(xis), T.d)
 
 
 class TestVerify:

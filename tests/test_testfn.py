@@ -119,8 +119,8 @@ def _dense_seminorm(phi, i):
 
 def _atom_loop(phi, xi, pts):
     """D^xi phi summed one atom at a time over every point: the reference."""
-    if isinstance(phi, testfn.DerivedTestFn):
-        return _atom_loop(phi.base, xi + phi.offset, pts)
+    if phi.offset is not None:
+        xi = xi + phi.offset
     out = np.zeros((pts.shape[0], phi.d))
     for a in phi.atoms:
         u = (pts - np.asarray(a.center)) / a.radius
@@ -136,7 +136,7 @@ def _probe(n, label, seed=3):
 def _boundary_points(phi, rng, count=6):
     """Points within 1e-12 (relative) of atom support spheres, on both sides."""
     n = phi.n
-    atoms = getattr(phi, "base", phi).atoms
+    atoms = phi.atoms
     rows = []
     for a in atoms[:: max(1, len(atoms) // count)]:
         for rel in (-1e-12, -4e-13, 0.0, 4e-13, 1e-12):
@@ -328,7 +328,7 @@ class TestFusedTensors:
     @pytest.mark.parametrize("name", sorted(ONE_BALL_FNS))
     def test_columns_bit_identical(self, name, kernel_cache, monkeypatch):
         phi = ONE_BALL_FNS[name](kernel_cache)
-        assert phi._one_support
+        assert phi.ball is not None
         rng = np.random.default_rng(4)
         c, r = np.asarray(phi.support_center), phi.support_radius
         pts = np.concatenate([c + rng.uniform(-1.2 * r, 1.2 * r, size=(300, phi.n)),

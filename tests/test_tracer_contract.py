@@ -2,16 +2,19 @@
 
 The traced benchmark run wraps named functions and methods from outside
 the package (benchmark/tracer.py).  Renaming or moving one of them breaks
-that run; this test makes the suite fail instead.  It reads benchmark/
-and changes nothing there.
+that run, and so does a layer that benchmark/metrics.py requires but no
+call reaches any more; these tests make the suite fail instead.  They read
+benchmark/ and change nothing there.
 """
 
 import importlib.util
+import math
 from pathlib import Path
 
 import numpy as np
 
-from ptdiff import cores, tensor, testfn, whitney
+from ptdiff import (JetField, PolyJet, QuadratureConfig, cores, jetestimator, poincare,
+                    tensor, testfn, whitney)
 from ptdiff.tensor import MultiIndex
 
 TRACER = Path(__file__).resolve().parents[1] / "benchmark" / "tracer.py"
@@ -90,3 +93,61 @@ def test_seminorm_calls_traced_eval_deriv_and_core_eval(tmp_path):
     for eval_deriv, core_eval in calls:
         # the grid, then at least one local refinement
         assert eval_deriv >= 2 and core_eval >= eval_deriv
+
+
+def _load_metrics():
+    spec = importlib.util.spec_from_file_location("benchmark_metrics",
+                                                  TRACER.parent / "metrics.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _traced_calls(tmp_path, run):
+    """The tracer's per-layer call counts of run()."""
+    tracer_module = _load_tracer()
+    tracer = tracer_module.Tracer(tmp_path)
+    try:
+        tracer_module.install(tracer)
+        run()
+    finally:
+        tracer.uninstall()
+    return tracer.calls
+
+
+# Each workload below has one caller of a layer that metrics.REQUIRED_CALLS
+# requires: verify of distribution.pair on corpus-1d, scaled_pairing of it on
+# pairing-2d, and the gate's one-pair recomputation of tensor.opnorm_bounds
+# and the traced PolyJet methods on whitney-1d.  Moving those calls to
+# another function leaves the layer empty, and a traced run then fails.
+
+def test_verify_calls_traced_pair(tmp_path, corpus, kernel_cache, dict_cache):
+    assert "distribution.pair" in _load_metrics().REQUIRED_CALLS["corpus-1d"]
+    T = corpus["sin4"].build()
+    probes = dict_cache(1, 1, 0, 4, 0)
+    calls = _traced_calls(tmp_path, lambda: poincare.verify(
+        T, 1, 0, [0.0], kernel_cache(1, 2), probes, kappa=1.0))
+    assert calls["poincare.verify"] == 1
+    assert calls["distribution.pair"] >= 1
+
+
+def test_scaled_pairing_calls_traced_pair(tmp_path, corpus):
+    assert "distribution.pair" in _load_metrics().REQUIRED_CALLS["pairing-2d"]
+    T = corpus["gauss2d"].build()
+    a = np.array([0.1, -0.2])
+    loose = QuadratureConfig(rel_tol=1e-6, abs_floor=1e-10, max_cells=2 ** 7)
+    calls = _traced_calls(tmp_path, lambda: jetestimator.scaled_pairing(
+        T, PolyJet.zero(2, 1, a), a, 0, testfn.standard_bump(2), 0.5, loose, strict=False))
+    assert calls["distribution.pair"] == 1
+
+
+def test_extend_calls_traced_opnorm_bounds_and_polyjet(tmp_path):
+    required = _load_metrics().REQUIRED_CALLS["whitney-1d"]
+    assert "tensor.opnorm_bounds" in required and "tensor.PolyJet" in required
+    points = (0.1, 0.4, 0.7)
+    jets = tuple(PolyJet(1, 1, [p], 2, [math.sin(p), math.cos(p), -math.sin(p)])
+                 for p in points)
+    F = JetField(tuple((p,) for p in points), jets, 2, 1.0)
+    calls = _traced_calls(tmp_path, lambda: whitney.extend(F, max_level=6))
+    assert calls["whitney.extend"] == 1
+    assert calls["tensor.opnorm_bounds"] >= 1 and calls["tensor.PolyJet"] >= 1

@@ -521,8 +521,8 @@ class TestBatch:
 
 def scan_nearest(points, X):
     """The n-dimensional nearest-point scan: a running minimum over every point."""
-    top = max(np.abs(points).max(initial=0.0), np.abs(X).max(initial=0.0))
-    scale = 2.0 ** (500 - math.frexp(top)[1]) if 2.0 ** 500 < top < math.inf else 1.0
+    top = max(np.abs(c[np.isfinite(c)]).max(initial=0.0) for c in (points, X))
+    scale = 2.0 ** (500 - math.frexp(top)[1]) if 2.0 ** 500 < top else 1.0
     best = np.full(X.shape[0], np.inf)
     arg = np.zeros(X.shape[0], dtype=np.int64)
     tied = np.zeros(X.shape[0], dtype=bool)
@@ -581,6 +581,19 @@ def test_nearest_line_matches_scan(case):
         ref_arg, ref_dist = scan_nearest(points, X)
     assert arg.dtype == ref_arg.dtype and arg.tolist() == ref_arg.tolist()
     assert dist.dtype == ref_dist.dtype and dist.tobytes() == ref_dist.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_nearest_scaling_ignores_nonfinite_rows(n, bad):
+    # a row that is not finite leaves the overflow scaling of the others on
+    points = np.zeros((2, n))
+    points[1, 0] = 1.0
+    X = np.zeros((2, n))
+    X[0, 0], X[1, 0] = 1e300, bad
+    arg, dist = _nearest(points, X)
+    assert arg.tolist() == [1, 0] and dist.tolist() == [1e300, math.inf]
+    assert _nearest(points, X[:1])[1].tolist() == [1e300]
 
 
 def slab_pack(cand, h):
