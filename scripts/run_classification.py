@@ -1,17 +1,23 @@
 """Run the order classifier over every annotated corpus claim.
 
 Prints one line per claim comparing the computed verdict against the
-closed-form annotation, and optionally writes the decay envelopes as CSV.
+closed-form annotation, with the process CPU seconds and minor page faults
+of its classify call, and optionally writes the decay envelopes as CSV.
 """
 
 import argparse
 import csv
 import pathlib
+import resource
 import sys
 import time
 
 from ptdiff import (ClassifierConfig, JetConfig, QuadratureConfig, classify,
                     load_corpus)
+
+
+def _minor_faults():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 
 
 def build_config(args):
@@ -42,14 +48,15 @@ def main(argv=None):
         item = corpus[iid]
         T = item.build()
         for c in item.classification_claims:
-            t0 = time.time()
+            t0, f0 = time.process_time(), _minor_faults()
             rep = classify(T, list(c.point), c.k, alpha=c.alpha, config=config)
+            cpu, faults = time.process_time() - t0, _minor_faults() - f0
             ok = rep.verdict == c.verdict
             mismatches += 0 if ok else 1
             beta = "-" if rep.beta_hat is None else f"{rep.beta_hat:+.3f}"
             print(f"{iid:10s} a={c.point} k={c.k:+d} alpha={c.alpha} "
                   f"want={c.verdict:9s} got={rep.verdict:9s} beta={beta} "
-                  f"[{'ok' if ok else 'MISMATCH'}] {time.time() - t0:.1f}s")
+                  f"[{'ok' if ok else 'MISMATCH'}] {cpu:.2f} s CPU, {faults} faults")
             if args.out is not None:
                 args.out.mkdir(parents=True, exist_ok=True)
                 name = f"{iid}_k{c.k}" + ("" if c.alpha is None

@@ -34,7 +34,7 @@ import numpy as np
 from .tensor import MultiIndex, _powers
 
 BOUNDARY_CLAMP = 1e-12
-ROW_BLOCK = 2 ** 11  # points per block of the prefactor evaluation
+ROW_BLOCK = 2 ** 12  # points per block of the prefactor evaluation
 
 # core kinds
 BUMP = "bump"
@@ -104,31 +104,30 @@ def _block_values(u: np.ndarray, sm1: np.ndarray, tables, out: np.ndarray) -> No
 
     1/(s-1), its exponential, its powers and the power table of u are
     computed once for all tables; each row takes the float operations of its
-    table evaluated alone.
+    table evaluated alone.  The caller ignores underflow.
     """
-    with np.errstate(under="ignore"):
-        t = 1.0 / sm1
-        et = np.exp(t)
-        # term by term from the power table, each power of a coordinate one
-        # contiguous row: no (terms, points) temporary
-        top = max(tab[1] for tab in tables)
-        pw = _powers(u.T, top) if top else None
-        tpow = [None, t]  # t^p by repeated multiplication, as far as needed
-        for row, (terms, top_m, p) in enumerate(tables):
-            if top_m == 0:  # a constant prefactor
-                num = terms[0][0]
-            else:
-                num = np.zeros(len(u))
-                for c, e in terms:
-                    m = pw[e[0], 0]
-                    for j in range(1, len(e)):
-                        m = m * pw[e[j], j]
-                    num += c * m
-            if p:
-                while len(tpow) <= p:
-                    tpow.append(tpow[-1] * t)
-                num = num * tpow[p]
-            np.multiply(num, et, out=out[row])
+    t = 1.0 / sm1
+    et = np.exp(t)
+    # term by term from the power table, each power of a coordinate one
+    # contiguous row: no (terms, points) temporary
+    top = max(tab[1] for tab in tables)
+    pw = _powers(u.T, top) if top else None
+    tpow = [None, t]  # t^p by repeated multiplication, as far as needed
+    for row, (terms, top_m, p) in enumerate(tables):
+        if top_m == 0:  # a constant prefactor
+            num = terms[0][0]
+        else:
+            num = np.zeros(len(u))
+            for c, e in terms:
+                m = pw[e[0], 0]
+                for j in range(1, len(e)):
+                    m = m * pw[e[j], j]
+                num += c * m
+        if p:
+            while len(tpow) <= p:
+                tpow.append(tpow[-1] * t)
+            num = num * tpow[p]
+        np.multiply(num, et, out=out[row])
 
 
 @lru_cache(maxsize=None)
@@ -161,9 +160,10 @@ def core_eval(n: int, kind, core_xi, deriv_xi, pts: np.ndarray) -> np.ndarray:
         u, sm1 = pts.T.take(keep, axis=1).T, sm1[keep]
     vals = np.empty((len(tables), len(u)))
     if tables:
-        for b in range(0, len(u), ROW_BLOCK):
-            rows = slice(b, b + ROW_BLOCK)
-            _block_values(u[rows], sm1[rows], tables, vals[:, rows])
+        with np.errstate(under="ignore"):  # one error state for all row blocks
+            for b in range(0, len(u), ROW_BLOCK):
+                rows = slice(b, b + ROW_BLOCK)
+                _block_values(u[rows], sm1[rows], tables, vals[:, rows])
     if not every:
         out = np.zeros((len(tables), len(pts)))
         for row, v in zip(out, vals):

@@ -484,6 +484,7 @@ def parse(text: str, dims: Optional[int] = None) -> Tuple[ExprAST, SingularitySe
 
 
 def _eval_node(node: Node, cols: Sequence[np.ndarray]) -> np.ndarray:
+    """The node's values at the points; the caller sets the error state."""
     if isinstance(node, Const):
         return np.full_like(cols[0], node.value)
     if isinstance(node, Var):
@@ -493,30 +494,26 @@ def _eval_node(node: Node, cols: Sequence[np.ndarray]) -> np.ndarray:
     if isinstance(node, BinOp):
         a = _eval_node(node.left, cols)
         b = _eval_node(node.right, cols)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            if node.op == "+":
-                return a + b
-            if node.op == "-":
-                return a - b
-            if node.op == "*":
-                return a * b
-            return a / b
+        if node.op == "+":
+            return a + b
+        if node.op == "-":
+            return a - b
+        if node.op == "*":
+            return a * b
+        return a / b
     if isinstance(node, Pow):
         base = _eval_node(node.base, cols)
         e = node.exponent
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            if e.denominator == 1:
-                return base ** int(e)
-            if e.denominator % 2 == 1:
-                # odd-root branch: real for negative bases
-                mag = np.abs(base) ** float(e)
-                sign = np.where(base < 0, (-1.0) ** e.numerator, 1.0)
-                return sign * mag
-            return base ** float(e)  # nan for negative base, flagged downstream
+        if e.denominator == 1:
+            return base ** int(e)
+        if e.denominator % 2 == 1:
+            # odd-root branch: real for negative bases
+            mag = np.abs(base) ** float(e)
+            sign = np.where(base < 0, (-1.0) ** e.numerator, 1.0)
+            return sign * mag
+        return base ** float(e)  # nan for negative base, flagged downstream
     if isinstance(node, Call):
-        args = [_eval_node(a, cols) for a in node.args]
-        with np.errstate(invalid="ignore", over="ignore"):
-            return _INTRINSICS[node.name][1](*args)
+        return _INTRINSICS[node.name][1](*(_eval_node(a, cols) for a in node.args))
     raise ExprError(f"cannot evaluate node {node!r}")
 
 
@@ -531,7 +528,9 @@ def eval_expr(ast: ExprAST, x, limits: Sequence[Tuple[Sequence[float], float]] =
     single = x.ndim <= 1
     pts = x.reshape(-1, ast.free_dims)
     cols = [pts[:, j] for j in range(ast.free_dims)]
-    vals = _eval_node(ast.root, cols)
+    # non-finite values are settled below, by limit or DomainError
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        vals = _eval_node(ast.root, cols)
     vals = np.asarray(vals, dtype=float)
     bad = ~np.isfinite(vals)
     if bad.any():

@@ -24,6 +24,15 @@ can work run by run (``job_runs``).  The points are built axis by axis,
 each coordinate one contiguous block, and handed over as an F-ordered
 (points, n) view; every point equals the cell-major broadcast
 lo + node * width bit for bit.
+
+The block contract: every large evaluation goes through in blocks of
+about ``BLOCK_POINTS`` points, one size for the engine's integrand calls
+(whole cells, at least one), the culled (atom, point) pairs of
+``testfn.eval_stacked`` and the grid rows of ``testfn.seminorm``.  A
+block's temporaries are a small multiple of BLOCK_POINTS entries, so
+memory stays bounded whatever the number of cells, and no value depends
+on the block: each cell's values, pair's term and grid point's norm are
+its own.
 """
 
 from __future__ import annotations
@@ -35,8 +44,9 @@ from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 
-# integrand points per call, in whole cells, unless BATCH cells are more
-BLOCK_POINTS = 1 << 13
+# points of one block of a large evaluation: integrand calls (whole
+# cells), the test functions' culled pairs and seminorm's grid rows
+BLOCK_POINTS = 1 << 14
 GL_ORDER = 16  # Gauss-Legendre nodes per axis of a cell and of its halves
 GL_ORDER_LOW = 10  # the embedded low-order rule
 BATCH = 64  # most cells a job bisects in one round
@@ -101,32 +111,33 @@ def _cell_values(f, lo: np.ndarray, hi: np.ndarray, job: np.ndarray,
     low_ref, low_wts = _gl_nodes(GL_ORDER_LOW if split else GL_ORDER, n)
     q = len(wts) * split
     per_cell = 2 * q + len(low_wts)  # the halves' points, then the low-order rule's
+    w = hi - lo
+    if split:  # the halves and the volumes of every cell, for all blocks at once
+        h_lo, h_hi = _halves(lo, hi)
+        h_w = h_hi - h_lo
+        h_vol = h_w.prod(axis=2)
+    vol = w.prod(axis=1)
     out = None
-    step = max(BATCH, BLOCK_POINTS // per_cell)
+    step = max(1, BLOCK_POINTS // per_cell)
     for s in range(0, m, step):
-        l, h = lo[s:s + step], hi[s:s + step]
-        w = h - l
-        pts = np.empty((n, len(l), per_cell))
-        if split:
-            h_lo, h_hi = _halves(l, h)
-            h_w = h_hi - h_lo
+        c, k = slice(s, s + step), min(step, m - s)
+        pts = np.empty((n, k, per_cell))
         for a in range(n):
             if split:
-                np.add(h_lo[:, :, None, a], ref[:, a] * h_w[:, :, None, a],
-                       out=pts[a, :, :2 * q].reshape(len(l), 2, q))
-            np.add(l[:, None, a], low_ref[:, a] * w[:, None, a], out=pts[a, :, 2 * q:])
-        vals = np.asarray(f(pts.reshape(n, -1).T, job[s:s + step].repeat(per_cell)),
-                          dtype=float)
+                np.add(h_lo[c, :, None, a], ref[:, a] * h_w[c, :, None, a],
+                       out=pts[a, :, :2 * q].reshape(k, 2, q))
+            np.add(lo[c, None, a], low_ref[:, a] * w[c, None, a], out=pts[a, :, 2 * q:])
+        vals = np.asarray(f(pts.reshape(n, -1).T, job[c].repeat(per_cell)), dtype=float)
         # component-major, so that each component sums contiguous rows, in
         # the float operations of a scalar integrand
-        vals = np.ascontiguousarray(vals.reshape(len(vals), -1).T).reshape(-1, len(l), per_cell)
+        vals = np.ascontiguousarray(vals.reshape(len(vals), -1).T).reshape(-1, k, per_cell)
         if out is None:
             out = np.empty((m, 1 + 2 * split, len(vals)))
         if split:
-            out[s:s + step, :2] = ((vals[:, :, :2 * q].reshape(len(vals), len(l), 2, -1) * wts)
-                                   .sum(axis=3) * h_w.prod(axis=2)).transpose(1, 2, 0)
-        out[s:s + step, -1] = ((vals[:, :, 2 * q:] * low_wts).sum(axis=2)
-                               * w.prod(axis=1)).T
+            out[c, :2] = ((vals[:, :, :2 * q].reshape(len(vals), k, 2, -1) * wts)
+                          .sum(axis=3) * h_vol[c]).transpose(1, 2, 0)
+        out[c, -1] = ((vals[:, :, 2 * q:] * low_wts).sum(axis=2) * vol[c]).T
+        del pts, vals  # no block's arrays live on beside the next block's
     return out
 
 

@@ -318,7 +318,10 @@ def opnorms(n: int, degree: int, coeffs: np.ndarray, rel_tol: Optional[float] = 
     mono = _angular_monomials(thetas, degree)
     best = np.zeros(B)
     arg = np.zeros(B, dtype=np.int64)
-    step = max(1, _CHUNK // (B * d))
+    # a screen takes one direction per product, whatever B, so that each
+    # tensor's value does not depend on the others: its caller's blocks
+    # bound the temporaries
+    step = 1 if rel_tol is None else max(1, _CHUNK // (B * d))
     for s in range(0, directions, step):
         vals = _norms(flat @ mono[:, s:s + step], B, d)
         top = vals.max(axis=1)

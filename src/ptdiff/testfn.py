@@ -11,8 +11,8 @@ One evaluator, ``eval_stacked``, evaluates every test function: it takes
 many jobs, each M (test function, derivative) columns, and gives the
 values of every column of each point's job.  ``TestFn.eval_deriv`` is its
 one-job case, ``seminorm`` reads its derivative tensors off one
-``eval_deriv`` call, and the pairing engine evaluates all its test
-functions with it.
+``eval_deriv`` call per block of grid rows, and the pairing engine
+evaluates all its test functions with it.
 
 A job whose atoms share one ball (one atom, moment kernels, the
 derivatives of one) needs no search.  Its layout is its atoms' core specs
@@ -25,12 +25,12 @@ coordinates (bins a quarter of the smallest atom radius wide) and their
 last coordinate, so that the points of one job and bin inside an atom's
 bounding box along the last axis are one run of the sorted order: the
 candidate (atom, point) pairs are these runs, atom-major, slightly more
-than the boxes.  They are taken in blocks of PAIR_BLOCK candidates, each
-block whole runs but for the runs cut at its two edges, which bounds the
-temporaries whatever the batch.  A pair is kept when |u|^2 < 1 -
-BOUNDARY_CLAMP for the point u in the atom's core coordinates, the test
-``core_eval`` makes, and the kept pairs of a block go to ``core_eval`` in
-one call per core group.
+than the boxes.  They are taken in blocks of ``quadrature.BLOCK_POINTS``
+candidates, each block whole runs but for the runs cut at its two edges,
+which bounds the temporaries whatever the batch.  A pair is kept when
+|u|^2 < 1 - BOUNDARY_CLAMP for the point u in the atom's core
+coordinates, the test ``core_eval`` makes, and the kept pairs of a block
+go to ``core_eval`` in one call per core group.
 
 Core coordinates (x - center) / radius are built one coordinate at a time
 by ``run_coords``, each center and radius repeated over its run of
@@ -43,7 +43,9 @@ radius power is a Python float power per atom, and both paths add each
 point's terms in atom order (``np.add.at`` over atom-major pairs, block
 after block, for the sorted points).  The pairs the search skips added
 exact zeros, which change no sum, and so do the points that are not
-finite, where every atom is 0.
+finite, where every atom is 0.  So a point's value never depends on its
+batch, nor on the block: the blocks, one size for every large evaluation
+(``quadrature``'s block contract), bound the temporaries only.
 """
 
 from __future__ import annotations
@@ -55,7 +57,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import cores
+from . import cores, quadrature
 from .cores import UnsupportedOrderError
 from .quadrature import job_runs, run_points
 from .tensor import MultiIndex, opnorms, xi_set, zero_index
@@ -65,8 +67,6 @@ DEFAULT_MAX_DERIV_ORDER = 6
 # refines the norm in angle only at the best screened points
 SCREEN_DIRECTIONS = 64
 SCREEN_CANDIDATES = 64
-# candidate (atom, point) pairs per core_eval block
-PAIR_BLOCK = 1 << 12
 # most bins per axis of the candidate search
 MAX_BINS = 1024
 
@@ -239,15 +239,19 @@ def eval_stacked(st: StackedFns, pts: np.ndarray, job: np.ndarray) -> np.ndarray
         p = slice(None) if size.sum() == len(pts) else run_points(starts[mine], size)
         u = run_coords(pts, p, st.centers[first], st.radii[first], size)
         vals = cores.core_eval(st.n, *zip(*(st.groups[s] for s in used)), u)
-
-        def per_point(x):  # each run's scalars over its points, or one when all runs agree
-            return x[:1] if (x == x[0]).all() else np.repeat(x, size, axis=0)
-
+        # each term's scale and coeff per run (runs, terms) and (runs,
+        # terms, d): one value when all runs agree, else repeated over the
+        # run's points
+        atom = first[:, None] + np.arange(len(terms))
+        scale, coeffs = st.scale[atom], st.coeffs[atom]
+        one = len(first) == 1 or ((scale == scale[0]).all() and (coeffs == coeffs[0]).all())
         for t, (s, c) in enumerate(terms):
-            value = per_point(st.scale[first + t]) * vals[:, s]
-            coeff = per_point(st.coeffs[first + t])
-            for k in range(st.d):
-                out[c, p, k] += value * coeff[:, k]
+            if one:
+                value = scale[0, t] * vals[:, s]
+                out[c, p] += value[:, None] * coeffs[0, t]
+            else:
+                value = np.repeat(scale[:, t], size) * vals[:, s]
+                out[c, p] += value[:, None] * np.repeat(coeffs[:, t], size, axis=0)
     culled = layout < 0
     if culled.any():
         _culled_sums(st, pts, job, run_points(starts[culled], lengths[culled]), out)
@@ -277,10 +281,10 @@ def _culled_sums(st: StackedFns, pts: np.ndarray, job: np.ndarray, idx: np.ndarr
     ``_box_runs``.  Points that are not finite are left out: every atom is
     0 there, and no bin holds them.
 
-    The candidates are taken PAIR_BLOCK at a time, in run order, each
-    block's runs cut at its edges, so a block's temporaries are a small
-    multiple of PAIR_BLOCK entries (per pair n coordinates, |u|^2, d terms
-    and a few indices), whatever the batch.
+    The candidates are taken ``quadrature.BLOCK_POINTS`` at a time, in run
+    order, each block's runs cut at its edges, so a block's temporaries are
+    a small multiple of BLOCK_POINTS entries (per pair n coordinates,
+    |u|^2, d terms and a few indices), whatever the batch.
     """
     sub = slice(None) if len(idx) == len(pts) else idx  # the points are every point
     cols = [pts[:, a][sub] for a in range(st.n)]
@@ -300,8 +304,9 @@ def _culled_sums(st: StackedFns, pts: np.ndarray, job: np.ndarray, idx: np.ndarr
     ends = np.cumsum(run_len)
     begins = ends - run_len
     total = int(ends[-1]) if ends.size else 0
-    for first in range(0, total, PAIR_BLOCK):
-        last = min(first + PAIR_BLOCK, total)
+    block = quadrature.BLOCK_POINTS
+    for first in range(0, total, block):
+        last = min(first + block, total)
         runs = slice(np.searchsorted(ends, first, side="right"), np.searchsorted(begins, last))
         cut = np.maximum(begins[runs], first)
         size = np.minimum(ends[runs], last) - cut
@@ -437,10 +442,12 @@ def seminorm(phi, i: int, K: Optional[Tuple[Sequence[float], float]] = None,
 
     The order-i derivative tensors are evaluated on a grid of grid_points
     intervals per axis over the relevant box (K defaults to the support
-    ball), all of them by one ``eval_deriv`` call, and their norms are
-    screened there with the unrefined angular scan.  The best screened
-    points get the norm refined in angle, and a local grid search around
-    the best of them refines in space.  What is certified: the spatial
+    ball), one block of whole grid rows (up to ``quadrature.BLOCK_POINTS``
+    points, at least one row) at a time, and their norms are screened
+    there with the unrefined angular scan.  The best screened points are
+    evaluated again, which gives the same tensors, and get the norm
+    refined in angle, and a local grid search around the best of them
+    refines in space.  What is certified: the spatial
     search and every angular scan in it stop only once a refinement step
     gains less than rel_tol relatively, and the result is the norm at one
     point, so it is a lower bound of the sup.
@@ -470,15 +477,23 @@ def seminorm(phi, i: int, K: Optional[Tuple[Sequence[float], float]] = None,
             g[j] = x.reshape((-1,) + (1,) * (n - 1 - j))
         return g.reshape(n, -1).T
 
-    pts = grid([np.linspace(lo[j], hi[j], max(grid_points, 8) + 1) for j in range(n)])
-    values = phi.eval_deriv(indices, pts)
-    screen, _ = opnorms(n, i, values, None, SCREEN_DIRECTIONS)
+    axes = [np.linspace(lo[j], hi[j], max(grid_points, 8) + 1) for j in range(n)]
+    shape = tuple(len(x) for x in axes)
+    row = int(np.prod(shape[1:]))  # grid points per index of axis 0
+    rows = max(1, quadrature.BLOCK_POINTS // row)
+    screen = np.empty(shape[0] * row)
+    for s in range(0, shape[0], rows):
+        block = grid([axes[0][s:s + rows]] + axes[1:])
+        screen[s * row:s * row + len(block)] = opnorms(
+            n, i, phi.eval_deriv(indices, block), None, SCREEN_DIRECTIONS)[0]
     top = _top_indices(screen, SCREEN_CANDIDATES)
-    norms, _ = opnorms(n, i, values[top], rel_tol)
+    top_pts = np.stack([x[k] for x, k in zip(axes, np.unravel_index(top, shape))], axis=1)
+    # C order: the rounding of the angular refinement follows the layout
+    norms, _ = opnorms(n, i, np.ascontiguousarray(phi.eval_deriv(indices, top_pts)), rel_tol)
     best_idx = int(np.argmax(norms))
     best = float(norms[best_idx])
     # local refinement around the grid argmax
-    center = pts[top[best_idx]]
+    center = top_pts[best_idx]
     width = float(np.max((hi - lo))) / max(grid_points, 8)
     for _ in range(8):
         lpts = grid([np.linspace(max(lo[j], center[j] - width),

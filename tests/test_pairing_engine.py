@@ -9,6 +9,8 @@ moments to mpmath, within the sum of the bounds.
 
 import itertools
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -242,7 +244,7 @@ class TestStackedEvaluator:
     @pytest.mark.parametrize("block", [None, 97])
     def test_equals_per_function(self, n, block, monkeypatch, kernel_cache):
         if block:
-            monkeypatch.setattr(testfn, "PAIR_BLOCK", block)
+            monkeypatch.setattr(quadrature, "BLOCK_POINTS", block)
         rng = np.random.default_rng(7)
         members = make_dictionary(n, 1, 0, 16 if n == 1 else 15, 2).members + (
             kernel_cache(n, 3).testfn,)
@@ -470,6 +472,74 @@ class TestRepeatableWork:
             seen.append({key: counts[key] - before[key] for key in counts})
         assert seen[0] == seen[1]
         assert seen[0]["core_eval"] > 0
+
+
+class TestOneBlock:
+    """No pairing depends on ``quadrature.BLOCK_POINTS``, the block of the
+    engine's cells and of the culled pairs: values, bounds and cell counts
+    are bit-identical down to one cell a block."""
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("block", ["97", "one cell"])
+    def test_pair_many(self, n, block, corpus, kernel_cache, monkeypatch):
+        config = QuadratureConfig(rel_tol=1e-9, abs_floor=1e-15, max_cells=2 ** 7)
+        if n == 1:
+            T, kernel, a = corpus["heaviside"].build(), kernel_cache(1, 4), [0.1]
+        else:
+            T, kernel, a = corpus["gauss2d"].build(), kernel_cache(2, 2), [0.2, -0.1]
+        stream = list(itertools.islice(testfn._candidate_stream(n, 1, 0), 40))
+        one_ball = [c for c in stream if len(c.atoms) == 1][:3]
+        plateau = next(c for c in stream if c.label == "plateau_w0.2")
+        xis = [xi for m in range(2) for xi in xi_set(n, m)]
+        pairs = []
+        for r in (0.5, 0.1):  # scalar jobs, an M-column kernel job, a culled job
+            pairs += [(T, phi.rescale(a, r)) for phi in one_ball]
+            pairs.append((T, tuple(kernel.directed(a, r).derivative_view(xi) for xi in xis)))
+            pairs.append((T, plateau.rescale(a, r)))
+
+        def bits():
+            results = pair_many(pairs, config, strict=False)
+            return [(res.value.hex(), res.abs_error_bound.hex(), res.quadrature_cells)
+                    for row in results for res in (row if isinstance(row, tuple) else (row,))]
+        want = bits()
+        cell = 2 * quadrature.GL_ORDER ** n + quadrature.GL_ORDER_LOW ** n
+        monkeypatch.setattr(quadrature, "BLOCK_POINTS", 97 if block == "97" else cell)
+        assert bits() == want
+
+
+class TestBoundedMemory:
+    def test_repeated_classify_reuses_its_pages(self):
+        # a second 2-D classify (gauss2d, six single-atom probes,
+        # five levels) in one process faults in under 1,000 pages: its
+        # blocks' temporaries reuse the memory of the first
+        pytest.importorskip("resource")
+        code = (
+            "import resource\n"
+            "import numpy as np\n"
+            "from ptdiff import (ClassifierConfig, PolyJet, ProbeDictionary, classify,\n"
+            "                    get_item, make_dictionary)\n"
+            "members = make_dictionary(2, 1, 0, 15, 0).members\n"
+            "single = tuple(m for m in members if len(m.atoms) == 1)[:6]\n"
+            "probes = ProbeDictionary(2, 1, 0, len(single), 0, single)\n"
+            "T = get_item('gauss2d').build()\n"
+            "a = np.array([0.2, -0.1])\n"
+            "g = float(np.exp(-a @ a))\n"
+            "jet = PolyJet.from_coeff_map(2, a, {(0, 0): g, (1, 0): -2 * a[0] * g,\n"
+            "                                    (0, 1): -2 * a[1] * g})\n"
+            "faults = []\n"
+            "for _ in range(2):\n"
+            "    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "    report = classify(T, a, 1, probes=probes, jet=jet,\n"
+            "                      config=ClassifierConfig(levels=5))\n"
+            "    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+            "    assert report.verdict == 'confirmed', report.verdict\n"
+            "print(*faults)")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True)
+        first, second = map(int, out.stdout.split())
+        if first == 0:
+            pytest.skip("the platform reports no minor faults")
+        assert second < 1000, (first, second)
 
 
 def _columns(fs):

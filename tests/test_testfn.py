@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from conftest import dense_directional_max
 from ptdiff import (MultiIndex, TestFn, bump_monomial, make_dictionary, seminorm,
                     standard_bump, xi_set)
-from ptdiff import cores, testfn
+from ptdiff import cores, quadrature, testfn
 from ptdiff.cores import UnsupportedOrderError
 from ptdiff.testfn import _candidate_stream, _sum_of_bumps
 
@@ -189,6 +189,40 @@ PINNED_NORMALIZERS = {
         ("half_axis1-", "0x1.5bf0a8b145769p+1"),
         ("plateau_w0.2", "0x1.04be8e35c702fp-1"),
     ],
+    (2, 1, 1, 15, 0): [
+        ("bump", "0x1.40a11c777332bp+0"),
+        ("bump*x^(1, 0)", "0x1.cf9176384792ep+0"),
+        ("bump*x^(0, 1)", "0x1.cf9176384792ep+0"),
+        ("bump*x^(2, 0)", "0x1.3926d8d7227efp+1"),
+        ("bump*x^(1, 1)", "0x1.3926dac618df4p+2"),
+        ("bump*x^(0, 2)", "0x1.3926d8d7227efp+1"),
+        ("bump*x^(3, 0)", "0x1.97e7b5efa584fp+1"),
+        ("bump*x^(2, 1)", "0x1.08f10eda7ffdep+3"),
+        ("bump*x^(1, 2)", "0x1.08f10eda7ffdfp+3"),
+        ("bump*x^(0, 3)", "0x1.97e7b5efa584fp+1"),
+        ("half_axis0+", "0x1.40a11c777332bp-1"),
+        ("half_axis0-", "0x1.40a11c777332bp-1"),
+        ("half_axis1+", "0x1.40a11c777332bp-1"),
+        ("half_axis1-", "0x1.40a11c777332bp-1"),
+        ("plateau_w0.2", "0x1.527d6595c5b6cp-4"),
+    ],
+    (2, 1, 2, 15, 0): [
+        ("bump", "0x1.0844a4b601fe2p-3"),
+        ("bump*x^(1, 0)", "0x1.3f762be5b12efp-3"),
+        ("bump*x^(0, 1)", "0x1.3f762be5b12efp-3"),
+        ("bump*x^(2, 0)", "0x1.7d6c77a73f51cp-3"),
+        ("bump*x^(1, 1)", "0x1.7d6c7812ba3eap-2"),
+        ("bump*x^(0, 2)", "0x1.7d6c77a73f51cp-3"),
+        ("bump*x^(3, 0)", "0x1.c2fef22efa83cp-3"),
+        ("bump*x^(2, 1)", "0x1.24ee4f73e04b3p-1"),
+        ("bump*x^(1, 2)", "0x1.24ee4f73e04b1p-1"),
+        ("bump*x^(0, 3)", "0x1.c2fef22efa83cp-3"),
+        ("half_axis0+", "0x1.0844a4b601fe2p-5"),
+        ("half_axis0-", "0x1.0844a4b601fe2p-5"),
+        ("half_axis1+", "0x1.0844a4b601fe2p-5"),
+        ("half_axis1-", "0x1.0844a4b601fe2p-5"),
+        ("plateau_w0.2", "0x1.511a9f84ab9b0p-9"),
+    ],
     (1, 1, 0, 12, 1): [
         ("bump", "0x1.5bf0a8b145769p+1"),
         ("bump*x^(1,)", "0x1.e4a17f1f90ef0p+2"),
@@ -262,7 +296,7 @@ class TestBatchedAtoms:
         rng = np.random.default_rng(5)
         pts = rng.uniform(-1.1, 1.1, size=(600, n))
         want = [_atom_loop(phi, xi, pts) for xi in xi_set(n, 1)]
-        monkeypatch.setattr(testfn, "PAIR_BLOCK", 97)
+        monkeypatch.setattr(quadrature, "BLOCK_POINTS", 97)
         for xi, ref in zip(xi_set(n, 1), want):
             assert np.array_equal(phi.eval_deriv(xi, pts), ref)
 
@@ -281,7 +315,7 @@ class TestBatchedAtoms:
         given_pts = {"C": np.ascontiguousarray(pts), "F": np.asfortranarray(pts),
                      "strided": wide[:, 1:2]}[layout]
         want = [_atom_loop(phi, xi, pts) for order in range(3) for xi in xi_set(1, order)]
-        monkeypatch.setattr(testfn, "PAIR_BLOCK", 97)
+        monkeypatch.setattr(quadrature, "BLOCK_POINTS", 97)
         got = [phi.eval_deriv(xi, given_pts) for order in range(3) for xi in xi_set(1, order)]
         for g, w in zip(got, want):
             assert np.array_equal(g, w)
@@ -310,6 +344,33 @@ class TestBatchedAtoms:
         members = make_dictionary(*args).members
         got = [(m.label, float(m.atoms[0].coeff[0]).hex()) for m in members]
         assert got == PINNED_NORMALIZERS[args]
+
+    def test_kernel_sup_norms_pinned(self, kernel_cache):
+        kernel = kernel_cache(2, 2)
+        got = [float(kernel.deriv_supnorm(i)).hex() for i in range(3)]
+        assert got == ["0x1.93bff144b2b7bp-1", "0x1.b623fd57522f4p+0", "0x1.09cac214dc26ep+4"]
+
+
+def _one_cell(n):
+    """The points of one split cell of the quadrature engine."""
+    return 2 * quadrature.GL_ORDER ** n + quadrature.GL_ORDER_LOW ** n
+
+
+class TestOneBlock:
+    """No seminorm depends on ``quadrature.BLOCK_POINTS``, the block of its
+    grid rows and of the culled pairs, down to one grid row a block."""
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("block", ["97", "one cell"])
+    def test_seminorm(self, n, block, monkeypatch):
+        members = [bump_monomial(n, (1,) + (0,) * (n - 1)).rescale([0.1] * n, 0.7),
+                   _probe(n, "plateau_w0.2")]
+        # a 129-point grid axis: 2-D grids of one block of 127 rows and one
+        # of 2 rows at the default block, of one row a block when patched
+        want = [seminorm(phi, i, grid_points=128).hex() for phi in members for i in range(3)]
+        monkeypatch.setattr(quadrature, "BLOCK_POINTS", 97 if block == "97" else _one_cell(n))
+        got = [seminorm(phi, i, grid_points=128).hex() for phi in members for i in range(3)]
+        assert got == want
 
 
 ONE_BALL_FNS = {
