@@ -2,7 +2,8 @@
 
 Prints one line per claim comparing the computed verdict against the
 closed-form annotation, with the process CPU seconds and minor page faults
-of its classify call, and optionally writes the decay envelopes as CSV.
+of its classify call, then the mismatches and the totals over all claims,
+and optionally writes the decay envelopes as CSV.
 """
 
 import argparse
@@ -43,7 +44,7 @@ def main(argv=None):
     config = build_config(args)
     items = args.items or [iid for iid, item in sorted(corpus.items())
                            if item.classification_claims]
-    mismatches = 0
+    mismatches, claims, total_cpu, total_faults = 0, 0, 0.0, 0
     for iid in items:
         item = corpus[iid]
         T = item.build()
@@ -51,6 +52,7 @@ def main(argv=None):
             t0, f0 = time.process_time(), _minor_faults()
             rep = classify(T, list(c.point), c.k, alpha=c.alpha, config=config)
             cpu, faults = time.process_time() - t0, _minor_faults() - f0
+            claims, total_cpu, total_faults = claims + 1, total_cpu + cpu, total_faults + faults
             ok = rep.verdict == c.verdict
             mismatches += 0 if ok else 1
             beta = "-" if rep.beta_hat is None else f"{rep.beta_hat:+.3f}"
@@ -68,7 +70,8 @@ def main(argv=None):
                                   range(len(rep.probe_labels))])
                     for r, env, _, probes in rep.rows():
                         w.writerow([r, env] + list(probes))
-    print(f"{mismatches} mismatches")
+    print(f"{mismatches} mismatches; {claims} claims in {total_cpu:.2f} s CPU, "
+          f"{total_faults} faults")
     return 1 if mismatches else 0
 
 

@@ -4,7 +4,7 @@ __version__ = "0.1.0"
 
 from .tensor import (MultiIndex, PolyJet, opnorm_bounds, unit_index, xi_set,
                      zero_index)
-from .testfn import (CoreAtom, ProbeDictionary, TestFn, bump_monomial,
+from .testfn import (CoreAtom, ProbeDictionary, ScaleError, TestFn, bump_monomial,
                      make_dictionary, seminorm, standard_bump)
 from .funcexpr import ExprError, SingularitySet, eval_expr, parse
 from .quadrature import (QuadratureConfig, QuadratureNonConvergence,

@@ -30,7 +30,7 @@ from .momentkernel import MAX_DEGREE, MAX_SUPNORM_ORDER, build_kernel
 from .poincare import DivergentKappaError, verify
 from .quadrature import QuadratureNonConvergence
 from .tensor import MultiIndex, PolyJet
-from .testfn import DEFAULT_MAX_DERIV_ORDER, make_dictionary
+from .testfn import DEFAULT_MAX_DERIV_ORDER, ScaleError, make_dictionary
 from .whitney import JetField, WhitneyGateError, empirical_hoelder, extend
 
 EXIT_OK = 0
@@ -414,7 +414,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (InputError, CorpusError, DomainError) as exc:
+    except (InputError, CorpusError, DomainError, ScaleError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except QuadratureNonConvergence as exc:

@@ -273,6 +273,9 @@ def classify(T: Distribution, a, k: int, alpha: Optional[float] = None,
                            tuple(tuple(map(float, row)) for row in V),
                            tuple(witnesses), jet, scale)
 
+    if not (np.isfinite(env).all() and np.isfinite(noise).all()):
+        # a pairing or its bound out of the float range: nothing to decide on
+        return report(INCONCLUSIVE, None)
     if scale == 0.0 and float(B.max()) == 0.0:
         return report(CONFIRMED, None)
     # numerically exact vanishing at all small radii (e.g. supports that

@@ -32,7 +32,7 @@ import numpy as np
 from . import cores, tensor
 from .quadrature import QuadratureConfig, integrate_box, integrate_boxes
 from .tensor import MultiIndex, PolyJet, xi_set
-from .testfn import CoreAtom, TestFn, seminorm
+from .testfn import TestFn, seminorm
 
 MOMENT_QUAD = QuadratureConfig(rel_tol=1e-12, abs_floor=1e-15)
 VERIFY_QUAD = QuadratureConfig(rel_tol=1e-12, abs_floor=1e-13)
@@ -73,10 +73,9 @@ class MomentKernel:
         fn = self.testfn.rescale(np.asarray(a, dtype=float), r).scaled_by(r ** (-self.n))
         if d == 1:
             return fn
-        atoms = tuple(
-            replace(t, coeff=tuple(t.coeff[0] if j == component else 0.0 for j in range(d)))
-            for t in fn.atoms)
-        return replace(fn, atoms=atoms, d=d)
+        coeffs = np.zeros((len(fn.radii), d))
+        coeffs[:, component] = fn.coeffs[:, 0]
+        return replace(fn, coeffs=coeffs, d=d)
 
 
 def _angular_moment(*half: int) -> float:
@@ -200,11 +199,12 @@ def _solve_coefficients(n: int, k: int) -> Dict[Tuple[int, ...], float]:
 
 
 def _assemble(n: int, coeffs: Dict[Tuple[int, ...], float]) -> TestFn:
-    atoms = []
-    for xi, c in coeffs.items():
-        kind = cores.BUMP if sum(xi) == 0 else cores.BUMP_MONOMIAL
-        atoms.append(CoreAtom(kind, xi if sum(xi) else None, (0.0,) * n, 1.0, (c,)))
-    return TestFn(n, 1, tuple(atoms), (0.0,) * n, 1.0, label="moment_kernel")
+    """The sum of c bump(x) x^xi over the coefficients: one atom each, on B(0, 1)."""
+    kinds = tuple((cores.BUMP_MONOMIAL, xi) if sum(xi) else (cores.BUMP, None) for xi in coeffs)
+    count = len(kinds)
+    return TestFn(n, 1, kinds, np.arange(count), np.zeros((count, n)), np.ones(count),
+                  np.array(list(coeffs.values()), dtype=float).reshape(count, 1),
+                  (0.0,) * n, 1.0, label="moment_kernel")
 
 
 def _verify_residuals(n: int, k: int, fn: TestFn) -> Dict[Tuple[int, ...], float]:

@@ -7,6 +7,15 @@ prefactor recursion in :mod:`ptdiff.cores`, so integration by parts
 downstream is exact.  A derivative view D^o phi is a TestFn as well: the
 same atoms with offset o, whose D^xi is the atoms' D^(xi + o).
 
+The atoms are one table, not one object each: each atom's index into the
+function's distinct (kind, core multi-index) pairs, and read-only arrays
+of centers (A, n), radii (A,) and coefficients (A, d).  ``rescale`` and
+``scaled_by`` are array operations on the table, with the float
+operations of the per-atom code (a + r * center, r * radius, c * coeff),
+and ``StackedFns.of`` joins the tables of its jobs.  ``TestFn.atoms``
+builds ``CoreAtom``s from the table on demand, for readers outside the
+evaluation.
+
 One evaluator, ``eval_stacked``, evaluates every test function: it takes
 many jobs, each M (test function, derivative) columns, and gives the
 values of every column of each point's job.  ``TestFn.eval_deriv`` is its
@@ -30,28 +39,37 @@ candidates, each block whole runs but for the runs cut at its two edges,
 which bounds the temporaries whatever the batch.  A pair is kept when
 |u|^2 < 1 - BOUNDARY_CLAMP for the point u in the atom's core
 coordinates, the test ``core_eval`` makes, and the kept pairs of a block
-go to ``core_eval`` in one call per core group.
+go to ``core_eval`` in one call per core group, with their |u|^2.
 
-Core coordinates (x - center) / radius are built one coordinate at a time
-by ``run_coords``, each center and radius repeated over its run of
-points: a row index of a (points, n) array is far slower than a 1-D index
-of each coordinate.
+The culled search and blocks work in block arrays
+(``quadrature.block_array``): the sort keys of the points, and per block
+the pairs' atoms, points, core coordinates, |u|^2, values and terms, with
+``core_eval``'s own for its part.  They are kept from block to block and
+call to call, so the blocks of a repeated evaluation fault in no new
+pages.  What a call still allocates is the points' order (one array per
+call) and per block the runs' index as 32-bit integers and, when some
+pairs are outside, the kept pairs' index.
+
+Core coordinates (x - center) / radius are built one coordinate at a time,
+each center and radius repeated over its run of points (``run_coords``)
+or taken per pair: a row index of a (points, n) array is far slower than
+a 1-D index of each coordinate.
 
 The result is bit-identical to summing each function's atoms one by one
 over all points: a term is (scale * value) * coeff on both paths, the
-radius power is a Python float power per atom, and both paths add each
-point's terms in atom order (``np.add.at`` over atom-major pairs, block
-after block, for the sorted points).  The pairs the search skips added
-exact zeros, which change no sum, and so do the points that are not
-finite, where every atom is 0.  So a point's value never depends on its
-batch, nor on the block: the blocks, one size for every large evaluation
-(``quadrature``'s block contract), bound the temporaries only.
+radius power is a Python float power per distinct radius, and both paths
+add each point's terms in atom order (``np.add.at`` over atom-major
+pairs, block after block, for the sorted points).  The pairs the search
+skips added exact zeros, which change no sum, and so do the points that
+are not finite, where every atom is 0.  So a point's value never depends
+on its batch, nor on the block: the blocks, one size for every large
+evaluation (``quadrature``'s block contract), bound the temporaries only.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import List, Optional, Sequence, Tuple
 
@@ -59,7 +77,7 @@ import numpy as np
 
 from . import cores, quadrature
 from .cores import UnsupportedOrderError
-from .quadrature import job_runs, run_points
+from .quadrature import block_array, job_runs, run_points
 from .tensor import MultiIndex, opnorms, xi_set, zero_index
 
 DEFAULT_MAX_DERIV_ORDER = 6
@@ -69,6 +87,7 @@ SCREEN_DIRECTIONS = 64
 SCREEN_CANDIDATES = 64
 # most bins per axis of the candidate search
 MAX_BINS = 1024
+_TINY = np.finfo(float).tiny  # the smallest positive normal float
 
 
 @dataclass(frozen=True)
@@ -82,24 +101,75 @@ class CoreAtom:
     coeff: Tuple[float, ...]
 
 
-@dataclass(frozen=True)
+class ScaleError(ValueError):
+    """A rescaling outside the float range: a radius that is not a finite
+    positive normal float, or a derivative scale radius^-|xi| that overflows."""
+
+
+_TABLE = ("kind", "centers", "radii", "coeffs")  # the fields that are arrays
+_BALL = frozenset(("centers", "radii", "support_center", "support_radius"))  # what ball reads
+
+
+@dataclass(frozen=True, eq=False)
 class TestFn:
     """The sum of its atoms, or with an offset the derivative view
     D^offset of that sum: D^xi of a view is the sum's D^(xi + offset), and
     its ``max_deriv_order`` is what the sum has left.  ``rescale`` and
     ``scaled_by`` act on the atoms; a view stays D^offset of the result.
+
+    The atoms are one table of A rows: atom a is coeffs[a] times the core
+    kinds[kind[a]] = (kind, core multi-index) on the ball B(centers[a],
+    radii[a]).  The arrays are read-only, and ``TestFn.of`` builds the table
+    from ``CoreAtom``s.  Two test functions are equal when every field is.
     """
 
     __test__ = False  # a test function, not a test class for pytest to collect
 
     n: int
     d: int
-    atoms: Tuple[CoreAtom, ...]
+    kinds: Tuple[Tuple[str, Optional[Tuple[int, ...]]], ...]  # distinct (kind, core_xi)
+    kind: np.ndarray  # (A,) index into kinds
+    centers: np.ndarray  # (A, n)
+    radii: np.ndarray  # (A,)
+    coeffs: np.ndarray  # (A, d)
     support_center: Tuple[float, ...]
     support_radius: float
     max_deriv_order: int = DEFAULT_MAX_DERIV_ORDER
     label: str = ""
     offset: Optional[MultiIndex] = None  # the derivative of the atoms' sum; None: none
+
+    def __post_init__(self):
+        for name in _TABLE:
+            table = getattr(self, name)
+            if table.flags.writeable:
+                table = table.view()
+                table.flags.writeable = False
+                object.__setattr__(self, name, table)
+
+    @classmethod
+    def of(cls, n: int, d: int, atoms: Sequence[CoreAtom], support_center, support_radius: float,
+           max_deriv_order: int = DEFAULT_MAX_DERIV_ORDER, label: str = "") -> "TestFn":
+        """The sum of the atoms."""
+        specs = [(a.kind, a.core_xi) for a in atoms]
+        kinds = tuple(dict.fromkeys(specs))
+        return cls(n, d, kinds, np.array([kinds.index(s) for s in specs], dtype=np.intp),
+                   np.array([a.center for a in atoms], dtype=float).reshape(-1, n),
+                   np.array([a.radius for a in atoms], dtype=float),
+                   np.array([a.coeff for a in atoms], dtype=float).reshape(-1, d),
+                   tuple(support_center), support_radius, max_deriv_order, label)
+
+    @property
+    def atoms(self) -> Tuple[CoreAtom, ...]:
+        """The table's rows as ``CoreAtom``s, built on each call."""
+        return tuple(CoreAtom(*self.kinds[k], tuple(c), r, tuple(w)) for k, c, r, w in zip(
+            self.kind.tolist(), self.centers.tolist(), self.radii.tolist(), self.coeffs.tolist()))
+
+    def __eq__(self, other):
+        if not isinstance(other, TestFn):
+            return NotImplemented
+        return all(np.array_equal(getattr(self, f.name), getattr(other, f.name))
+                   if f.name in _TABLE else getattr(self, f.name) == getattr(other, f.name)
+                   for f in fields(TestFn))
 
     def eval_deriv(self, xi, x) -> np.ndarray:
         """D^xi phi at one point (n,), values (d,), or at points (npts, n),
@@ -123,42 +193,81 @@ class TestFn:
     def ball(self):
         """(center, radius, support center, support radius) when all atoms
         share one ball (one atom, moment kernels), or None."""
-        if not self.atoms or len({(a.center, a.radius) for a in self.atoms}) > 1:
+        c, r = self.centers, self.radii
+        if not len(r) or not ((c == c[0]).all() and (r == r[0]).all()):
             return None
-        first = self.atoms[0]
-        return first.center, first.radius, self.support_center, self.support_radius
+        return tuple(c[0].tolist()), float(r[0]), self.support_center, self.support_radius
 
     def __call__(self, x) -> np.ndarray:
         return self.eval_deriv(zero_index(self.n), x)
 
+    def _with(self, **changes) -> "TestFn":
+        """This function with some fields changed, copied without a pass
+        through __init__: the new arrays, the caller's own, are made
+        read-only here, and the cached ball is kept unless what it reads
+        changed."""
+        new = object.__new__(TestFn)
+        new.__dict__.update(self.__dict__)
+        new.__dict__.update(changes)
+        for name in _TABLE:
+            if name in changes:
+                changes[name].flags.writeable = False
+        if not _BALL.isdisjoint(changes):
+            new.__dict__.pop("ball", None)
+        return new
+
     def rescale(self, a, r: float) -> "TestFn":
-        """x -> phi((x - a) / r); derivatives pick up the exact r^{-|xi|}."""
-        if r <= 0:
-            raise ValueError("rescale radius must be positive")
+        """x -> phi((x - a) / r); derivatives pick up the exact r^{-|xi|}.
+
+        r and every rescaled atom radius must be finite positive normal
+        floats: below that range the radius powers lose their precision.
+        """
+        radii = r * self.radii
+        if not (_TINY <= r < np.inf and _TINY <= np.minimum.reduce(radii, initial=1.0)
+                and np.maximum.reduce(radii, initial=1.0) < np.inf):
+            raise ScaleError(f"rescaling by {float(r)!r} takes the atom radii "
+                             f"{float(self.radii.min(initial=1.0))!r} ... "
+                             f"{float(self.radii.max(initial=1.0))!r} out of the normal float "
+                             f"range")
         a = np.asarray(a, dtype=float).reshape(self.n)
-        atoms = tuple(
-            replace(t, center=tuple(a + r * np.asarray(t.center)), radius=r * t.radius)
-            for t in self.atoms)
-        return replace(
-            self, atoms=atoms,
-            support_center=tuple(a + r * np.asarray(self.support_center)),
-            support_radius=r * self.support_radius)
+        return self._with(centers=a + r * self.centers, radii=radii,
+                          support_center=tuple(a + r * np.asarray(self.support_center)),
+                          support_radius=r * self.support_radius)
 
     def scaled_by(self, c: float) -> "TestFn":
-        atoms = tuple(replace(t, coeff=tuple(c * np.asarray(t.coeff))) for t in self.atoms)
-        return replace(self, atoms=atoms)
+        return self._with(coeffs=c * self.coeffs)
 
     def derivative_view(self, xi: MultiIndex) -> "TestFn":
         """D^xi of this function, as a view of the same atoms."""
-        return replace(self, offset=xi if self.offset is None else self.offset + xi,
-                       max_deriv_order=self.max_deriv_order - xi.order)
+        return self._with(offset=xi if self.offset is None else self.offset + xi,
+                          max_deriv_order=self.max_deriv_order - xi.order)
+
+
+def _scales(fn: TestFn, order: int) -> np.ndarray:
+    """radius ** -order of each atom of fn: a Python float power per distinct
+    radius, as numpy's fast paths of a power may round differently."""
+    if fn.ball:  # one radius
+        distinct, which = [fn.ball[1]], np.zeros(len(fn.radii), np.intp)
+    else:
+        distinct, which = np.unique(fn.radii, return_inverse=True)
+        distinct = distinct.tolist()
+    try:
+        powers = np.array([r ** -order for r in distinct])
+    except OverflowError:  # first at the smallest radius
+        raise ScaleError(f"the derivative scale radius^-{order} overflows for the radius "
+                         f"{distinct[0]!r}") from None
+    return powers[which]
+
+
+def _joined(arrays: list) -> np.ndarray:
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
 
 
 @dataclass(frozen=True)
 class StackedFns:
-    """The atoms of many jobs as arrays, job-major and column-major within
-    a job: column c of job j is D^xi phi for its c-th (phi, xi), and every
-    job has m columns.
+    """The atoms of many jobs as one table, job-major and column-major
+    within a job: column c of job j is D^xi phi for its c-th (phi, xi), and
+    every job has m columns.
 
     A job whose atoms all share one ball has a layout: its atoms' core
     specs (kind, core multi-index, derivative) and columns, in atom order.
@@ -189,33 +298,44 @@ class StackedFns:
         jobs = [[job] if isinstance(job[-1], MultiIndex) else list(job) for job in jobs]
         if len({len(cols) for cols in jobs}) > 1:
             raise ValueError("every job of a stack must have the same number of columns")
-        rows, keys, layouts = [], {}, {}  # keys: distinct (kind, core_xi, xi) -> group
-        layout, first = [], []
-        for j, cols in enumerate(jobs):
-            first.append(len(rows))
-            for c, (fn, xi) in enumerate(cols):
-                if xi.order > fn.max_deriv_order:
-                    raise UnsupportedOrderError(f"derivative order {xi.order} exceeds "
+        keys, layouts = {}, {}  # keys: distinct (kind, core_xi, xi) -> group
+        fns, orders, group, layout = [], [], [], []  # per column, but layout: per job
+        for cols in jobs:
+            for fn, xi in cols:
+                order = xi.order
+                if order > fn.max_deriv_order:
+                    raise UnsupportedOrderError(f"derivative order {order} exceeds "
                                                 f"configured bound {fn.max_deriv_order}")
                 if fn.offset is not None:
                     xi = xi + fn.offset
-                rows += [(a.center, a.radius, a.coeff, a.radius ** (-xi.order),
-                          keys.setdefault((a.kind, a.core_xi, xi), len(keys)), j, c)
-                         for a in fn.atoms]
-            mine = rows[first[-1]:]
-            one = len({row[:2] for row in mine}) == 1  # every atom on one ball
-            layout.append(layouts.setdefault(tuple((row[4], row[6]) for row in mine),
-                                             len(layouts)) if one else -1)
+                    order = xi.order
+                fns.append(fn)
+                orders.append(order)
+                group.append(np.array([keys.setdefault((kind, core, xi), len(keys))
+                                       for kind, core in fn.kinds], dtype=np.intp)[fn.kind])
+            # the balls of the columns' atoms: a layout when there is one
+            balls = {fn.ball[:2] if fn.ball else None for fn, _ in cols if len(fn.radii)}
+            if len(balls) != 1 or None in balls:
+                layout.append(-1)
+                continue
+            key = tuple((g, c) for c, mine in enumerate(group[-len(cols):]) for g in mine.tolist())
+            layout.append(layouts.setdefault(key, len(layouts)))
         specs = []
         for key in layouts:
             used = list(dict.fromkeys(g for g, _ in key))
             specs.append((tuple(used), tuple((used.index(g), c) for g, c in key)))
-        n, d = jobs[0][0][0].n, jobs[0][0][0].d
-        arrays = [np.array(col) for col in zip(*rows)] if rows else [  # no atom: zero functions
-            np.zeros((0, n)), np.zeros(0), np.zeros((0, d)), np.zeros(0),
-            np.zeros(0, np.intp), np.zeros(0, np.intp), np.zeros(0, np.intp)]
-        return cls(n, d, len(jobs[0]), *arrays[:4], tuple(keys), *arrays[4:], tuple(specs),
-                   np.array(layout, dtype=np.intp), np.array(first, dtype=np.intp))
+        count = np.array([len(fn.radii) for fn in fns], dtype=np.intp)  # atoms per column
+        m = len(jobs[0])
+        start = (count.cumsum() - count).tolist()
+        scale = np.ones(int(count.sum()))  # radius ** -|xi|, 1 for |xi| = 0
+        for c, order in enumerate(orders):
+            if order:
+                scale[start[c]:start[c] + len(fns[c].radii)] = _scales(fns[c], order)
+        column = np.arange(len(fns)).repeat(count)
+        return cls(fns[0].n, fns[0].d, m, _joined([fn.centers for fn in fns]),
+                   _joined([fn.radii for fn in fns]), _joined([fn.coeffs for fn in fns]),
+                   scale, tuple(keys), _joined(group), column // m, column % m,
+                   tuple(specs), np.array(layout, dtype=np.intp), np.array(start[::m]))
 
 
 def eval_stacked(st: StackedFns, pts: np.ndarray, job: np.ndarray) -> np.ndarray:
@@ -254,7 +374,8 @@ def eval_stacked(st: StackedFns, pts: np.ndarray, job: np.ndarray) -> np.ndarray
                 out[c, p] += value[:, None] * np.repeat(coeffs[:, t], size, axis=0)
     culled = layout < 0
     if culled.any():
-        _culled_sums(st, pts, job, run_points(starts[culled], lengths[culled]), out)
+        _culled_sums(st, pts, job, None if culled.all() else
+                     run_points(starts[culled], lengths[culled]), out)
     return out.transpose(1, 0, 2)
 
 
@@ -276,58 +397,109 @@ def run_coords(pts: np.ndarray, p, centers: np.ndarray, radii: np.ndarray,
 
 def _culled_sums(st: StackedFns, pts: np.ndarray, job: np.ndarray, idx: np.ndarray,
                  out: np.ndarray) -> None:
-    """Add into out (m, npts, d) the values at the points idx, whose jobs'
-    atoms are culled: each atom only at its candidate points from
-    ``_box_runs``.  Points that are not finite are left out: every atom is
-    0 there, and no bin holds them.
+    """Add into out (m, npts, d) the values at the points idx (None: every
+    point), whose jobs' atoms are culled: each atom only at its candidate
+    points from ``_box_runs``.  Points that are not finite are left out:
+    every atom is 0 there, and no bin holds them.
 
     The candidates are taken ``quadrature.BLOCK_POINTS`` at a time, in run
-    order, each block's runs cut at its edges, so a block's temporaries are
-    a small multiple of BLOCK_POINTS entries (per pair n coordinates,
-    |u|^2, d terms and a few indices), whatever the batch.
+    order, each block's runs cut at its edges.  A block works in block
+    arrays (``quadrature.block_array``) of at most BLOCK_POINTS entries per
+    pair (n coordinates, |u|^2, d terms and a few indices), and so does the
+    core evaluation of its kept pairs, which reuses their |u|^2: the blocks
+    of every call share one bounded set of arrays, whatever the batch.
     """
-    sub = slice(None) if len(idx) == len(pts) else idx  # the points are every point
-    cols = [pts[:, a][sub] for a in range(st.n)]
+    if idx is None:  # every point
+        cols, point_job = [pts[:, a] for a in range(st.n)], job
+    else:
+        cols = [_take(pts[:, a], idx, f"testfn.col{a}") for a in range(st.n)]
+        point_job = _take(job, idx, "testfn.job")
     finite = np.isfinite(cols[0])
     for x in cols[1:]:
         finite &= np.isfinite(x)
     if not finite.all():
-        idx = sub = idx[finite]
-        cols = [x[finite] for x in cols]
+        idx = np.flatnonzero(finite) if idx is None else idx[finite]
+        cols, point_job = [x[finite] for x in cols], point_job[finite]
         if not idx.size:
             return
-    counts = np.bincount(job[sub], minlength=len(st.layout))  # points per job
+    counts = np.bincount(point_job, minlength=len(st.layout))  # points per job
     cull = np.flatnonzero((counts[st.job] > 0) & (st.layout[st.job] < 0))
     perm, run_atom, run_start, run_len = _box_runs(st.centers[cull], st.radii[cull], cols,
-                                                   job[sub], st.job[cull])
-    perm, run_atom = idx[perm], cull[run_atom]
+                                                   point_job, st.job[cull])
+    if idx is not None:
+        perm = _take(idx, perm, "testfn.perm")
+    run_atom = cull[run_atom]
     ends = np.cumsum(run_len)
     begins = ends - run_len
     total = int(ends[-1]) if ends.size else 0
     block = quadrature.BLOCK_POINTS
+    n, d = st.n, st.d
     for first in range(0, total, block):
         last = min(first + block, total)
         runs = slice(np.searchsorted(ends, first, side="right"), np.searchsorted(begins, last))
         cut = np.maximum(begins[runs], first)
         size = np.minimum(ends[runs], last) - cut
-        p = perm[run_points(run_start[runs] + (cut - begins[runs]), size)]
-        atom = run_atom[runs]
-        u = run_coords(pts, p, st.centers[atom], st.radii[atom], size)
-        # the kept pairs, by index along the points axis: (n, kept)
-        keep = np.flatnonzero(cores.sq_norms(u) < 1.0 - cores.BOUNDARY_CLAMP)
-        atom, p, u = np.repeat(atom, size)[keep], p[keep], u.T.take(keep, axis=1)
-        group = st.group[atom]
-        used = np.flatnonzero(np.bincount(group, minlength=len(st.groups)))
-        vals = np.empty(len(atom))
+        # each candidate's run, atom and point; the runs repeated as 32-bit
+        # integers, half a block array in size: no block-sized allocation
+        run = block_array("testfn.run", last - first, np.intp)
+        np.copyto(run, np.arange(len(size), dtype=np.int32).repeat(size))
+        atom = _take(run_atom[runs], run, "testfn.atom")
+        p = _take(run_start[runs] + (cut - begins[runs]) - (np.cumsum(size) - size), run,
+                  "testfn.at")
+        p += np.arange(len(run), dtype=np.int32)
+        p = _take(perm, p, "testfn.point")
+        # core coordinates (x - center) / radius, coordinate by coordinate,
+        # and their |u|^2 in column order, as ``cores.sq_norms``
+        u, s = block_array("testfn.u", (n, len(p))), block_array("testfn.sq", len(p))
+        for a in range(n):
+            np.subtract(_take(pts[:, a], p, "testfn.x"),
+                        _take(st.centers[:, a], atom, "testfn.center"), out=u[a])
+        np.divide(u, _take(st.radii, atom, "testfn.radius"), out=u)
+        np.multiply(u[0], u[0], out=s)
+        for a in range(1, n):
+            s += np.multiply(u[a], u[a], out=block_array("testfn.x", len(p)))
+        # the kept pairs, |u|^2 < 1 - BOUNDARY_CLAMP as ``core_eval`` tests,
+        # by index along the points axis
+        inside = np.less(s, 1.0 - cores.BOUNDARY_CLAMP, out=block_array("testfn.inside", len(s),
+                                                                         bool))
+        if np.count_nonzero(inside) < len(p):
+            keep = np.flatnonzero(inside)
+            u = u.take(keep, axis=1, out=block_array("testfn.u_kept", (n, len(keep))),
+                       mode="clip")
+            s, p = _take(s, keep, "testfn.sq_kept"), _take(p, keep, "testfn.point_kept")
+            atom = _take(atom, keep, "testfn.atom_kept")
+        vals = block_array("testfn.vals", len(p))
+        group = _take(st.group, atom, "testfn.group") if len(st.groups) > 1 else None
+        used = [0] if group is None else np.flatnonzero(np.bincount(group,
+                                                                    minlength=len(st.groups)))
         for g in used:
-            sel = slice(None) if len(used) == 1 else np.flatnonzero(group == g)
-            vals[sel] = cores.core_eval(st.n, *st.groups[g], u[:, sel].T)
-        # flat indices add each (column, point, component) in pair order,
-        # like rows would; column c's rows start at c * npts
-        terms = (st.scale[atom] * vals)[:, None] * st.coeffs.take(atom, axis=0)
-        row = p if st.m == 1 else st.col[atom] * len(pts) + p
-        np.add.at(out.reshape(-1), (row[:, None] * st.d + np.arange(st.d)).reshape(-1),
-                  terms.reshape(-1))
+            if len(used) == 1:
+                cores.core_eval(n, *st.groups[g], u.T, out=vals, sq=s)
+            else:
+                sel = np.flatnonzero(group == g)
+                vals[sel] = cores.core_eval(n, *st.groups[g], u[:, sel].T, sq=s[sel])
+        # each term (scale * value) * coeff; flat indices add each (column,
+        # point, component) in pair order, like rows would; column c's rows
+        # start at c * npts
+        scale = np.multiply(_take(st.scale, atom, "testfn.scale"), vals, out=vals)
+        terms = st.coeffs.take(atom, axis=0, out=block_array("testfn.terms", (len(p), d)),
+                               mode="clip")
+        np.multiply(scale[:, None], terms, out=terms)
+        row = p
+        if st.m > 1:
+            row = _take(st.col, atom, "testfn.row")
+            row *= len(pts)
+            row += p
+        if d > 1:
+            flat = np.multiply(row[:, None], d, out=block_array("testfn.flat", (len(row), d),
+                                                                np.intp))
+            row = np.add(flat, np.arange(d), out=flat)
+        np.add.at(out.reshape(-1), row.reshape(-1), terms.reshape(-1))
+
+
+def _take(a: np.ndarray, index: np.ndarray, name: str) -> np.ndarray:
+    """a[index] into the block array of that name, for indices in range."""
+    return np.take(a, index, out=block_array(name, len(index), a.dtype), mode="clip")
 
 
 def _box_runs(centers: np.ndarray, radii: np.ndarray, cols: Sequence[np.ndarray],
@@ -349,12 +521,17 @@ def _box_runs(centers: np.ndarray, radii: np.ndarray, cols: Sequence[np.ndarray]
     width = np.maximum(np.min(radii, initial=np.inf) / 4.0, (hi - lo)[:-1] / (MAX_BINS - 1))
     nbins = np.floor((hi - lo)[:-1] / width) + 1
     stride = 2.0 * (hi[-1] - lo[-1]) + 1.0
-    point_bin = point_job.astype(float)
+    keys = block_array("testfn.keys", len(point_job))
+    keys[:] = point_job  # the leading bin
     for j in range(n - 1):
-        point_bin = point_bin * nbins[j] + np.floor((cols[j] - lo[j]) / width[j])
-    keys = cols[-1] + stride * point_bin
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
+        axis_bin = np.subtract(cols[j], lo[j], out=block_array("testfn.bin", len(keys)))
+        keys *= nbins[j]
+        keys += np.floor(np.divide(axis_bin, width[j], out=axis_bin), out=axis_bin)
+    keys *= stride
+    keys += cols[-1]
+    # any order of equal keys will do: a point's terms come atom after atom
+    order = np.argsort(keys)
+    keys = _take(keys, order, "testfn.sorted_keys")
 
     # bins first[j] .. first[j] + size[j] - 1 of each atom's box on axis j
     first, sizes = [], []
@@ -381,25 +558,31 @@ def _box_runs(centers: np.ndarray, radii: np.ndarray, cols: Sequence[np.ndarray]
 
 def standard_bump(n: int, d: int = 1, direction: int = 0,
                   max_deriv_order: int = DEFAULT_MAX_DERIV_ORDER, label: str = "bump") -> TestFn:
-    coeff = tuple(1.0 if j == direction else 0.0 for j in range(d))
-    atom = CoreAtom(cores.BUMP, None, (0.0,) * n, 1.0, coeff)
-    return TestFn(n, d, (atom,), (0.0,) * n, 1.0, max_deriv_order, label)
+    return _one_atom(n, d, direction, (cores.BUMP, None), max_deriv_order, label)
 
 
 def bump_monomial(n: int, xi: Tuple[int, ...], d: int = 1, direction: int = 0,
                   max_deriv_order: int = DEFAULT_MAX_DERIV_ORDER) -> TestFn:
-    coeff = tuple(1.0 if j == direction else 0.0 for j in range(d))
-    atom = CoreAtom(cores.BUMP_MONOMIAL, tuple(xi), (0.0,) * n, 1.0, coeff)
-    return TestFn(n, d, (atom,), (0.0,) * n, 1.0, max_deriv_order, f"bump*x^{tuple(xi)}")
+    return _one_atom(n, d, direction, (cores.BUMP_MONOMIAL, tuple(xi)), max_deriv_order,
+                     f"bump*x^{tuple(xi)}")
+
+
+def _one_atom(n: int, d: int, direction: int, kind, max_deriv_order: int, label: str) -> TestFn:
+    """The core kind = (kind, core_xi) on B(0, 1), valued in e_direction."""
+    coeffs = np.zeros((1, d))
+    coeffs[0, direction] = 1.0
+    return TestFn(n, d, (kind,), np.zeros(1, np.intp), np.zeros((1, n)), np.ones(1), coeffs,
+                  (0.0,) * n, 1.0, max_deriv_order, label)
 
 
 def _sum_of_bumps(n: int, d: int, terms: Sequence[Tuple[np.ndarray, float, float]],
                   direction: int, label: str) -> TestFn:
-    atoms = []
-    for center, radius, weight in terms:
-        coeff = tuple(weight if j == direction else 0.0 for j in range(d))
-        atoms.append(CoreAtom(cores.BUMP, None, tuple(np.asarray(center, float)), radius, coeff))
-    return TestFn(n, d, tuple(atoms), (0.0,) * n, 1.0, DEFAULT_MAX_DERIV_ORDER, label)
+    coeffs = np.zeros((len(terms), d))
+    coeffs[:, direction] = [weight for _, _, weight in terms]
+    return TestFn(n, d, ((cores.BUMP, None),), np.zeros(len(terms), np.intp),
+                  np.array([center for center, _, _ in terms], dtype=float).reshape(-1, n),
+                  np.array([radius for _, radius, _ in terms], dtype=float), coeffs,
+                  (0.0,) * n, 1.0, DEFAULT_MAX_DERIV_ORDER, label)
 
 
 def _plateau_terms(n: int, width: float, signed_axis: Optional[int] = None):
@@ -544,8 +727,8 @@ def _candidate_stream(n: int, d: int, seed: int):
             c = np.zeros(n)
             c[j] = 0.5 * sign
             b = standard_bump(n, d)
-            yield replace(b.rescale(c, 0.5), label=f"half_axis{j}{'+' if sign > 0 else '-'}",
-                          support_center=tuple(c), support_radius=0.5)
+            yield b.rescale(c, 0.5)._with(label=f"half_axis{j}{'+' if sign > 0 else '-'}",
+                                          support_center=tuple(c), support_radius=0.5)
     for width in (0.2, 0.1, 0.05):
         terms = _plateau_terms(n, width)
         if terms:
@@ -583,5 +766,5 @@ def make_dictionary(n: int, d: int, i: int, size: int, seed: int) -> ProbeDictio
         nu = seminorm(cand, i)
         if nu <= 0:
             continue
-        members.append(replace(cand.scaled_by(1.0 / nu), label=cand.label))
+        members.append(cand.scaled_by(1.0 / nu))
     return ProbeDictionary(n, d, i, size, seed, tuple(members))

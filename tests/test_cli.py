@@ -306,6 +306,18 @@ class TestNumericalFailures:
         assert code == 3
         assert "singularity" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["jet", "--item", "exp", "--k", "3", "--grid", "1e-150,3"],
+        ["classify", "--item", "heaviside", "--k", "0", "--grid", "1e-307,10", "--dict", "12,1"],
+    ], ids=["jet-scale-overflows", "classify-radii-underflow"])
+    def test_radius_grid_below_the_float_range(self, tmp_path, capsys, argv):
+        # r^-3 at r = 1e-150 overflows, and plateau atoms rescaled by about
+        # 1e-307 leave the normal floats: an input error with a message
+        code = exit_code(argv + ["--point", "0", "--out", str(tmp_path)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and ("overflows" in err or "normal float" in err)
+
     def test_nonconvergence_is_inconclusive(self, tmp_path, capsys, monkeypatch):
         from ptdiff import poincare
         from ptdiff.quadrature import QuadratureNonConvergence

@@ -1,12 +1,11 @@
 """Atom pairing engine: delta rules, integration by parts, locality, dual norm."""
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from ptdiff import (MultiIndex, PolyJet, QuadratureConfig, delta_distribution,
+from ptdiff import (MultiIndex, PolyJet, QuadratureConfig, TestFn, delta_distribution,
                     derivative, dual_norm, function_distribution, make_dictionary,
                     pair, pair_many, polynomial_distribution, standard_bump, subtract_jet)
 
@@ -15,7 +14,8 @@ BUMP_MASS_1D = 0.4439938161680793
 
 def plus(f, g):
     """f + g for a test function g supported inside f's support ball."""
-    return replace(f, atoms=f.atoms + g.atoms)
+    return TestFn.of(f.n, f.d, f.atoms + g.atoms, f.support_center, f.support_radius,
+                     f.max_deriv_order, f.label)
 
 
 class TestPair:

@@ -149,6 +149,26 @@ class TestClassify:
                            config=fast_classifier())
             assert rep.verdict == CONFIRMED, i
 
+    @pytest.mark.parametrize("broken", ["value", "bound"])
+    def test_non_finite_envelope_is_inconclusive(self, monkeypatch, dict_cache, broken):
+        # a NaN envelope or an infinite noise floor fails every comparison,
+        # which once read as "below the noise floor at every radius": confirmed
+        from ptdiff import jetestimator
+        from ptdiff.distribution import PairingResult
+
+        bad = PairingResult(math.nan, 0.0, 1) if broken == "value" else \
+            PairingResult(1.0, math.inf, 1)
+
+        def non_finite(pairs, config=None, strict=True):
+            return [tuple(bad for _ in phi) if isinstance(phi, tuple) else bad
+                    for _, phi in pairs]
+
+        monkeypatch.setattr(jetestimator, "pair_many", non_finite)
+        T = function_distribution(1, "heaviside(x1)")
+        rep = classify(T, [0.0], 0, probes=dict_cache(1, 1, 0, 6, 0),
+                       jet=PolyJet.from_coeff_map(1, [0.0], {(0,): 0.5}))
+        assert rep.verdict == INCONCLUSIVE and rep.beta_hat is None
+
     def test_report_rows_schema(self, fast_classifier):
         T = function_distribution(1, "sq" and "x1^2")
         rep = classify(T, [0.0], 1, config=fast_classifier())

@@ -1,6 +1,7 @@
 """Bump-based test functions: derivatives, rescaling, seminorms, dictionaries."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -151,7 +152,7 @@ def _mixed_kinds():
            standard_bump(2).rescale([-0.3, 0.25], 0.5),
            bump_monomial(2, (0, 2)).rescale([0.1, 0.3], 0.4))
     # every support ball lies in B(0, 1)
-    return TestFn(2, 1, sum((f.atoms for f in fns), ()), (0.0, 0.0), 1.0)
+    return TestFn.of(2, 1, sum((f.atoms for f in fns), ()), (0.0, 0.0), 1.0)
 
 
 BATCH_PROBES = {
@@ -475,6 +476,114 @@ class TestRescale:
         got = scaled.eval_deriv(MultiIndex((2,)), xs[:, None])[:, 0]
         ref = b.eval_deriv(MultiIndex((2,)), inner)[:, 0] / r ** 2
         np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-14)
+
+
+    @pytest.mark.parametrize("r", [math.nan, math.inf, 0.0, -0.5, 1e-310])
+    def test_radius_outside_the_normal_floats_rejected(self, r):
+        with pytest.raises(testfn.ScaleError):
+            standard_bump(1).rescale([0.0], r)
+
+    def test_rescaled_atom_radius_below_the_normal_floats_rejected(self):
+        plateau = _probe(1, "plateau_w0.05")  # atoms of radius 0.05
+        assert plateau.rescale([0.0], 1e-300).radii.min() == 0.05 * 1e-300
+        with pytest.raises(testfn.ScaleError):
+            plateau.rescale([0.0], 1e-307)
+
+    def test_derivative_scale_overflow_rejected(self):
+        b = standard_bump(1).rescale([0.0], 1e-150)
+        assert np.isfinite(b.eval_deriv(MultiIndex((2,)), [0.0])).all()  # 1e300 r^-2
+        with pytest.raises(testfn.ScaleError):
+            b.eval_deriv(MultiIndex((3,)), [0.0])
+
+
+def _old_rescale(atoms, a, r):
+    """The per-atom rescale the atom table replaced: the reference."""
+    a = np.asarray(a, dtype=float)
+    return tuple(replace(t, center=tuple(a + r * np.asarray(t.center)), radius=r * t.radius)
+                 for t in atoms)
+
+
+def _old_scaled_by(atoms, c):
+    return tuple(replace(t, coeff=tuple(c * np.asarray(t.coeff))) for t in atoms)
+
+
+def _old_directed(atoms, d, component):
+    return tuple(replace(t, coeff=tuple(t.coeff[0] if j == component else 0.0 for j in range(d)))
+                 for t in atoms)
+
+
+def _old_rows(jobs):
+    """The per-atom rows (center, radius, coeff, radius ** -|xi|, group, job,
+    column) of StackedFns.of as arrays, and its groups: the reference.
+    Each job is a list of columns (atoms, offset, xi)."""
+    rows, keys = [], {}
+    for j, cols in enumerate(jobs):
+        for c, (atoms, offset, xi) in enumerate(cols):
+            if offset is not None:
+                xi = xi + offset
+            rows += [(a.center, a.radius, a.coeff, a.radius ** (-xi.order),
+                      keys.setdefault((a.kind, a.core_xi, xi), len(keys)), j, c) for a in atoms]
+    return [np.array(col) for col in zip(*rows)], tuple(keys)
+
+
+def _same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    return got.shape == want.shape and got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+class TestAtomTable:
+    """A test function's atom table against the per-atom code it replaced,
+    bit for bit: rescale, scaled_by, directed kernels, derivative views and
+    the rows of StackedFns.of."""
+
+    @pytest.fixture(scope="class")
+    def pairs(self, dict_cache, kernel_cache):
+        """(table function, reference atoms), the same function both ways."""
+        members = [m for i in range(3) for m in dict_cache(1, 1, i, 12, 1).members]
+        members += dict_cache(2, 1, 0, 15, 0).members
+        kernels = [kernel_cache(n, k) for n, k in ((1, 3), (1, 4), (2, 2))]
+        rng = np.random.default_rng(5)
+        out = []
+        for fn in members + [k.testfn for k in kernels]:
+            a, r = rng.uniform(-1, 1, fn.n), float(rng.uniform(0.01, 2.0))
+            c = float(rng.uniform(-3, 3))
+            out.append((fn.rescale(a, r).scaled_by(c),
+                        _old_scaled_by(_old_rescale(fn.atoms, a, r), c)))
+        for k in kernels:
+            a, r = rng.uniform(-1, 1, k.n), float(rng.uniform(0.01, 1.0))
+            old = _old_scaled_by(_old_rescale(k.testfn.atoms, a, r), r ** (-k.n))
+            out.append((k.directed(a, r), old))
+            out.append((k.directed(a, r, 2, 1), _old_directed(old, 2, 1)))
+        return out
+
+    def test_tables(self, pairs):
+        for new, old in pairs:
+            assert _same_bits(new.centers, np.array([t.center for t in old]))
+            assert _same_bits(new.radii, np.array([t.radius for t in old]))
+            assert _same_bits(new.coeffs, np.array([t.coeff for t in old]))
+            assert [new.kinds[k] for k in new.kind] == [(t.kind, t.core_xi) for t in old]
+            assert new.atoms == old
+            assert not new.centers.flags.writeable
+
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_stacked_rows(self, pairs, m):
+        shapes = {}
+        for new, old in pairs:
+            shapes.setdefault((new.n, new.d), []).append((new, old))
+        for (n, _), fns in shapes.items():
+            first = xi_set(n, 1)[0]
+            cols = []  # (table function, reference atoms, reference offset, xi)
+            for k, (new, old) in enumerate(fns):
+                for order in range(3):
+                    cols.append((new, old, None, xi_set(n, order)[k % len(xi_set(n, order))]))
+                cols.append((new.derivative_view(first), old, first, xi_set(n, 1)[-1]))
+            jobs = [cols[j:j + m] for j in range(0, len(cols) - m + 1, m)]
+            st = testfn.StackedFns.of([[(fn, xi) for fn, _, _, xi in job] for job in jobs])
+            arrays, keys = _old_rows([[(old, off, xi) for _, old, off, xi in job] for job in jobs])
+            for got, want in zip((st.centers, st.radii, st.coeffs, st.scale, st.group, st.job,
+                                  st.col), arrays):
+                assert _same_bits(got, want)
+            assert st.groups == keys
 
 
 class TestDictionary:

@@ -72,6 +72,26 @@ def test_batched_eval_deriv_calls_traced_core_eval(tmp_path):
     assert tracer.counts["cores.core_eval.points"] == active
 
 
+def test_benchmark_view_of_test_functions(tmp_path):
+    # the benchmark reads test functions through .atoms: its reference
+    # pairing takes each atom's center, radius and coeff[0], and the tracer
+    # counts an eval_deriv call's atoms
+    plateau = next(c for c in testfn._candidate_stream(2, 1, 0) if c.label == "plateau_w0.2")
+    phi = plateau.rescale([0.1, -0.2], 0.5).scaled_by(2.0)
+    atoms = phi.atoms
+    assert len(atoms) == len(plateau.atoms) > 1
+    for t, center, radius, coeff in zip(atoms, phi.centers, phi.radii, phi.coeffs):
+        assert (t.center, t.radius, t.coeff[0]) == (tuple(center), radius, coeff[0])
+    tracer_module = _load_tracer()
+    tracer = tracer_module.Tracer(tmp_path)
+    try:
+        tracer_module.install(tracer)
+        phi.eval_deriv(MultiIndex((0, 0)), np.zeros((3, 2)))
+    finally:
+        tracer.uninstall()
+    assert tracer.counts["testfn.eval_deriv.atom_evals"] == len(atoms)
+
+
 def test_seminorm_calls_traced_eval_deriv_and_core_eval(tmp_path):
     # on pairing-2d seminorm is the only caller of eval_deriv, whose layer
     # the traced run requires; a one-ball function evaluated by any other
