@@ -15,12 +15,11 @@ directly: an expanded denominator would cancel catastrophically near
 multiplication, and the terms are summed in table order point by point,
 so a point's value never depends on the batch it is evaluated in.  Points
 go through in row blocks of ROW_BLOCK, which bounds the size of the power
-table; a row block works in block arrays (``quadrature.block_array``),
-kept between calls.  One call can evaluate several (core, derivative)
-specs at the same points, sharing |u|^2, 1/(s-1), its exponential and the
-power tables; each column equals the call with its spec alone.  A caller
-that has tested its points against the clamp passes their |u|^2, and an
-output array to fill.
+table.  One call can evaluate several (core, derivative) specs at the
+same points, sharing |u|^2, 1/(s-1), its exponential and the power
+tables; each column equals the call with its spec alone.  A caller that
+has tested its points against the clamp passes their |u|^2 and an output
+array to fill.
 
 Evaluation clamps to 0 when |u|^2 > 1 - 1e-12: the exponential factor
 decays faster than any rational blow-up, so the clamp is below double
@@ -34,7 +33,6 @@ from typing import Dict, Tuple
 
 import numpy as np
 
-from .quadrature import block_array
 from .tensor import MultiIndex, _powers
 
 BOUNDARY_CLAMP = 1e-12
@@ -104,41 +102,34 @@ def sq_norms(pts: np.ndarray) -> np.ndarray:
 
 
 def _block_values(u: np.ndarray, sm1: np.ndarray, tables, out: np.ndarray) -> None:
-    """N(u) / (s-1)^p * exp(1/(s-1)) of each table into the rows of out,
-    for points u inside the ball with s - 1 = sm1.
+    """N(u) / (s-1)^p * exp(1/(s-1)) of each table into the rows of out.
 
     1/(s-1), its exponential, its powers and the power table of u are
-    computed once for all tables, in block arrays (``quadrature``'s block
-    contract); each row takes the float operations of its table evaluated
-    alone.  The caller ignores underflow.
+    computed once for all tables; each row takes the float operations of its
+    table evaluated alone.  The caller ignores underflow.
     """
-    top = max(tab[1] for tab in tables)
-    # rows: exp(t), the numerator, two temporaries, then t^p for p = 1 ...
-    # the largest p, by repeated multiplication
-    work = block_array("cores.work", (4 + max(max(tab[2] for tab in tables), 1), len(sm1)))
-    tpow = work[4:]
-    t = np.divide(1.0, sm1, tpow[0])
-    for p in range(1, len(tpow)):
-        np.multiply(tpow[p - 1], t, tpow[p])
-    et = np.exp(t, work[0])
+    t = 1.0 / sm1
+    et = np.exp(t)
     # term by term from the power table, each power of a coordinate one
     # contiguous row: no (terms, points) temporary
-    if top:
-        pw = _powers(u.T, top, block_array("cores.powers", (top + 1, u.shape[1], len(sm1))))
+    top = max(tab[1] for tab in tables)
+    pw = _powers(u.T, top) if top else None
+    tpow = [None, t]  # t^p by repeated multiplication, as far as needed
     for row, (terms, top_m, p) in enumerate(tables):
         if top_m == 0:  # a constant prefactor
             num = terms[0][0]
         else:
-            num = work[1]
-            num.fill(0.0)
+            num = np.zeros(len(u))
             for c, e in terms:
                 m = pw[e[0], 0]
                 for j in range(1, len(e)):
-                    m = np.multiply(m, pw[e[j], j], work[2])
-                num += np.multiply(c, m, work[3])
+                    m = m * pw[e[j], j]
+                num += c * m
         if p:
-            num = np.multiply(num, tpow[p - 1], work[1])
-        np.multiply(num, et, out[row])
+            while len(tpow) <= p:
+                tpow.append(tpow[-1] * t)
+            num = num * tpow[p]
+        np.multiply(num, et, out=out[row])
 
 
 @lru_cache(maxsize=None)
@@ -156,41 +147,43 @@ def core_eval(n: int, kind, core_xi, deriv_xi, pts: np.ndarray, out=None,
     derivatives at the same points, (npts, M): |u|^2, the inside mask,
     1/(s-1), its exponential and the power tables are computed once, and
     every column is bit-identical to the call with its spec alone.
-    The values go to out when it is given, of the result's shape.  With sq
-    the points' |u|^2, every point must be inside the clamp, as a caller
-    that tested them knows.
+
+    A caller that has tested its points, as the culled blocks of
+    ``testfn.eval_stacked`` do, passes their |u|^2 as sq, every point inside
+    the clamp, and out, an array of the result's shape to fill: both or
+    neither.
     """
     single = isinstance(deriv_xi, MultiIndex)
     tables = [_spec_table(n, kind, core_xi, deriv_xi)] if single else [
         _spec_table(n, *spec) for spec in zip(kind, core_xi, deriv_xi)]
     pts = np.asarray(pts, dtype=float).reshape(-1, n)
-    u, every = pts, True
-    if sq is None:
-        sq = sq_norms(pts)
-        inside = sq < 1.0 - BOUNDARY_CLAMP
-        every = inside.all()
-        sm1 = np.subtract(sq, 1.0, out=sq)  # sq is this call's own
-    else:
-        sm1 = np.subtract(sq, 1.0, out=block_array("cores.sm1", len(sq)))
-    if out is None:  # a row per table; zeros for the points outside
-        vals = (np.empty if every else np.zeros)((len(tables), len(pts)))
-        out = vals[0] if single else vals.T
-    else:
-        vals = out[None] if single else out.T
-        if not every:
-            vals[:] = 0.0
+    if sq is not None:  # every point inside
+        _row_blocks(pts, sq - 1.0, tables, out[None] if single else out.T)
+        return out
+    s = sq_norms(pts)
+    inside = s < 1.0 - BOUNDARY_CLAMP
+    every = inside.all()
+    u, sm1 = pts, s - 1.0
     if not every:
         # the inside points by index along the points axis of pts.T: far
         # faster than a boolean or row index of the (points, n) array
         keep = np.flatnonzero(inside)
         u, sm1 = pts.T.take(keep, axis=1).T, sm1[keep]
-        vals, kept = np.empty((len(tables), len(u))), vals
+    vals = np.empty((len(tables), len(u)))
+    _row_blocks(u, sm1, tables, vals)
+    if not every:
+        out = np.zeros((len(tables), len(pts)))
+        for row, v in zip(out, vals):
+            row[keep] = v
+        vals = out
+    return vals[0] if single else vals.T
+
+
+def _row_blocks(u: np.ndarray, sm1: np.ndarray, tables, vals: np.ndarray) -> None:
+    """``_block_values`` of the points u, ROW_BLOCK at a time, into the
+    columns of vals (tables, points)."""
     if tables:
         with np.errstate(under="ignore"):  # one error state for all row blocks
             for b in range(0, len(u), ROW_BLOCK):
                 rows = slice(b, b + ROW_BLOCK)
                 _block_values(u[rows], sm1[rows], tables, vals[:, rows])
-    if not every:
-        for row, v in zip(kept, vals):
-            row[keep] = v
-    return out

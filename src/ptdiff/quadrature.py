@@ -32,18 +32,15 @@ about ``BLOCK_POINTS`` points, one size for the engine's integrand calls
 block's temporaries are a small multiple of BLOCK_POINTS entries, so
 memory stays bounded whatever the number of cells, and no value depends
 on the block: each cell's values, pair's term and grid point's norm are
-its own.  Block memory is reused: the culled pairs and the core
-evaluation (``cores.core_eval``'s row blocks) work in arrays from
-``block_array``, one per name and thread, kept from block to block and
-call to call and grown only to the largest block, so a repeated
-evaluation faults in no new pages for them.
+its own.  Block memory is reused where it would fault in anew on every
+block: the culled search of ``testfn.eval_stacked`` takes one block of
+points at a time and works in arrays kept per thread, from block to block
+and call to call, each bounded by one block.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
-import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, List, Sequence, Tuple
@@ -56,8 +53,6 @@ BLOCK_POINTS = 1 << 14
 GL_ORDER = 16  # Gauss-Legendre nodes per axis of a cell and of its halves
 GL_ORDER_LOW = 10  # the embedded low-order rule
 BATCH = 64  # most cells a job bisects in one round
-
-_KEPT = threading.local()  # each thread's block arrays, by name
 
 
 @dataclass(frozen=True)
@@ -147,26 +142,6 @@ def _cell_values(f, lo: np.ndarray, hi: np.ndarray, job: np.ndarray,
         out[c, -1] = ((vals[:, :, 2 * q:] * low_wts).sum(axis=2) * vol[c]).T
         del pts, vals  # no block's arrays live on beside the next block's
     return out
-
-
-def block_array(name: str, shape, dtype=float) -> np.ndarray:
-    """An array of the given shape for one block's work: a view of this
-    thread's array of that name, allocated on first use and grown when too
-    small, so that it faults in its pages once, not once per block.  An
-    array above 16 blocks of entries, which only a caller's own large batch
-    asks for, is a new one and not kept.
-
-    It holds whatever its last user left.  A name belongs to one function,
-    which is done with the array before anything else takes that name.
-    """
-    size = shape if isinstance(shape, int) else math.prod(shape)
-    if size > 16 * BLOCK_POINTS:
-        return np.empty(shape, dtype)
-    kept = _KEPT.__dict__  # this thread's
-    buf = kept.get(name)
-    if buf is None or buf.size < size or buf.dtype != dtype:
-        buf = kept[name] = np.empty(size, dtype)
-    return buf[:size].reshape(shape)
 
 
 def job_runs(job: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:

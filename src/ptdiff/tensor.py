@@ -157,12 +157,12 @@ def _differences(n: int, k: int) -> np.ndarray:
     return _frozen(np.array(out, dtype=np.int64).reshape(len(t), len(t)))
 
 
-def _powers(x: np.ndarray, top: int, out: Optional[np.ndarray] = None) -> np.ndarray:
-    """x^e for e = 0 ... top, shape (top + 1,) + x.shape, into out if given.
+def _powers(x: np.ndarray, top: int) -> np.ndarray:
+    """x^e for e = 0 ... top, shape (top + 1,) + x.shape.
 
     Repeated multiplication, much faster than a float power.
     """
-    p = np.empty((max(top, 0) + 1,) + x.shape) if out is None else out
+    p = np.empty((max(top, 0) + 1,) + x.shape)
     p[0] = 1.0
     for e in range(1, top + 1):
         np.multiply(p[e - 1], x, out=p[e])

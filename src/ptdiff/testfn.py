@@ -29,7 +29,7 @@ derivatives of one) needs no search.  Its layout is its atoms' core specs
 of the jobs of one layout take one ``run_coords`` and one ``core_eval``
 call over the layout's distinct specs, and their atoms add their terms
 one after another, in atom order.  Only the points of the other jobs are
-sorted, once, by a key made of their job, their bin over the first n - 1
+sorted, by a key made of their job, their bin over the first n - 1
 coordinates (bins a quarter of the smallest atom radius wide) and their
 last coordinate, so that the points of one job and bin inside an atom's
 bounding box along the last axis are one run of the sorted order: the
@@ -41,14 +41,15 @@ which bounds the temporaries whatever the batch.  A pair is kept when
 coordinates, the test ``core_eval`` makes, and the kept pairs of a block
 go to ``core_eval`` in one call per core group, with their |u|^2.
 
-The culled search and blocks work in block arrays
-(``quadrature.block_array``): the sort keys of the points, and per block
-the pairs' atoms, points, core coordinates, |u|^2, values and terms, with
-``core_eval``'s own for its part.  They are kept from block to block and
-call to call, so the blocks of a repeated evaluation fault in no new
-pages.  What a call still allocates is the points' order (one array per
-call) and per block the runs' index as 32-bit integers and, when some
-pairs are outside, the kept pairs' index.
+The culled points go to the search one block of BLOCK_POINTS points at
+a time, and the search and its pair blocks work in block arrays
+(``_kept``): the points' coordinates, jobs and sort keys, and per block
+the pairs' atoms, points, core coordinates, |u|^2, values and terms, each
+bounded by one block.  They are kept from block to block and call to
+call, so a repeated evaluation faults in no new pages for them.  A call
+still allocates the points' order, a block the runs' index as 32-bit
+integers and, when some pairs are outside, the kept pairs' index, and
+``core_eval`` its row blocks' temporaries.
 
 Core coordinates (x - center) / radius are built one coordinate at a time,
 each center and radius repeated over its run of points (``run_coords``)
@@ -69,6 +70,8 @@ evaluation (``quadrature``'s block contract), bound the temporaries only.
 from __future__ import annotations
 
 import itertools
+import math
+import threading
 from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import List, Optional, Sequence, Tuple
@@ -77,7 +80,7 @@ import numpy as np
 
 from . import cores, quadrature
 from .cores import UnsupportedOrderError
-from .quadrature import block_array, job_runs, run_points
+from .quadrature import job_runs, run_points
 from .tensor import MultiIndex, opnorms, xi_set, zero_index
 
 DEFAULT_MAX_DERIV_ORDER = 6
@@ -88,6 +91,7 @@ SCREEN_CANDIDATES = 64
 # most bins per axis of the candidate search
 MAX_BINS = 1024
 _TINY = np.finfo(float).tiny  # the smallest positive normal float
+_KEPT = threading.local()  # each thread's arrays of the culled search, by name
 
 
 @dataclass(frozen=True)
@@ -243,13 +247,13 @@ class TestFn:
                           max_deriv_order=self.max_deriv_order - xi.order)
 
 
-def _scales(fn: TestFn, order: int) -> np.ndarray:
-    """radius ** -order of each atom of fn: a Python float power per distinct
+def _scales(radii: np.ndarray, order: int) -> np.ndarray:
+    """radius ** -order of each radius: a Python float power per distinct
     radius, as numpy's fast paths of a power may round differently."""
-    if fn.ball:  # one radius
-        distinct, which = [fn.ball[1]], np.zeros(len(fn.radii), np.intp)
+    if (radii == radii[0]).all():  # one radius
+        distinct, which = [float(radii[0])], np.zeros(len(radii), np.intp)
     else:
-        distinct, which = np.unique(fn.radii, return_inverse=True)
+        distinct, which = np.unique(radii, return_inverse=True)
         distinct = distinct.tolist()
     try:
         powers = np.array([r ** -order for r in distinct])
@@ -327,13 +331,15 @@ class StackedFns:
         count = np.array([len(fn.radii) for fn in fns], dtype=np.intp)  # atoms per column
         m = len(jobs[0])
         start = (count.cumsum() - count).tolist()
-        scale = np.ones(int(count.sum()))  # radius ** -|xi|, 1 for |xi| = 0
-        for c, order in enumerate(orders):
-            if order:
-                scale[start[c]:start[c] + len(fns[c].radii)] = _scales(fns[c], order)
+        radii = _joined([fn.radii for fn in fns])
+        scale = np.ones(len(radii))  # radius ** -|xi|, 1 for |xi| = 0
+        for order in set(orders) - {0}:  # the atoms of the columns of each order at once
+            mine = np.repeat(np.array(orders) == order, count)
+            if mine.any():
+                scale[mine] = _scales(radii[mine], order)
         column = np.arange(len(fns)).repeat(count)
-        return cls(fns[0].n, fns[0].d, m, _joined([fn.centers for fn in fns]),
-                   _joined([fn.radii for fn in fns]), _joined([fn.coeffs for fn in fns]),
+        return cls(fns[0].n, fns[0].d, m, _joined([fn.centers for fn in fns]), radii,
+                   _joined([fn.coeffs for fn in fns]),
                    scale, tuple(keys), _joined(group), column // m, column % m,
                    tuple(specs), np.array(layout, dtype=np.intp), np.array(start[::m]))
 
@@ -373,9 +379,15 @@ def eval_stacked(st: StackedFns, pts: np.ndarray, job: np.ndarray) -> np.ndarray
                 value = np.repeat(scale[:, t], size) * vals[:, s]
                 out[c, p] += value[:, None] * np.repeat(coeffs[:, t], size, axis=0)
     culled = layout < 0
-    if culled.any():
-        _culled_sums(st, pts, job, None if culled.all() else
-                     run_points(starts[culled], lengths[culled]), out)
+    if culled.any():  # one block of points at a time (``_culled_sums``)
+        block = quadrature.BLOCK_POINTS
+        if culled.all():
+            for b in range(0, len(pts), block):
+                _culled_sums(st, pts, job, slice(b, b + block), out)
+        else:
+            idx = run_points(starts[culled], lengths[culled])
+            for b in range(0, len(idx), block):
+                _culled_sums(st, pts, job, idx[b:b + block], out)
     return out.transpose(1, 0, 2)
 
 
@@ -395,39 +407,42 @@ def run_coords(pts: np.ndarray, p, centers: np.ndarray, radii: np.ndarray,
     return u.T
 
 
-def _culled_sums(st: StackedFns, pts: np.ndarray, job: np.ndarray, idx: np.ndarray,
-                 out: np.ndarray) -> None:
-    """Add into out (m, npts, d) the values at the points idx (None: every
-    point), whose jobs' atoms are culled: each atom only at its candidate
-    points from ``_box_runs``.  Points that are not finite are left out:
-    every atom is 0 there, and no bin holds them.
+def _culled_sums(st: StackedFns, pts: np.ndarray, job: np.ndarray, idx, out: np.ndarray) -> None:
+    """Add into out (m, npts, d) the values at the points idx, a slice or an
+    index array of at most ``quadrature.BLOCK_POINTS`` points, whose jobs'
+    atoms are culled: each atom only at its candidate points from
+    ``_box_runs``.  Points that are not finite are left out: every atom is
+    0 there, and no bin holds them.
 
-    The candidates are taken ``quadrature.BLOCK_POINTS`` at a time, in run
-    order, each block's runs cut at its edges.  A block works in block
-    arrays (``quadrature.block_array``) of at most BLOCK_POINTS entries per
-    pair (n coordinates, |u|^2, d terms and a few indices), and so does the
-    core evaluation of its kept pairs, which reuses their |u|^2: the blocks
-    of every call share one bounded set of arrays, whatever the batch.
+    The candidates are taken BLOCK_POINTS at a time, in run order, each
+    block's runs cut at its edges.  The points' arrays (coordinates, jobs,
+    sort keys) and a block's (a few entries per pair: n coordinates, |u|^2,
+    d terms and some indices) are block arrays (``_kept``): every call
+    shares one set, bounded by BLOCK_POINTS.  The core evaluation of the
+    kept pairs reuses their |u|^2.
     """
-    if idx is None:  # every point
-        cols, point_job = [pts[:, a] for a in range(st.n)], job
+    if isinstance(idx, slice):  # views of a run of points
+        cols, point_job = [pts[idx, a] for a in range(st.n)], job[idx]
     else:
-        cols = [_take(pts[:, a], idx, f"testfn.col{a}") for a in range(st.n)]
-        point_job = _take(job, idx, "testfn.job")
+        cols = [_take(pts[:, a], idx, f"col{a}") for a in range(st.n)]
+        point_job = _take(job, idx, "job")
     finite = np.isfinite(cols[0])
     for x in cols[1:]:
         finite &= np.isfinite(x)
     if not finite.all():
-        idx = np.flatnonzero(finite) if idx is None else idx[finite]
-        cols, point_job = [x[finite] for x in cols], point_job[finite]
+        at = np.flatnonzero(finite)
+        idx = at + idx.start if isinstance(idx, slice) else idx[at]
+        cols, point_job = [x[at] for x in cols], point_job[at]
         if not idx.size:
             return
     counts = np.bincount(point_job, minlength=len(st.layout))  # points per job
     cull = np.flatnonzero((counts[st.job] > 0) & (st.layout[st.job] < 0))
     perm, run_atom, run_start, run_len = _box_runs(st.centers[cull], st.radii[cull], cols,
                                                    point_job, st.job[cull])
-    if idx is not None:
-        perm = _take(idx, perm, "testfn.perm")
+    if isinstance(idx, slice):
+        perm += idx.start
+    else:
+        perm = _take(idx, perm, "perm")
     run_atom = cull[run_atom]
     ends = np.cumsum(run_len)
     begins = ends - run_len
@@ -441,35 +456,34 @@ def _culled_sums(st: StackedFns, pts: np.ndarray, job: np.ndarray, idx: np.ndarr
         size = np.minimum(ends[runs], last) - cut
         # each candidate's run, atom and point; the runs repeated as 32-bit
         # integers, half a block array in size: no block-sized allocation
-        run = block_array("testfn.run", last - first, np.intp)
+        run = _kept("run", last - first, np.intp)
         np.copyto(run, np.arange(len(size), dtype=np.int32).repeat(size))
-        atom = _take(run_atom[runs], run, "testfn.atom")
-        p = _take(run_start[runs] + (cut - begins[runs]) - (np.cumsum(size) - size), run,
-                  "testfn.at")
+        atom = _take(run_atom[runs], run, "atom")
+        p = _take(run_start[runs] + (cut - begins[runs]) - (np.cumsum(size) - size), run, "at")
         p += np.arange(len(run), dtype=np.int32)
-        p = _take(perm, p, "testfn.point")
+        p = _take(perm, p, "point")
         # core coordinates (x - center) / radius, coordinate by coordinate,
-        # and their |u|^2 in column order, as ``cores.sq_norms``
-        u, s = block_array("testfn.u", (n, len(p))), block_array("testfn.sq", len(p))
+        # and their |u|^2 in column order, as ``cores.sq_norms``; "x" holds
+        # a point coordinate, then a square, and "atom_value" the atoms'
+        # center coordinate, radius or scale, one after another
+        u, s = _kept("u", (n, len(p))), _kept("sq", len(p))
         for a in range(n):
-            np.subtract(_take(pts[:, a], p, "testfn.x"),
-                        _take(st.centers[:, a], atom, "testfn.center"), out=u[a])
-        np.divide(u, _take(st.radii, atom, "testfn.radius"), out=u)
+            np.subtract(_take(pts[:, a], p, "x"), _take(st.centers[:, a], atom, "atom_value"),
+                        out=u[a])
+        np.divide(u, _take(st.radii, atom, "atom_value"), out=u)
         np.multiply(u[0], u[0], out=s)
         for a in range(1, n):
-            s += np.multiply(u[a], u[a], out=block_array("testfn.x", len(p)))
+            s += np.multiply(u[a], u[a], out=_kept("x", len(p)))
         # the kept pairs, |u|^2 < 1 - BOUNDARY_CLAMP as ``core_eval`` tests,
         # by index along the points axis
-        inside = np.less(s, 1.0 - cores.BOUNDARY_CLAMP, out=block_array("testfn.inside", len(s),
-                                                                         bool))
+        inside = np.less(s, 1.0 - cores.BOUNDARY_CLAMP, out=_kept("inside", len(s), bool))
         if np.count_nonzero(inside) < len(p):
             keep = np.flatnonzero(inside)
-            u = u.take(keep, axis=1, out=block_array("testfn.u_kept", (n, len(keep))),
-                       mode="clip")
-            s, p = _take(s, keep, "testfn.sq_kept"), _take(p, keep, "testfn.point_kept")
-            atom = _take(atom, keep, "testfn.atom_kept")
-        vals = block_array("testfn.vals", len(p))
-        group = _take(st.group, atom, "testfn.group") if len(st.groups) > 1 else None
+            u = u.take(keep, axis=1, out=_kept("u_kept", (n, len(keep))), mode="clip")
+            s, p = _take(s, keep, "sq_kept"), _take(p, keep, "point_kept")
+            atom = _take(atom, keep, "atom_kept")
+        vals = _kept("vals", len(p))
+        group = _take(st.group, atom, "group") if len(st.groups) > 1 else None
         used = [0] if group is None else np.flatnonzero(np.bincount(group,
                                                                     minlength=len(st.groups)))
         for g in used:
@@ -477,29 +491,41 @@ def _culled_sums(st: StackedFns, pts: np.ndarray, job: np.ndarray, idx: np.ndarr
                 cores.core_eval(n, *st.groups[g], u.T, out=vals, sq=s)
             else:
                 sel = np.flatnonzero(group == g)
-                vals[sel] = cores.core_eval(n, *st.groups[g], u[:, sel].T, sq=s[sel])
+                vals[sel] = cores.core_eval(n, *st.groups[g], u[:, sel].T,
+                                            out=np.empty(len(sel)), sq=s[sel])
         # each term (scale * value) * coeff; flat indices add each (column,
         # point, component) in pair order, like rows would; column c's rows
         # start at c * npts
-        scale = np.multiply(_take(st.scale, atom, "testfn.scale"), vals, out=vals)
-        terms = st.coeffs.take(atom, axis=0, out=block_array("testfn.terms", (len(p), d)),
-                               mode="clip")
+        scale = np.multiply(_take(st.scale, atom, "atom_value"), vals, out=vals)
+        terms = st.coeffs.take(atom, axis=0, out=_kept("terms", (len(p), d)), mode="clip")
         np.multiply(scale[:, None], terms, out=terms)
         row = p
         if st.m > 1:
-            row = _take(st.col, atom, "testfn.row")
+            row = _take(st.col, atom, "row")
             row *= len(pts)
             row += p
         if d > 1:
-            flat = np.multiply(row[:, None], d, out=block_array("testfn.flat", (len(row), d),
-                                                                np.intp))
+            flat = np.multiply(row[:, None], d, out=_kept("flat", (len(row), d), np.intp))
             row = np.add(flat, np.arange(d), out=flat)
         np.add.at(out.reshape(-1), row.reshape(-1), terms.reshape(-1))
 
 
+def _kept(name: str, shape, dtype=float) -> np.ndarray:
+    """An array of the given shape for the culled search: a view of this
+    thread's array of that name, allocated on first use and grown when too
+    small, so that its pages fault in once, not once per block.  A request
+    is one block's, a few entries per point or pair, which bounds what is
+    kept.  It holds whatever its last use left."""
+    size = shape if isinstance(shape, int) else math.prod(shape)
+    buf = _KEPT.__dict__.get(name)
+    if buf is None or buf.size < size or buf.dtype != dtype:
+        buf = _KEPT.__dict__[name] = np.empty(size, dtype)
+    return buf[:size].reshape(shape)
+
+
 def _take(a: np.ndarray, index: np.ndarray, name: str) -> np.ndarray:
     """a[index] into the block array of that name, for indices in range."""
-    return np.take(a, index, out=block_array(name, len(index), a.dtype), mode="clip")
+    return np.take(a, index, out=_kept(name, len(index), a.dtype), mode="clip")
 
 
 def _box_runs(centers: np.ndarray, radii: np.ndarray, cols: Sequence[np.ndarray],
@@ -521,17 +547,17 @@ def _box_runs(centers: np.ndarray, radii: np.ndarray, cols: Sequence[np.ndarray]
     width = np.maximum(np.min(radii, initial=np.inf) / 4.0, (hi - lo)[:-1] / (MAX_BINS - 1))
     nbins = np.floor((hi - lo)[:-1] / width) + 1
     stride = 2.0 * (hi[-1] - lo[-1]) + 1.0
-    keys = block_array("testfn.keys", len(point_job))
+    keys = _kept("keys", len(point_job))
     keys[:] = point_job  # the leading bin
     for j in range(n - 1):
-        axis_bin = np.subtract(cols[j], lo[j], out=block_array("testfn.bin", len(keys)))
+        axis_bin = np.subtract(cols[j], lo[j], out=_kept("bin", len(keys)))
         keys *= nbins[j]
         keys += np.floor(np.divide(axis_bin, width[j], out=axis_bin), out=axis_bin)
     keys *= stride
     keys += cols[-1]
     # any order of equal keys will do: a point's terms come atom after atom
     order = np.argsort(keys)
-    keys = _take(keys, order, "testfn.sorted_keys")
+    keys = _take(keys, order, "sorted_keys")
 
     # bins first[j] .. first[j] + size[j] - 1 of each atom's box on axis j
     first, sizes = [], []

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ptdiff import QuadratureConfig, QuadratureNonConvergence, integrate_box
-from ptdiff import quadrature
 
 BUMP_MASS_1D = 0.4439938161680793  # int_{-1}^{1} exp(1/(x^2-1)) dx
 
@@ -107,16 +106,3 @@ class TestBudget:
         v3, e3, _ = integrate_box(lambda p: a * f(p) + b * g(p), lo, hi)
         assert v3 == pytest.approx(a * v1 + b * v2,
                                    abs=1e-10 * (1 + abs(a) + abs(b)))
-
-
-def test_block_arrays_are_kept_up_to_sixteen_blocks():
-    # a block array is the same memory from call to call, grown to the
-    # largest request; one larger than 16 blocks is made afresh and not kept
-    limit = 16 * quadrature.BLOCK_POINTS
-    first = quadrature.block_array("test.kept", (2, 10))
-    again = quadrature.block_array("test.kept", 15)
-    assert np.shares_memory(first, again) and again.shape == (15,)
-    grown = quadrature.block_array("test.kept", limit)
-    assert np.shares_memory(grown, quadrature.block_array("test.kept", 3))
-    large = quadrature.block_array("test.kept", limit + 1)
-    assert not np.shares_memory(large, quadrature.block_array("test.kept", limit))

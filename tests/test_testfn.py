@@ -1,6 +1,7 @@
 """Bump-based test functions: derivatives, rescaling, seminorms, dictionaries."""
 
 import math
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -359,7 +360,8 @@ def _one_cell(n):
 
 class TestOneBlock:
     """No seminorm depends on ``quadrature.BLOCK_POINTS``, the block of its
-    grid rows and of the culled pairs, down to one grid row a block."""
+    grid rows and of the culled pairs, down to one grid row a block; the
+    culled blocks' arrays are kept from block to block."""
 
     @pytest.mark.parametrize("n", [1, 2])
     @pytest.mark.parametrize("block", ["97", "one cell"])
@@ -372,6 +374,20 @@ class TestOneBlock:
         monkeypatch.setattr(quadrature, "BLOCK_POINTS", 97 if block == "97" else _one_cell(n))
         got = [seminorm(phi, i, grid_points=128).hex() for phi in members for i in range(3)]
         assert got == want
+
+    def test_kept_arrays(self):
+        # the culled search's arrays are the same memory from call to call,
+        # grown to the largest request; another thread has its own
+        first = testfn._kept("test", (2, 10))
+        again = testfn._kept("test", 15)
+        assert np.shares_memory(first, again) and again.shape == (15,)
+        grown = testfn._kept("test", 100)
+        assert np.shares_memory(grown, testfn._kept("test", 3))
+        other = []
+        thread = threading.Thread(target=lambda: other.append(testfn._kept("test", 3)))
+        thread.start()
+        thread.join()
+        assert not np.shares_memory(grown, other[0])
 
 
 ONE_BALL_FNS = {
