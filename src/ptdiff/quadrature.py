@@ -29,13 +29,15 @@ The block contract: every large evaluation goes through in blocks of
 about ``BLOCK_POINTS`` points, one size for the engine's integrand calls
 (whole cells, at least one), the culled (atom, point) pairs of
 ``testfn.eval_stacked`` and the grid rows of ``testfn.seminorm``.  A
-block's temporaries are a small multiple of BLOCK_POINTS entries, so
-memory stays bounded whatever the number of cells, and no value depends
-on the block: each cell's values, pair's term and grid point's norm are
-its own.  Block memory is reused where it would fault in anew on every
-block: the culled search of ``testfn.eval_stacked`` takes one block of
-points at a time and works in arrays kept per thread, from block to block
-and call to call, each bounded by one block.
+block's temporaries are a small multiple of BLOCK_POINTS entries per
+column; a grid block of ``seminorm`` has a column per test function and
+derivative it screens.  So memory stays bounded whatever the number of
+cells or grid points, and no value depends on the block: each cell's
+values, pair's term and grid point's norm are its own.  Block memory is
+reused where it would fault in anew on every block: the culled search of
+``testfn.eval_stacked`` takes one block of points at a time, and it and
+the one-ball layout path work in arrays kept per thread, from block to
+block and call to call, each bounded by one block.
 """
 
 from __future__ import annotations

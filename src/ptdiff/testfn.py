@@ -19,9 +19,13 @@ evaluation.
 One evaluator, ``eval_stacked``, evaluates every test function: it takes
 many jobs, each M (test function, derivative) columns, and gives the
 values of every column of each point's job.  ``TestFn.eval_deriv`` is its
-one-job case, ``seminorm`` reads its derivative tensors off one
-``eval_deriv`` call per block of grid rows, and the pairing engine
-evaluates all its test functions with it.
+one-job case, and the pairing engine evaluates all its test functions
+with it.  ``seminorm`` takes one test function or a sequence, whose
+members of one ball and one box share their grid screen: each block of
+grid rows is one job whose columns are every member's derivatives, so
+each grid point is evaluated once for all of them, and each member keeps
+only its best screened points from block to block.  Each value equals
+the member's own call bit for bit.
 
 A job whose atoms share one ball (one atom, moment kernels, the
 derivatives of one) needs no search.  Its layout is its atoms' core specs
@@ -49,7 +53,11 @@ bounded by one block.  They are kept from block to block and call to
 call, so a repeated evaluation faults in no new pages for them.  A call
 still allocates the points' order, a block the runs' index as 32-bit
 integers and, when some pairs are outside, the kept pairs' index, and
-``core_eval`` its row blocks' temporaries.
+``core_eval`` its row blocks' temporaries.  The layout path tests the
+points of up to one block against the clamp itself, as the pair blocks
+do, and evaluates those inside in block arrays too (``_ball_values``):
+|u|^2, the points inside and the values of each spec, one entry per
+(spec, point).
 
 Core coordinates (x - center) / radius are built one coordinate at a time,
 each center and radius repeated over its run of points (``run_coords``)
@@ -91,7 +99,7 @@ SCREEN_CANDIDATES = 64
 # most bins per axis of the candidate search
 MAX_BINS = 1024
 _TINY = np.finfo(float).tiny  # the smallest positive normal float
-_KEPT = threading.local()  # each thread's arrays of the culled search, by name
+_KEPT = threading.local()  # each thread's block arrays, by name
 
 
 @dataclass(frozen=True)
@@ -349,9 +357,9 @@ def eval_stacked(st: StackedFns, pts: np.ndarray, job: np.ndarray) -> np.ndarray
     a contiguous (npts, d) array.
 
     The runs of the jobs of one layout take one ``run_coords`` and one
-    ``core_eval`` call over the layout's specs, with no search, sort or
-    scatter; every other job's atoms are culled (``_culled_sums``).  Each
-    point adds its terms in atom order, each (scale * value) * coeff.
+    ``core_eval`` call over the layout's specs (``_ball_values``), with no
+    search or sort; every other job's atoms are culled (``_culled_sums``).
+    Each point adds its terms in atom order, each (scale * value) * coeff.
     """
     out = np.zeros((st.m, len(pts), st.d))
     starts, lengths, run_job = job_runs(job)
@@ -364,7 +372,7 @@ def eval_stacked(st: StackedFns, pts: np.ndarray, job: np.ndarray) -> np.ndarray
         size, first = lengths[mine], st.first[run_job[mine]]
         p = slice(None) if size.sum() == len(pts) else run_points(starts[mine], size)
         u = run_coords(pts, p, st.centers[first], st.radii[first], size)
-        vals = cores.core_eval(st.n, *zip(*(st.groups[s] for s in used)), u)
+        vals = _ball_values(st.n, [st.groups[s] for s in used], u)
         # each term's scale and coeff per run (runs, terms) and (runs,
         # terms, d): one value when all runs agree, else repeated over the
         # run's points
@@ -389,6 +397,39 @@ def eval_stacked(st: StackedFns, pts: np.ndarray, job: np.ndarray) -> np.ndarray
             for b in range(0, len(idx), block):
                 _culled_sums(st, pts, job, idx[b:b + block], out)
     return out.transpose(1, 0, 2)
+
+
+def _ball_values(n: int, specs, u: np.ndarray) -> np.ndarray:
+    """``core_eval`` of the specs at the core coordinates u (points, n):
+    (points, specs).
+
+    Up to one block of points (``quadrature.BLOCK_POINTS``) is tested
+    against the clamp here, as ``core_eval`` tests it, and only the points
+    inside go to ``core_eval``, with their |u|^2; the others are 0.  The
+    arrays are block arrays (``_kept``), the result a view of one, so that
+    a repeated evaluation faults in no new pages.  A larger batch goes to
+    ``core_eval`` as it is.  Every value is the one ``core_eval`` gives.
+    """
+    kind, core, deriv = zip(*specs)
+    npts = len(u)
+    if npts > quadrature.BLOCK_POINTS:
+        return cores.core_eval(n, kind, core, deriv, u)
+    s = np.multiply(u[:, 0], u[:, 0], out=_kept("ball_sq", npts))  # as ``cores.sq_norms``
+    for a in range(1, n):
+        s += np.multiply(u[:, a], u[:, a], out=_kept("x", npts))
+    inside = np.less(s, 1.0 - cores.BOUNDARY_CLAMP, out=_kept("inside", npts, bool))
+    vals = _kept("ball_vals", (len(specs), npts))
+    if np.count_nonzero(inside) == npts:
+        cores.core_eval(n, kind, core, deriv, u, out=vals.T, sq=s)
+        return vals.T
+    keep = np.flatnonzero(inside)
+    sub = _kept("ball_inside_vals", (len(specs), len(keep)))
+    cores.core_eval(n, kind, core, deriv,
+                    u.T.take(keep, axis=1, out=_kept("u_kept", (n, len(keep))), mode="clip").T,
+                    out=sub.T, sq=_take(s, keep, "sq_kept"))
+    vals.fill(0.0)
+    vals[:, keep] = sub
+    return vals.T
 
 
 def run_coords(pts: np.ndarray, p, centers: np.ndarray, radii: np.ndarray,
@@ -511,11 +552,12 @@ def _culled_sums(st: StackedFns, pts: np.ndarray, job: np.ndarray, idx, out: np.
 
 
 def _kept(name: str, shape, dtype=float) -> np.ndarray:
-    """An array of the given shape for the culled search: a view of this
-    thread's array of that name, allocated on first use and grown when too
-    small, so that its pages fault in once, not once per block.  A request
-    is one block's, a few entries per point or pair, which bounds what is
-    kept.  It holds whatever its last use left."""
+    """An array of the given shape for the culled search or the layout
+    path: a view of this thread's array of that name, allocated on first
+    use and grown when too small, so that its pages fault in once, not once
+    per block.  A request is one block's, a few entries per point or pair,
+    or one per (spec, point) of a layout, which bounds what is kept.  It
+    holds whatever its last use left."""
     size = shape if isinstance(shape, int) else math.prod(shape)
     buf = _KEPT.__dict__.get(name)
     if buf is None or buf.size < size or buf.dtype != dtype:
@@ -645,58 +687,107 @@ def _top_indices(values: np.ndarray, count: int) -> np.ndarray:
     return np.sort(np.concatenate([above, ties]))
 
 
+def _mesh(axes) -> np.ndarray:
+    """The points of the ij mesh of the axes, axis by axis into one (n,
+    points) array: its transpose, returned, is F-ordered, each coordinate
+    contiguous."""
+    n = len(axes)
+    g = np.empty((n,) + tuple(len(x) for x in axes))
+    for j, x in enumerate(axes):
+        g[j] = x.reshape((-1,) + (1,) * (n - 1 - j))
+    return g.reshape(n, -1).T
+
+
+def _screen(fns: Sequence[TestFn], i: int, axes) -> List[np.ndarray]:
+    """Each function's ``SCREEN_CANDIDATES`` best grid points, ascending in
+    grid order: the points of the largest unrefined norms, ties to the
+    lower grid index.
+
+    The functions share one ball, so each block of whole grid rows (up to
+    ``quadrature.BLOCK_POINTS`` points, at least one row) is one job whose
+    columns are every function's order-i multi-indices: the layout path
+    evaluates each point once for all of them.  Only the best points so
+    far are kept from block to block, no screen of the whole grid: the
+    best of a block and of the points kept before it are the best of the
+    grid up to that block, as the order is total.
+    """
+    shape = tuple(len(x) for x in axes)
+    row = math.prod(shape[1:])  # grid points per index of axis 0
+    rows = max(1, quadrature.BLOCK_POINTS // row)
+    n = len(axes)
+    indices = xi_set(n, i)
+    m = len(indices)
+    st = StackedFns.of([[(fn, xi) for fn in fns for xi in indices]])
+    kept = [(np.empty(0), np.empty(0, np.intp))] * len(fns)  # (values, grid indices)
+    for s in range(0, shape[0], rows):
+        block = _mesh([axes[0][s:s + rows]] + axes[1:])
+        vals = eval_stacked(st, block, np.zeros(len(block), np.int8))
+        for k, (best, at) in enumerate(kept):
+            screen = opnorms(n, i, vals[:, k * m:(k + 1) * m], None, SCREEN_DIRECTIONS)[0]
+            best = np.concatenate([best, screen])
+            at = np.concatenate([at, s * row + np.arange(len(screen))])
+            top = _top_indices(best, SCREEN_CANDIDATES)
+            kept[k] = best[top], at[top]
+    return [np.stack([x[k] for x, k in zip(axes, np.unravel_index(at, shape))], axis=1)
+            for _, at in kept]
+
+
 def seminorm(phi, i: int, K: Optional[Tuple[Sequence[float], float]] = None,
-             grid_points: int = 512, rel_tol: float = 1e-4) -> float:
+             grid_points: int = 512, rel_tol: float = 1e-4):
     """sup over K of the operator norm of D^i phi.
 
     The order-i derivative tensors are evaluated on a grid of grid_points
     intervals per axis over the relevant box (K defaults to the support
-    ball), one block of whole grid rows (up to ``quadrature.BLOCK_POINTS``
-    points, at least one row) at a time, and their norms are screened
-    there with the unrefined angular scan.  The best screened points are
-    evaluated again, which gives the same tensors, and get the norm
-    refined in angle, and a local grid search around the best of them
-    refines in space.  What is certified: the spatial
-    search and every angular scan in it stop only once a refinement step
-    gains less than rel_tol relatively, and the result is the norm at one
-    point, so it is a lower bound of the sup.
+    ball), one block of whole grid rows at a time, and their norms are
+    screened there with the unrefined angular scan (``_screen``).  The
+    best screened points are evaluated again, which gives the same
+    tensors, and get the norm refined in angle, and a local grid search
+    around the best of them refines in space.  What is certified: the
+    spatial search and every angular scan in it stop only once a
+    refinement step gains less than rel_tol relatively, and the result is
+    the norm at one point, so it is a lower bound of the sup.
     For n > 2 the pointwise norm is the weighted l1 upper bound.
+
+    With phi a sequence of test functions of one n and d, the list of
+    their seminorms, each bit-identical to its own call: the functions
+    with one ball and one box share their grid screen, and each refines
+    alone.
     """
+    fns = [phi] if isinstance(phi, TestFn) else list(phi)
+    if len({(fn.n, fn.d) for fn in fns}) > 1:
+        raise ValueError("the test functions of one seminorm call must have one n and d")
+    out = [0.0] * len(fns)
+    screens = {}  # (ball, box) or a function's own position -> (lo, hi, positions)
+    for k, fn in enumerate(fns):
+        if i > fn.max_deriv_order:
+            raise UnsupportedOrderError(f"seminorm order {i} above derivative bound")
+        n = fn.n
+        sc = np.asarray(fn.support_center, float)
+        sr = fn.support_radius
+        if K is None:
+            lo, hi = sc - sr, sc + sr
+        else:
+            kc = np.asarray(K[0], float).reshape(n)
+            kr = float(K[1])
+            lo = np.maximum(sc - sr, kc - kr)
+            hi = np.minimum(sc + sr, kc + kr)
+            if np.any(lo >= hi):
+                continue
+        key = k if fn.ball is None else (fn.ball[:2], lo.tobytes(), hi.tobytes())
+        screens.setdefault(key, (lo, hi, []))[2].append(k)
+    for lo, hi, mine in screens.values():
+        axes = [np.linspace(a, b, max(grid_points, 8) + 1) for a, b in zip(lo, hi)]
+        for k, top_pts in zip(mine, _screen([fns[k] for k in mine], i, axes)):
+            out[k] = _refine(fns[k], i, top_pts, lo, hi, grid_points, rel_tol)
+    return out[0] if isinstance(phi, TestFn) else out
+
+
+def _refine(phi: TestFn, i: int, top_pts: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+            grid_points: int, rel_tol: float) -> float:
+    """The norm refined in angle at the screened points, then in space
+    around the best of them: ``seminorm``'s value for phi."""
     n = phi.n
-    if i > phi.max_deriv_order:
-        raise UnsupportedOrderError(f"seminorm order {i} above derivative bound")
-    sc = np.asarray(phi.support_center, float)
-    sr = phi.support_radius
-    if K is None:
-        lo, hi = sc - sr, sc + sr
-    else:
-        kc = np.asarray(K[0], float).reshape(n)
-        kr = float(K[1])
-        lo = np.maximum(sc - sr, kc - kr)
-        hi = np.minimum(sc + sr, kc + kr)
-        if np.any(lo >= hi):
-            return 0.0
     indices = xi_set(n, i)
-
-    def grid(axes):
-        # the points of the ij mesh, axis by axis into one (n, points)
-        # array: its transpose is F-ordered, each coordinate contiguous
-        g = np.empty((n,) + tuple(len(x) for x in axes))
-        for j, x in enumerate(axes):
-            g[j] = x.reshape((-1,) + (1,) * (n - 1 - j))
-        return g.reshape(n, -1).T
-
-    axes = [np.linspace(lo[j], hi[j], max(grid_points, 8) + 1) for j in range(n)]
-    shape = tuple(len(x) for x in axes)
-    row = int(np.prod(shape[1:]))  # grid points per index of axis 0
-    rows = max(1, quadrature.BLOCK_POINTS // row)
-    screen = np.empty(shape[0] * row)
-    for s in range(0, shape[0], rows):
-        block = grid([axes[0][s:s + rows]] + axes[1:])
-        screen[s * row:s * row + len(block)] = opnorms(
-            n, i, phi.eval_deriv(indices, block), None, SCREEN_DIRECTIONS)[0]
-    top = _top_indices(screen, SCREEN_CANDIDATES)
-    top_pts = np.stack([x[k] for x, k in zip(axes, np.unravel_index(top, shape))], axis=1)
     # C order: the rounding of the angular refinement follows the layout
     norms, _ = opnorms(n, i, np.ascontiguousarray(phi.eval_deriv(indices, top_pts)), rel_tol)
     best_idx = int(np.argmax(norms))
@@ -705,8 +796,8 @@ def seminorm(phi, i: int, K: Optional[Tuple[Sequence[float], float]] = None,
     center = top_pts[best_idx]
     width = float(np.max((hi - lo))) / max(grid_points, 8)
     for _ in range(8):
-        lpts = grid([np.linspace(max(lo[j], center[j] - width),
-                                 min(hi[j], center[j] + width), 17) for j in range(n)])
+        lpts = _mesh([np.linspace(max(lo[j], center[j] - width),
+                                  min(hi[j], center[j] + width), 17) for j in range(n)])
         lnorms, _ = opnorms(n, i, phi.eval_deriv(indices, lpts), rel_tol)
         j = int(np.argmax(lnorms))
         new_best = float(lnorms[j])
@@ -788,9 +879,10 @@ def make_dictionary(n: int, d: int, i: int, size: int, seed: int) -> ProbeDictio
     members: List[TestFn] = []
     stream = _candidate_stream(n, d, seed)
     while len(members) < size:
-        cand = next(stream)
-        nu = seminorm(cand, i)
-        if nu <= 0:
-            continue
-        members.append(cand.scaled_by(1.0 / nu))
+        # the candidates still needed, in one seminorm call; those of norm
+        # 0 are dropped and replaced by the next ones
+        cands = list(itertools.islice(stream, size - len(members)))
+        for cand, nu in zip(cands, seminorm(cands, i)):
+            if nu > 0:
+                members.append(cand.scaled_by(1.0 / nu))
     return ProbeDictionary(n, d, i, size, seed, tuple(members))

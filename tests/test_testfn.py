@@ -1,5 +1,6 @@
 """Bump-based test functions: derivatives, rescaling, seminorms, dictionaries."""
 
+import itertools
 import math
 import threading
 from dataclasses import replace
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 from conftest import dense_directional_max
 from ptdiff import (MultiIndex, TestFn, bump_monomial, make_dictionary, seminorm,
                     standard_bump, xi_set)
-from ptdiff import cores, quadrature, testfn
+from ptdiff import cores, quadrature, tensor, testfn
 from ptdiff.cores import UnsupportedOrderError
 from ptdiff.testfn import _candidate_stream, _sum_of_bumps
 
@@ -390,6 +391,86 @@ class TestOneBlock:
         assert not np.shares_memory(grown, other[0])
 
 
+def _mixed_members(n, d=2):
+    """Unit-ball members (the bump in every direction, the monomials), the
+    half-axis members, a plateau and a random sum, interleaved."""
+    stream = list(itertools.islice(_candidate_stream(n, d, 5), 60))
+    labels = [c.label for c in stream]
+    unit = stream[:d] + [c for c in stream if c.label.startswith("bump*x^")]
+    half = [c for c in stream if c.label.startswith("half_axis")]
+    plateau, random = (stream[labels.index(name)] for name in ("plateau_w0.2", "random_1"))
+    return unit[:3] + half[:1] + [plateau] + unit[3:] + half[1:] + [random]
+
+
+def _whole_grid_top(phi, i, grid_points):
+    """The grid points of the SCREEN_CANDIDATES best screen values on the
+    whole grid at once, by ``_top_indices``: the screen before it went
+    block by block."""
+    lo = np.asarray(phi.support_center) - phi.support_radius
+    hi = np.asarray(phi.support_center) + phi.support_radius
+    pts = testfn._mesh([np.linspace(lo[j], hi[j], grid_points + 1) for j in range(phi.n)])
+    screen = tensor.opnorms(phi.n, i, phi.eval_deriv(xi_set(phi.n, i), pts), None,
+                            testfn.SCREEN_DIRECTIONS)[0]
+    top = testfn._top_indices(screen, testfn.SCREEN_CANDIDATES)
+    return pts[top], screen[top]
+
+
+class TestBatchedSeminorm:
+    """seminorm of a sequence: each value bit-identical to its own call."""
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("i", [0, 1, 2])
+    def test_equals_one_call_at_a_time(self, n, i):
+        phis = _mixed_members(n)
+        assert len({phi.ball[:2] for phi in phis if phi.ball}) == 1 + 2 * n
+        want = [seminorm(phi, i, grid_points=128).hex() for phi in phis]
+        assert [v.hex() for v in seminorm(phis, i, grid_points=128)] == want
+
+    def test_with_K_and_derivative_views(self):
+        # boxes cut by K, one of them empty, and views of one ball
+        phis = _mixed_members(2, 1)
+        phis += [phis[0].derivative_view(MultiIndex((1, 0))), phis[1].rescale([0.2, 0.1], 0.5)]
+        for K in (([0.3, -0.2], 0.4), ([0.4, 0.4], 0.35), ([5.0, 5.0], 1.0)):
+            want = [seminorm(phi, 1, K, grid_points=64) for phi in phis]
+            assert seminorm(phis, 1, K, grid_points=64) == want
+        assert seminorm(phis, 1, ([5.0, 5.0], 1.0)) == [0.0] * len(phis)
+
+    def test_empty_and_mixed_dimensions(self):
+        assert seminorm([], 1) == []
+        with pytest.raises(ValueError, match="one n and d"):
+            seminorm([standard_bump(1), standard_bump(2)], 0)
+        with pytest.raises(ValueError, match="one n and d"):
+            seminorm([standard_bump(2), standard_bump(2, d=2)], 0)
+        with pytest.raises(UnsupportedOrderError):
+            seminorm([standard_bump(1), standard_bump(1, max_deriv_order=1)], 2)
+
+    @pytest.mark.parametrize("n, block, members", [
+        # ties by symmetry between grid rows, 3 rows a block
+        (2, 3 * 129, lambda: [standard_bump(2), bump_monomial(2, (1, 0)),
+                              bump_monomial(2, (1, 1))]),
+        # a small atom far from the center of its support box: 60 or more
+        # of the 64 best values are 0, ties across blocks of 16 points
+        (1, 16, lambda: [_sum_of_bumps(1, 1, [(np.array([0.6]), 0.02, w)], 0, "small")
+                         for w in (1.0, -2.0)]),
+    ], ids=["2d-symmetric", "1d-zeros"])
+    def test_block_screen_is_whole_grid_top(self, n, block, members, monkeypatch):
+        # the best points kept block by block are _top_indices of the whole
+        # grid, ties to the lower grid index across block edges
+        phis = members()
+        monkeypatch.setattr(quadrature, "BLOCK_POINTS", block)
+        for i in range(3):
+            axes = [np.linspace(-1.0, 1.0, 129)] * n
+            got = testfn._screen(phis, i, axes)
+            for phi, pts in zip(phis, got):
+                want, values = _whole_grid_top(phi, i, 128)
+                assert np.array_equal(pts, want), (phi.label, i)
+                cut = values.min()
+                ties = np.flatnonzero(values == cut)
+                assert len(ties) > 1  # the cut value is tied
+                if n == 1:
+                    assert cut == 0.0 and len(ties) > block
+
+
 ONE_BALL_FNS = {
     "bump_2d": lambda kc: standard_bump(2),
     "bump_monomial_2d": lambda kc: bump_monomial(2, (1, 2)).rescale([0.2, -0.1], 0.6),
@@ -413,7 +494,8 @@ class TestFusedTensors:
                               _boundary_points(phi, rng)])
         calls = []
         core_eval = cores.core_eval
-        monkeypatch.setattr(cores, "core_eval", lambda *a: calls.append(a) or core_eval(*a))
+        monkeypatch.setattr(cores, "core_eval",
+                            lambda *a, **kw: calls.append(a) or core_eval(*a, **kw))
         for i in range(5):
             indices = xi_set(phi.n, i)
             calls.clear()

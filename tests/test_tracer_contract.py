@@ -115,6 +115,24 @@ def test_seminorm_calls_traced_eval_deriv_and_core_eval(tmp_path):
         assert eval_deriv >= 2 and core_eval >= eval_deriv
 
 
+def test_2d_dictionary_calls_traced_seminorm_eval_deriv_and_core_eval(tmp_path):
+    # on pairing-2d only the dictionary build calls seminorm and eval_deriv,
+    # whose layers the traced run requires: make_dictionary must call
+    # seminorm by its module name, and seminorm refine through eval_deriv
+    tracer_module = _load_tracer()
+    tracer = tracer_module.Tracer(tmp_path)
+    try:
+        tracer_module.install(tracer)
+        testfn.make_dictionary(2, 1, 0, 15, 0)
+    finally:
+        tracer.uninstall()
+    assert tracer.calls["testfn.make_dictionary"] == 1
+    for name in ("testfn.seminorm", "testfn.eval_deriv", "cores.core_eval"):
+        assert tracer.calls[name] >= 1, name
+    required = _load_metrics().REQUIRED_CALLS["pairing-2d"]
+    assert {"testfn.seminorm", "testfn.eval_deriv", "cores.core_eval"} <= set(required)
+
+
 def _load_metrics():
     spec = importlib.util.spec_from_file_location("benchmark_metrics",
                                                   TRACER.parent / "metrics.py")
