@@ -239,8 +239,9 @@ def build_kernel(n: int, k: int, use_cache: bool = True,
     """Kernel of degree k: unit mass, vanishing moments up to degree k-1.
 
     Cached to disk keyed by (n, k, bump id, quadrature tolerance); cache
-    hits re-verify the residuals before use.  Writing a file removes the
-    files of the same (n, k) under superseded keys.
+    hits re-verify the residuals before use and write nothing.  Only a
+    built kernel is written, and writing its file removes the files of the
+    same (n, k) under superseded keys.
     """
     if not (1 <= k <= MAX_DEGREE):
         raise ValueError(f"kernel degree must be in 1..{MAX_DEGREE}")
@@ -255,7 +256,8 @@ def build_kernel(n: int, k: int, use_cache: bool = True,
             coeffs = {tuple(e): float(c) for e, c in payload["coeffs"]}
         except (ValueError, KeyError):
             coeffs = None
-    if coeffs is None:
+    hit = coeffs is not None
+    if not hit:
         coeffs = _solve_coefficients(n, k)
     fn = _assemble(n, coeffs)
     residuals = _verify_residuals(n, k, fn)
@@ -266,7 +268,7 @@ def build_kernel(n: int, k: int, use_cache: bool = True,
             cpath.unlink()
             return build_kernel(n, k, use_cache=use_cache, cache_dir=cache_dir)
         raise KernelConstructionError(f"moment residual {worst:.3e} above gate")
-    if use_cache:
+    if use_cache and not hit:
         cdir.mkdir(parents=True, exist_ok=True)
         _write_atomic(cpath, json.dumps(
             {"n": n, "k": k, "bump": BUMP_ID,

@@ -293,10 +293,27 @@ class TestCache:
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
             [current.name, other.name, broken.name])
         assert json.loads(other.read_text())["k"] == 4
-        # a cache hit writes too, and so clears a stale sibling as well
+        # a verified cache hit writes nothing and scans nothing: the stale
+        # sibling stays, and the next write clears it
         stale.write_text(text)
+        before = {q: (q.stat().st_mtime_ns, q.stat().st_ino) for q in tmp_path.iterdir()}
+        build_kernel(1, 3, cache_dir=tmp_path)
+        assert {q: (q.stat().st_mtime_ns, q.stat().st_ino) for q in tmp_path.iterdir()} == before
+        current.unlink()
         build_kernel(1, 3, cache_dir=tmp_path)
         assert not stale.exists() and current.exists()
+
+    def test_hit_survives_an_unwritable_cache(self, tmp_path, monkeypatch):
+        # a hit neither writes nor scans, so a write that would fail (a
+        # read-only cache directory) cannot fail it
+        built = build_kernel(1, 2, cache_dir=tmp_path)
+
+        def refuse(*args):
+            raise PermissionError("read-only cache")
+
+        monkeypatch.setattr(momentkernel, "_write_atomic", refuse)
+        monkeypatch.setattr(momentkernel, "_remove_superseded", refuse)
+        assert build_kernel(1, 2, cache_dir=tmp_path) == built
 
     def test_suite_without_cache_plugin_writes_nothing_under_home(self, tmp_path):
         # without pytest's cache plugin the suite's kernels go to a session
