@@ -86,6 +86,9 @@ def _order(low: Optional[int]):  # parser type: an integer order in low..MAX_ORD
 _GRID = _typed(lambda t: (float(t.split(",")[0]), *map(int, t.split(",")[1:])),
                lambda g: len(g) == 2 and 0 < g[0] < np.inf and g[1] >= 1,
                "r0,levels with r0 > 0 and an integer levels >= 1")
+_ALPHA = _typed(float, np.isfinite, "a finite alpha")
+_PAIRS = _typed(int, lambda v: v >= 0, "an integer >= 0")
+_KAPPA = _typed(float, lambda v: 0 < v < np.inf, "a finite kappa_F > 0")
 _DICT = _typed(lambda t: tuple(map(int, t.split(","))), lambda s: len(s) == 2 and s[0] >= 4
                and s[1] >= 0, "size,seed with an integer size >= 4 and seed >= 0")
 
@@ -369,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--item", help="corpus item id")
         p.add_argument("--point", help="comma-separated coordinates")
         p.add_argument("--k", type=_order(k_min))
-        p.add_argument("--alpha", type=float)
+        p.add_argument("--alpha", type=_ALPHA)
         p.add_argument("--i", type=_order(0))
         p.add_argument("--grid", type=_GRID, help="r0,levels")
         p.add_argument("--dict", type=_DICT, help="size,seed")
@@ -397,9 +400,9 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--field", help="jet field JSON document")
     p.add_argument("--query", help="semicolon-separated query points")
-    p.add_argument("--kappa-f", type=float, dest="kappa_f",
+    p.add_argument("--kappa-f", type=_KAPPA, dest="kappa_f",
                    help="compatibility gate constant")
-    p.add_argument("--hoelder-pairs", type=int, default=0,
+    p.add_argument("--hoelder-pairs", type=_PAIRS, default=0,
                    help="sample pairs for the empirical Hoelder measurement")
     p.set_defaults(fn=cmd_whitney)
 

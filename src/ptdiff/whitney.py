@@ -708,8 +708,13 @@ def extend(F: JetField, region: Optional[Ball] = None,
 
     The compatibility gate requires the pairwise jet defects to satisfy
     the Hoelder bound rho <= kappa_F * delta^alpha on the data; with
-    kappa_F omitted, the smallest admissible constant is recorded.
+    kappa_F omitted, the smallest admissible constant is recorded.  A given
+    kappa_F must be finite and positive: the gate test is False for nan
+    and inf, which would accept every field.
     """
+    if kappa_F is not None and not 0.0 < kappa_F < math.inf:
+        raise ValueError(f"the gate constant kappa_F must be finite and positive, "
+                         f"not {kappa_F!r}")
     n = F.n
     _, worst, worst_pair = _gate(F)
     if kappa_F is not None and worst > kappa_F * (1 + 1e-9):

@@ -265,13 +265,27 @@ class TestArgumentValidation:
 
     @pytest.mark.parametrize("extra", [["--grid", "1.0,abc"], ["--grid", "0,4"],
                                        ["--dict", "3,0"], ["--dict", "8,x"],
-                                       ["--k", "abc"], ["--k", "7"]])
+                                       ["--k", "abc"], ["--k", "7"],
+                                       ["--alpha", "nan"], ["--alpha", "inf"],
+                                       ["--alpha", "-inf"]])
     def test_classify_bad_argument(self, tmp_path, capsys, extra):
         argv = ["classify", "--item", "heaviside", "--point", "0", "--k", "0",
                 "--out", str(tmp_path)] + extra
         assert exit_code(argv) == 3
         assert "error: argument" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("extra", [["--hoelder-pairs", "-5"], ["--hoelder-pairs", "1.5"],
+                                       ["--kappa-f", "nan"], ["--kappa-f", "inf"],
+                                       ["--kappa-f", "0"], ["--kappa-f", "-2"]])
+    def test_whitney_bad_argument(self, tmp_path, capsys, extra):
+        # a nan or infinite gate constant would accept every field, and a
+        # negative pair count would measure 10 pairs
+        path = TestWhitneyCommand().field_doc(tmp_path)
+        argv = ["whitney", "--field", str(path), "--out", str(tmp_path)] + extra
+        assert exit_code(argv) == 3
+        assert "error: argument" in capsys.readouterr().err
+        assert not (tmp_path / "whitney_extension.csv").exists()
 
     def test_jet_order_above_bound_names_it(self, tmp_path, capsys):
         code = exit_code(["jet", "--item", "exp", "--point", "0", "--k", "9",

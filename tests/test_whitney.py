@@ -424,6 +424,16 @@ class TestExtension:
             extend(F, kappa_F=1.0)
         assert exc.value.worst_pair is not None
 
+    @pytest.mark.parametrize("kappa", [math.nan, math.inf, 0.0, -1.0])
+    def test_gate_constant_must_be_finite_and_positive(self, kappa):
+        # the gate test worst > kappa_F * (1 + 1e-9) is False for nan and
+        # inf, which would accept a field of defect 1e4
+        F = constant_field(tuple(j * 1e-3 for j in range(10)), (0.0,) * 9 + (10.0,))
+        with pytest.raises(WhitneyGateError):
+            extend(F, kappa_F=2.0)
+        with pytest.raises(ValueError, match="finite and positive"):
+            extend(F, kappa_F=kappa)
+
     def test_gate_constant_recorded(self):
         F = constant_field((0.0, 1.0), (0.0, 2.0))
         ext = extend(F)
