@@ -53,11 +53,10 @@ bounded by one block.  They are kept from block to block and call to
 call, so a repeated evaluation faults in no new pages for them.  A call
 still allocates the points' order, a block the runs' index as 32-bit
 integers and, when some pairs are outside, the kept pairs' index, and
-``core_eval`` its row blocks' temporaries.  The layout path tests the
-points of up to one block against the clamp itself, as the pair blocks
-do, and evaluates those inside in block arrays too (``_ball_values``):
-|u|^2, the points inside and the values of each spec, one entry per
-(spec, point).
+``core_eval`` its row blocks' temporaries.  The layout path tests its
+points against the clamp itself, as the pair blocks do, and evaluates
+the points inside, up to one block, into one block array too
+(``_ball_values``), one entry per (spec, point).
 
 Core coordinates (x - center) / radius are built one coordinate at a time,
 each center and radius repeated over its run of points (``run_coords``)
@@ -403,32 +402,30 @@ def _ball_values(n: int, specs, u: np.ndarray) -> np.ndarray:
     """``core_eval`` of the specs at the core coordinates u (points, n):
     (points, specs).
 
-    Up to one block of points (``quadrature.BLOCK_POINTS``) is tested
-    against the clamp here, as ``core_eval`` tests it, and only the points
-    inside go to ``core_eval``, with their |u|^2; the others are 0.  The
-    arrays are block arrays (``_kept``), the result a view of one, so that
-    a repeated evaluation faults in no new pages.  A larger batch goes to
-    ``core_eval`` as it is.  Every value is the one ``core_eval`` gives.
+    The points are tested against the clamp here, as ``core_eval`` tests
+    them, and only those inside go to ``core_eval``, with their |u|^2; the
+    others are 0.  For up to one block of points (``quadrature.BLOCK_POINTS``)
+    the values of the points inside, the largest temporary of a block, go
+    to a block array (``_kept``), so that a repeated 2-D evaluation faults
+    in few new pages; keeping the per-point arrays as well made the passes
+    slower.  Every value is the one ``core_eval`` gives.
     """
     kind, core, deriv = zip(*specs)
     npts = len(u)
     if npts > quadrature.BLOCK_POINTS:
         return cores.core_eval(n, kind, core, deriv, u)
-    s = np.multiply(u[:, 0], u[:, 0], out=_kept("ball_sq", npts))  # as ``cores.sq_norms``
-    for a in range(1, n):
-        s += np.multiply(u[:, a], u[:, a], out=_kept("x", npts))
-    inside = np.less(s, 1.0 - cores.BOUNDARY_CLAMP, out=_kept("inside", npts, bool))
-    vals = _kept("ball_vals", (len(specs), npts))
-    if np.count_nonzero(inside) == npts:
+    s = cores.sq_norms(u)
+    inside = s < 1.0 - cores.BOUNDARY_CLAMP
+    if inside.all():
+        vals = np.empty((len(specs), npts))
         cores.core_eval(n, kind, core, deriv, u, out=vals.T, sq=s)
         return vals.T
     keep = np.flatnonzero(inside)
     sub = _kept("ball_inside_vals", (len(specs), len(keep)))
-    cores.core_eval(n, kind, core, deriv,
-                    u.T.take(keep, axis=1, out=_kept("u_kept", (n, len(keep))), mode="clip").T,
-                    out=sub.T, sq=_take(s, keep, "sq_kept"))
-    vals.fill(0.0)
-    vals[:, keep] = sub
+    cores.core_eval(n, kind, core, deriv, u.T.take(keep, axis=1).T, out=sub.T, sq=s[keep])
+    vals = np.zeros((len(specs), npts))
+    for row, v in zip(vals, sub):  # a 1-D index per row: far faster than vals[:, keep]
+        row[keep] = v
     return vals.T
 
 
