@@ -427,10 +427,14 @@ class TestBatchedSeminorm:
         assert [v.hex() for v in seminorm(phis, i, grid_points=128)] == want
 
     def test_with_K_and_derivative_views(self):
-        # boxes cut by K, one of them empty, and views of one ball
+        # boxes cut by K, one of them empty, views of one ball, and one
+        # ball with two boxes: a half-axis member and the same atom on the
+        # support B(0, 1)
         phis = _mixed_members(2, 1)
-        phis += [phis[0].derivative_view(MultiIndex((1, 0))), phis[1].rescale([0.2, 0.1], 0.5)]
-        for K in (([0.3, -0.2], 0.4), ([0.4, 0.4], 0.35), ([5.0, 5.0], 1.0)):
+        half = next(phi for phi in phis if phi.label == "half_axis0+")
+        phis += [phis[0].derivative_view(MultiIndex((1, 0))), phis[1].rescale([0.2, 0.1], 0.5),
+                 _sum_of_bumps(2, 1, [(half.centers[0], half.radii[0], 1.0)], 0, "wide")]
+        for K in (None, ([0.3, -0.2], 0.4), ([0.4, 0.4], 0.35), ([5.0, 5.0], 1.0)):
             want = [seminorm(phi, 1, K, grid_points=64) for phi in phis]
             assert seminorm(phis, 1, K, grid_points=64) == want
         assert seminorm(phis, 1, ([5.0, 5.0], 1.0)) == [0.0] * len(phis)
