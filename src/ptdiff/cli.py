@@ -204,7 +204,7 @@ def cmd_jet(args) -> int:
         for e, expected in claim.coeffs.items():
             got = est.jet.coefficient(MultiIndex(e))
             if np.max(np.abs(np.asarray(expected) - got)) > JET_TOL:
-                return EXIT_MISMATCH
+                return EXIT_MISMATCH if est.converged else EXIT_INCONCLUSIVE
         return EXIT_OK
     return EXIT_OK if est.converged else EXIT_INCONCLUSIVE
 
@@ -286,6 +286,8 @@ def _load_field(path: Path) -> JetField:
         alpha = float(doc.get("alpha", 1.0))
         points = [tuple(map(float, p)) for p in doc["points"]]
         n = len(points[0]) if points else 1
+        if len(doc["jets"]) != len(points):
+            raise ValueError(f"{len(doc['jets'])} jets for {len(points)} points")
         jets = []
         for entry, p in zip(doc["jets"], points):
             coeffs = {tuple(map(int, key.split(","))): value

@@ -86,13 +86,14 @@ def _accelerate(values: np.ndarray, ratio: float) -> Tuple[np.ndarray, bool]:
     """Aitken-extrapolated limit of a (levels, d) sequence.
 
     Accepts the end of the longest run of contracting differences; runs
-    broken by rounding noise at small radii are left behind.
+    broken by rounding noise at small radii are left behind.  Fewer than
+    three levels show no contraction: they converge only when all are 0.
     """
     levels = values.shape[0]
     diffs = np.max(np.abs(np.diff(values, axis=0)), axis=1)
     scale = float(np.max(np.abs(values))) if values.size else 0.0
     if levels < 3 or scale == 0.0:
-        return values[-1].copy() if levels else values.sum(axis=0), True
+        return values[-1].copy() if levels else values.sum(axis=0), scale == 0.0
     if np.all(diffs <= 1e2 * np.finfo(float).eps * scale):
         return values[-1].copy(), True
     runs: List[Tuple[int, int]] = []  # (start, end) inclusive in diff index

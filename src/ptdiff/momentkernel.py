@@ -12,25 +12,21 @@ The bump moments, with their quadrature bounds, form one table per
 dimension (``moment_table``), filled whole on its first request; the
 kernel build and the closed-form pairing of polynomials read it.
 
-The kernel cache holds coefficients and residuals, never sup norms.
+``build_kernel`` builds and verifies a kernel in the process on every call;
+sup norms are computed on request and memoized on the kernel object.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 import math
-import os
-import tempfile
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from pathlib import Path
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
 from . import cores, tensor
-from .quadrature import QuadratureConfig, integrate_box, integrate_boxes
+from .quadrature import QuadratureConfig, integrate_box, integrate_boxes, job_runs
 from .tensor import MultiIndex, PolyJet, xi_set
 from .testfn import TestFn, seminorm
 
@@ -38,7 +34,6 @@ MOMENT_QUAD = QuadratureConfig(rel_tol=1e-12, abs_floor=1e-15)
 VERIFY_QUAD = QuadratureConfig(rel_tol=1e-12, abs_floor=1e-13)
 RESIDUAL_GATE = 1e-10
 MAX_DEGREE = 5
-BUMP_ID = "radial_exp_reciprocal"
 MAX_SUPNORM_ORDER = 4  # highest i of the kernel sup norms sup ||D^i Phi||
 # total order the moment table is filled to: jets of degree <= 6 (the
 # probes' derivative bound) paired with monomial cores of order <= 3
@@ -147,31 +142,15 @@ def moment_table(n: int, order: int = 0) -> Tuple[np.ndarray, np.ndarray]:
     ``tensor._table(n, top)``, top = max(order, MOMENT_ORDER).
 
     The table is filled whole on its first request, so the quadratures all
-    run at once (in the cold kernel build) and never one exponent at a
+    run at once (in the first kernel build) and never one exponent at a
     time in later calls.
     """
     return _moment_table(n, max(order, MOMENT_ORDER))
 
 
 def _even_indices(n: int, max_order: int):
-    out = []
-    for m in range(0, max_order + 1):
-        for xi in xi_set(n, m):
-            if all(e % 2 == 0 for e in xi.entries):
-                out.append(xi)
-    return out
-
-
-def _cache_key(n: int, k: int) -> str:
-    payload = json.dumps({"n": n, "k": k, "bump": BUMP_ID,
-                          "quad_tol": MOMENT_QUAD.rel_tol}, sort_keys=True)
-    return hashlib.sha256(payload.encode()).hexdigest()[:16]
-
-
-def _cache_dir() -> Path:
-    env = os.environ.get("PTDIFF_CACHE")
-    base = Path(env) if env else Path.home() / ".cache" / "ptdiff"
-    return base / "kernels"
+    return [xi for m in range(max_order + 1) for xi in xi_set(n, m)
+            if all(e % 2 == 0 for e in xi.entries)]
 
 
 def _solve_coefficients(n: int, k: int) -> Dict[Tuple[int, ...], float]:
@@ -221,9 +200,9 @@ def _verify_residuals(n: int, k: int, fn: TestFn) -> Dict[Tuple[int, ...], float
         else:
             x = pts
             vals = fn(x)[:, 0]
-        starts = np.flatnonzero(np.diff(job, prepend=-1))
-        for s, e in zip(starts, np.append(starts[1:], len(job))):
-            for j, p in enumerate(indices[job[s]].entries):
+        starts, lengths, jobs = job_runs(job)
+        for s, e, which in zip(starts, starts + lengths, jobs):
+            for j, p in enumerate(indices[which].entries):
                 if p:
                     vals[s:e] = vals[s:e] * x[s:e, j] ** p
         return vals
@@ -234,75 +213,19 @@ def _verify_residuals(n: int, k: int, fn: TestFn) -> Dict[Tuple[int, ...], float
             for xi, (v, _, _) in zip(indices, results)}
 
 
-def build_kernel(n: int, k: int, use_cache: bool = True,
-                 cache_dir: Optional[Path] = None) -> MomentKernel:
-    """Kernel of degree k: unit mass, vanishing moments up to degree k-1.
-
-    Cached to disk keyed by (n, k, bump id, quadrature tolerance); cache
-    hits re-verify the residuals before use and write nothing.  Only a
-    built kernel is written, and writing its file removes the files of the
-    same (n, k) under superseded keys.
-    """
+def build_kernel(n: int, k: int) -> MomentKernel:
+    """Kernel of degree k: unit mass, vanishing moments up to degree k-1,
+    built on every call and every moment residual verified against the gate."""
     if not (1 <= k <= MAX_DEGREE):
         raise ValueError(f"kernel degree must be in 1..{MAX_DEGREE}")
     if n > 2:
         raise ValueError("kernel construction is implemented for n <= 2")
-    cdir = Path(cache_dir) if cache_dir else _cache_dir()
-    cpath = cdir / f"{_cache_key(n, k)}.json"
-    coeffs = None
-    if use_cache and cpath.exists():
-        try:
-            payload = json.loads(cpath.read_text())
-            coeffs = {tuple(e): float(c) for e, c in payload["coeffs"]}
-        except (ValueError, KeyError):
-            coeffs = None
-    hit = coeffs is not None
-    if not hit:
-        coeffs = _solve_coefficients(n, k)
-    fn = _assemble(n, coeffs)
+    fn = _assemble(n, _solve_coefficients(n, k))
     residuals = _verify_residuals(n, k, fn)
     worst = max(residuals.values(), default=0.0)
     if worst > RESIDUAL_GATE:
-        # a corrupted cache entry fails re-verification; rebuild once
-        if use_cache and cpath.exists():
-            cpath.unlink()
-            return build_kernel(n, k, use_cache=use_cache, cache_dir=cache_dir)
         raise KernelConstructionError(f"moment residual {worst:.3e} above gate")
-    if use_cache and not hit:
-        cdir.mkdir(parents=True, exist_ok=True)
-        _write_atomic(cpath, json.dumps(
-            {"n": n, "k": k, "bump": BUMP_ID,
-             "coeffs": [[list(e), c] for e, c in coeffs.items()],
-             "residuals": {str(e): r for e, r in residuals.items()}}, indent=1))
-        _remove_superseded(cpath, n, k)
     return MomentKernel(n, k, fn, residuals)
-
-
-def _remove_superseded(cpath: Path, n: int, k: int) -> None:
-    """Remove the kernel files beside cpath that hold (n, k) under another
-    cache key; files of other (n, k), or that cannot be read, stay."""
-    for other in cpath.parent.glob("*.json"):
-        if other == cpath:
-            continue
-        try:
-            payload = json.loads(other.read_text())
-            superseded = (payload["n"], payload["k"]) == (n, k)
-        except (OSError, ValueError, KeyError, TypeError):
-            continue
-        if superseded:
-            other.unlink(missing_ok=True)
-
-
-def _write_atomic(path: Path, text: str) -> None:
-    """Write path whole or not at all: a temp file beside it, then os.replace."""
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
 
 
 def verify_reproduction(kernel: MomentKernel, Q: PolyJet, x, r: float,

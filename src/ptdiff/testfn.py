@@ -98,6 +98,7 @@ SCREEN_CANDIDATES = 64
 # most bins per axis of the candidate search
 MAX_BINS = 1024
 _TINY = np.finfo(float).tiny  # the smallest positive normal float
+_EPS = np.finfo(float).eps
 _KEPT = threading.local()  # each thread's block arrays, by name
 
 
@@ -113,8 +114,8 @@ class CoreAtom:
 
 
 class ScaleError(ValueError):
-    """A rescaling outside the float range: a radius that is not a finite
-    positive normal float, or a derivative scale radius^-|xi| that overflows."""
+    """A rescaling outside the float range: a radius not a finite positive normal
+    float, an overflowing derivative scale radius^-|xi|, or a ball rounded to a point."""
 
 
 _TABLE = ("kind", "centers", "radii", "coeffs")  # the fields that are arrays
@@ -232,18 +233,31 @@ class TestFn:
 
         r and every rescaled atom radius must be finite positive normal
         floats: below that range the radius powers lose their precision.
+        Far from 0, c - r and c + r can round to one float: the rescaled
+        support box and atom balls must keep a nonzero width on every axis.
         """
         radii = r * self.radii
-        if not (_TINY <= r < np.inf and _TINY <= np.minimum.reduce(radii, initial=1.0)
+        least = np.minimum.reduce(radii, initial=1.0)
+        if not (_TINY <= r < np.inf and _TINY <= least
                 and np.maximum.reduce(radii, initial=1.0) < np.inf):
             raise ScaleError(f"rescaling by {float(r)!r} takes the atom radii "
                              f"{float(self.radii.min(initial=1.0))!r} ... "
                              f"{float(self.radii.max(initial=1.0))!r} out of the normal float "
                              f"range")
         a = np.asarray(a, dtype=float).reshape(self.n)
-        return self._with(centers=a + r * self.centers, radii=radii,
-                          support_center=tuple(a + r * np.asarray(self.support_center)),
-                          support_radius=r * self.support_radius)
+        centers = a + r * self.centers
+        support_center = a + r * np.asarray(self.support_center)
+        support_radius = r * self.support_radius
+        # c - w < c + w once w exceeds eps |c|, which bounds c's last-place
+        # spacing; only below that are the boxes compared exactly
+        reach = max(np.abs(centers).max(initial=0.0), *map(abs, support_center.tolist()))
+        if min(least, support_radius) <= _EPS * reach and not (
+                (support_center - support_radius < support_center + support_radius).all()
+                and (centers - radii[:, None] < centers + radii[:, None]).all()):
+            raise ScaleError(f"rescaling about {a.tolist()!r} by {float(r)!r} rounds a "
+                             f"support box or atom ball to zero width")
+        return self._with(centers=centers, radii=radii, support_center=tuple(support_center),
+                          support_radius=support_radius)
 
     def scaled_by(self, c: float) -> "TestFn":
         return self._with(coeffs=c * self.coeffs)

@@ -1,39 +1,12 @@
 """Shared fixtures: kernels, probe dictionaries, corpus, fast configs."""
 
 import math
-import os
-import shutil
-import tempfile
 
 import numpy as np
 import pytest
 
 from ptdiff import (ClassifierConfig, JetConfig, QuadratureConfig,
                     build_kernel, load_corpus, make_dictionary)
-
-
-_SESSION_CACHE = []  # a temporary kernel cache made for this session
-
-
-def pytest_configure(config):
-    # kernels built by the suite go to pytest's cache directory, not to
-    # ~/.cache/ptdiff: nothing is written outside the checkout, and later
-    # runs still find them.  Without the cache plugin they go to a
-    # temporary directory, removed when the session ends
-    if "PTDIFF_CACHE" in os.environ:
-        return
-    cache = getattr(config, "cache", None)
-    if cache is not None:
-        os.environ["PTDIFF_CACHE"] = str(cache.mkdir("ptdiff-kernels"))
-    else:
-        _SESSION_CACHE.append(tempfile.mkdtemp(prefix="ptdiff-kernels-"))
-        os.environ["PTDIFF_CACHE"] = _SESSION_CACHE[-1]
-
-
-def pytest_unconfigure(config):
-    while _SESSION_CACHE:
-        os.environ.pop("PTDIFF_CACHE", None)
-        shutil.rmtree(_SESSION_CACHE.pop(), ignore_errors=True)
 
 
 @pytest.fixture(scope="session")

@@ -31,6 +31,17 @@ class TestExitCodes:
         assert report["verdict"] == "inconclusive"
         assert code == 2
 
+    @pytest.mark.parametrize("grid", ["0.5,1", "0.5,2"])
+    def test_inconclusive_jet_with_claim_is_exit_2(self, tmp_path, grid):
+        # one or two grid levels show no contraction, so the estimate has
+        # not converged; exp at 0 has a k = 3 jet claim, which it misses
+        # without contradicting it
+        code = run(["jet", "--item", "exp", "--point", "0", "--k", "3",
+                    "--grid", grid, "--out", str(tmp_path)])
+        report = json.loads((tmp_path / "jet_exp.json").read_text())
+        assert report["converged"] is False
+        assert code == 2
+
     def test_jet_matches_annotation(self, tmp_path):
         code = run(["jet", "--item", "exp", "--point", "0", "--k", "3",
                     "--grid", "0.5,10", "--out", str(tmp_path)])
@@ -193,6 +204,14 @@ class TestWhitneyCommand:
         bad.write_text("{\"degree\": 1}")
         assert run(["whitney", "--field", str(bad), "--out", str(tmp_path)]) == 3
 
+    def test_extra_jets_are_input_error(self, tmp_path, capsys):
+        doc = {"degree": 0, "alpha": 1.0, "points": [[0.0]],
+               "jets": [{"coeffs": {"0": 0.0}}, {"coeffs": {"0": 1.0}}]}
+        path = tmp_path / "extra.json"
+        path.write_text(json.dumps(doc))
+        assert run(["whitney", "--field", str(path), "--out", str(tmp_path)]) == 3
+        assert "2 jets for 1 points" in capsys.readouterr().err
+
     def test_gate_violation_is_input_error(self, tmp_path, capsys):
         doc = {"degree": 0, "alpha": 1.0, "points": [[0.0], [0.001]],
                "jets": [{"coeffs": {"0": 0.0}}, {"coeffs": {"0": 1.0}}]}
@@ -331,6 +350,15 @@ class TestNumericalFailures:
         assert code == 3
         err = capsys.readouterr().err
         assert err.startswith("error: ") and ("overflows" in err or "normal float" in err)
+
+    @pytest.mark.parametrize("command", ["jet", "classify"])
+    def test_support_rounded_to_a_point(self, tmp_path, capsys, command):
+        # floats near 1e16 are 2 apart, so the probes' supports a +- r/2
+        # round to a: an input error, not a jet of exact zeros
+        code = exit_code([command, "--item", "sq", "--point", "1e16", "--k", "2",
+                          "--out", str(tmp_path)])
+        assert code == 3
+        assert "zero width" in capsys.readouterr().err
 
     def test_nonconvergence_is_inconclusive(self, tmp_path, capsys, monkeypatch):
         from ptdiff import poincare

@@ -1,6 +1,5 @@
-"""Moment-matching kernels: residuals, polynomial reproduction, caching."""
+"""Moment-matching kernels: residuals, polynomial reproduction, sup norms."""
 
-import json
 import math
 import os
 import subprocess
@@ -13,7 +12,7 @@ import pytest
 from ptdiff import (MomentKernel, MultiIndex, PolyJet, build_kernel, momentkernel,
                     seminorm, xi_set)
 from ptdiff.momentkernel import (MAX_SUPNORM_ORDER, RESIDUAL_GATE, VERIFY_QUAD,
-                                 _angular_moment, _cache_key, _verify_residuals,
+                                 _angular_moment, _verify_residuals,
                                  verify_reproduction)
 from ptdiff.quadrature import integrate_box
 from ptdiff.tensor import zero_index
@@ -212,18 +211,11 @@ def counting_seminorm(monkeypatch):
 
 
 class TestSupnorms:
-    def test_build_computes_none(self, tmp_path, monkeypatch):
+    def test_build_computes_none(self, monkeypatch):
         calls = counting_seminorm(monkeypatch)
-        build_kernel(2, 2, cache_dir=tmp_path)  # cold
-        assert list(tmp_path.glob("*.json"))
-        build_kernel(2, 2, cache_dir=tmp_path)  # warm
+        build_kernel(2, 2)
+        build_kernel(2, 2)
         assert calls == []
-
-    def test_kernel_file_holds_coefficients_and_residuals(self, tmp_path):
-        build_kernel(1, 3, cache_dir=tmp_path)
-        payload = json.loads(next(tmp_path.glob("*.json")).read_text())
-        assert "supnorms" not in payload
-        assert set(payload) == {"n", "k", "bump", "coeffs", "residuals"}
 
     @pytest.mark.parametrize("n,k", sorted(STORED_SUPNORMS))
     def test_equal_to_stored_values(self, kernel_cache, n, k):
@@ -231,16 +223,16 @@ class TestSupnorms:
         got = tuple(kernel.deriv_supnorm(i) for i in range(MAX_SUPNORM_ORDER + 1))
         assert got == STORED_SUPNORMS[(n, k)]
 
-    def test_memoized_per_kernel_object(self, tmp_path, monkeypatch):
+    def test_memoized_per_kernel_object(self, monkeypatch):
         calls = counting_seminorm(monkeypatch)
-        built = build_kernel(1, 3, cache_dir=tmp_path)
+        built = build_kernel(1, 3)
         first = built.deriv_supnorm(2)
         assert calls == [2]
         assert built.deriv_supnorm(2) == first
         assert calls == [2]
-        # a kernel loaded again evaluates again, to the same value: the work
+        # a kernel built again evaluates again, to the same value: the work
         # one command does never depends on the commands run before it
-        loaded = build_kernel(1, 3, cache_dir=tmp_path)
+        loaded = build_kernel(1, 3)
         assert loaded.deriv_supnorm(2) == first
         assert calls == [2, 2]
 
@@ -249,86 +241,42 @@ class TestSupnorms:
             kernel_cache(1, 2).deriv_supnorm(MAX_SUPNORM_ORDER + 1)
 
 
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def env_with_home(home):
+    """This process's environment with HOME at home and ./src importable."""
+    env = dict(os.environ, HOME=str(home))
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+    return env
+
+
 class TestCache:
-    def test_roundtrip(self, tmp_path):
-        k1 = build_kernel(1, 2, cache_dir=tmp_path)
-        files = list(tmp_path.glob("*.json"))
-        assert len(files) == 1
-        k2 = build_kernel(1, 2, cache_dir=tmp_path)
-        xs = np.linspace(-0.9, 0.9, 7)[:, None]
-        np.testing.assert_array_equal(k1.testfn(xs), k2.testfn(xs))
-
-    def test_corrupted_cache_rebuilds(self, tmp_path):
-        build_kernel(1, 2, cache_dir=tmp_path)
-        path = next(tmp_path.glob("*.json"))
-        payload = json.loads(path.read_text())
-        payload["coeffs"][0][1] *= 3.0  # poison the mass coefficient
-        path.write_text(json.dumps(payload))
-        kernel = build_kernel(1, 2, cache_dir=tmp_path)
-        assert max(kernel.moment_residuals.values()) <= RESIDUAL_GATE
-
-    def test_truncated_entry_rewritten_whole(self, tmp_path):
-        build_kernel(1, 2, cache_dir=tmp_path)
-        path = next(tmp_path.glob("*.json"))
-        text = path.read_text()
-        path.write_text(text[: len(text) // 2])  # a write cut short
-        build_kernel(1, 2, cache_dir=tmp_path)
-        assert [p.name for p in tmp_path.iterdir()] == [path.name]
-        assert json.loads(path.read_text())["coeffs"] == json.loads(text)["coeffs"]
-
-    def test_write_removes_superseded_keys(self, tmp_path):
-        # a file of the same (n, k) under an older key goes; a file of
-        # another (n, k) and a file that cannot be read stay
-        build_kernel(1, 3, cache_dir=tmp_path)
-        current = next(tmp_path.glob("*.json"))
-        text = current.read_text()
-        stale = tmp_path / "0123456789abcdef.json"
-        stale.write_text(text)
-        other = tmp_path / "fedcba9876543210.json"
-        other.write_text(text.replace('"k": 3', '"k": 4', 1))
-        broken = tmp_path / "0000000000000000.json"
-        broken.write_text(text[: len(text) // 2])
-        current.unlink()  # the next build writes the current key again
-        build_kernel(1, 3, cache_dir=tmp_path)
-        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
-            [current.name, other.name, broken.name])
-        assert json.loads(other.read_text())["k"] == 4
-        # a verified cache hit writes nothing and scans nothing: the stale
-        # sibling stays, and the next write clears it
-        stale.write_text(text)
-        before = {q: (q.stat().st_mtime_ns, q.stat().st_ino) for q in tmp_path.iterdir()}
-        build_kernel(1, 3, cache_dir=tmp_path)
-        assert {q: (q.stat().st_mtime_ns, q.stat().st_ino) for q in tmp_path.iterdir()} == before
-        current.unlink()
-        build_kernel(1, 3, cache_dir=tmp_path)
-        assert not stale.exists() and current.exists()
-
-    def test_hit_survives_an_unwritable_cache(self, tmp_path, monkeypatch):
-        # a hit neither writes nor scans, so a write that would fail (a
-        # read-only cache directory) cannot fail it
-        built = build_kernel(1, 2, cache_dir=tmp_path)
-
-        def refuse(*args):
-            raise PermissionError("read-only cache")
-
-        monkeypatch.setattr(momentkernel, "_write_atomic", refuse)
-        monkeypatch.setattr(momentkernel, "_remove_superseded", refuse)
-        assert build_kernel(1, 2, cache_dir=tmp_path) == built
-
     def test_suite_without_cache_plugin_writes_nothing_under_home(self, tmp_path):
-        # without pytest's cache plugin the suite's kernels go to a session
-        # temporary directory, not to ~/.cache/ptdiff
-        root = Path(__file__).resolve().parents[1]
-        env = {k: v for k, v in os.environ.items() if k != "PTDIFF_CACHE"}
-        env["HOME"] = str(tmp_path)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [str(root / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+        # kernels are built in the process: a session writes nothing under
+        # HOME, with or without pytest's cache plugin
         out = subprocess.run(
             [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
              "tests/test_momentkernel.py::TestScaling::test_invalid_scale"],
-            cwd=root, env=env, capture_output=True, text=True)
+            cwd=ROOT, env=env_with_home(tmp_path), capture_output=True, text=True)
         assert out.returncode == 0, out.stdout + out.stderr
-        assert not (tmp_path / ".cache").exists()
+        assert not any(tmp_path.iterdir())
 
-    def test_cache_key_distinguishes_orders(self):
-        assert _cache_key(1, 2) != _cache_key(1, 3)
+    def test_jet_with_unusable_home_writes_only_its_reports(self, tmp_path):
+        # HOME under a regular file: no directory can be made there, even
+        # by root.  The command builds its kernel in the process and writes
+        # only under --out
+        blocker = tmp_path / "blocker"
+        blocker.write_text("a file, not a directory")
+        cwd, out_dir = tmp_path / "cwd", tmp_path / "out"
+        cwd.mkdir()
+        out = subprocess.run(
+            [sys.executable, "-m", "ptdiff.cli", "jet", "--item", "exp", "--point", "0",
+             "--k", "1", "--out", str(out_dir)],
+            cwd=cwd, env=env_with_home(blocker / "home"), capture_output=True, text=True)
+        assert out.returncode == 0, out.stdout + out.stderr
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["blocker", "cwd", "out"]
+        assert not any(cwd.iterdir())
+        assert blocker.read_text() == "a file, not a directory"
+        assert [p.name for p in out_dir.iterdir()] == ["jet_exp.json"]

@@ -440,11 +440,10 @@ class TestClosedForm:
 
 
 class TestRepeatableWork:
-    def test_classify_repeats_its_counts(self, corpus, tmp_path, monkeypatch):
-        # a fresh process: empty moment caches and an empty kernel cache.
-        # After the cold kernel build, every repeated call does the same work,
-        # so a moment filled lazily in the first call shows as a count
-        monkeypatch.setenv("PTDIFF_CACHE", str(tmp_path))
+    def test_classify_repeats_its_counts(self, corpus, monkeypatch):
+        # a fresh process: empty moment caches.  After the first kernel
+        # build, every repeated call does the same work, so a moment filled
+        # lazily in the first call shows as a count
         for cached in (momentkernel._moment, momentkernel._radial_moment,
                        momentkernel._moment_table):
             cached.cache_clear()

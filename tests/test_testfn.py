@@ -591,6 +591,15 @@ class TestRescale:
         with pytest.raises(testfn.ScaleError):
             plateau.rescale([0.0], 1e-307)
 
+    def test_atom_ball_rounded_to_a_point_rejected(self):
+        # at 1e15 floats are 0.125 apart: an atom of radius 0.025 rounds to
+        # its center, one of radius 0.2 keeps two last places either side
+        plateau = _probe(1, "plateau_w0.05")
+        with pytest.raises(testfn.ScaleError, match="zero width"):
+            plateau.rescale([1e15], 0.5)
+        wide = plateau.rescale([1e15], 4.0)
+        assert (wide.centers[:, 0] - wide.radii < wide.centers[:, 0] + wide.radii).all()
+
     def test_derivative_scale_overflow_rejected(self):
         b = standard_bump(1).rescale([0.0], 1e-150)
         assert np.isfinite(b.eval_deriv(MultiIndex((2,)), [0.0])).all()  # 1e300 r^-2
