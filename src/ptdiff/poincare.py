@@ -14,6 +14,7 @@ reports the ratio table.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
@@ -54,9 +55,13 @@ def measure_kappa(T: Distribution, k: int, i: int, probes: ProbeDictionary,
 
     Probes (normalized at order i on the unit ball) are rescaled into K;
     rescaling to radius s multiplies the order-i seminorm by s^{-i}, so the
-    measured pairing is compensated by s^i.  A shrinking family is run over
-    three dyadic radii: growth beyond sqrt(2) per halving on every step
-    raises the divergence flag (kappa = infinity within resolution).
+    measured pairing is compensated by s^i.  A shrinking family, the first
+    SHRINK_MEMBERS probes, is run over the radius of K and three dyadic
+    halvings of it: growth beyond sqrt(2) per halving on every step raises
+    the divergence flag (kappa = infinity within resolution).  At the
+    radius of K (radius * 2.0 ** 0 == radius) the family is the first
+    family's first probes, whose values are read from there, not paired
+    again.
     """
     if probes.i != i:
         raise ValueError("probe dictionary normalized at the wrong order")
@@ -67,18 +72,20 @@ def measure_kappa(T: Distribution, k: int, i: int, probes: ProbeDictionary,
     best_o: Tuple[int, ...] = orders[0].entries
     best_label = ""
     deriv_Ts = [derivative(T, o) for o in orders]
-    # the probes rescaled into K, then the shrinking family at the center of K
+    # the probes rescaled into K, then the halvings of the shrinking family
+    # at the center of K
     families = [(radius, probes.members)] + [
-        (radius * 2.0 ** (-t), probes.members[:SHRINK_MEMBERS]) for t in range(SHRINK_STEPS + 1)]
+        (radius * 2.0 ** (-t), probes.members[:SHRINK_MEMBERS])
+        for t in range(1, SHRINK_STEPS + 1)]
     results = iter(pair_many([(To, member.rescale(center, s)) for s, members in families
                               for member in members for To in deriv_Ts], config))
-    for member in probes.members:
-        for o in orders:
-            v = abs(next(results).value) * radius ** i
-            if v > best:
-                best, best_o, best_label = v, o.entries, member.label
-    levels = [max([abs(next(results).value) * s ** i for _ in members for _ in orders],
-                  default=0.0) for s, members in families[1:]]
+    first = [abs(next(results).value) * radius ** i for _ in probes.members for _ in orders]
+    for v, (member, o) in zip(first, itertools.product(probes.members, orders)):
+        if v > best:
+            best, best_o, best_label = v, o.entries, member.label
+    levels = [max(first[:SHRINK_MEMBERS * len(orders)], default=0.0)] + [
+        max([abs(next(results).value) * s ** i for _ in members for _ in orders], default=0.0)
+        for s, members in families[1:]]
     growth = tuple(levels[t + 1] / levels[t] if levels[t] > 0 else 0.0
                    for t in range(SHRINK_STEPS))
     divergent = all(g > math.sqrt(2.0) for g in growth)
@@ -178,19 +185,18 @@ def verify(T: Distribution, k: int, i: int, a, kernel: MomentKernel,
             f"shrinking-family growth {est.growth} exceeds the divergence gate")
     kap = kappa if kappa is not None else est.value
     jet = build_jet(T, a, k, kernel, r, config)
+    thetas = [member.rescale(cc, cr) for member in probes.members]
     rows: List[RatioRow] = []
     max_ratio = 0.0
     for m in range(0, k):
-        g = gamma(m, k, T.n, i, r, 2.0 * cr, kernel=kernel)
+        denom = gamma(m, k, T.n, i, r, 2.0 * cr, kernel=kernel) * kap * cr ** (-i)
         for xi in xi_set(T.n, m):
             Txi = derivative(T, xi)
             Pxi = polynomial_distribution(jet.derivative(xi))
-            for member in probes.members:
-                theta = member.rescale(cc, cr)
-                lhs = pair(Txi, theta, config).value
+            lhs = pair_many([(Txi, theta) for theta in thetas], config)
+            for member, theta, res in zip(probes.members, thetas, lhs):
                 rhs = pair(Pxi, theta, config).value
-                numer = abs(lhs - rhs)
-                denom = g * kap * cr ** (-i)
+                numer = abs(res.value - rhs)
                 ratio = numer / denom if denom > 0 else (0.0 if numer == 0 else math.inf)
                 rows.append(RatioRow(m, xi.entries, member.label, numer, denom, ratio))
                 max_ratio = max(max_ratio, ratio)

@@ -5,12 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from ptdiff import (DivergentKappaError, MultiIndex, PolyJet, QuadratureNonConvergence,
-                    analytic_kappa, build_jet, delta_distribution, derivative,
-                    function_distribution, gamma, has_analytic_kappa, measure_kappa,
-                    pair_many, polynomial_distribution, subtract_jet,
+from ptdiff import (DivergentKappaError, PolyJet, ProbeDictionary,
+                    QuadratureNonConvergence, analytic_kappa, build_jet, delta_distribution,
+                    derivative, function_distribution, gamma, has_analytic_kappa,
+                    measure_kappa, pair, pair_many, polynomial_distribution, subtract_jet,
                     unit_ball_volume, verify, xi_set)
 from ptdiff.jetestimator import kernel_pairings
+from ptdiff.poincare import SHRINK_MEMBERS, SHRINK_STEPS, KappaEstimate, RatioRow
 from ptdiff.quadrature import QuadratureConfig
 
 QUAD = QuadratureConfig(rel_tol=1e-9, abs_floor=1e-13, max_cells=2 ** 12)
@@ -96,6 +97,64 @@ class TestMeasureKappa:
         T = function_distribution(1, "sin(x1)")
         with pytest.raises(ValueError):
             measure_kappa(T, 1, 0, dict_cache(1, 1, 1, 8, 0), ([0.0], 1.0))
+
+    @pytest.mark.parametrize("item, k, i, size", [("sin4", 1, 0, 12), ("heaviside", 1, 0, 12),
+                                                  ("heaviside", 2, 0, 16), ("sin4", 2, 1, 6),
+                                                  ("heaviside", 2, 0, 5)])
+    def test_against_pairing_every_family(self, item, k, i, size, corpus, dict_cache):
+        # the shrinking family at the radius of K is read from the first
+        # family: the same estimate, bit for bit, as pairing it again, also
+        # for a dictionary with fewer than SHRINK_MEMBERS members
+        T = corpus[item].build()
+        probes = dict_cache(1, 1, i, size, 0)
+        K = ([0.0], 1.0 + k)
+        want = _kappa_pairing_every_family(T, k, i, probes, K, QUAD)
+        assert _kappa_bits(measure_kappa(T, k, i, probes, K, QUAD)) == _kappa_bits(want)
+
+    def test_2d_against_pairing_every_family(self, corpus, dict_cache):
+        # two orders per probe: the family's values are the first
+        # SHRINK_MEMBERS probes' values at every order.  The probe of the
+        # largest value is put sixth, past the first SHRINK_MEMBERS values
+        T = corpus["gauss2d"].build()
+        loose = QuadratureConfig(rel_tol=1e-6, abs_floor=1e-10, max_cells=2 ** 10)
+        members = dict_cache(2, 1, 0, 15, 0).members
+        members = members[2:7] + members[1:2] + members[7:10]
+        probes = ProbeDictionary(2, 1, 0, len(members), 0, members)
+        K = ([0.1, -0.2], 1.0)
+        got = measure_kappa(T, 1, 0, probes, K, loose)
+        assert got.probe_argmax == members[5].label
+        want = _kappa_pairing_every_family(T, 1, 0, probes, K, loose)
+        assert _kappa_bits(got) == _kappa_bits(want)
+
+
+def _kappa_bits(est):
+    return (est.value.hex(), est.divergent, [g.hex() for g in est.growth], est.order_argmax,
+            est.probe_argmax)
+
+
+def _kappa_pairing_every_family(T, k, i, probes, K, config):
+    """measure_kappa with every family paired, the shrinking family at the
+    radius of K too: the reference."""
+    center = np.asarray(K[0], dtype=float).reshape(T.n)
+    radius = float(K[1])
+    orders = xi_set(T.n, k)
+    best, best_o, best_label = 0.0, orders[0].entries, ""
+    deriv_Ts = [derivative(T, o) for o in orders]
+    families = [(radius, probes.members)] + [
+        (radius * 2.0 ** (-t), probes.members[:SHRINK_MEMBERS]) for t in range(SHRINK_STEPS + 1)]
+    results = iter(pair_many([(To, member.rescale(center, s)) for s, members in families
+                              for member in members for To in deriv_Ts], config))
+    for member in probes.members:
+        for o in orders:
+            v = abs(next(results).value) * radius ** i
+            if v > best:
+                best, best_o, best_label = v, o.entries, member.label
+    levels = [max([abs(next(results).value) * s ** i for _ in members for _ in orders],
+                  default=0.0) for s, members in families[1:]]
+    growth = tuple(levels[t + 1] / levels[t] if levels[t] > 0 else 0.0
+                   for t in range(SHRINK_STEPS))
+    divergent = all(g > math.sqrt(2.0) for g in growth)
+    return KappaEstimate(best, divergent, growth, best_o, best_label)
 
 
 class TestAnalyticKappa:
@@ -237,6 +296,35 @@ class TestVerify:
         with pytest.raises(DivergentKappaError):
             verify(T, 2, 0, [0.0], kernel_cache(1, 3), dict_cache(1, 1, 0, 8, 0),
                    C=([0.0], 1.0), r=0.5, config=QUAD)
+
+    @pytest.mark.parametrize("item, k", [("sin4", 1), ("exp", 2), ("sin4", 2)])
+    def test_rows_against_one_pairing_per_member(self, item, k, corpus, kernel_cache,
+                                                 dict_cache):
+        # one engine call per derivative of T: every row bit for bit as one
+        # pair call per probe gave it
+        T = corpus[item].build()
+        kernel = kernel_cache(1, max(k, 2))
+        probes = dict_cache(1, 1, 0, 8, 0)
+        C, r = ([0.0], 1.0), 1.0
+        kappa = analytic_kappa(item, k, 0, ([0.0], 1.0 + k))
+        rep = verify(T, k, 0, [0.0], kernel, probes, C=C, r=r, kappa=kappa)
+        want = []
+        for m in range(k):
+            g = gamma(m, k, 1, 0, r, 2.0, kernel=kernel)
+            for xi in xi_set(1, m):
+                Txi = derivative(T, xi)
+                Pxi = polynomial_distribution(rep.jet.derivative(xi))
+                for member in probes.members:
+                    theta = member.rescale(np.array([0.0]), 1.0)
+                    numer = abs(pair(Txi, theta).value - pair(Pxi, theta).value)
+                    denom = g * kappa * 1.0 ** 0
+                    want.append(RatioRow(m, xi.entries, member.label, numer, denom,
+                                         numer / denom))
+        assert len(rep.rows) == len(want)
+        for got, row in zip(rep.rows, want):
+            assert (got.m, got.xi, got.theta_label) == (row.m, row.xi, row.theta_label)
+            assert [v.hex() for v in (got.numerator, got.denominator, got.ratio)] == \
+                [v.hex() for v in (row.numerator, row.denominator, row.ratio)]
 
     def test_csv_lines_schema(self, kernel_cache, dict_cache):
         T = function_distribution(1, "exp(x1)")
