@@ -7,6 +7,7 @@ end of the session from the outcomes of the module suites.
 """
 
 import math
+import re
 import time
 
 import numpy as np
@@ -71,15 +72,23 @@ def test_polynomial_exactness(corpus, kernel_cache):
     assert ok
 
 
+def _odd_in_x1(label: str) -> bool:
+    """Whether a 2-D probe is bump * u1^p u2^q with p odd, so odd in x1."""
+    m = re.fullmatch(r"bump\*x\^\((\d+), (\d+)\)", label)
+    return m is not None and int(m.group(1)) % 2 == 1
+
+
 def test_classification_table(corpus):
     """All annotated verdicts on the closed-form corpus are reproduced."""
     failures = []
+    claims = 0
     osc_order2 = None  # the report of the claim osc at 0, k = 2
-    for iid in ("heaviside", "abs_sqrt", "osc", "delta0"):
+    for iid in ("heaviside", "abs_sqrt", "osc", "delta0", "radial_root2d", "step2d"):
         item = corpus[iid]
         T = item.build()
         for c in item.classification_claims:
             rep = classify(T, list(c.point), c.k, alpha=c.alpha, config=CLS)
+            claims += 1
             if iid == "osc" and c.point == (0.0,) and c.k == 2 and c.alpha is None:
                 osc_order2 = rep
             if rep.verdict != c.verdict:
@@ -90,9 +99,11 @@ def test_classification_table(corpus):
                 one_sided = [w for w in rep.witnesses if "half_axis" in w]
                 if len(rep.witnesses) < 2 or not one_sided:
                     failures.append("heaviside k=0 witness certificate")
-            if iid == "abs_sqrt" and c.k == 0 and c.alpha is None:
+            if iid in ("abs_sqrt", "radial_root2d") and c.k == 0 and c.alpha is None:
                 if not (abs(rep.beta_hat - 0.5) <= 0.05):
-                    failures.append(f"abs_sqrt beta_hat {rep.beta_hat}")
+                    failures.append(f"{iid} beta_hat {rep.beta_hat}")
+            if iid == "step2d" and c.k == 0 and not any(map(_odd_in_x1, rep.witnesses)):
+                failures.append(f"step2d k=0 witnesses {rep.witnesses}")
             if iid == "delta0" and c.point == (0.7,):
                 dust = max((abs(v[0]) for v in rep.jet.coeff_map().values()),
                            default=0.0)
@@ -107,7 +118,7 @@ def test_classification_table(corpus):
             failures.append(f"osc second differential {d2:.1e}")
     ok = not failures
     report_line("classification table", ok,
-                "13 annotated claims" if ok else "; ".join(failures))
+                f"{claims} annotated claims" if ok else "; ".join(failures))
     assert ok, failures
 
 
