@@ -17,6 +17,17 @@ functions on one ball integrates each function atom of T as one
 M-component engine job, on one mesh, with T evaluated once per point; each
 component keeps its own value and bound.
 
+In 2-D, a job whose test functions share one ball, and whose data has no
+declared cut line through that ball's open disk, is integrated over the
+disk in polar coordinates: the engine refines the unit square of (s, t),
+mapped onto the disk by ``quadrature.polar_coords``, and each component
+is multiplied by the Jacobian.  Its cells are polar cells, which follow
+the bump's flat edge along s = 1 rather than around a circle; the square
+is the unit square so that bisection splits radius and angle alike.
+Every other job is integrated over its support box, split at the cuts:
+all 1-D jobs, multi-ball test functions (plateaus and random sums, whose
+atoms are culled) and jobs with a cut through the disk.
+
 One evaluator, ``testfn.eval_stacked``, serves every part in every
 dimension: an engine's integrand evaluates the test functions of all its
 jobs, M columns per job, with one call per block of points, and component
@@ -38,7 +49,8 @@ import numpy as np
 from . import cores
 from .funcexpr import ExprAST, SingularitySet, eval_expr, parse
 from .momentkernel import moment_table
-from .quadrature import QuadratureConfig, integrate_boxes, job_runs, run_points
+from .quadrature import (QuadratureConfig, integrate_boxes, job_runs, polar_coords,
+                         run_points)
 from .tensor import MultiIndex, PolyJet, taylor_moments, zero_index
 from .testfn import ProbeDictionary, StackedFns, eval_stacked
 
@@ -247,20 +259,57 @@ def _polynomial(parts: Sequence[Tuple[PolyJet, object]]) -> List[Tuple[float, fl
     return results
 
 
-def _integrand(jobs: list, d: int):
+def _disk(phis: tuple, splits) -> Optional[Tuple[Tuple[float, ...], float]]:
+    """The ball (c, rho) that the atoms of the 2-D test functions phis
+    share, when no cut line of the data crosses its open disk: the job is
+    integrated over that disk in polar coordinates.  None: over the support
+    box."""
+    if phis[0].n != 2:
+        return None
+    balls = {phi.ball[:2] if phi.ball else None for phi in phis}
+    if len(balls) != 1 or None in balls:
+        return None
+    ((c, rho),) = balls
+    if any(abs(cut - c[a]) < rho for a in range(2) for cut in splits[a]):
+        return None
+    return c, rho
+
+
+def _integrand(jobs: list, d: int, disks: list):
     """The engine's f(pts, job) -> (npts, M) for jobs (data, phis, splits)
     with M test functions each: column c is data times phis[c].  The test
     functions of all jobs are one stack of M-column jobs, evaluated by one
     ``eval_stacked`` call per block of points, and data shared by jobs is
-    evaluated once per point.
+    evaluated once per point.  The points of a job with a disk (c, rho) are
+    (s, t) in the unit square, mapped onto the disk (``polar_coords``), and
+    each of its columns is multiplied by the Jacobian.
     """
     stack = StackedFns.of([[(phi, zero_index(phi.n)) for phi in phis] for _, phis, _ in jobs])
     data_values = _shared_data(jobs, d)
+    polar = np.array([disk is not None for disk in disks])
+    centers = np.array([disk[0] if disk else (0.0, 0.0) for disk in disks])
+    radii = np.array([disk[1] if disk else 1.0 for disk in disks])
 
     def integrand(pts, job):
-        phi = eval_stacked(stack, pts, job).transpose(1, 0, 2)  # (M, points, d)
+        x, jacobian = pts, None
+        if polar.any():
+            starts, lengths, run_job = job_runs(job)
+            mine = polar[run_job]
+            p = slice(None) if mine.all() else run_points(starts[mine], lengths[mine])
+            u, jacobian = polar_coords(pts, p, centers[run_job[mine]], radii[run_job[mine]],
+                                       lengths[mine])
+            if mine.all():
+                x = u
+            else:  # the other jobs' points stay as they are
+                x = np.array(pts, order="F")
+                for a in range(2):
+                    x[:, a][p] = u[:, a]
+        phi = eval_stacked(stack, x, job).transpose(1, 0, 2)  # (M, points, d)
         # component-major, as the engine sums
-        return np.einsum("cij,ij->ci", phi, data_values(pts, job)).T
+        vals = np.einsum("cij,ij->ci", phi, data_values(x, job))
+        if jacobian is not None:
+            vals[:, p] *= jacobian
+        return vals.T
     return integrand
 
 
@@ -337,10 +386,13 @@ def pair_many(pairs: Sequence[Tuple[Distribution, object]],
             shapes.setdefault((phis[0].n, phis[0].d, len(phis)), []).append(i)
     for (_, d, _), idx in shapes.items():
         jobs = [parts[i] for i in idx]
+        disks = [_disk(phis, splits) for _, phis, splits in jobs]
         boxes = [(np.subtract(phis[0].support_center, phis[0].support_radius),
                   np.add(phis[0].support_center, phis[0].support_radius), splits)
-                 for _, phis, splits in jobs]
-        for i, result in zip(idx, integrate_boxes(_integrand(jobs, d), boxes, config, strict)):
+                 if disk is None else ((0.0, 0.0), (1.0, 1.0), ())
+                 for (_, phis, splits), disk in zip(jobs, disks)]
+        for i, result in zip(idx, integrate_boxes(_integrand(jobs, d, disks), boxes, config,
+                                                  strict)):
             results[i] = result
     done = iter(results)
     out = []

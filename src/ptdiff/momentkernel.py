@@ -26,7 +26,8 @@ from typing import Dict, Tuple
 import numpy as np
 
 from . import cores, tensor
-from .quadrature import QuadratureConfig, integrate_box, integrate_boxes, job_runs
+from .quadrature import (QuadratureConfig, integrate_box, integrate_boxes, job_runs,
+                         polar_coords)
 from .tensor import MultiIndex, PolyJet, xi_set
 from .testfn import TestFn, seminorm
 
@@ -191,23 +192,23 @@ def _verify_residuals(n: int, k: int, fn: TestFn) -> Dict[Tuple[int, ...], float
     indices = [xi for m in range(0, k) for xi in xi_set(n, m)]
 
     def f(pts, job):
+        starts, lengths, jobs = job_runs(job)
         if n == 2:
             # polar coordinates align the quadrature cells with the circular
             # support boundary; a cartesian grid misses a few digits there
-            rho, th = pts[:, 0], pts[:, 1]
-            x = np.stack([rho * np.cos(th), rho * np.sin(th)], axis=1)
-            vals = fn(x)[:, 0] * rho
+            x, jacobian = polar_coords(pts, slice(None), np.zeros((len(jobs), 2)),
+                                       np.ones(len(jobs)), lengths)
+            vals = fn(x)[:, 0] * jacobian
         else:
             x = pts
             vals = fn(x)[:, 0]
-        starts, lengths, jobs = job_runs(job)
         for s, e, which in zip(starts, starts + lengths, jobs):
             for j, p in enumerate(indices[which].entries):
                 if p:
                     vals[s:e] = vals[s:e] * x[s:e, j] ** p
         return vals
 
-    box = ([0.0, 0.0], [1.0, 2.0 * np.pi]) if n == 2 else ([-1.0] * n, [1.0] * n)
+    box = ([0.0, 0.0], [1.0, 1.0]) if n == 2 else ([-1.0] * n, [1.0] * n)
     results = integrate_boxes(f, [box + ((),)] * len(indices), VERIFY_QUAD)
     return {xi.entries: abs(v - (1.0 if xi.order == 0 else 0.0))
             for xi, (v, _, _) in zip(indices, results)}

@@ -25,6 +25,17 @@ each coordinate one contiguous block, and handed over as an F-ordered
 (points, n) view; every point equals the cell-major broadcast
 lo + node * width bit for bit.
 
+The engine knows only boxes.  A caller that integrates over a 2-D disk
+B(c, rho) hands it the unit square and maps the points (s, t) run by run
+to x = c + rho s (cos 2 pi t, sin 2 pi t), with the Jacobian 2 pi rho^2 s
+(``polar_coords``): ``distribution.pair_many`` for the 2-D jobs whose test
+functions share one ball, and ``momentkernel`` for its residuals.  Such a
+job's cells are polar cells.  The disk's edge, where a bump flattens to 0,
+is the line s = 1, which no cell straddles, where a box's cells would
+follow the circle.  The square is the unit square, the natural
+normalisation, so the widest-axis bisection splits radius and angle
+alike; on [0, 1] x [0, 2 pi] it would mostly split the angle.
+
 The block contract: every large evaluation goes through in blocks of
 about ``BLOCK_POINTS`` points, one size for the engine's integrand calls
 (whole cells, at least one), the culled (atom, point) pairs of
@@ -35,14 +46,17 @@ derivative it screens.  So memory stays bounded whatever the number of
 cells or grid points, and no value depends on the block: each cell's
 values, pair's term and grid point's norm are its own.  Block memory is
 reused where it would fault in anew on every block: the culled search of
-``testfn.eval_stacked`` takes one block of points at a time, and it and
-the one-ball layout path work in arrays kept per thread, from block to
-block and call to call, each bounded by one block.
+``testfn.eval_stacked`` takes one block of points at a time, and it,
+the one-ball layout path and the polar map work in arrays kept per thread
+(``_kept``), from block to block and call to call, each bounded by one
+block.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, List, Sequence, Tuple
@@ -55,6 +69,7 @@ BLOCK_POINTS = 1 << 14
 GL_ORDER = 16  # Gauss-Legendre nodes per axis of a cell and of its halves
 GL_ORDER_LOW = 10  # the embedded low-order rule
 BATCH = 64  # most cells a job bisects in one round
+_KEPT = threading.local()  # each thread's block arrays, by name
 
 
 @dataclass(frozen=True)
@@ -157,6 +172,47 @@ def job_runs(job: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
 def run_points(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """The indices of the entries of some runs, run after run."""
     return np.arange(lengths.sum()) + np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
+
+
+def _kept(name: str, shape, dtype=float) -> np.ndarray:
+    """A block array of the given shape: a view of this thread's array of
+    that name, allocated on first use and grown when too small, so that its
+    pages fault in once, not once per block.  A request is one block's, a
+    few entries per point or pair, or one per (spec, point) of a layout,
+    which bounds what is kept.  It holds whatever its last use left."""
+    size = shape if isinstance(shape, int) else math.prod(shape)
+    buf = _KEPT.__dict__.get(name)
+    if buf is None or buf.size < size or buf.dtype != dtype:
+        buf = _KEPT.__dict__[name] = np.empty(size, dtype)
+    return buf[:size].reshape(shape)
+
+
+def polar_coords(pts: np.ndarray, p, centers: np.ndarray, radii: np.ndarray,
+                 lengths: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The points x = c + rho s (cos 2 pi t, sin 2 pi t) of the points (s, t)
+    of the unit square pts[p], which are runs of the given lengths, each on
+    its own disk B(c, rho): an F-ordered (points, 2) array, and the
+    Jacobian 2 pi rho^2 s of each point.
+
+    Coordinate by coordinate, with the centers and radii repeated over
+    their runs, as ``testfn.run_coords`` builds core coordinates.  The two
+    arrays are this thread's block arrays (``_kept``), which its next call
+    overwrites.
+    """
+    npts = int(lengths.sum())
+    x = _kept("polar_points", (2, npts))
+    jacobian = _kept("polar_jacobian", npts)
+    np.multiply(2.0 * np.pi, pts[:, 1][p], out=jacobian)  # the angle, for now
+    np.cos(jacobian, out=x[0])
+    np.sin(jacobian, out=x[1])
+    rho = np.repeat(radii, lengths)
+    np.multiply(rho, pts[:, 0][p], out=jacobian)  # the radius rho s
+    x *= jacobian
+    for a in range(2):
+        x[a] += np.repeat(centers[:, a], lengths)
+    jacobian *= rho
+    jacobian *= 2.0 * np.pi
+    return x.T, jacobian
 
 
 def _initial_boxes(lo: np.ndarray, hi: np.ndarray,

@@ -78,7 +78,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import threading
 from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import List, Optional, Sequence, Tuple
@@ -87,7 +86,7 @@ import numpy as np
 
 from . import cores, quadrature
 from .cores import UnsupportedOrderError
-from .quadrature import job_runs, run_points
+from .quadrature import _kept, job_runs, run_points
 from .tensor import MultiIndex, opnorms, xi_set, zero_index
 
 DEFAULT_MAX_DERIV_ORDER = 6
@@ -99,7 +98,6 @@ SCREEN_CANDIDATES = 64
 MAX_BINS = 1024
 _TINY = np.finfo(float).tiny  # the smallest positive normal float
 _EPS = np.finfo(float).eps
-_KEPT = threading.local()  # each thread's block arrays, by name
 
 
 @dataclass(frozen=True)
@@ -560,20 +558,6 @@ def _culled_sums(st: StackedFns, pts: np.ndarray, job: np.ndarray, idx, out: np.
             flat = np.multiply(row[:, None], d, out=_kept("flat", (len(row), d), np.intp))
             row = np.add(flat, np.arange(d), out=flat)
         np.add.at(out.reshape(-1), row.reshape(-1), terms.reshape(-1))
-
-
-def _kept(name: str, shape, dtype=float) -> np.ndarray:
-    """An array of the given shape for the culled search or the layout
-    path: a view of this thread's array of that name, allocated on first
-    use and grown when too small, so that its pages fault in once, not once
-    per block.  A request is one block's, a few entries per point or pair,
-    or one per (spec, point) of a layout, which bounds what is kept.  It
-    holds whatever its last use left."""
-    size = shape if isinstance(shape, int) else math.prod(shape)
-    buf = _KEPT.__dict__.get(name)
-    if buf is None or buf.size < size or buf.dtype != dtype:
-        buf = _KEPT.__dict__[name] = np.empty(size, dtype)
-    return buf[:size].reshape(shape)
 
 
 def _take(a: np.ndarray, index: np.ndarray, name: str) -> np.ndarray:

@@ -26,6 +26,7 @@ from ptdiff.cores import core_eval
 from ptdiff.testfn import StackedFns, eval_stacked
 
 CLASSIFY_QUAD = QuadratureConfig(rel_tol=1e-9, abs_floor=1e-15, max_cells=2 ** 12)
+T_GAUSS2D = function_distribution(2, "exp(-x1^2-x2^2)")
 
 
 def _one_at_a_time(pairs, config):
@@ -359,6 +360,109 @@ class TestHonesty:
             assert abs(res.value - ref) <= res.abs_error_bound + ref_err, (phi.label, ref)
 
 
+def _closed_form(phi, axis=None):
+    """(x, y) -> a one-atom 2-D test function phi, or its derivative along
+    axis for a plain bump, written out from the bump formula."""
+    (atom,) = phi.atoms
+    c, rho = atom.center, atom.radius
+    p, q = atom.core_xi or (0, 0)
+
+    def f(x, y):
+        u = ((x - c[0]) / rho, (y - c[1]) / rho)
+        s = u[0] ** 2 + u[1] ** 2
+        if s >= 1.0 - 1e-12:
+            return 0.0
+        value = atom.coeff[0] * u[0] ** p * u[1] ** q * math.exp(1.0 / (s - 1.0))
+        if axis is None:
+            return value
+        # d/dx_j exp(1/(s - 1)) = -2 u_j / (s - 1)^2 exp(1/(s - 1)) / rho
+        return value * -2.0 * u[axis] / ((s - 1.0) ** 2 * rho)
+    return f
+
+
+def _disk_reference(f, c, rho):
+    """The integral of f over the disk B(c, rho) by scipy's dblquad, in
+    cartesian limits: (value, error estimate)."""
+    def half(x):
+        return math.sqrt(max(rho * rho - (x - c[0]) ** 2, 0.0))
+    return integrate.dblquad(lambda y, x: f(x, y), c[0] - rho, c[0] + rho,
+                             lambda x: c[1] - half(x), lambda x: c[1] + half(x),
+                             epsabs=1e-14, epsrel=1e-12)
+
+
+class TestHonesty2D:
+    """Pairings over a disk in polar coordinates hold their bounds against
+    an independent cartesian quadrature over the same disk."""
+
+    def test_gauss2d_against_dblquad(self, kernel_cache):
+        a = (0.2, -0.1)
+        members = make_dictionary(2, 1, 0, 8, 0).members
+        probes = [members[k] for k in (0, 1, 4, 6)]  # bump, x^(1, 0), x^(1, 1), x^(3, 0)
+        kernel = kernel_cache(2, 2)
+        assert len(kernel.testfn.atoms) == 1 and kernel.testfn.atoms[0].core_xi is None
+        pairs, refs = [], []
+        for r in (0.5, 1.0 / 64):
+            for m in probes:
+                phi = m.rescale(a, r)
+                pairs.append((T_GAUSS2D, phi))
+                refs.append([(_closed_form(phi), phi)])
+            fn = kernel.directed(a, r)
+            pairs.append((T_GAUSS2D, (fn, fn.derivative_view(MultiIndex((1, 0))),
+                                      fn.derivative_view(MultiIndex((0, 1))))))
+            refs.append([(_closed_form(fn, axis), fn) for axis in (None, 0, 1)])
+        got = pair_many(pairs, CLASSIFY_QUAD)
+        checked = 0
+        for res, ref in zip(got, refs):
+            for one, (f, phi) in zip(res if isinstance(res, tuple) else (res,), ref):
+                (atom,) = phi.atoms
+                want, want_err = _disk_reference(
+                    lambda x, y: math.exp(-x * x - y * y) * f(x, y), atom.center, atom.radius)
+                assert abs(one.value - want) <= one.abs_error_bound + want_err, (
+                    phi.label, atom.radius, one, want, want_err)
+                checked += 1
+        assert checked == 14
+
+
+class TestPolarDispatch:
+    """Which jobs pair_many integrates over their disk in polar coordinates."""
+
+    def test_box_paths_and_a_polar_job(self, monkeypatch):
+        # one mixed call: a one-ball job with a cut through its disk and a
+        # plateau stay on their support boxes bit for bit (pinned with
+        # float.hex before the polar path existed), as does a 1-D job; a
+        # one-ball job with the cut outside its disk goes polar
+        step, step1 = function_distribution(2, "heaviside(x1)"), function_distribution(
+            1, "heaviside(x1)")
+        members = make_dictionary(2, 1, 0, 4, 0).members
+        plateau = next(c for c in itertools.islice(testfn._candidate_stream(2, 1, 0), 40)
+                       if c.label == "plateau_w0.2")
+        pairs = [(step, members[1].rescale([0.1, 0.05], 0.5)),
+                 (T_GAUSS2D, plateau.rescale([0.2, -0.1], 0.5)),
+                 (step1, make_dictionary(1, 1, 0, 4, 0).members[1].rescale([0.1], 0.5)),
+                 (step, members[0].rescale([0.7, 0.0], 0.5))]
+        boxes = []
+
+        def spy(f, jobs, *args):
+            boxes.extend(jobs)
+            return integrate_boxes(f, jobs, *args)
+        monkeypatch.setattr(distribution, "integrate_boxes", spy)
+        config = QuadratureConfig(rel_tol=1e-9, abs_floor=1e-15, max_cells=2 ** 7)
+        got = pair_many(pairs, config, strict=False)
+        assert [(r.value.hex(), r.abs_error_bound.hex(), r.quadrature_cells)
+                for r in got[:3]] == [
+            ("0x1.ddea855bfe359p-4", "0x1.b1b25fbe8e8f6p-34", 116),
+            ("0x1.9ee1715e702f9p-1", "0x1.f91ecf2f56072p-14", 129),
+            ("0x1.03ea1c34c3050p-2", "0x1.4ea8258000000p-39", 10)]
+        assert [tuple(map(tuple, box[:2])) for box in boxes] == [
+            ((-0.4, -0.45), (0.6, 0.55)), ((-0.3, -0.6), (0.7, 0.4)),
+            ((0.0, 0.0), (1.0, 1.0)), ((-0.4,), (0.6,))]
+        # heaviside is 1 on the whole disk: the pairing is the probe's mass
+        phi = pairs[3][1]
+        mass = momentkernel.moment_table(2)[0][0] * phi.radii[0] ** 2 * phi.coeffs[0, 0]
+        assert abs(got[3].value - mass) <= got[3].abs_error_bound + 4 * np.spacing(mass)
+        assert got[3].quadrature_cells < 64
+
+
 def _by_quadrature(P, phi, config):
     """integral <P, phi> by adaptive quadrature over phi's support."""
     zero = MultiIndex((0,) * phi.n)
@@ -687,7 +791,8 @@ class TestVectorJobs:
     @pytest.mark.parametrize("d", [1, 2])
     def test_column_integrand_is_scalar_integrand(self, d, kernel_cache):
         # component c of a vector job is data . phi_c on a contiguous
-        # (points, d) array: the scalar integrand of (data, phi_c), bit for bit
+        # (points, d) array: the scalar integrand of (data, phi_c), bit for
+        # bit, on the support box and on the disk in polar coordinates
         kernel, a = kernel_cache(2, 2), [0.2, -0.1]
         (data,) = function_distribution(2, ["exp(-x1^2 - x2^2)", "cos(3*x1) * x2"][:d], d).atoms
         xis = [xi for m in range(2) for xi in xi_set(2, m)]
@@ -697,11 +802,17 @@ class TestVectorJobs:
         pts = np.concatenate([np.asarray(a) + rng.uniform(-r, r, size=(200, 2))
                               for r in (0.5, 0.05)])
         job = np.repeat([0, 1], 200)
-        got = distribution._integrand(jobs, d)(pts, job)
+        boxes, disks = [None, None], [(tuple(a), r) for r in (0.5, 0.05)]
+        got = distribution._integrand(jobs, d, boxes)(pts, job)
         assert got.shape == (len(pts), len(xis) * d)
+        square = rng.uniform(size=(400, 2))
+        polar = distribution._integrand(jobs, d, disks)(square, job)
         for c in range(got.shape[1]):
-            scalar = distribution._integrand([(f, (phis[c],), s) for f, phis, s in jobs], d)
-            assert np.array_equal(got[:, c], scalar(pts, job)[:, 0]), c
+            scalar = [(f, (phis[c],), s) for f, phis, s in jobs]
+            assert np.array_equal(got[:, c], distribution._integrand(scalar, d, boxes)(
+                pts, job)[:, 0]), c
+            assert np.array_equal(polar[:, c], distribution._integrand(scalar, d, disks)(
+                square, job)[:, 0]), c
             for j, (_, phis, _) in enumerate(jobs):
                 sel = job == j
                 want = np.einsum("ij,ij->i", data.eval(pts[sel]),
