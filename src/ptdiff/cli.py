@@ -120,9 +120,12 @@ def _load_item(args) -> CorpusItem:
 
 
 def _corpus_inputs(args) -> Tuple[CorpusItem, Distribution, Tuple[float, ...]]:
-    """The item, its distribution and the point of a corpus command, checked
-    in that order, then --k: the first bad input names the error."""
+    """The item, its dimension, its distribution and the point of a corpus
+    command, checked in that order, then --k: the first bad input names the error."""
     item = _load_item(args)
+    if item.n not in (1, 2):
+        raise InputError(f"item {item.id!r} has dimension {item.n}; "
+                         "corpus commands take dimensions 1 and 2")
     T = item.build()
     point = _parse_point(args.point, item.n)
     if args.k is None:
@@ -175,8 +178,7 @@ def cmd_classify(args) -> int:
         "note": ("claims are checked at finitely many sample points; "
                  "almost-everywhere statements are out of numerical reach"),
     }
-    if args.format == "json":
-        _write_report(out, f"classify_{item.id}", payload)
+    _write_report(out, f"classify_{item.id}", payload)
     if rep.verdict == INCONCLUSIVE:  # no verdict can contradict a claim
         return EXIT_INCONCLUSIVE
     claim = next((c for c in item.classification_claims
@@ -196,8 +198,7 @@ def cmd_jet(args) -> int:
         "converged": est.converged,
         "jet": _jet_payload(est.jet),
     }
-    if args.format == "json":
-        _write_report(out, f"jet_{item.id}", payload)
+    _write_report(out, f"jet_{item.id}", payload)
     claim = next((j for j in item.jet_claims
                   if j.point == point and j.k == args.k), None)
     if claim is not None:
@@ -218,16 +219,16 @@ def cmd_transfer(args) -> int:
     out = _out_dir(args)
     payload = {
         "command": "transfer",
-        "configuration": {"item": item.id, "point": list(point),
-                          "k": args.k, "l": args.l},
+        "configuration": {"item": item.id, "point": list(point), "k": args.k, "l": args.l,
+                          "grid": [cfg.r0, cfg.level_count(item.n)],
+                          "dict": [cfg.dict_size, cfg.seed]},
         "status": rep.status,
         "full_verdict": rep.full_verdict,
         "derivative_verdicts": {",".join(map(str, e)): v
                                 for e, v in rep.derivative_verdicts.items()},
         "max_jet_deviation": rep.max_jet_deviation,
     }
-    if args.format == "json":
-        _write_report(out, f"transfer_{item.id}", payload)
+    _write_report(out, f"transfer_{item.id}", payload)
     if rep.status == "violation":
         return EXIT_MISMATCH
     return EXIT_OK if rep.status == "consistent" else EXIT_INCONCLUSIVE
@@ -236,8 +237,6 @@ def cmd_transfer(args) -> int:
 def cmd_poincare(args) -> int:
     item, T, point = _corpus_inputs(args)
     i = args.i if args.i is not None else 0
-    if item.n > 2:
-        raise InputError("kernels are available for dimensions 1 and 2")
     if i > MAX_SUPNORM_ORDER:
         raise InputError(f"poincare needs --i <= {MAX_SUPNORM_ORDER}, "
                          "the highest order of the kernel's sup norms")
@@ -269,8 +268,7 @@ def cmd_poincare(args) -> int:
         "jet": _jet_payload(rep.jet),
         "csv": csv_path.name,
     }
-    if args.format == "json":
-        _write_report(out, f"poincare_{item.id}", payload)
+    _write_report(out, f"poincare_{item.id}", payload)
     if rep.kappa_is_analytic:
         return EXIT_OK if rep.max_ratio <= 1.0 else EXIT_MISMATCH
     return EXIT_INCONCLUSIVE if rep.underestimation_flag else EXIT_OK
@@ -338,8 +336,7 @@ def cmd_whitney(args) -> int:
         "C_impl": c_impl,
         "csv": csv_path.name,
     }
-    if args.format == "json":
-        _write_report(out, "whitney", payload)
+    _write_report(out, "whitney", payload)
     return EXIT_OK
 
 
@@ -364,53 +361,47 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """One subparser per command, with exactly the options its cmd_* reads."""
     parser = _Parser(
         prog="ptdiff",
         description="numerical toolkit for pointwise differentiability of distributions")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, k_min=0):
-        p.add_argument("--corpus", help="directory of corpus documents")
-        p.add_argument("--item", help="corpus item id")
-        p.add_argument("--point", help="comma-separated coordinates")
-        p.add_argument("--k", type=_order(k_min))
-        p.add_argument("--alpha", type=_ALPHA)
-        p.add_argument("--i", type=_order(0))
-        p.add_argument("--grid", type=_GRID, help="r0,levels")
-        p.add_argument("--dict", type=_DICT, help="size,seed")
-        p.add_argument("--out", help="report directory (default ./reports)")
-        p.add_argument("--format", choices=("json", "csv"), default="json")
-
-    p = sub.add_parser("classify", help="order / (k, alpha) verdict at a point")
-    common(p, k_min=None)  # negative orders are defined (delta_0 has order -2 on R)
-    p.set_defaults(fn=cmd_classify)
-
-    p = sub.add_parser("jet", help="estimate the order-k jet at a point")
-    common(p)
-    p.set_defaults(fn=cmd_jet)
-
-    p = sub.add_parser("transfer", help="derivative order/jet consistency check")
-    common(p, k_min=1)
-    p.add_argument("--l", type=_order(0), default=0, help="jet order on the derivative side")
-    p.set_defaults(fn=cmd_transfer)
-
-    p = sub.add_parser("poincare", help="negative-order inequality ratio table")
-    common(p)
-    p.set_defaults(fn=cmd_poincare)
-
-    p = sub.add_parser("whitney", help="extend a jet field and tabulate it")
-    common(p)
-    p.add_argument("--field", help="jet field JSON document")
-    p.add_argument("--query", help="semicolon-separated query points")
-    p.add_argument("--kappa-f", type=_KAPPA, dest="kappa_f",
-                   help="compatibility gate constant")
-    p.add_argument("--hoelder-pairs", type=_PAIRS, default=0,
-                   help="sample pairs for the empirical Hoelder measurement")
-    p.set_defaults(fn=cmd_whitney)
-
-    p = sub.add_parser("suite", help="run the acceptance or invariant battery")
-    p.add_argument("name", choices=("acceptance", "invariants"))
-    p.set_defaults(fn=cmd_suite)
+    options = {
+        "--corpus": {"help": "directory of corpus documents"},
+        "--item": {"help": "corpus item id"},
+        "--point": {"help": "comma-separated coordinates"},
+        "--alpha": {"type": _ALPHA},
+        "--i": {"type": _order(0)},
+        "--l": {"type": _order(0), "default": 0, "help": "jet order on the derivative side"},
+        "--grid": {"type": _GRID, "help": "r0,levels"},
+        "--dict": {"type": _DICT, "help": "size,seed"},
+        "--field": {"help": "jet field JSON document"},
+        "--query": {"help": "semicolon-separated query points"},
+        "--kappa-f": {"type": _KAPPA, "dest": "kappa_f", "help": "compatibility gate constant"},
+        "--hoelder-pairs": {"type": _PAIRS, "default": 0,
+                            "help": "sample pairs for the empirical Hoelder measurement"},
+        "--out": {"help": "report directory (default ./reports)"},
+        "name": {"choices": ("acceptance", "invariants")},
+    }
+    commands = (  # name, function, help, lowest --k (None: any), options
+        # negative orders are defined (delta_0 has order -2 on R)
+        ("classify", cmd_classify, "order / (k, alpha) verdict at a point", None,
+         "--corpus --item --point --k --alpha --i --grid --dict --out"),
+        ("jet", cmd_jet, "estimate the order-k jet at a point", 0,
+         "--corpus --item --point --k --grid --out"),
+        ("transfer", cmd_transfer, "derivative order/jet consistency check", 1,
+         "--corpus --item --point --k --l --grid --dict --out"),
+        ("poincare", cmd_poincare, "negative-order inequality ratio table", 0,
+         "--corpus --item --point --k --i --dict --out"),
+        ("whitney", cmd_whitney, "extend a jet field and tabulate it", None,
+         "--field --query --kappa-f --hoelder-pairs --out"),
+        ("suite", cmd_suite, "run the acceptance or invariant battery", None, "name"))
+    for name, fn, text, k_min, names in commands:
+        p = sub.add_parser(name, help=text, allow_abbrev=False)  # --i never means --item
+        p.set_defaults(fn=fn)
+        spec = {**options, "--k": {"type": _order(k_min)}}
+        for option in names.split():
+            p.add_argument(option, **spec[option])
     return parser
 
 
@@ -425,11 +416,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except QuadratureNonConvergence as exc:
         print(f"inconclusive: quadrature did not converge: value {exc.value!r}, "
               f"bound {exc.error_bound!r}, cells {exc.cells}", file=sys.stderr)
-        if args.format == "json":  # where the report goes: the arguments as given, the failure
+        if "item" in args:  # a corpus command: its report's place, the arguments, the failure
             _write_report(_out_dir(args), f"{args.command}_{args.item}", {
                 "command": args.command,
                 "arguments": {k: v for k, v in vars(args).items() if v is not None
-                              and k not in ("command", "fn", "out", "format")},
+                              and k not in ("command", "fn", "out")},
                 "nonconvergence": {"value": float(exc.value), "bound": float(exc.error_bound),
                                    "cells": int(exc.cells)}})
         return EXIT_INCONCLUSIVE

@@ -21,7 +21,7 @@ import numpy as np
 
 from .distribution import (DeltaAtom, DerivativeAtom, Distribution,
                            FunctionAtom, PolynomialAtom)
-from .tensor import PolyJet
+from .tensor import MultiIndex, PolyJet
 
 DATA_DIR = Path(__file__).parent / "corpus_data"
 
@@ -82,6 +82,13 @@ def _describe(exc: Exception) -> str:
     return str(exc) or type(exc).__name__
 
 
+def _sized(name: str, values, length: int) -> tuple:
+    values = tuple(values)
+    if len(values) != length:
+        raise CorpusError(f"{name} needs {length} entries, got {len(values)}")
+    return values
+
+
 def _build_atom(spec: dict, n: int, d: int):
     kind = spec.get("kind")
     if kind == "function":
@@ -91,12 +98,13 @@ def _build_atom(spec: dict, n: int, d: int):
         limits = [(p, v) for p, v in spec.get("limits", [])]
         return FunctionAtom.from_text(exprs, dims=n, limits=limits)
     if kind == "delta":
-        return DeltaAtom(tuple(map(float, spec["location"])),
-                         tuple(spec.get("xi", (0,) * n)),
-                         tuple(map(float, spec.get("coeff", (1.0,) + (0.0,) * (d - 1)))))
+        coeff = spec.get("coeff", (1.0,) + (0.0,) * (d - 1))
+        return DeltaAtom(_sized("location", map(float, spec["location"]), n),
+                         _sized("xi", MultiIndex(tuple(spec.get("xi", (0,) * n))).entries, n),
+                         _sized("coeff", map(float, coeff), d))
     if kind == "derivative":
         inner = Distribution(n, d, tuple(_build_atom(a, n, d) for a in spec["inner"]))
-        return DerivativeAtom(tuple(spec["xi"]), inner)
+        return DerivativeAtom(_sized("xi", MultiIndex(tuple(spec["xi"])).entries, n), inner)
     if kind == "polynomial":
         coeffs = {tuple(map(int, key.split(","))): value
                   for key, value in spec["coeffs"].items()}

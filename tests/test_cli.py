@@ -97,6 +97,28 @@ class TestExitCodes:
                     "--k", "3", "--out", str(tmp_path)])
         assert code == 0
 
+    @pytest.mark.parametrize("command", ["jet", "classify"])
+    @pytest.mark.parametrize("doc", [
+        {"dim": 0, "atoms": [{"kind": "delta", "location": []}]},
+        {"dim": 3, "atoms": [{"kind": "function", "exprs": ["x1"]}]},
+        {"dim": 1, "atoms": [{"kind": "derivative", "xi": [1, 0], "inner": []}]},
+        {"dim": 1, "atoms": [{"kind": "derivative", "xi": [-1], "inner": []}]},
+        {"dim": 1, "atoms": [{"kind": "delta", "location": [0.0, 1.0]}]},
+        {"dim": 1, "atoms": [{"kind": "delta", "location": [0.0], "xi": [1, 1]}]},
+        {"dim": 1, "atoms": [{"kind": "delta", "location": [0.0], "xi": [0.5]}]},
+        {"dim": 1, "atoms": [{"kind": "delta", "location": [0.0], "coeff": [1.0, 2.0]}]},
+    ], ids=["dim-0", "dim-3", "derivative-xi-long", "derivative-xi-negative",
+            "delta-location-long", "delta-xi-long", "delta-xi-fraction", "delta-coeff-long"])
+    def test_malformed_atom_or_dimension_is_input_error(self, tmp_path, capsys, command, doc):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        (corpus / "bad.json").write_text(json.dumps({"id": "bad", **doc}))
+        code = run([command, "--corpus", str(corpus), "--item", "bad", "--point", "0",
+                    "--k", "0", "--out", str(tmp_path)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and ("bad.json" in err or "dimension" in err)
+
     def test_unreadable_sibling_is_a_warning(self, tmp_path, capsys):
         corpus = tmp_path / "corpus"
         corpus.mkdir()
@@ -162,11 +184,14 @@ class TestReports:
         second = (tmp_path / "classify_abs_sqrt.json").read_text()
         assert first == second
 
-    def test_csv_format_skips_json(self, tmp_path):
-        run(["classify", "--item", "heaviside", "--point", "0", "--k", "0",
-             "--format", "csv", "--out", str(tmp_path)] + FAST_GRID)
-        assert not (tmp_path / "classify_heaviside.json").exists()
-        assert (tmp_path / "classify_heaviside_decay.csv").exists()
+    def test_transfer_report_embeds_grid_and_dict(self, tmp_path):
+        code = run(["transfer", "--item", "exp", "--point", "0", "--k", "1", "--l", "1",
+                    "--out", str(tmp_path)] + FAST_GRID)
+        assert code == 0
+        report = json.loads((tmp_path / "transfer_exp.json").read_text())
+        assert report["status"] == "consistent"
+        assert report["configuration"]["grid"] == [0.5, 8]
+        assert report["configuration"]["dict"] == [6, 0]
 
 
 class TestWhitneyCommand:
@@ -306,6 +331,28 @@ class TestArgumentValidation:
         assert "error: argument" in capsys.readouterr().err
         assert not (tmp_path / "whitney_extension.csv").exists()
 
+    @pytest.mark.parametrize("command,option", [
+        *[(c, "--format") for c in ("classify", "jet", "transfer", "poincare", "whitney")],
+        ("jet", "--alpha"), ("jet", "--i"), ("jet", "--dict"),
+        ("transfer", "--alpha"), ("transfer", "--i"),
+        ("poincare", "--alpha"), ("poincare", "--grid"),
+        *[("whitney", o) for o in ("--corpus", "--item", "--point", "--k", "--alpha",
+                                   "--i", "--grid", "--dict")]])
+    def test_option_the_command_does_not_read(self, tmp_path, capsys, command, option):
+        value = {"--format": "json", "--corpus": str(DATA_DIR), "--item": "exp",
+                 "--point": "0", "--k": "1", "--alpha": "0.5", "--i": "2",
+                 "--grid": "1.0,4", "--dict": "8,0"}[option]
+        base = {"classify": ["--item", "heaviside", "--point", "0", "--k", "0"],
+                "jet": ["--item", "exp", "--point", "0", "--k", "1"],
+                "transfer": ["--item", "exp", "--point", "0", "--k", "1"],
+                "poincare": ["--item", "sin4", "--point", "0", "--k", "1"],
+                "whitney": ["--field", str(TestWhitneyCommand().field_doc(tmp_path))]}
+        out = tmp_path / "out"
+        argv = [command] + base[command] + [option, value, "--out", str(out)]
+        assert exit_code(argv) == 3
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_jet_order_above_bound_names_it(self, tmp_path, capsys):
         code = exit_code(["jet", "--item", "exp", "--point", "0", "--k", "9",
                           "--out", str(tmp_path)])
@@ -377,3 +424,18 @@ class TestNumericalFailures:
         assert report["command"] == "poincare"
         assert report["arguments"] == {"item": "sin4", "point": "0", "k": 1, "dict": [6, 0]}
         assert report["nonconvergence"] == {"value": 0.125, "bound": 0.5, "cells": 64}
+
+    def test_nonconvergence_without_item_writes_no_report(self, tmp_path, capsys, monkeypatch):
+        # whitney's namespace has no --item: the handler names no report for it
+        from ptdiff import cli
+        from ptdiff.quadrature import QuadratureNonConvergence
+
+        def exhausted(field, kappa_F=None):
+            raise QuadratureNonConvergence(0.125, 0.5, 64)
+
+        monkeypatch.setattr(cli, "extend", exhausted)
+        path = TestWhitneyCommand().field_doc(tmp_path)
+        out = tmp_path / "out"
+        assert exit_code(["whitney", "--field", str(path), "--out", str(out)]) == 2
+        assert "cells 64" in capsys.readouterr().err
+        assert not out.exists()
