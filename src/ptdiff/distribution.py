@@ -412,11 +412,17 @@ def pair(T: Distribution, phi, config: QuadratureConfig = QuadratureConfig(),
 def dual_norm(T: Distribution, K: Tuple[Sequence[float], float], i: int,
               probes: ProbeDictionary,
               config: QuadratureConfig = QuadratureConfig()) -> float:
-    """Certified lower bound of sup{ T(phi) : phi in D_K, nu^i_K(phi) <= 1 }.
+    """The largest |T(phi)| over the dictionary members rescaled into K:
+    the dictionary's estimate of sup{ T(phi) : phi in D_K, nu^i_K(phi) <= 1 },
+    not a certified bound of it.
 
-    Dictionary members (normalized to nu^i <= 1 on B(0,1)) are rescaled
-    into K; rescaling multiplies the order-i seminorm by radius^{-i}, so
-    members are rescaled back by radius^i to stay admissible.
+    Dictionary members (normalized to nu^i = 1 on seminorm's grids over
+    B(0,1)) are rescaled into K; rescaling multiplies the order-i seminorm
+    by radius^{-i}, so members are rescaled back by radius^i.  The value
+    ignores each pairing's quadrature error bound, and a member's true
+    seminorm can exceed 1 by the normalizer excess (``ProbeDictionary``: up
+    to 3.8e-6 relatively), so it is a lower bound of the sup only up to
+    both.
     """
     center = np.asarray(K[0], dtype=float).reshape(T.n)
     radius = float(K[1])

@@ -163,10 +163,10 @@ def _cell_values(f, lo: np.ndarray, hi: np.ndarray, job: np.ndarray,
 
 def job_runs(job: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(starts, lengths, jobs) of the runs of equal entries of job, in order."""
-    new = np.ones(len(job), dtype=bool)
-    new[1:] = job[1:] != job[:-1]
-    starts = np.flatnonzero(new)
-    return starts, np.diff(np.append(starts, len(job))), job[starts]
+    new = np.ones(len(job) + 1, dtype=bool)  # each run's start, and the end
+    np.not_equal(job[1:], job[:-1], out=new[1:-1])
+    bounds = np.flatnonzero(new)
+    return bounds[:-1], bounds[1:] - bounds[:-1], job[bounds[:-1]]
 
 
 def run_points(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:

@@ -19,59 +19,30 @@ evaluation.
 One evaluator, ``eval_stacked``, evaluates every test function: it takes
 many jobs, each M (test function, derivative) columns, and gives the
 values of every column of each point's job.  ``TestFn.eval_deriv`` is its
-one-job case, and the pairing engine evaluates all its test functions
-with it.  ``seminorm`` takes one test function or a sequence, whose
-members of one ball and one box share their grid screen: each block of
-grid rows is one job whose columns are every member's derivatives, so
-each grid point is evaluated once for all of them, and each member keeps
-only its best screened points from block to block.  Each value equals
-the member's own call bit for bit.
+one-job case; the pairing engine and ``seminorm`` evaluate all their test
+functions with it.
 
 A job whose atoms share one ball (one atom, moment kernels, the
 derivatives of one) needs no search.  Its layout is its atoms' core specs
 (kind, core multi-index, derivative) and columns, in atom order; the runs
 of the jobs of one layout take one ``run_coords`` and one ``core_eval``
-call over the layout's distinct specs, and their atoms add their terms
-one after another, in atom order.  Only the points of the other jobs are
-sorted, by a key made of their job, their bin over the first n - 1
-coordinates (bins a quarter of the smallest atom radius wide) and their
-last coordinate, so that the points of one job and bin inside an atom's
-bounding box along the last axis are one run of the sorted order: the
-candidate (atom, point) pairs are these runs, atom-major, slightly more
-than the boxes.  They are taken in blocks of ``quadrature.BLOCK_POINTS``
-candidates, each block whole runs but for the runs cut at its two edges,
-which bounds the temporaries whatever the batch.  A pair is kept when
-|u|^2 < 1 - BOUNDARY_CLAMP for the point u in the atom's core
-coordinates, the test ``core_eval`` makes, and the kept pairs of a block
-go to ``core_eval`` in one call per core group, with their |u|^2.
-
-The culled points go to the search one block of BLOCK_POINTS points at
-a time, and the search and its pair blocks work in block arrays
-(``_kept``): the points' coordinates, jobs and sort keys, and per block
-the pairs' atoms, points, core coordinates, |u|^2, values and terms, each
-bounded by one block.  They are kept from block to block and call to
-call, so a repeated evaluation faults in no new pages for them.  A call
-still allocates the points' order, a block the runs' index as 32-bit
-integers and, when some pairs are outside, the kept pairs' index, and
-``core_eval`` its row blocks' temporaries.  The layout path tests its
-points against the clamp itself, as the pair blocks do, and evaluates
-the points inside, up to one block, into one block array too
-(``_ball_values``), one entry per (spec, point).
-
-Core coordinates (x - center) / radius are built one coordinate at a time,
-each center and radius repeated over its run of points (``run_coords``)
-or taken per pair: a row index of a (points, n) array is far slower than
-a 1-D index of each coordinate.
+call over the layout's distinct specs (``_ball_values``).  The other
+jobs' atoms are culled: a point's candidates are the atoms of its bin in
+the stack's atom-bin index (``StackedFns.bins``), built once per stack
+(``_culled_sums``).  Both paths make ``core_eval``'s test |u|^2 < 1 -
+BOUNDARY_CLAMP themselves, and work in block arrays (``_kept``), kept
+from call to call, so a repeated evaluation faults in no new pages.
 
 The result is bit-identical to summing each function's atoms one by one
 over all points: a term is (scale * value) * coeff on both paths, the
 radius power is a Python float power per distinct radius, and both paths
-add each point's terms in atom order (``np.add.at`` over atom-major
-pairs, block after block, for the sorted points).  The pairs the search
-skips added exact zeros, which change no sum, and so do the points that
-are not finite, where every atom is 0.  So a point's value never depends
-on its batch, nor on the block: the blocks, one size for every large
-evaluation (``quadrature``'s block contract), bound the temporaries only.
+add each point's terms in atom order (``np.add.at`` over point-major
+pairs, each point's candidates ascending, block after block).  The atoms
+its bin leaves out and the pairs outside the clamp added exact zeros,
+which change no sum, and so do the points that are not finite, where
+every atom is 0.  So a point's value never depends on its batch, nor on
+the block: the blocks, one size for every large evaluation
+(``quadrature``'s block contract), bound the temporaries only.
 """
 
 from __future__ import annotations
@@ -94,8 +65,10 @@ DEFAULT_MAX_DERIV_ORDER = 6
 # refines the norm in angle only at the best screened points
 SCREEN_DIRECTIONS = 64
 SCREEN_CANDIDATES = 64
-# most bins per axis of the candidate search
-MAX_BINS = 1024
+# the atom-bin grid of a culled job: bins this fraction of its smallest
+# atom radius wide, and at most this many bins
+BIN_WIDTH = 1.0 / 8.0
+MAX_BINS = 4096
 _TINY = np.finfo(float).tiny  # the smallest positive normal float
 _EPS = np.finfo(float).eps
 
@@ -362,15 +335,63 @@ class StackedFns:
                    scale, tuple(keys), _joined(group), column // m, column % m,
                    tuple(specs), np.array(layout, dtype=np.intp), np.array(start[::m]))
 
+    @cached_property
+    def bins(self):
+        """The atom-bin index of the culled jobs, built on first use: each
+        job's grid (origin (n, J), bin width (J,), bins per axis (n, J) and
+        base (J,)), each bin's atoms in ascending order, bin b holding
+        atoms[start[b]:start[b + 1]], and the atoms' core groups.
+
+        A culled job's bins, BIN_WIDTH times its smallest radius wide (at
+        most MAX_BINS), cover its atoms' boxes, with an empty margin around.
+        A point's bin is base plus, row-major, floor((x - origin) / width)
+        clipped to the margins -1 and nbins, so a point off the boxes, or
+        not finite, is in a margin; an atom is in the bins from those of its
+        box's ends.  Other jobs have margins only.
+        """
+        J, n = len(self.layout), self.n
+        mine = np.flatnonzero(self.layout[self.job] < 0)  # the culled atoms, job-major
+        job = self.job[mine]
+        heads, _, jobs = job_runs(job)
+        centers, radii = self.centers[mine].T, self.radii[mine]
+        low, high = centers - radii, centers + radii
+        origin, width, nbins = np.zeros((n, J)), np.ones(J), np.zeros((n, J))
+        origin[:, jobs] = np.minimum.reduceat(low, heads, axis=1)
+        span = np.maximum.reduceat(high, heads, axis=1) - origin[:, jobs]
+        per_axis = max(2, int(MAX_BINS ** (1.0 / n)))  # bins of an axis
+        width[jobs] = np.maximum(np.minimum.reduceat(radii, heads) * BIN_WIDTH,
+                                 span.max(axis=0) / (per_axis - 1))
+        nbins[:, jobs] = np.floor(span / width[jobs]) + 1
+        # each axis' stride, row-major over bins and margins, and the bin of floors 0
+        stride = np.ones((n, J))
+        for a in range(n - 2, -1, -1):
+            stride[a] = stride[a + 1] * (nbins[a + 1] + 2)
+        count = stride[0] * (nbins[0] + 2)
+        base = np.cumsum(count) - count + stride.sum(axis=0)
+        # each atom's box of bins, and its entries: atom-major, row-major in the box
+        o, w = origin[:, job], width[job]
+        first = np.floor((low - o) / w)
+        size = (np.floor((high - o) / w) - first + 1).astype(np.intp)
+        entries = size.prod(axis=0)
+        b = np.repeat(base[job] + (first * stride[:, job]).sum(axis=0), entries)
+        rest = np.arange(len(b)) - np.repeat(np.cumsum(entries) - entries, entries)
+        for a in range(n - 1, 0, -1):
+            k = np.repeat(size[a], entries)
+            b += (rest % k) * np.repeat(stride[a, job], entries)
+            rest //= k
+        b = (b + rest * np.repeat(stride[0, job], entries)).astype(np.intp)
+        start = np.zeros(int(count.sum()) + 1, np.intp)
+        np.cumsum(np.bincount(b, minlength=len(start) - 1), out=start[1:])
+        atoms = np.repeat(mine, entries)[np.argsort(b, kind="stable")]
+        groups = np.bincount(self.group[mine], minlength=len(self.groups))
+        return origin, width, nbins, base, start, atoms, np.flatnonzero(groups).tolist()
+
 
 def eval_stacked(st: StackedFns, pts: np.ndarray, job: np.ndarray) -> np.ndarray:
     """Every column of job j = job[i] at pts[i]: (npts, m, d), each column
-    a contiguous (npts, d) array.
-
-    The runs of the jobs of one layout take one ``run_coords`` and one
-    ``core_eval`` call over the layout's specs (``_ball_values``), with no
-    search or sort; every other job's atoms are culled (``_culled_sums``).
-    Each point adds its terms in atom order, each (scale * value) * coeff.
+    a contiguous (npts, d) array.  Each point adds its terms in atom order,
+    each (scale * value) * coeff: the layout path's (``_ball_values``), or
+    those of the culled atoms of its bin (``_culled_sums``).
     """
     out = np.zeros((st.m, len(pts), st.d))
     starts, lengths, run_job = job_runs(job)
@@ -398,15 +419,12 @@ def eval_stacked(st: StackedFns, pts: np.ndarray, job: np.ndarray) -> np.ndarray
                 value = np.repeat(scale[:, t], size) * vals[:, s]
                 out[c, p] += value[:, None] * np.repeat(coeffs[:, t], size, axis=0)
     culled = layout < 0
-    if culled.any():  # one block of points at a time (``_culled_sums``)
+    if culled.any():  # one block of points at a time, as slices when all are culled
+        idx = None if culled.all() else run_points(starts[culled], lengths[culled])
         block = quadrature.BLOCK_POINTS
-        if culled.all():
-            for b in range(0, len(pts), block):
-                _culled_sums(st, pts, job, slice(b, b + block), out)
-        else:
-            idx = run_points(starts[culled], lengths[culled])
-            for b in range(0, len(idx), block):
-                _culled_sums(st, pts, job, idx[b:b + block], out)
+        for b in range(0, len(pts) if idx is None else len(idx), block):
+            p = slice(b, b + block) if idx is None else idx[b:b + block]
+            _culled_sums(st, pts, job, p, out)
     return out.transpose(1, 0, 2)
 
 
@@ -445,10 +463,8 @@ def run_coords(pts: np.ndarray, p, centers: np.ndarray, radii: np.ndarray,
                lengths: np.ndarray) -> np.ndarray:
     """Core coordinates (x - center) / radius of the points pts[p], which
     are runs of the given lengths, each with its own center and radius; an
-    F-ordered (points, n) array.
-
-    Coordinate by coordinate, with the centers and radii repeated over
-    their runs: no row index of (points, n), which is far slower.
+    F-ordered (points, n) array, built coordinate by coordinate: a row
+    index of (points, n) is far slower.
     """
     u = np.empty((pts.shape[1], lengths.sum()))
     for a in range(pts.shape[1]):
@@ -460,163 +476,88 @@ def run_coords(pts: np.ndarray, p, centers: np.ndarray, radii: np.ndarray,
 def _culled_sums(st: StackedFns, pts: np.ndarray, job: np.ndarray, idx, out: np.ndarray) -> None:
     """Add into out (m, npts, d) the values at the points idx, a slice or an
     index array of at most ``quadrature.BLOCK_POINTS`` points, whose jobs'
-    atoms are culled: each atom only at its candidate points from
-    ``_box_runs``.  Points that are not finite are left out: every atom is
-    0 there, and no bin holds them.
-
-    The candidates are taken BLOCK_POINTS at a time, in run order, each
-    block's runs cut at its edges.  The points' arrays (coordinates, jobs,
-    sort keys) and a block's (a few entries per pair: n coordinates, |u|^2,
-    d terms and some indices) are block arrays (``_kept``): every call
-    shares one set, bounded by BLOCK_POINTS.  The core evaluation of the
-    kept pairs reuses their |u|^2.
+    atoms are culled: each point only with the atoms of its bin
+    (``StackedFns.bins``), in ascending order.  The (point, candidate)
+    pairs, point-major, go BLOCK_POINTS at a time, a point's cut at a
+    block's edge; the points' arrays and the pairs' coordinates, |u|^2 and
+    values are block arrays (``_kept``), which every call shares.
     """
-    if isinstance(idx, slice):  # views of a run of points
-        cols, point_job = [pts[idx, a] for a in range(st.n)], job[idx]
-    else:
-        cols = [_take(pts[:, a], idx, f"col{a}") for a in range(st.n)]
-        point_job = _take(job, idx, "job")
-    finite = np.isfinite(cols[0])
-    for x in cols[1:]:
-        finite &= np.isfinite(x)
-    if not finite.all():
-        at = np.flatnonzero(finite)
-        idx = at + idx.start if isinstance(idx, slice) else idx[at]
-        cols, point_job = [x[at] for x in cols], point_job[at]
-        if not idx.size:
-            return
-    counts = np.bincount(point_job, minlength=len(st.layout))  # points per job
-    cull = np.flatnonzero((counts[st.job] > 0) & (st.layout[st.job] < 0))
-    perm, run_atom, run_start, run_len = _box_runs(st.centers[cull], st.radii[cull], cols,
-                                                   point_job, st.job[cull])
-    if isinstance(idx, slice):
-        perm += idx.start
-    else:
-        perm = _take(idx, perm, "perm")
-    run_atom = cull[run_atom]
-    ends = np.cumsum(run_len)
-    begins = ends - run_len
-    total = int(ends[-1]) if ends.size else 0
-    block = quadrature.BLOCK_POINTS
-    n, d = st.n, st.d
-    for first in range(0, total, block):
-        last = min(first + block, total)
-        runs = slice(np.searchsorted(ends, first, side="right"), np.searchsorted(begins, last))
-        cut = np.maximum(begins[runs], first)
-        size = np.minimum(ends[runs], last) - cut
-        # each candidate's run, atom and point; the runs repeated as 32-bit
-        # integers, half a block array in size: no block-sized allocation
-        run = _kept("run", last - first, np.intp)
-        np.copyto(run, np.arange(len(size), dtype=np.int32).repeat(size))
-        atom = _take(run_atom[runs], run, "atom")
-        p = _take(run_start[runs] + (cut - begins[runs]) - (np.cumsum(size) - size), run, "at")
-        p += np.arange(len(run), dtype=np.int32)
-        p = _take(perm, p, "point")
-        # core coordinates (x - center) / radius, coordinate by coordinate,
-        # and their |u|^2 in column order, as ``cores.sq_norms``; "x" holds
-        # a point coordinate, then a square, and "atom_value" the atoms'
-        # center coordinate, radius or scale, one after another
-        u, s = _kept("u", (n, len(p))), _kept("sq", len(p))
+    origin, width, nbins, base, start, atoms, groups = st.bins
+    n, d, view = st.n, st.d, isinstance(idx, slice)
+    point_job = job[idx] if view else _take(job, idx, _kept("row", len(idx), job.dtype))
+    npts = len(point_job)
+    u, s, lin = _kept("u", (n, npts)), _kept("sq", npts), _kept("vals", npts)
+    # each point's bin: base plus, row-major, its floors clipped to the margins
+    for a in range(n):
+        x = pts[idx, a] if view else _take(pts[:, a], idx, u[a])
+        t = np.subtract(x, _take(origin[a], point_job, s), out=lin if a == 0 else u[a])
+        np.floor(np.divide(t, _take(width, point_job, s), out=t), out=t)
+        size = _take(nbins[a], point_job, s)
+        np.fmin(np.fmax(t, -1.0, out=t), size, out=t)  # fmax takes NaN to -1
+        if a:
+            size += 2.0
+            lin *= size
+            lin += t
+    lin += _take(base, point_job, s)
+    # pair q is atom q + shift of the point whose pairs end after q
+    at = _kept("atom", npts, np.intp)
+    np.copyto(at, lin, casting="unsafe")
+    begin = _take(start, at, _kept("row", npts, np.intp))
+    at += 1
+    count = np.subtract(_take(start, at, at), begin, out=at)
+    ends = np.cumsum(count, out=_kept("ends", npts, np.int32))
+    shift = np.subtract(np.add(begin, count, out=begin), ends, out=begin)
+    total = int(ends[-1])
+    for first in range(0, total, quadrature.BLOCK_POINTS):
+        last = min(first + quadrature.BLOCK_POINTS, total)
+        mine = slice(np.searchsorted(ends, first, side="right"),
+                     np.searchsorted(ends, last - 1, side="right") + 1)
+        size = np.minimum(ends[mine], last)  # each point's pairs in the block
+        size[1:] -= size[:-1]
+        size[0] -= first
+        # each pair's point and atom
+        rows = np.arange(idx.start + mine.start, idx.start + mine.stop) if view else idx[mine]
+        p = rows.repeat(size)
+        atom = shift[mine].repeat(size)
+        atom += np.arange(first, last, dtype=np.int32)
+        _take(atoms, atom, atom)  # in place: each index is read before its entry is written
+        # core coordinates (x - center) / radius and |u|^2, as ``cores.sq_norms``
+        u, s, vals = _kept("u", (n, len(p))), _kept("sq", len(p)), _kept("vals", len(p))
         for a in range(n):
-            np.subtract(_take(pts[:, a], p, "x"), _take(st.centers[:, a], atom, "atom_value"),
-                        out=u[a])
-        np.divide(u, _take(st.radii, atom, "atom_value"), out=u)
+            np.subtract(_take(pts[:, a], p, u[a]), _take(st.centers[:, a], atom, vals), out=u[a])
+        np.divide(u, _take(st.radii, atom, vals), out=u)
         np.multiply(u[0], u[0], out=s)
         for a in range(1, n):
-            s += np.multiply(u[a], u[a], out=_kept("x", len(p)))
-        # the kept pairs, |u|^2 < 1 - BOUNDARY_CLAMP as ``core_eval`` tests,
-        # by index along the points axis
-        inside = np.less(s, 1.0 - cores.BOUNDARY_CLAMP, out=_kept("inside", len(s), bool))
-        if np.count_nonzero(inside) < len(p):
-            keep = np.flatnonzero(inside)
-            u = u.take(keep, axis=1, out=_kept("u_kept", (n, len(keep))), mode="clip")
-            s, p = _take(s, keep, "sq_kept"), _take(p, keep, "point_kept")
-            atom = _take(atom, keep, "atom_kept")
-        vals = _kept("vals", len(p))
-        group = _take(st.group, atom, "group") if len(st.groups) > 1 else None
-        used = [0] if group is None else np.flatnonzero(np.bincount(group,
-                                                                    minlength=len(st.groups)))
-        for g in used:
-            if len(used) == 1:
-                cores.core_eval(n, *st.groups[g], u.T, out=vals, sq=s)
-            else:
+            s += np.multiply(u[a], u[a], out=vals)
+        # the pairs inside, |u|^2 < 1 - BOUNDARY_CLAMP as ``core_eval`` tests;
+        # u's rows move down their block array, each once taken
+        keep = np.flatnonzero(np.less(s, 1.0 - cores.BOUNDARY_CLAMP))
+        if len(keep) < len(p):
+            k = len(keep)
+            p, atom = p[keep], atom[keep]
+            for a, moved in enumerate(_kept("u", (n, k))):
+                moved[:] = _take(u[a], keep, vals[:k])
+            u, s, vals = _kept("u", (n, k)), _take(s, keep, vals[:k]), s[:k]
+        if len(groups) == 1:
+            cores.core_eval(n, *st.groups[groups[0]], u.T, out=vals, sq=s)
+        else:
+            group = st.group.take(atom)
+            for g in groups:
                 sel = np.flatnonzero(group == g)
                 vals[sel] = cores.core_eval(n, *st.groups[g], u[:, sel].T,
                                             out=np.empty(len(sel)), sq=s[sel])
-        # each term (scale * value) * coeff; flat indices add each (column,
-        # point, component) in pair order, like rows would; column c's rows
-        # start at c * npts
-        scale = np.multiply(_take(st.scale, atom, "atom_value"), vals, out=vals)
-        terms = st.coeffs.take(atom, axis=0, out=_kept("terms", (len(p), d)), mode="clip")
-        np.multiply(scale[:, None], terms, out=terms)
-        row = p
-        if st.m > 1:
-            row = _take(st.col, atom, "row")
-            row *= len(pts)
-            row += p
-        if d > 1:
-            flat = np.multiply(row[:, None], d, out=_kept("flat", (len(row), d), np.intp))
-            row = np.add(flat, np.arange(d), out=flat)
-        np.add.at(out.reshape(-1), row.reshape(-1), terms.reshape(-1))
+        # each term (scale * value) * coeff, component by component, added
+        # in pair order at the flat index of its (column, point, component)
+        np.multiply(_take(st.scale, atom, s), vals, out=vals)
+        row = p if st.m == 1 else st.col.take(atom) * len(pts) + p
+        for c in range(d):
+            term = np.multiply(vals, _take(st.coeffs[:, c], atom, s), out=s)
+            np.add.at(out.reshape(-1), row if d == 1 else row * d + c, term)
 
 
-def _take(a: np.ndarray, index: np.ndarray, name: str) -> np.ndarray:
-    """a[index] into the block array of that name, for indices in range."""
-    return np.take(a, index, out=_kept(name, len(index), a.dtype), mode="clip")
-
-
-def _box_runs(centers: np.ndarray, radii: np.ndarray, cols: Sequence[np.ndarray],
-              point_job: np.ndarray, atom_job: np.ndarray):
-    """Each atom's candidate points of its job, as runs of one sorted order
-    of the points, given as their n coordinate columns.
-
-    The first n - 1 axes are cut into bins, and the job is one more,
-    leading bin.  Points sort by their last coordinate plus stride times
-    their linear bin, with the stride wider than the points' span, so the
-    keys of one bin keep the order of the last coordinate and never meet
-    another bin's.  The points of a bin within [c - r, c + r] on the last
-    axis are then one run of keys.
-    Returns the order and, atom-major, each non-empty run's atom, start
-    and length; the runs of an atom cover its bounding box.
-    """
-    n = len(cols)
-    lo, hi = np.array([c.min() for c in cols]), np.array([c.max() for c in cols])
-    width = np.maximum(np.min(radii, initial=np.inf) / 4.0, (hi - lo)[:-1] / (MAX_BINS - 1))
-    nbins = np.floor((hi - lo)[:-1] / width) + 1
-    stride = 2.0 * (hi[-1] - lo[-1]) + 1.0
-    keys = _kept("keys", len(point_job))
-    keys[:] = point_job  # the leading bin
-    for j in range(n - 1):
-        axis_bin = np.subtract(cols[j], lo[j], out=_kept("bin", len(keys)))
-        keys *= nbins[j]
-        keys += np.floor(np.divide(axis_bin, width[j], out=axis_bin), out=axis_bin)
-    keys *= stride
-    keys += cols[-1]
-    # any order of equal keys will do: a point's terms come atom after atom
-    order = np.argsort(keys)
-    keys = _take(keys, order, "sorted_keys")
-
-    # bins first[j] .. first[j] + size[j] - 1 of each atom's box on axis j
-    first, sizes = [], []
-    for j in range(n - 1):
-        f = np.maximum(np.floor((centers[:, j] - radii - lo[j]) / width[j]), 0.0)
-        top = np.minimum(np.floor((centers[:, j] + radii - lo[j]) / width[j]), nbins[j] - 1)
-        first.append(f)
-        sizes.append(np.maximum(top - f + 1, 0.0).astype(np.intp))
-    count = np.prod(sizes, axis=0) if sizes else np.ones(len(radii), dtype=np.intp)
-    atom = np.repeat(np.arange(len(radii)), count)
-    local = np.arange(atom.size) - np.repeat(np.cumsum(count) - count, count)
-    run_bin = atom_job[atom].astype(float)
-    for j in range(n - 1):
-        size = sizes[j][atom]
-        rest = np.prod(sizes[j + 1:], axis=0)[atom] if j < n - 2 else 1
-        run_bin = run_bin * nbins[j] + first[j][atom] + (local // rest) % size
-    c, r = centers[atom, -1], radii[atom]
-    base = stride * run_bin
-    start = np.searchsorted(keys, np.maximum(c - r, lo[-1]) + base, side="left")
-    length = np.searchsorted(keys, np.minimum(c + r, hi[-1]) + base, side="right") - start
-    keep = length > 0
-    return order, atom[keep], start[keep], length[keep]
+def _take(a: np.ndarray, index: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """a[index] into out, for indices in range."""
+    return np.take(a, index, out=out, mode="clip")
 
 
 def standard_bump(n: int, d: int = 1, direction: int = 0,
@@ -698,13 +639,10 @@ def _screen(fns: Sequence[TestFn], i: int, axes) -> List[np.ndarray]:
     grid order: the points of the largest unrefined norms, ties to the
     lower grid index.
 
-    The functions share one ball, so each block of whole grid rows (up to
-    ``quadrature.BLOCK_POINTS`` points, at least one row) is one job whose
-    columns are every function's order-i multi-indices: the layout path
-    evaluates each point once for all of them.  Only the best points so
-    far are kept from block to block, no screen of the whole grid: the
-    best of a block and of the points kept before it are the best of the
-    grid up to that block, as the order is total.
+    Each block of whole grid rows (up to ``quadrature.BLOCK_POINTS`` points,
+    at least one row) is one job whose columns are every function's order-i
+    multi-indices, and only the best points so far are kept from block to
+    block: the order is total, so these are the best of the grid.
     """
     shape = tuple(len(x) for x in axes)
     row = math.prod(shape[1:])  # grid points per index of axis 0

@@ -241,6 +241,21 @@ def _atom_loop(phi, xi, pts):
 
 
 class TestStackedEvaluator:
+    def test_one_index_per_stack(self, monkeypatch):
+        # one pair_many of a 1-D plateau pairing evaluates its culled job in
+        # several engine rounds, each with new points, and builds the
+        # stack's atom-bin index once
+        phi = next(c for c in testfn._candidate_stream(1, 1, 0) if c.label == "plateau_w0.1")
+        phi = phi.rescale([0.1], 0.5)
+        builds, calls = [], []
+        build, culled = StackedFns.bins.func, testfn._culled_sums
+        monkeypatch.setattr(StackedFns.bins, "func", lambda st: builds.append(st) or build(st))
+        monkeypatch.setattr(testfn, "_culled_sums", lambda *a: calls.append(a) or culled(*a))
+        T = function_distribution(1, "abs(x1)^(1/2)")
+        (result,) = pair_many([(T, phi)], CLASSIFY_QUAD, strict=False)
+        assert len(calls) > 1 and len(builds) == 1
+        assert result == pair(T, phi, CLASSIFY_QUAD, strict=False)
+
     @pytest.mark.parametrize("n", [1, 2])
     @pytest.mark.parametrize("block", [None, 97])
     def test_equals_per_function(self, n, block, monkeypatch, kernel_cache):
@@ -668,6 +683,21 @@ class TestBoundedMemory:
         if first == 0:
             pytest.skip("the platform reports no minor faults")
         assert second < 1000, (first, second)
+
+    def test_culled_kept_arrays_are_bounded(self):
+        # after the heaviside classify above, the culled search keeps at
+        # most 1.03 MB of block arrays, a few entries per point or pair of
+        # one block
+        code = (
+            "from ptdiff import ClassifierConfig, classify, get_item, quadrature\n"
+            "T = get_item('heaviside').build()\n"
+            "config = ClassifierConfig(r0=1.0, levels=10, dict_size=12, seed=1)\n"
+            "classify(T, [0.0], 0, config=config)\n"
+            "print(sum(a.nbytes for name, a in vars(quadrature._KEPT).items()\n"
+            "          if not name.startswith(('ball_', 'polar_'))))")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True)
+        assert int(out.stdout) <= 1.03e6
 
 
 def _columns(fs):

@@ -132,6 +132,18 @@ def _atom_loop(phi, xi, pts):
     return out
 
 
+def _bin_atoms(st, pts, j):
+    """The atoms of each point's bin in the atom-bin index of the stack st,
+    the points all of job j: row-major over the floors, each clipped to the
+    margins of the job's grid."""
+    origin, width, nbins, base, start, atoms, _ = st.bins
+    lin = np.zeros(len(pts))
+    for a in range(st.n):
+        t = np.clip(np.floor((pts[:, a] - origin[a, j]) / width[j]), -1.0, nbins[a, j])
+        lin = lin * (nbins[a, j] + 2.0) + t
+    return [atoms[start[b]:start[b + 1]] for b in (base[j] + lin).astype(int)]
+
+
 def _probe(n, label, seed=3):
     return next(c for c in _candidate_stream(n, 1, seed) if c.label == label)
 
@@ -303,16 +315,37 @@ class TestBatchedAtoms:
         for xi, ref in zip(xi_set(n, 1), want):
             assert np.array_equal(phi.eval_deriv(xi, pts), ref)
 
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_bins_hold_every_atom_of_their_points(self, n):
+        # each point's bin holds, in ascending order, every atom whose ball
+        # holds the point, for rescaled plateaus, odd plateaus and a random
+        # sum in one stack, at points in and around their supports
+        rng = np.random.default_rng(4)
+        labels = ("plateau_w0.1", "odd_plateau_axis0_w0.2", "random_2")
+        fns = [_probe(n, label).rescale(rng.uniform(-3, 3, size=n), rng.uniform(0.01, 5))
+               for label in labels]
+        st = testfn.StackedFns.of([(phi, xi_set(n, 0)[0]) for phi in fns])
+        for j, phi in enumerate(fns):
+            c, r = np.asarray(phi.support_center), phi.support_radius
+            pts = c + rng.uniform(-1.2 * r, 1.2 * r, size=(300, n))
+            for x, got in zip(pts, _bin_atoms(st, pts, j)):
+                near = np.sum((x - st.centers) ** 2, axis=1) < st.radii ** 2
+                inside = np.flatnonzero(near & (st.job == j))
+                assert np.isin(inside, got).all()
+                assert (np.diff(got) > 0).all() and (st.job[got] == j).all()
+
     @pytest.mark.parametrize("layout", ["C", "F", "strided"])
-    def test_blocks_cut_long_runs(self, layout, monkeypatch):
-        # a dense 1-D batch: an atom's run of candidates is longer than a
-        # block, so the blocks cut it
+    def test_blocks_cut_candidates(self, layout, monkeypatch):
+        # a dense 1-D batch at 97 points and 97 pairs a block: blocks of
+        # pairs end inside the candidates of a point, which the next block
+        # goes on with
         phi = _probe(1, "plateau_w0.2")
         pts = np.random.default_rng(8).uniform(-1.05, 1.05, size=(5000, 1))
         st = testfn.StackedFns.of([(phi, xi_set(1, 0)[0])])
-        zeros = np.zeros(len(pts), np.intp)
-        run_len = testfn._box_runs(st.centers, st.radii, [pts[:, 0]], zeros, st.job)[3]
-        assert run_len.max() > 97
+        count = np.array([len(got) for got in _bin_atoms(st, pts[:97], 0)])
+        ends = np.cumsum(count)
+        edges = np.arange(97, ends[-1], 97)
+        assert (((ends - count)[:, None] < edges) & (edges < ends[:, None])).any()
         wide = np.zeros((len(pts), 3))
         wide[:, 1] = pts[:, 0]
         given_pts = {"C": np.ascontiguousarray(pts), "F": np.asfortranarray(pts),
