@@ -13,6 +13,7 @@ EXPECTED_IDS = {
     "heaviside", "delta0", "abs_sqrt", "osc", "exp", "exp_neg", "sq", "cubic",
     "sin4", "cos4", "poly_deg0", "poly_deg1", "poly_deg2", "poly_deg3",
     "poly_deg4", "annuli", "gauss2d", "radial_root2d", "step2d", "delta2d",
+    "layer2d",
 }
 
 
