@@ -6,10 +6,23 @@ bisects its worst cells, at most ``BATCH`` while they are not individually
 negligible, and the new cells of all jobs go to the integrand together.
 Each job keeps its own mesh and running totals, updated in the order of a
 job run alone, so its result does not depend on the other jobs:
-``integrate_box`` is the one-job case.  Cells narrower than the width floor
-are frozen with their error contribution reported, which gives oscillatory
-integrands geometric refinement toward the singularity with an honest
-final bound instead of an endless subdivision.
+``integrate_box`` is the one-job case.  Cells whose split axis is narrower
+than the width floor are frozen with their error contribution reported,
+which gives oscillatory integrands geometric refinement toward the
+singularity with an honest final bound instead of an endless subdivision.
+
+A cell bisects along the axis that its own values leave unresolved, as in
+the subdivision step of Genz and Malik (1980) and of DCUHRE, but from no
+extra points: its GL_ORDER^n Gauss-Legendre values are made in the round
+that makes the cell, its parent's split evaluation or, for an initial
+cell, the coarse round.  Along each axis, their two highest Legendre
+coefficients, summed in magnitude over the other axes and the components,
+measure what that axis leaves unresolved; the largest wins, a tie goes to
+the widest axis (``_split_axes``).  The halves whose values give a cell's
+error are the halves it is split into, and the width floor reads that
+axis.  So a cell rough along a narrow axis splits there, whatever its
+other widths.  In 1-D the one axis needs no choice, and the engine does
+the float operations of a plain bisection.
 
 A job may carry M components on one mesh: the integrand returns M values
 per point.  Each component keeps its own totals, so its own value and
@@ -32,9 +45,10 @@ to x = c + rho s (cos 2 pi t, sin 2 pi t), with the Jacobian 2 pi rho^2 s
 functions share one ball, and ``momentkernel`` for its residuals.  Such a
 job's cells are polar cells.  The disk's edge, where a bump flattens to 0,
 is the line s = 1, which no cell straddles, where a box's cells would
-follow the circle.  The square is the unit square, the natural
-normalisation, so the widest-axis bisection splits radius and angle
-alike; on [0, 1] x [0, 2 pi] it would mostly split the angle.
+follow the circle.  A polar cell splits in s or in t as its values say: at
+a cusp at the disk's center, such as (rho s)^(1/2), the cells at s = 0
+split in s and almost never in t, where a bisection of the widest axis
+would split the angle as often.
 
 The block contract: every large evaluation goes through in blocks of
 about ``BLOCK_POINTS`` points, one size for the engine's integrand calls
@@ -105,9 +119,9 @@ def _gl_nodes(order: int, n: int):
     return pts, wts
 
 
-def _halves(lo: np.ndarray, hi: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Boxes bisected along their widest axis: the halves' (lo, hi), each (boxes, 2, n)."""
-    rows, axis = np.arange(len(lo)), (hi - lo).argmax(axis=1)
+def _halves(lo: np.ndarray, hi: np.ndarray, axis) -> Tuple[np.ndarray, np.ndarray]:
+    """Boxes bisected, each along its axis: the halves' (lo, hi), each (boxes, 2, n)."""
+    rows = np.arange(len(lo))
     mid = (lo[rows, axis] + hi[rows, axis]) / 2.0
     h_lo, h_hi = lo[:, None, :].repeat(2, axis=1), hi[:, None, :].repeat(2, axis=1)
     h_hi[rows, 0, axis] = mid
@@ -115,29 +129,68 @@ def _halves(lo: np.ndarray, hi: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return h_lo, h_hi
 
 
-def _cell_values(f, lo: np.ndarray, hi: np.ndarray, job: np.ndarray,
-                 split: bool) -> np.ndarray:
-    """Gauss-Legendre values of job-sorted cells, (cells, 1, M); f sees whole cells.
+@lru_cache(maxsize=None)
+def _top_legendre() -> np.ndarray:
+    """w_i P_m(x_i) over the GL_ORDER Gauss-Legendre nodes x_i on [-1, 1],
+    for the two highest degrees m the rule resolves, (2, GL_ORDER)."""
+    x, w = np.polynomial.legendre.leggauss(GL_ORDER)
+    return np.stack([w * np.polynomial.legendre.Legendre.basis(m)(x)
+                     for m in (GL_ORDER - 2, GL_ORDER - 1)])
 
-    With split, those of both halves and the embedded low-order value, which
-    catches error the widest-axis bisection cannot see, (cells, 3, M).  f
-    returns (points,) or (points, M).  The points of a block are built axis
-    by axis, one contiguous (cells, points per cell) block per coordinate,
-    and f gets their (points, n) transpose: cell-major, each point the
-    value lo + ref * width of the cell-major broadcast.
+
+def _split_axes(vals: np.ndarray, width: np.ndarray) -> np.ndarray:
+    """The axis along which to bisect each cell, from its Gauss-Legendre
+    values vals (M, cells..., GL_ORDER^n) and its widths (cells..., n).
+
+    Along each axis, the cell's two highest Legendre coefficients, their
+    magnitudes summed over the other axes with the Gauss-Legendre weights
+    and over the components: the axis with the largest sum is the one its
+    values leave unresolved.  On a tie, or a NaN, the widest axis.  Each
+    cell's axis depends on its own values alone: every product is one
+    small matrix per cell and component.
+    """
+    lead, n, table = vals.shape[:-1], width.shape[-1], _top_legendre()
+    wts = _gl_nodes(GL_ORDER, n - 1)[1]
+    score = np.empty(width.shape)
+    for a in range(n):  # the coefficients along a, summed over degree: (..., before, after)
+        if a < n - 1:
+            top = np.abs(table @ vals.reshape(lead + (GL_ORDER ** a, GL_ORDER, -1))).sum(axis=-2)
+        else:
+            top = np.abs(vals.reshape(lead + (-1, GL_ORDER)) @ table.T).sum(axis=-1)
+        score[..., a] = (top.reshape(lead + (-1,)) * wts).sum(axis=-1).sum(axis=0)
+    best, widest = score.argmax(axis=-1)[..., None], width.argmax(axis=-1)[..., None]
+    return np.where(np.take_along_axis(score, best, -1) > np.take_along_axis(score, widest, -1),
+                    best, widest)[..., 0]
+
+
+def _cell_values(f, lo: np.ndarray, hi: np.ndarray, job: np.ndarray, axis=None):
+    """Gauss-Legendre values of job-sorted cells, and split axes; f sees whole cells.
+
+    Without an axis, each cell's values, (cells, 1, M), and its split axis,
+    (cells,).  Given each cell's split axis, the values of its halves along
+    that axis and its embedded low-order value, which catches error the
+    halves cannot see, (cells, 3, M), and the halves' split axes,
+    (cells, 2).  An axis comes from the GL_ORDER^n values of its cell
+    (``_split_axes``); for n = 1 every axis is 0, given and returned as
+    such.  f returns (points,) or (points, M).  The points of a block are
+    built axis by axis, one contiguous (cells, points per cell) block per
+    coordinate, and f gets their (points, n) transpose: cell-major, each
+    point the value lo + ref * width of the cell-major broadcast.
     """
     m, n = lo.shape
+    split = axis is not None
     ref, wts = _gl_nodes(GL_ORDER, n)
     low_ref, low_wts = _gl_nodes(GL_ORDER_LOW if split else GL_ORDER, n)
     q = len(wts) * split
     per_cell = 2 * q + len(low_wts)  # the halves' points, then the low-order rule's
     w = hi - lo
     if split:  # the halves and the volumes of every cell, for all blocks at once
-        h_lo, h_hi = _halves(lo, hi)
+        h_lo, h_hi = _halves(lo, hi, axis)
         h_w = h_hi - h_lo
         h_vol = h_w.prod(axis=2)
     vol = w.prod(axis=1)
     out = None
+    axes = 0 if n == 1 else np.empty((m, 2) if split else m, dtype=np.intp)
     step = max(1, BLOCK_POINTS // per_cell)
     for s in range(0, m, step):
         c, k = slice(s, s + step), min(step, m - s)
@@ -153,12 +206,16 @@ def _cell_values(f, lo: np.ndarray, hi: np.ndarray, job: np.ndarray,
         vals = np.ascontiguousarray(vals.reshape(len(vals), -1).T).reshape(-1, k, per_cell)
         if out is None:
             out = np.empty((m, 1 + 2 * split, len(vals)))
+        # the values at GL_ORDER^n points of each cell the block resolves:
+        # its halves, or the cell itself
+        full = vals[:, :, :2 * q].reshape(len(vals), k, 2, -1) if split else vals
         if split:
-            out[c, :2] = ((vals[:, :, :2 * q].reshape(len(vals), k, 2, -1) * wts)
-                          .sum(axis=3) * h_vol[c]).transpose(1, 2, 0)
+            out[c, :2] = ((full * wts).sum(axis=3) * h_vol[c]).transpose(1, 2, 0)
+        if n > 1:
+            axes[c] = _split_axes(full, h_w[c] if split else w[c])
         out[c, -1] = ((vals[:, :, 2 * q:] * low_wts).sum(axis=2) * vol[c]).T
-        del pts, vals  # no block's arrays live on beside the next block's
-    return out
+        del pts, vals, full  # no block's arrays live on beside the next block's
+    return out, axes
 
 
 def job_runs(job: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -306,7 +363,8 @@ def integrate_boxes(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
         vals = f(pts, job)
         shape.append(np.shape(vals))
         return vals
-    coarse = _cell_values(first, lo, hi, job, False)[:, 0]
+    coarse, axis = _cell_values(first, lo, hi, job)  # axis: the new cells' split axes
+    coarse = coarse[:, 0]
     vector = len(shape[0]) > 1
     M = shape[0][1] if vector else 1
     totals = np.zeros((nj, 3, M))  # value, error and sum of |cell values| (roundoff)
@@ -317,11 +375,14 @@ def integrate_boxes(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
         ncells[b[2]] = len(b[0])
         active[b[2]] = True
     n = lo.shape[1]
-    E, H = 2 * n, 2 * n + M  # store columns: the cell's errors, its halves' values
-    # cells still queued, in insertion order: lo, hi, errors, values of the halves, job
-    store, size = np.empty((64, 2 * n + 3 * M + 1)), 0
+    # store columns: the cell's errors, its halves' values, and for n >= 2
+    # its split axis and its halves' (none for n = 1, whose axis is 0)
+    E, H, A = 2 * n, 2 * n + M, 2 * n + 3 * M
+    # cells still queued, in insertion order: lo, hi, errors, values of the
+    # halves, axes, job
+    store, size = np.empty((64, A + 3 * (n > 1) + 1)), 0
     while len(job):
-        vals = _cell_values(f, lo, hi, job, True)
+        vals, half_axes = _cell_values(f, lo, hi, job, axis)
         value = vals[:, 0] + vals[:, 1]
         a, b = np.abs(value - coarse), np.abs(coarse - vals[:, 2])
         err = np.where(b > a, b, a)
@@ -330,8 +391,9 @@ def integrate_boxes(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
         if size + len(job) > len(store):  # grow geometrically
             store = np.vstack([store[:size], np.empty((len(store) // 2 + len(job),
                                                        store.shape[1]))])
-        store[size:size + len(job)] = np.hstack([lo, hi, err, vals[:, :2].reshape(-1, 2 * M),
-                                                 job[:, None]])
+        store[size:size + len(job)] = np.hstack(
+            [lo, hi, err, vals[:, :2].reshape(-1, 2 * M)]
+            + ([axis[:, None], half_axes] if n > 1 else []) + [job[:, None]])
         size += len(job)
 
         tol = _tolerance(config, tv, ta)
@@ -362,7 +424,8 @@ def integrate_boxes(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
         taken = order[(rank < above[ojob]) & (rank < BATCH)]
         popped = order[(rank <= above[ojob]) & (rank < BATCH)]
 
-        width = (store[taken, n:2 * n] - store[taken, :n]).max(axis=1)
+        cut = store[taken, A].astype(np.intp) if n > 1 else 0
+        width = store[taken, n + cut] - store[taken, cut]  # along the split axis
         live = taken[~(width / 2.0 < config.min_width)]  # frozen cells keep their err
         fits = ncells[cell_job[live]] + 2 * _rank(cell_job[live]) < config.max_cells
         budget_hit[cell_job[live[~fits]]] = True
@@ -376,7 +439,10 @@ def integrate_boxes(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
         entries -= nsplit
         ncells += 2 * nsplit
         # the halves of the split cells are the next new cells
-        lo, hi = (h.reshape(-1, n) for h in _halves(store[split, :n], store[split, n:2 * n]))
+        cut = store[split, A].astype(np.intp) if n > 1 else 0
+        lo, hi = (h.reshape(-1, n) for h in _halves(store[split, :n], store[split, n:2 * n],
+                                                    cut))
+        axis = store[split, A + 1:A + 3].reshape(-1).astype(np.intp) if n > 1 else 0
         coarse, job = coarse.reshape(-1, M), np.repeat(job, 2)
         keep = active[cell_job]
         keep[popped] = False

@@ -16,11 +16,11 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from ptdiff import (ClassifierConfig, MultiIndex, PairingResult, PolyJet, QuadratureConfig,
-                    QuadratureNonConvergence, TestFn, classify, delta_distribution, derivative,
-                    function_distribution, integrate_box, integrate_boxes, make_dictionary,
-                    pair, pair_many, polynomial_distribution, subtract_jet, xi_set,
-                    zero_index)
+from ptdiff import (ClassifierConfig, JetConfig, MultiIndex, PairingResult, PolyJet,
+                    QuadratureConfig, QuadratureNonConvergence, TestFn, classify,
+                    delta_distribution, derivative, function_distribution, integrate_box,
+                    integrate_boxes, make_dictionary, pair, pair_many, polynomial_distribution,
+                    subtract_jet, xi_set, zero_index)
 from ptdiff import distribution, momentkernel, quadrature, testfn
 from ptdiff.cores import core_eval
 from ptdiff.testfn import StackedFns, eval_stacked
@@ -176,20 +176,21 @@ class TestIntegrateBoxes:
         # every integrand call gets the cells' points in the cell-major
         # broadcast order, bit for bit, and each job's points as one run,
         # the runs in ascending job order; both in the coarse round and in
-        # the split rounds
-        calls = []  # per _cell_values call: (lo, hi, job, split, [(pts, job) per f call])
+        # the split rounds, whose halves lie along the axis each cell carries
+        calls = []  # per _cell_values call: (lo, hi, job, axis, [(pts, job) per f call], axes)
         cell_values = quadrature._cell_values
 
-        def spy(f, lo, hi, job, split):
+        def spy(f, lo, hi, job, axis=None):
             seen = []
-            calls.append((lo.copy(), hi.copy(), job.copy(), split, seen))
 
             def g(pts, pjob):
                 seen.append((pts.copy(), pjob.copy()))
                 if n > 1:
                     assert pts.flags.f_contiguous  # built axis by axis
                 return f(pts, pjob)
-            return cell_values(g, lo, hi, job, split)
+            out, axes = cell_values(g, lo, hi, job, axis)
+            calls.append((lo.copy(), hi.copy(), job.copy(), axis, seen, axes))
+            return out, axes
 
         monkeypatch.setattr(quadrature, "_cell_values", spy)
         fs = [lambda p: np.exp(-np.sum(p * p, axis=1)),
@@ -200,14 +201,25 @@ class TestIntegrateBoxes:
         got = integrate_boxes(_dispatch([fs[0], fs[1], fs[2], fs[2]]), jobs, config,
                               strict=False)
         assert got[2] == (0.0, 0.0, 0)
-        assert sum(not split for *_, split, _ in calls) == 1 and len(calls) >= 3
-        for lo, hi, job, split, seen in calls:
+        assert calls[0][3] is None and len(calls) >= 3
+        assert all(axis is not None for _, _, _, axis, *_ in calls[1:])
+
+        def cells(job, lo, hi):
+            return list(zip(job.tolist(), map(tuple, lo.tolist()), map(tuple, hi.tolist())))
+        carried = {}  # n >= 2: each cell's axis, from the call that evaluated its values
+        for lo, hi, job, axis, seen, axes in calls:
+            split = axis is not None
             ref = quadrature._gl_nodes(quadrature.GL_ORDER, n)[0]
             low = quadrature._gl_nodes(quadrature.GL_ORDER_LOW if split else
                                        quadrature.GL_ORDER, n)[0]
             want = lo[:, None, :] + low * (hi - lo)[:, None, :]
-            if split:  # the halves along the widest axis come first
-                rows, axis = np.arange(len(lo)), (hi - lo).argmax(axis=1)
+            if n == 1:  # no axis is chosen: every cell splits along its one axis
+                assert axes == 0 and (axis is None or axis == 0)
+            else:
+                assert axes.shape == ((len(lo), 2) if split else (len(lo),))
+                assert np.all((0 <= axes) & (axes < n))
+            if split:  # the halves along each cell's axis come first
+                rows = np.arange(len(lo))
                 mid = (lo[rows, axis] + hi[rows, axis]) / 2.0
                 h_lo = np.stack([lo, lo], axis=1)
                 h_hi = np.stack([hi, hi], axis=1)
@@ -215,6 +227,12 @@ class TestIntegrateBoxes:
                 h_lo[rows, 1, axis] = mid
                 halves = h_lo[:, :, None, :] + ref * (h_hi - h_lo)[:, :, None, :]
                 want = np.concatenate([halves.reshape(len(lo), -1, n), want], axis=1)
+                if n > 1:
+                    assert axis.tolist() == [carried[c] for c in cells(job, lo, hi)]
+                    carried.update(zip(cells(job.repeat(2), h_lo.reshape(-1, n),
+                                             h_hi.reshape(-1, n)), axes.ravel().tolist()))
+            elif n > 1:
+                carried.update(zip(cells(job, lo, hi), axes.tolist()))
             pts = np.concatenate([p for p, _ in seen])
             assert np.array_equal(pts, want.reshape(-1, n))
             assert np.array_equal(np.concatenate([j for _, j in seen]),
@@ -395,19 +413,35 @@ def _closed_form(phi, axis=None):
     return f
 
 
-def _disk_reference(f, c, rho):
-    """The integral of f over the disk B(c, rho) by scipy's dblquad, in
-    cartesian limits: (value, error estimate)."""
+def _disk_reference(f, c, rho, x_from=-math.inf):
+    """The integral of f over the disk B(c, rho), or over its part with
+    x >= x_from, by scipy's dblquad, in cartesian limits: (value, error
+    estimate)."""
     def half(x):
         return math.sqrt(max(rho * rho - (x - c[0]) ** 2, 0.0))
-    return integrate.dblquad(lambda y, x: f(x, y), c[0] - rho, c[0] + rho,
+    return integrate.dblquad(lambda y, x: f(x, y), max(c[0] - rho, x_from), c[0] + rho,
                              lambda x: c[1] - half(x), lambda x: c[1] + half(x),
                              epsabs=1e-14, epsrel=1e-12)
 
 
+def _panel_reference(f, lo, hi, panels):
+    """The integral of f over the 2-D box [lo, hi] by a 16-point
+    Gauss-Legendre rule on each of panels x panels equal panels."""
+    x, w = np.polynomial.legendre.leggauss(16)
+    nodes, wts = [], []
+    for a, b in zip(lo, hi):
+        edges = np.linspace(a, b, panels + 1)
+        half = np.diff(edges)[:, None] / 2.0
+        nodes.append((edges[:-1, None] + half * (1.0 + x)).ravel())
+        wts.append((half * w).ravel())
+    grid = np.stack(np.meshgrid(*nodes, indexing="ij"), axis=-1).reshape(-1, 2)
+    return float(np.sum(f(grid) * np.outer(*wts).ravel()))
+
+
 class TestHonesty2D:
-    """Pairings over a disk in polar coordinates hold their bounds against
-    an independent cartesian quadrature over the same disk."""
+    """2-D pairings, over a disk in polar coordinates or over a support box
+    cut at a singularity, hold their bounds against an independent
+    cartesian quadrature over the same disk."""
 
     def test_gauss2d_against_dblquad(self, kernel_cache):
         a = (0.2, -0.1)
@@ -437,14 +471,43 @@ class TestHonesty2D:
                 checked += 1
         assert checked == 14
 
+    @pytest.mark.parametrize("item, center", [("radial_root2d", (0.0, 0.0)),
+                                              ("step2d", (0.004, 0.05))])
+    def test_cusp_and_cut_against_dblquad(self, corpus, item, center, monkeypatch):
+        # where the split axis matters most: the radial root's cusp at the
+        # center of its disks (polar cells), and the step's cut through
+        # every disk (box cells)
+        data, x_from, polar = {"radial_root2d": (lambda x, y: (x * x + y * y) ** 0.25,
+                                                 -math.inf, True),
+                               "step2d": (lambda x, y: 1.0, 0.0, False)}[item]
+        boxes = []
+
+        def spy(f, jobs, *args):
+            boxes.extend(jobs)
+            return integrate_boxes(f, jobs, *args)
+        monkeypatch.setattr(distribution, "integrate_boxes", spy)
+        members = make_dictionary(2, 1, 0, 8, 0).members
+        # bump, x^(1, 0), x^(2, 0), x^(1, 1)
+        phis = [members[k].rescale(center, r) for r in (0.5, 1.0 / 64) for k in (0, 1, 3, 4)]
+        got = pair_many([(corpus[item].build(), phi) for phi in phis], CLASSIFY_QUAD)
+        assert [(tuple(lo), tuple(hi)) == ((0.0, 0.0), (1.0, 1.0))
+                for lo, hi, _ in boxes] == [polar] * len(phis)
+        for one, phi in zip(got, phis):
+            f, (atom,) = _closed_form(phi), phi.atoms
+            want, want_err = _disk_reference(lambda x, y: data(x, y) * f(x, y), atom.center,
+                                             atom.radius, x_from)
+            assert abs(one.value - want) <= one.abs_error_bound + want_err, (
+                phi.label, atom.radius, one, want, want_err)
+
 
 class TestPolarDispatch:
     """Which jobs pair_many integrates over their disk in polar coordinates."""
 
     def test_box_paths_and_a_polar_job(self, monkeypatch):
         # one mixed call: a one-ball job with a cut through its disk and a
-        # plateau stay on their support boxes bit for bit (pinned with
-        # float.hex before the polar path existed), as does a 1-D job; a
+        # plateau stay on their support boxes, and hold their bounds
+        # against independent references; a 1-D job stays on its box bit
+        # for bit (pinned with float.hex before the polar path existed); a
         # one-ball job with the cut outside its disk goes polar
         step, step1 = function_distribution(2, "heaviside(x1)"), function_distribution(
             1, "heaviside(x1)")
@@ -463,11 +526,22 @@ class TestPolarDispatch:
         monkeypatch.setattr(distribution, "integrate_boxes", spy)
         config = QuadratureConfig(rel_tol=1e-9, abs_floor=1e-15, max_cells=2 ** 7)
         got = pair_many(pairs, config, strict=False)
-        assert [(r.value.hex(), r.abs_error_bound.hex(), r.quadrature_cells)
-                for r in got[:3]] == [
-            ("0x1.ddea855bfe359p-4", "0x1.b1b25fbe8e8f6p-34", 116),
-            ("0x1.9ee1715e702f9p-1", "0x1.f91ecf2f56072p-14", 129),
-            ("0x1.03ea1c34c3050p-2", "0x1.4ea8258000000p-39", 10)]
+        assert (got[2].value.hex(), got[2].abs_error_bound.hex(), got[2].quadrature_cells) == (
+            "0x1.03ea1c34c3050p-2", "0x1.4ea8258000000p-39", 10)
+        # the step is 1 on x1 > 0: the probe's integral over that part of its disk
+        (atom,) = pairs[0][1].atoms
+        want, want_err = _disk_reference(_closed_form(pairs[0][1]), atom.center, atom.radius,
+                                         x_from=0.0)
+        assert abs(got[0].value - want) <= got[0].abs_error_bound + want_err
+        # the plateau (197 atoms) by composite Gauss-Legendre on its box:
+        # 16 and then 32 panels a side, their gap taken as the error
+        phi = pairs[1][1]
+        c, r = np.asarray(phi.support_center), phi.support_radius
+
+        def f(p):
+            return np.exp(-np.sum(p * p, axis=1)) * phi(p)[:, 0]
+        want, coarse = (_panel_reference(f, c - r, c + r, panels) for panels in (32, 16))
+        assert abs(got[1].value - want) <= got[1].abs_error_bound + abs(want - coarse)
         assert [tuple(map(tuple, box[:2])) for box in boxes] == [
             ((-0.4, -0.45), (0.6, 0.55)), ((-0.3, -0.6), (0.7, 0.4)),
             ((0.0, 0.0), (1.0, 1.0)), ((-0.4,), (0.6,))]
@@ -476,6 +550,23 @@ class TestPolarDispatch:
         mass = momentkernel.moment_table(2)[0][0] * phi.radii[0] ** 2 * phi.coeffs[0, 0]
         assert abs(got[3].value - mass) <= got[3].abs_error_bound + 4 * np.spacing(mass)
         assert got[3].quadrature_cells < 64
+
+    def test_cusp_cells_split_in_radius(self, corpus, monkeypatch):
+        # the radial root's cusp (rho s)^(1/2) at the center of every disk
+        # is rough in s alone: its classify at the origin, jet included,
+        # evaluates at most a quarter of the 9,524 cells that bisecting
+        # each cell along its widest axis took
+        cells = []
+
+        def spy(f, jobs, *args):
+            results = integrate_boxes(f, jobs, *args)
+            cells.extend(c for *_, c in results)
+            return results
+        monkeypatch.setattr(distribution, "integrate_boxes", spy)
+        config = ClassifierConfig(levels=10, dict_size=8, seed=0, quad=QuadratureConfig(
+            rel_tol=1e-9, abs_floor=1e-15, max_cells=2 ** 11), jet_config=JetConfig(levels=8))
+        rep = classify(corpus["radial_root2d"].build(), [0.0, 0.0], 0, config=config)
+        assert rep.verdict == "confirmed" and 0 < sum(cells) <= 9524 // 4
 
 
 def _by_quadrature(P, phi, config):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ptdiff import QuadratureConfig, QuadratureNonConvergence, integrate_box
+from ptdiff import QuadratureConfig, QuadratureNonConvergence, integrate_box, quadrature
 
 BUMP_MASS_1D = 0.4439938161680793  # int_{-1}^{1} exp(1/(x^2-1)) dx
 
@@ -37,8 +37,9 @@ class TestOracles:
         assert v == pytest.approx(math.pi, rel=1e-9)
 
     def test_constant_along_split_axis(self):
-        # integrand independent of the widest axis; the embedded low-order
-        # estimate must still catch the theta-direction error
+        # integrand independent of the widest axis x: the cell's values
+        # show that y is the unresolved axis, so the halves that estimate
+        # its error are taken along y, though x is 100 times wider
         def f(p):
             return np.sin(3.0 * p[:, 1]) ** 2
         v, _, _ = integrate_box(f, [0.0, 0.0], [100.0, 1.0])
@@ -53,6 +54,52 @@ class TestOracles:
     def test_empty_box(self):
         v, e, c = integrate_box(bump, [1.0], [1.0])
         assert (v, e, c) == (0.0, 0.0, 0)
+
+
+ROOT_MASS = 2.0 / 3.0 * (0.3 ** 1.5 + 0.7 ** 1.5)  # int_0^1 |x - 0.3|^(1/2) dx
+
+
+class TestSplitAxis:
+    """A cell bisects along the axis that its own Gauss-Legendre values
+    leave unresolved, whatever its widths."""
+
+    @pytest.mark.parametrize("hi, rough", [([1.0, 100.0], 0), ([100.0, 1.0], 1),
+                                           ([10.0, 10.0, 1.0], 2)])
+    def test_splits_along_the_rough_axis(self, monkeypatch, hi, rough):
+        # |x_rough - 0.3|^(1/2) with no cut declared: constant along the
+        # wider axes, so every split is along the narrow rough one, within
+        # a budget that a split along the wide axes would exhaust
+        axes = []
+        halves = quadrature._halves
+
+        def spy(lo, hi, axis):
+            axes.append(np.broadcast_to(axis, len(lo)).copy())
+            return halves(lo, hi, axis)
+        monkeypatch.setattr(quadrature, "_halves", spy)
+        v, e, cells = integrate_box(lambda p: np.abs(p[:, rough] - 0.3) ** 0.5,
+                                    [0.0] * len(hi), hi, config=QuadratureConfig(max_cells=256))
+        assert cells > 20 and all(np.all(a == rough) for a in axes)
+        exact = ROOT_MASS * math.prod(hi) / hi[rough]
+        assert abs(v - exact) <= e <= 1e-10 * exact
+
+    def test_frozen_by_the_width_of_its_split_axis(self, monkeypatch):
+        # the cells at the cusp halve in x until half their x-width is
+        # below min_width, and are frozen there though 100 wide in y
+        cells = []
+        cell_values = quadrature._cell_values
+
+        def spy(f, lo, hi, job, axis=None):
+            cells.append(hi - lo)
+            return cell_values(f, lo, hi, job, axis)
+        monkeypatch.setattr(quadrature, "_cell_values", spy)
+        config = QuadratureConfig(max_cells=256, min_width=1e-3)
+        v, e, _ = integrate_box(lambda p: np.abs(p[:, 0] - 0.3) ** 0.5, [0.0, 0.0],
+                                [1.0, 100.0], config=config)
+        width = np.concatenate(cells)
+        assert np.all(width[:, 1] == 100.0)
+        assert width[:, 0].min() == 2.0 ** -9  # its half, 2^-10, is below 1e-3
+        exact = 100.0 * ROOT_MASS
+        assert abs(v - exact) <= e and e > config.rel_tol * exact  # the frozen error
 
 
 class TestBudget:
