@@ -318,10 +318,9 @@ def cmd_whitney(args) -> int:
             orders.append(MultiIndex(tuple(m if j == ax else 0 for j in range(n))))
     header = ["x"] + [f"D{''.join(map(str, o.entries))}g" for o in orders]
     lines = [",".join(header)]
-    Q = np.asarray(queries, dtype=float).reshape(-1, n)
-    columns = [ext.eval(Q, o)[:, 0] for o in orders]
-    for q, values in zip(queries, zip(*columns)):
-        lines.append(",".join([";".join(_fmt(c) for c in q)] + [_fmt(v) for v in values]))
+    table = ext.eval(np.asarray(queries, dtype=float).reshape(-1, n), orders)[:, :, 0]
+    for q, row in zip(queries, table):
+        lines.append(",".join([";".join(_fmt(c) for c in q)] + [_fmt(v) for v in row]))
     csv_path = out / "whitney_extension.csv"
     csv_path.write_text("\n".join(lines) + "\n")
     seminorm, c_impl = (None, None)

@@ -20,11 +20,11 @@ number depends on the block it was found in.  For n = 1 the values, and
 the worst pair, are those of one pair at a time to the last bit.
 
 Weights and the extension are evaluated for a batch of points at once:
-``WhitneyExtension.eval`` takes a point (n,) and returns (d,), or a batch
-(npts, n) and returns (npts, d), as ``PolyJet.eval`` does.  The active
-(point, center) pairs, |x - c| < 10 h(c), are found without a dense
-(points x centers) table: h is 1/20-Lipschitz, so an active pair has
-|x - c| < 20 h(x), and the candidates are the centers in that slab of
+``WhitneyExtension.eval`` takes a point (n,) or a batch (npts, n), and a
+multi-index or a sequence of them, as ``TestFn.eval_deriv`` does.  The
+active (point, center) pairs, |x - c| < 10 h(c), are found without a
+dense (points x centers) table: h is 1/20-Lipschitz, so an active pair
+has |x - c| < 20 h(x), and the candidates are the centers in that slab of
 coordinate 0.  There is then one ``core_eval`` call per derivative of eta
 over all pairs, and the jets' derivatives at the rows are read from the
 stacked arrays in one pass.  The greedy packing tests a candidate t
@@ -61,6 +61,7 @@ _SLAB_MARGIN = 1e-9  # relative margin on the Lipschitz slab bounds
 _PAIR_BLOCK = 2 ** 20  # candidate (point, center) pairs filtered at once
 _GATE_BLOCK = 2 ** 12  # ordered jet pairs of the compatibility gate at once
 _DATA_ATOL = 1e-12  # query rows this close to a data point take its jet
+_HOELDER_BLOCK = 2 ** 12  # Hoelder sample points evaluated at once
 
 
 def _nearest(points: np.ndarray, X: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -441,10 +442,11 @@ class WhitneyPartition:
         return rows, ci, D
 
 
-def _candidate_grid(A: ASet, region: Ball, n: int, max_level: int) -> np.ndarray:
+def _candidate_grid(A: ASet, region: Ball, n: int, max_level: int) -> Tuple[np.ndarray, np.ndarray]:
+    """(candidate centers, h at them) over the dyadic grid levels 1..max_level."""
     center = np.asarray(region[0], dtype=float).reshape(n)
     radius = float(region[1])
-    cands = []
+    cands, hs = [np.zeros((0, n))], [np.zeros(0)]
     for level in range(1, max_level + 1):
         spacing = radius / 2 ** level
         axes = [np.arange(center[j] - radius, center[j] + radius + spacing / 2, spacing)
@@ -456,7 +458,8 @@ def _candidate_grid(A: ASet, region: Ball, n: int, max_level: int) -> np.ndarray
         # h value above the floor lands in some dyadic band
         keep = (h >= spacing / 4.0) & (h <= spacing * 4.0)
         cands.append(pts[keep])
-    return np.concatenate(cands, axis=0) if cands else np.zeros((0, n))
+        hs.append(h[keep])
+    return np.concatenate(cands), np.concatenate(hs)
 
 
 def _pack(cand: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -540,10 +543,9 @@ def partition_of_unity(A: ASet, region: Ball, max_level: Optional[int] = None,
     levels = max_level if max_level is not None else (14 if n == 1 else 9)
     for attempt in range(2):
         lv = levels + attempt * 2
-        cand = _candidate_grid(A, region, n, lv)
+        cand, h = _candidate_grid(A, region, n, lv)
         if cand.shape[0] == 0:
             raise PartitionConstructionError("no candidate centers off A in the region")
-        h = h_function(A, cand)
         order = np.argsort(-h)
         cand, h = cand[order], h[order]
         chosen = _pack(cand, h)
@@ -645,13 +647,6 @@ class WhitneyGateError(ValueError):
         self.worst_pair = worst_pair
 
 
-def _multi_binom(xi: MultiIndex, eta: MultiIndex) -> int:
-    out = 1
-    for a, b in zip(xi.entries, eta.entries):
-        out *= math.comb(a, b)
-    return out
-
-
 @dataclass
 class WhitneyExtension:
     """g = sum_c zeta_c P_{xi(c)} off A, g = P_a on A; derivatives to order 2."""
@@ -661,9 +656,11 @@ class WhitneyExtension:
     nearest: np.ndarray  # index into field.points per center
     kappa_F: float
 
-    def eval(self, x, xi: Optional[MultiIndex] = None) -> np.ndarray:
+    def eval(self, x, xi: Union[None, MultiIndex, Sequence[MultiIndex]] = None) -> np.ndarray:
         """D^xi g at a point (n,) or a batch (npts, n); returns (d,) or (npts, d).
 
+        With xi a sequence of M multi-indices: (M, d) or (npts, M, d), each
+        column that of its xi alone, from one search and one set of weights.
         Rows within ``_DATA_ATOL`` of a data point take the nearest jet.  So do
         rows in the collar around A below the grid resolution, where the
         packing has no coverage: the nearest jet is the limit value there.
@@ -671,28 +668,29 @@ class WhitneyExtension:
         n = self.field.n
         x = np.asarray(x, dtype=float)
         X = x.reshape(1, n) if x.ndim <= 1 else x.reshape(x.shape[0], n)
-        xi = xi if xi is not None else zero_index(n)
-        out = np.zeros((X.shape[0], self.field.d))
+        one = xi is None or isinstance(xi, MultiIndex)
+        xis = [xi if xi is not None else zero_index(n)] if one else list(xi)
+        out = np.zeros((X.shape[0], len(xis), self.field.d))
         if self.field.points:
             nearest, dist = _nearest(np.asarray(self.field.points, dtype=float), X)
-            rows, ci, D = self.partition.weight_jets(X, xi.order)
+            rows, ci, D = self.partition.weight_jets(X, max((e.order for e in xis), default=0))
             covered = np.bincount(rows, weights=D[zero_index(n)], minlength=X.shape[0]) > 0.0
             own = (dist <= _DATA_ATOL) | ~covered
-            out[own] = self._jets_at(nearest[own], X[own], xi)
-            # sum_{eta <= xi} C(xi, eta) D^eta zeta_c D^{xi - eta} P_{xi(c)}, accumulated
-            # per row in (eta, c) order
             off = ~own[rows]
-            where, terms = [], []
-            for eta in (e for m in range(xi.order + 1) for e in xi_set(n, m)):
-                if not xi.dominates(eta):
-                    continue
-                w = D[eta]
-                sel = off & (w != 0.0)
-                r = rows[sel]
-                vals = self._jets_at(self.nearest[ci[sel]], X[r], xi - eta)
-                where.append(r)
-                terms.append(_multi_binom(xi, eta) * w[sel][:, None] * vals)
-            np.add.at(out, np.concatenate(where), np.concatenate(terms))
+            for col, xi in zip(out.transpose(1, 0, 2), xis):
+                col[own] = self._jets_at(nearest[own], X[own], xi)
+                # sum_{eta <= xi} C(xi, eta) D^eta zeta_c D^{xi - eta} P_{xi(c)}, accumulated
+                # per row in (eta, c) order
+                where, terms = [], []
+                for eta in (e for m in range(xi.order + 1) for e in xi_set(n, m)
+                            if xi.dominates(e)):
+                    sel = off & (D[eta] != 0.0)
+                    where.append(rows[sel])
+                    vals = self._jets_at(self.nearest[ci[sel]], X[rows[sel]], xi - eta)
+                    binom = math.prod(map(math.comb, xi.entries, eta.entries))
+                    terms.append(binom * D[eta][sel][:, None] * vals)
+                np.add.at(col, np.concatenate(where), np.concatenate(terms))
+        out = out[:, 0] if one else out
         return out[0] if x.ndim <= 1 else out
 
     def _jets_at(self, which: np.ndarray, X: np.ndarray, xi: MultiIndex) -> np.ndarray:
@@ -743,27 +741,30 @@ def empirical_hoelder(ext: WhitneyExtension, pair_count: int = 10 ** 4,
                       seed: int = 0) -> Tuple[float, float]:
     """(seminorm, C_impl): max ||D^k g(x) - D^k g(y)|| / |x-y|^alpha over pairs.
 
-    Pairs are sampled in the partition region at dyadic separations;
+    Pairs are sampled in the partition region at ten dyadic separations,
+    all drawn first and evaluated _HOELDER_BLOCK points per ``eval`` call;
     C_impl is the seminorm relative to the field's gate constant.
     """
     F = ext.field
-    k = F.degree
     rng = np.random.default_rng(seed)
     center = np.asarray(ext.partition.region[0])
     radius = ext.partition.region[1]
-    top = xi_set(F.n, k)
-    best = 0.0
+    top = xi_set(F.n, F.degree)
     batch = max(1, pair_count // 10)
-    for scale_pow in range(10):
-        sep = radius * 2.0 ** (-scale_pow - 3)
+    seps = [radius * 2.0 ** (-scale_pow - 3) for scale_pow in range(10)]
+    pairs = []
+    for sep in seps:
         xs = rng.uniform(center - 0.6 * radius, center + 0.6 * radius,
                          size=(batch, F.n))
         dirs = rng.normal(size=(batch, F.n))
         dirs /= np.maximum(np.linalg.norm(dirs, axis=1, keepdims=True), 1e-300)
-        ys = xs + sep * dirs
-        for xi in top:
-            g = ext.eval(np.concatenate([xs, ys]), xi)
-            num = np.max(np.abs(g[:batch] - g[batch:]), axis=1)
-            best = max(best, float(np.max(num)) / sep ** F.alpha)
+        pairs += [xs, xs + sep * dirs]
+    pts = np.concatenate(pairs)
+    g = np.concatenate([ext.eval(pts[i:i + _HOELDER_BLOCK], top)
+                        for i in range(0, len(pts), _HOELDER_BLOCK)])
+    g = g.reshape(10, 2, batch, len(top), F.d)
+    # per scale and xi, the largest max_j |D^xi g_j(x) - D^xi g_j(y)| over the pairs
+    num = np.abs(g[:, 0] - g[:, 1]).max(axis=(1, 3)).tolist()
+    best = max([0.0] + [v / sep ** F.alpha for sep, row in zip(seps, num) for v in row])
     c_impl = best / ext.kappa_F if ext.kappa_F > 0 else 0.0
     return best, c_impl

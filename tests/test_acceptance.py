@@ -84,7 +84,7 @@ def test_classification_table(corpus):
     claims = 0
     osc_order2 = None  # the report of the claim osc at 0, k = 2
     for iid in ("heaviside", "abs_sqrt", "osc", "delta0", "radial_root2d", "step2d",
-                "delta2d", "layer2d"):
+                "delta2d", "layer2d", "gauss2d"):
         item = corpus[iid]
         T = item.build()
         for c in item.classification_claims:

@@ -110,7 +110,7 @@ class TestAnnotations:
 
     def test_exploratory_flags(self, corpus):
         assert corpus["annuli"].exploratory
-        assert corpus["gauss2d"].exploratory
+        assert not corpus["gauss2d"].exploratory
         assert not corpus["heaviside"].exploratory
 
     def test_ground_truth_items_annotated(self, corpus):

@@ -189,3 +189,14 @@ def test_extend_calls_traced_opnorm_bounds_and_polyjet(tmp_path):
     calls = _traced_calls(tmp_path, lambda: whitney.extend(F, max_level=6))
     assert calls["whitney.extend"] == 1
     assert calls["tensor.opnorm_bounds"] >= 1 and calls["tensor.PolyJet"] >= 1
+
+
+def test_sequence_eval_is_one_traced_call(tmp_path):
+    # every derivative of a sequence comes from one traced eval call
+    points = (0.1, 0.4, 0.7)
+    jets = tuple(PolyJet(1, 1, [p], 2, [math.sin(p), math.cos(p), -math.sin(p)])
+                 for p in points)
+    ext = whitney.extend(JetField(tuple((p,) for p in points), jets, 2, 1.0), max_level=6)
+    X = np.linspace(0.0, 0.8, 9)[:, None]
+    calls = _traced_calls(tmp_path, lambda: ext.eval(X, [MultiIndex((m,)) for m in range(3)]))
+    assert calls["whitney.eval"] == 1

@@ -468,9 +468,47 @@ def brute_force_pairs(part, X):
     return out
 
 
+def batch_tolerance(ext, X, m):
+    """How far an order-m value of ext at the rows X may move with its batch.
+
+    A row's D^rest P can differ in the last bit with the size of the batch
+    it is evaluated in (BLAS blocking); that bit is multiplied by D^eta
+    zeta, which grows like h^-|eta| near the data.
+    """
+    h = ext.partition.h(X)
+    return 1e-13 + 1e-15 * np.where(h > 0, h, 1.0) ** -m
+
+
+def hoelder_per_scale(ext, pair_count, seed=0):
+    """(seminorm, bound): empirical_hoelder's seminorm with one eval call per
+    scale and top multi-index, and the most that batch_tolerance lets the
+    seminorm of the same pairs differ from it."""
+    F = ext.field
+    rng = np.random.default_rng(seed)
+    center = np.asarray(ext.partition.region[0])
+    radius = ext.partition.region[1]
+    best = bound = 0.0
+    batch = max(1, pair_count // 10)
+    for scale_pow in range(10):
+        sep = radius * 2.0 ** (-scale_pow - 3)
+        xs = rng.uniform(center - 0.6 * radius, center + 0.6 * radius,
+                         size=(batch, F.n))
+        dirs = rng.normal(size=(batch, F.n))
+        dirs /= np.maximum(np.linalg.norm(dirs, axis=1, keepdims=True), 1e-300)
+        ys = xs + sep * dirs
+        for xi in xi_set(F.n, F.degree):
+            g = ext.eval(np.concatenate([xs, ys]), xi)
+            num = np.max(np.abs(g[:batch] - g[batch:]), axis=1)
+            best = max(best, float(np.max(num)) / sep ** F.alpha)
+        tol = batch_tolerance(ext, np.concatenate([xs, ys]), F.degree)
+        bound = max(bound, float(np.max(tol[:batch] + tol[batch:])) / sep ** F.alpha)
+    return best, bound
+
+
 class TestBatch:
-    @pytest.mark.parametrize("dim", [1, 2])
-    def test_eval_matches_pointwise(self, dim):
+    @staticmethod
+    def case(dim):
+        """(extension, rows): data rows, collar rows and rows off the data."""
         rng = np.random.default_rng(4)
         if dim == 1:
             data = np.linspace(0.0, 1.0, 12)[:, None]
@@ -483,18 +521,48 @@ class TestBatch:
         # collar points: far below the floor, where no center is active
         collar = data[:3] + 1e-7
         assert not ext.partition.weight_jets(collar, 0)[2][zero_index(dim)].any()
-        X = np.concatenate([data, collar, off])
-        h = ext.partition.h(X)
+        return ext, np.concatenate([data, collar, off])
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_eval_matches_pointwise(self, dim):
+        ext, X = self.case(dim)
         for m in range(3):
             for xi in xi_set(dim, m):
                 batch = ext.eval(X, xi)
                 rows = np.array([ext.eval(x, xi) for x in X])
                 assert batch.shape == rows.shape == (X.shape[0], 1)
-                # a row's D^rest P can differ in the last bit with the size of the
-                # batch it is evaluated in (BLAS blocking); that bit is multiplied
-                # by D^eta zeta, which grows like h^-|eta| near the data
-                tol = 1e-13 + 1e-15 * np.where(h > 0, h, 1.0) ** -m
-                assert np.all(np.abs(batch - rows)[:, 0] <= tol), xi
+                assert np.all(np.abs(batch - rows)[:, 0] <= batch_tolerance(ext, X, m)), xi
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_sequence_eval_matches_each_index(self, dim):
+        ext, X = self.case(dim)
+        xis = [xi for m in range(3) for xi in xi_set(dim, m)]
+        for seq in (xis, xis[::-1], xis[:1], xis[1:dim + 1]):
+            got = ext.eval(X, seq)
+            assert got.shape == (X.shape[0], len(seq), 1)
+            for j, xi in enumerate(seq):
+                assert np.array_equal(got[:, j], ext.eval(X, xi)), xi
+        one = ext.eval(X[3], xis)
+        assert one.shape == (len(xis), 1)
+        for j, xi in enumerate(xis):
+            assert np.array_equal(one[j], ext.eval(X[3], xi)), xi
+        assert ext.eval(X, []).shape == (X.shape[0], 0, 1)
+
+    @pytest.mark.parametrize("dim,pairs", [(1, 100), (1, 2000), (2, 100), (2, 500)])
+    def test_hoelder_matches_per_scale_evaluation(self, dim, pairs, monkeypatch):
+        # all scales' pairs in blocks of eval calls: in 1-D the seminorm of
+        # one call per scale to the last bit, in 2-D within the batch tolerance
+        from ptdiff import whitney
+        ext, _ = self.case(dim)
+        want, bound = hoelder_per_scale(ext, pairs)
+        for block in (whitney._HOELDER_BLOCK, 37):
+            monkeypatch.setattr(whitney, "_HOELDER_BLOCK", block)
+            semi, c_impl = empirical_hoelder(ext, pair_count=pairs)
+            assert semi > 0.0 and c_impl == semi / ext.kappa_F
+            if dim == 1:
+                assert semi == want, block
+            else:
+                assert abs(semi - want) <= bound, block
 
     @pytest.mark.parametrize("case", ["points-1d", "points-2d", "halfspace-2d"])
     def test_active_pairs_match_brute_force(self, case):
@@ -633,8 +701,9 @@ class TestPackLine:
     @staticmethod
     def ordered_grid(A, region, max_level):
         # the candidates of partition_of_unity, in its order
-        cand = _candidate_grid(A, region, 1, max_level)
-        h = h_function(A, cand)
+        cand, h = _candidate_grid(A, region, 1, max_level)
+        # the grid's h is h_function's, row for row
+        assert np.array_equal(h, h_function(A, cand))
         order = np.argsort(-h)
         return cand[order], h[order]
 
