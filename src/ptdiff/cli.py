@@ -31,7 +31,8 @@ from .poincare import DivergentKappaError, verify
 from .quadrature import QuadratureNonConvergence
 from .tensor import MultiIndex, PolyJet
 from .testfn import DEFAULT_MAX_DERIV_ORDER, ScaleError, make_dictionary
-from .whitney import JetField, WhitneyGateError, empirical_hoelder, extend
+from .whitney import (JetField, PartitionConstructionError, WhitneyGateError, empirical_hoelder,
+                      extend)
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -304,6 +305,8 @@ def cmd_whitney(args) -> int:
         ext = extend(F, kappa_F=args.kappa_f)
     except WhitneyGateError as exc:
         raise InputError(f"jet field rejected: {exc}") from exc
+    except PartitionConstructionError as exc:
+        raise InputError(f"cannot partition the jet field's region: {exc}") from exc
     out = _out_dir(args)
     n = F.n if F.points else 1
     if args.query:

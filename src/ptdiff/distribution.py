@@ -19,14 +19,12 @@ component keeps its own value and bound.
 
 In 2-D, a job whose test functions share one ball, and whose data has no
 declared cut line through that ball's open disk, is integrated over the
-disk in polar coordinates: the engine refines the unit square of (s, t),
-mapped onto the disk by ``quadrature.polar_coords``, and each component
-is multiplied by the Jacobian.  Its cells are polar cells, which follow
-the bump's flat edge along s = 1 rather than around a circle; the square
-is the unit square so that bisection splits radius and angle alike.
-Every other job is integrated over its support box, split at the cuts:
-all 1-D jobs, multi-ball test functions (plateaus and random sums, whose
-atoms are culled) and jobs with a cut through the disk.
+disk in polar coordinates: ``pair_many`` hands the engine the disk
+(``_disk``), and the engine maps its points (``quadrature``), so the
+integrand sees x alone.  Every other job is integrated over its support
+box, split at the cuts: all 1-D jobs, multi-ball test functions (plateaus
+and random sums, whose atoms are culled) and jobs with a cut through the
+disk.
 
 One evaluator, ``testfn.eval_stacked``, serves every part in every
 dimension: an engine's integrand evaluates the test functions of all its
@@ -49,8 +47,7 @@ import numpy as np
 from . import cores
 from .funcexpr import ExprAST, SingularitySet, eval_expr, parse
 from .momentkernel import moment_table
-from .quadrature import (QuadratureConfig, integrate_boxes, job_runs, polar_coords,
-                         run_points)
+from .quadrature import QuadratureConfig, integrate_boxes, job_runs, run_points
 from .tensor import MultiIndex, PolyJet, taylor_moments, zero_index
 from .testfn import ProbeDictionary, StackedFns, eval_stacked
 
@@ -275,41 +272,20 @@ def _disk(phis: tuple, splits) -> Optional[Tuple[Tuple[float, ...], float]]:
     return c, rho
 
 
-def _integrand(jobs: list, d: int, disks: list):
+def _integrand(jobs: list, d: int):
     """The engine's f(pts, job) -> (npts, M) for jobs (data, phis, splits)
     with M test functions each: column c is data times phis[c].  The test
     functions of all jobs are one stack of M-column jobs, evaluated by one
     ``eval_stacked`` call per block of points, and data shared by jobs is
-    evaluated once per point.  The points of a job with a disk (c, rho) are
-    (s, t) in the unit square, mapped onto the disk (``polar_coords``), and
-    each of its columns is multiplied by the Jacobian.
+    evaluated once per point.
     """
     stack = StackedFns.of([[(phi, zero_index(phi.n)) for phi in phis] for _, phis, _ in jobs])
     data_values = _shared_data(jobs, d)
-    polar = np.array([disk is not None for disk in disks])
-    centers = np.array([disk[0] if disk else (0.0, 0.0) for disk in disks])
-    radii = np.array([disk[1] if disk else 1.0 for disk in disks])
 
     def integrand(pts, job):
-        x, jacobian = pts, None
-        if polar.any():
-            starts, lengths, run_job = job_runs(job)
-            mine = polar[run_job]
-            p = slice(None) if mine.all() else run_points(starts[mine], lengths[mine])
-            u, jacobian = polar_coords(pts, p, centers[run_job[mine]], radii[run_job[mine]],
-                                       lengths[mine])
-            if mine.all():
-                x = u
-            else:  # the other jobs' points stay as they are
-                x = np.array(pts, order="F")
-                for a in range(2):
-                    x[:, a][p] = u[:, a]
-        phi = eval_stacked(stack, x, job).transpose(1, 0, 2)  # (M, points, d)
+        phi = eval_stacked(stack, pts, job).transpose(1, 0, 2)  # (M, points, d)
         # component-major, as the engine sums
-        vals = np.einsum("cij,ij->ci", phi, data_values(x, job))
-        if jacobian is not None:
-            vals[:, p] *= jacobian
-        return vals.T
+        return np.einsum("cij,ij->ci", phi, data_values(pts, job)).T
     return integrand
 
 
@@ -345,12 +321,10 @@ def pair_many(pairs: Sequence[Tuple[Distribution, object]],
 
     A vector pair (T, (phi_1, ..., phi_M)) needs test functions whose atoms
     share one ball, and one support ball.  The integral of each function
-    atom of T against all of them is one M-component engine job: one mesh,
-    the data evaluated once per point and every phi by one M-column job of
-    ``eval_stacked``.  Delta and polynomial parts stay closed form per
-    component.  It gives a tuple of M PairingResults, each with its own
-    value and bound, and the cells of the shared meshes.  Every result,
-    scalar or vector, is the pair's alone, whatever else the call holds.
+    atom of T against all of them is one M-component engine job.  It gives
+    a tuple of M PairingResults, each with its own value and bound, and the
+    cells of the shared meshes.  Every result, scalar or vector, is the
+    pair's alone, whatever else the call holds.
     """
     plans = [(T, phi if isinstance(phi, tuple) else (phi,)) for T, phi in pairs]
     for _, phis in plans:
@@ -386,13 +360,10 @@ def pair_many(pairs: Sequence[Tuple[Distribution, object]],
             shapes.setdefault((phis[0].n, phis[0].d, len(phis)), []).append(i)
     for (_, d, _), idx in shapes.items():
         jobs = [parts[i] for i in idx]
-        disks = [_disk(phis, splits) for _, phis, splits in jobs]
         boxes = [(np.subtract(phis[0].support_center, phis[0].support_radius),
-                  np.add(phis[0].support_center, phis[0].support_radius), splits)
-                 if disk is None else ((0.0, 0.0), (1.0, 1.0), ())
-                 for (_, phis, splits), disk in zip(jobs, disks)]
-        for i, result in zip(idx, integrate_boxes(_integrand(jobs, d, disks), boxes, config,
-                                                  strict)):
+                  np.add(phis[0].support_center, phis[0].support_radius), splits,
+                  _disk(phis, splits)) for _, phis, splits in jobs]
+        for i, result in zip(idx, integrate_boxes(_integrand(jobs, d), boxes, config, strict)):
             results[i] = result
     done = iter(results)
     out = []
@@ -416,13 +387,9 @@ def dual_norm(T: Distribution, K: Tuple[Sequence[float], float], i: int,
     the dictionary's estimate of sup{ T(phi) : phi in D_K, nu^i_K(phi) <= 1 },
     not a certified bound of it.
 
-    Dictionary members (normalized to nu^i = 1 on seminorm's grids over
-    B(0,1)) are rescaled into K; rescaling multiplies the order-i seminorm
-    by radius^{-i}, so members are rescaled back by radius^i.  The value
-    ignores each pairing's quadrature error bound, and a member's true
-    seminorm can exceed 1 by the normalizer excess (``ProbeDictionary``: up
-    to 3.8e-6 relatively), so it is a lower bound of the sup only up to
-    both.
+    Members are rescaled into K and scaled by radius^i, which keeps
+    nu^i = 1.  It is a lower bound of the sup only up to each pairing's
+    quadrature bound and the normalizer excess (``ProbeDictionary``).
     """
     center = np.asarray(K[0], dtype=float).reshape(T.n)
     radius = float(K[1])

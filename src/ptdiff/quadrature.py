@@ -36,19 +36,19 @@ one contiguous run and the runs in ascending job order, so an integrand
 can work run by run (``job_runs``).  The points are built axis by axis,
 each coordinate one contiguous block, and handed over as an F-ordered
 (points, n) view; every point equals the cell-major broadcast
-lo + node * width bit for bit.
+lo + node * width bit for bit, or its image on a disk.  The engine may
+write over the array f returns.
 
-The engine knows only boxes.  A caller that integrates over a 2-D disk
-B(c, rho) hands it the unit square and maps the points (s, t) run by run
-to x = c + rho s (cos 2 pi t, sin 2 pi t), with the Jacobian 2 pi rho^2 s
-(``polar_coords``): ``distribution.pair_many`` for the 2-D jobs whose test
-functions share one ball, and ``momentkernel`` for its residuals.  Such a
-job's cells are polar cells.  The disk's edge, where a bump flattens to 0,
-is the line s = 1, which no cell straddles, where a box's cells would
-follow the circle.  A polar cell splits in s or in t as its values say: at
-a cusp at the disk's center, such as (rho s)^(1/2), the cells at s = 0
-split in s and almost never in t, where a bisection of the widest axis
-would split the angle as often.
+A 2-D job with a disk (c, rho) is integrated over B(c, rho): the engine
+refines the unit square of (s, t), maps each cell's points to x = c +
+rho s (cos 2 pi t, sin 2 pi t) before f sees them, and multiplies f's
+values by the Jacobian 2 pi rho^2 s before it scores and sums them
+(``_to_disk``), in the float operations (2 pi) t, cos (rho s) + c,
+((rho s) rho) 2 pi and value * Jacobian.  cos and sin are taken once per
+t node of a cell, 42 times for a split cell of 612 points.  Its polar
+cells follow a bump's flat edge along s = 1, where a box's follow the
+circle; at a cusp at the center, (rho s)^(1/2), they split in s, almost
+never in t.
 
 The block contract: every large evaluation goes through in blocks of
 about ``BLOCK_POINTS`` points, one size for the engine's integrand calls
@@ -61,9 +61,10 @@ cells or grid points, and no value depends on the block: each cell's
 values, pair's term and grid point's norm are its own.  Block memory is
 reused where it would fault in anew on every block: the culled search of
 ``testfn.eval_stacked`` takes one block of points at a time, and it,
-the one-ball layout path and the polar map work in arrays kept per thread
-(``_kept``), from block to block and call to call, each bounded by one
-block.
+the one-ball layout path and ``_cell_values`` work in arrays kept per
+thread (``_kept``), from block to block and call to call, each bounded by
+one block: a block's points, mapped in place, and its Jacobians.  So f
+must not call the engine, which would overwrite the points f holds.
 """
 
 from __future__ import annotations
@@ -163,7 +164,7 @@ def _split_axes(vals: np.ndarray, width: np.ndarray) -> np.ndarray:
                     best, widest)[..., 0]
 
 
-def _cell_values(f, lo: np.ndarray, hi: np.ndarray, job: np.ndarray, axis=None):
+def _cell_values(f, lo: np.ndarray, hi: np.ndarray, job: np.ndarray, disks, axis=None):
     """Gauss-Legendre values of job-sorted cells, and split axes; f sees whole cells.
 
     Without an axis, each cell's values, (cells, 1, M), and its split axis,
@@ -175,14 +176,20 @@ def _cell_values(f, lo: np.ndarray, hi: np.ndarray, job: np.ndarray, axis=None):
     such.  f returns (points,) or (points, M).  The points of a block are
     built axis by axis, one contiguous (cells, points per cell) block per
     coordinate, and f gets their (points, n) transpose: cell-major, each
-    point the value lo + ref * width of the cell-major broadcast.
+    point the value lo + ref * width of the cell-major broadcast, mapped
+    onto a disk for the jobs on one: disks is (on a disk, centers, radii)
+    per job (``_to_disk``).
     """
     m, n = lo.shape
     split = axis is not None
     ref, wts = _gl_nodes(GL_ORDER, n)
-    low_ref, low_wts = _gl_nodes(GL_ORDER_LOW if split else GL_ORDER, n)
+    low = GL_ORDER_LOW if split else GL_ORDER
+    low_ref, low_wts = _gl_nodes(low, n)
     q = len(wts) * split
     per_cell = 2 * q + len(low_wts)  # the halves' points, then the low-order rule's
+    # on a disk, each segment of a cell's points: (start, end, its (s, t) grid)
+    segments = ([(0, 2 * q, (2, GL_ORDER, GL_ORDER))] if split else []) + [
+        (2 * q, per_cell, (low, low))]
     w = hi - lo
     if split:  # the halves and the volumes of every cell, for all blocks at once
         h_lo, h_hi = _halves(lo, hi, axis)
@@ -194,16 +201,19 @@ def _cell_values(f, lo: np.ndarray, hi: np.ndarray, job: np.ndarray, axis=None):
     step = max(1, BLOCK_POINTS // per_cell)
     for s in range(0, m, step):
         c, k = slice(s, s + step), min(step, m - s)
-        pts = np.empty((n, k, per_cell))
+        pts = _kept("cell_points", (n, k, per_cell))
         for a in range(n):
             if split:
                 np.add(h_lo[c, :, None, a], ref[:, a] * h_w[c, :, None, a],
                        out=pts[a, :, :2 * q].reshape(k, 2, q))
             np.add(lo[c, None, a], low_ref[:, a] * w[c, None, a], out=pts[a, :, 2 * q:])
+        jacobian = _to_disk(pts, job[c], disks, segments)
         vals = np.asarray(f(pts.reshape(n, -1).T, job[c].repeat(per_cell)), dtype=float)
         # component-major, so that each component sums contiguous rows, in
         # the float operations of a scalar integrand
         vals = np.ascontiguousarray(vals.reshape(len(vals), -1).T).reshape(-1, k, per_cell)
+        if jacobian is not None:
+            vals *= jacobian
         if out is None:
             out = np.empty((m, 1 + 2 * split, len(vals)))
         # the values at GL_ORDER^n points of each cell the block resolves:
@@ -216,6 +226,37 @@ def _cell_values(f, lo: np.ndarray, hi: np.ndarray, job: np.ndarray, axis=None):
         out[c, -1] = ((vals[:, :, 2 * q:] * low_wts).sum(axis=2) * vol[c]).T
         del pts, vals, full  # no block's arrays live on beside the next block's
     return out, axes
+
+
+def _to_disk(pts: np.ndarray, job: np.ndarray, disks, segments) -> np.ndarray:
+    """Map the (s, t) points pts (2, cells, points per cell) of the cells on
+    a disk onto it, in place, run of cells by run; their Jacobians, 1.0 at
+    the other cells, or None.  Each segment of a cell's points is a grid
+    with s along its rows and t along its columns: one cos and sin a column.
+    """
+    on, centers, radii = disks
+    on = on[job]
+    if not on.any():
+        return None
+    size = math.prod(pts.shape[1:])  # allocated once at its largest, one block's
+    jacobian = _kept("cell_jacobian", max(BLOCK_POINTS, size))[:size].reshape(pts.shape[1:])
+    jacobian[~on] = 1.0
+    starts, lengths, which = job_runs(on)
+    for a, b in zip(starts[which], (starts + lengths)[which]):
+        for lo, hi, grid in segments:
+            s, t, jac = (v[a:b, lo:hi].reshape((b - a,) + grid)
+                         for v in (pts[0], pts[1], jacobian))
+            each = (-1,) + (1,) * len(grid)  # a cell's value, over its points
+            rho, c = radii[job[a:b]].reshape(each), centers[job[a:b]].T.reshape((2,) + each)
+            angle = 2.0 * np.pi * t[..., :1, :]
+            np.multiply(rho, s, out=jac)
+            np.multiply(np.cos(angle), jac, out=s)
+            s += c[0]
+            np.multiply(np.sin(angle), jac, out=t)
+            t += c[1]
+            jac *= rho
+            jac *= 2.0 * np.pi
+    return jacobian
 
 
 def job_runs(job: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -242,34 +283,6 @@ def _kept(name: str, shape, dtype=float) -> np.ndarray:
     if buf is None or buf.size < size or buf.dtype != dtype:
         buf = _KEPT.__dict__[name] = np.empty(size, dtype)
     return buf[:size].reshape(shape)
-
-
-def polar_coords(pts: np.ndarray, p, centers: np.ndarray, radii: np.ndarray,
-                 lengths: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """The points x = c + rho s (cos 2 pi t, sin 2 pi t) of the points (s, t)
-    of the unit square pts[p], which are runs of the given lengths, each on
-    its own disk B(c, rho): an F-ordered (points, 2) array, and the
-    Jacobian 2 pi rho^2 s of each point.
-
-    Coordinate by coordinate, with the centers and radii repeated over
-    their runs, as ``testfn.run_coords`` builds core coordinates.  The two
-    arrays are this thread's block arrays (``_kept``), which its next call
-    overwrites.
-    """
-    npts = int(lengths.sum())
-    x = _kept("polar_points", (2, npts))
-    jacobian = _kept("polar_jacobian", npts)
-    np.multiply(2.0 * np.pi, pts[:, 1][p], out=jacobian)  # the angle, for now
-    np.cos(jacobian, out=x[0])
-    np.sin(jacobian, out=x[1])
-    rho = np.repeat(radii, lengths)
-    np.multiply(rho, pts[:, 0][p], out=jacobian)  # the radius rho s
-    x *= jacobian
-    for a in range(2):
-        x[a] += np.repeat(centers[:, a], lengths)
-    jacobian *= rho
-    jacobian *= 2.0 * np.pi
-    return x.T, jacobian
 
 
 def _initial_boxes(lo: np.ndarray, hi: np.ndarray,
@@ -335,25 +348,28 @@ def integrate_boxes(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
                                          Sequence[Sequence[float]]]],
                     config: QuadratureConfig = QuadratureConfig(),
                     strict: bool = True) -> List[Tuple]:
-    """(value, error_bound, cells) of each box (lo, hi, split_coords).
+    """(value, error_bound, cells) of each box (lo, hi, split_coords), or of
+    the disk of a 2-D job (lo, hi, split_coords, (center, radius)).
 
-    f(pts, job) is job[i]'s integrand at pts[i].  A job's points are one
-    contiguous run, the runs in ascending job order, and pts is an
-    F-ordered (points, n) array built axis by axis.  f returns (npts,),
-    and each result is floats, or (npts, M): M components on one mesh, and
-    each result's value and bound are (M,) arrays.  When no box has
-    volume, f is not called and every result is (0.0, 0.0, 0).  With
-    strict, the first job with a component whose budget ran out above
-    tolerance raises, with that component's value and bound.
+    f(pts, job) is job[i]'s integrand at pts[i] (the integrand contract).
+    f returns (npts,), and each result is floats, or (npts, M): M
+    components on one mesh, each result's value and bound (M,) arrays.
+    When no box has volume, f is not called and every result is (0.0, 0.0,
+    0).  With strict, the first job with a component whose budget ran out
+    above tolerance raises, with that component's value and bound.
     """
     nj = len(jobs)
-    boxes = []
-    for j, (lo, hi, splits) in enumerate(jobs):
+    boxes, disks = [], [None] * nj  # disks: each job's (center, radius) or None
+    for j, (lo, hi, splits, *disk) in enumerate(jobs):
+        if disk and disk[0] is not None:  # the unit square of (s, t)
+            disks[j], lo, hi, splits = disk[0], (0.0, 0.0), (1.0, 1.0), ()
         lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
         if not np.any(hi <= lo):
             boxes.append(_initial_boxes(lo, hi, splits or [[]] * lo.size) + (j,))
     if not boxes:
         return [(0.0, 0.0, 0)] * nj
+    centers, radii = zip(*[d or ((0.0, 0.0), 1.0) for d in disks])
+    disks = (np.array([d is not None for d in disks]), np.array(centers, float), np.array(radii))
     # the new cells (boxes, coarse values, jobs), job-sorted in push order
     lo, hi = np.concatenate([b[0] for b in boxes]), np.concatenate([b[1] for b in boxes])
     job = np.repeat([b[2] for b in boxes], [len(b[0]) for b in boxes])
@@ -363,7 +379,7 @@ def integrate_boxes(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
         vals = f(pts, job)
         shape.append(np.shape(vals))
         return vals
-    coarse, axis = _cell_values(first, lo, hi, job)  # axis: the new cells' split axes
+    coarse, axis = _cell_values(first, lo, hi, job, disks)  # axis: the new cells' split axes
     coarse = coarse[:, 0]
     vector = len(shape[0]) > 1
     M = shape[0][1] if vector else 1
@@ -382,7 +398,7 @@ def integrate_boxes(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
     # halves, axes, job
     store, size = np.empty((64, A + 3 * (n > 1) + 1)), 0
     while len(job):
-        vals, half_axes = _cell_values(f, lo, hi, job, axis)
+        vals, half_axes = _cell_values(f, lo, hi, job, disks, axis)
         value = vals[:, 0] + vals[:, 1]
         a, b = np.abs(value - coarse), np.abs(coarse - vals[:, 2])
         err = np.where(b > a, b, a)

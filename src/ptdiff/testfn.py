@@ -156,11 +156,12 @@ class TestFn:
                    if f.name in _TABLE else getattr(self, f.name) == getattr(other, f.name)
                    for f in fields(TestFn))
 
-    def eval_deriv(self, xi, x) -> np.ndarray:
+    def eval_deriv(self, xi, x, stack: Optional["StackedFns"] = None) -> np.ndarray:
         """D^xi phi at one point (n,), values (d,), or at points (npts, n),
         values (npts, d).  With xi a sequence of M multi-indices, every
         D^xi at once: (M, d) or (npts, M, d), each column bit-identical to
-        its xi alone.
+        its xi alone.  A caller of one xi at many point sets may pass its
+        stack, ``StackedFns.of([[(self, e) for e in xi]])``, built once.
         """
         x = np.asarray(x, dtype=float)
         if x.shape != (self.n,) and (x.ndim != 2 or x.shape[1] != self.n):
@@ -169,8 +170,9 @@ class TestFn:
         pts = x.reshape(-1, self.n)
         one = isinstance(xi, MultiIndex)
         # one job: a byte per point for its index, not eight
-        out = eval_stacked(StackedFns.of([[(self, e) for e in ([xi] if one else xi)]]), pts,
-                           np.zeros(len(pts), np.int8))
+        if stack is None:
+            stack = StackedFns.of([[(self, e) for e in ([xi] if one else xi)]])
+        out = eval_stacked(stack, pts, np.zeros(len(pts), np.int8))
         out = out[:, 0] if one else out
         return out[0] if x.ndim == 1 else out
 
@@ -702,13 +704,11 @@ def seminorm(phi, i: int, K: Optional[Tuple[Sequence[float], float]] = None,
              grid_points: int = 512, rel_tol: float = 1e-4):
     """sup over K of the operator norm of D^i phi.
 
-    The order-i derivative tensors are evaluated on a grid of grid_points
-    intervals per axis over the relevant box (K defaults to the support
-    ball), one block of whole grid rows at a time, and their norms are
-    screened there with the unrefined angular scan (``_screen``).  The
-    best screened points are evaluated again, which gives the same
-    tensors, and get the norm refined in angle, and a local grid search
-    around the best of them refines in space.  What is certified: the
+    The order-i derivative tensors on a grid of grid_points intervals per
+    axis over the box (K defaults to the support ball) are screened with
+    the unrefined angular scan (``_screen``).  The best screened points get
+    the norm refined in angle, and a local grid search around the best of
+    them refines in space (``_refine``).  What is certified: the
     spatial search and every angular scan in it stop only once a
     refinement step gains less than rel_tol relatively, and the result is
     the norm at one point, so it is a lower bound of the sup.
@@ -754,8 +754,9 @@ def _refine(phi: TestFn, i: int, top_pts: np.ndarray, lo: np.ndarray, hi: np.nda
     around the best of them: ``seminorm``'s value for phi."""
     n = phi.n
     indices = xi_set(n, i)
+    st = StackedFns.of([[(phi, xi) for xi in indices]])  # one stack: one atom-bin index
     # C order: the rounding of the angular refinement follows the layout
-    norms, _ = opnorms(n, i, np.ascontiguousarray(phi.eval_deriv(indices, top_pts)), rel_tol)
+    norms, _ = opnorms(n, i, np.ascontiguousarray(phi.eval_deriv(indices, top_pts, st)), rel_tol)
     best_idx = int(np.argmax(norms))
     best = float(norms[best_idx])
     # local refinement around the grid argmax
@@ -764,7 +765,7 @@ def _refine(phi: TestFn, i: int, top_pts: np.ndarray, lo: np.ndarray, hi: np.nda
     for _ in range(8):
         lpts = _mesh([np.linspace(max(lo[j], center[j] - width),
                                   min(hi[j], center[j] + width), 17) for j in range(n)])
-        lnorms, _ = opnorms(n, i, phi.eval_deriv(indices, lpts), rel_tol)
+        lnorms, _ = opnorms(n, i, phi.eval_deriv(indices, lpts, st), rel_tol)
         j = int(np.argmax(lnorms))
         new_best = float(lnorms[j])
         improved = new_best > best

@@ -62,6 +62,7 @@ _PAIR_BLOCK = 2 ** 20  # candidate (point, center) pairs filtered at once
 _GATE_BLOCK = 2 ** 12  # ordered jet pairs of the compatibility gate at once
 _DATA_ATOL = 1e-12  # query rows this close to a data point take its jet
 _HOELDER_BLOCK = 2 ** 12  # Hoelder sample points evaluated at once
+_GRID_POINTS = 2 ** 25  # most points of one candidate grid level
 
 
 def _nearest(points: np.ndarray, X: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -257,10 +258,9 @@ def _gate(F: JetField, delta: float = math.inf) -> Tuple[float, float, Optional[
     For m = 0..k, term = ||D^m P_a(b) - D^m P_b(b)|| |a-b|^{m-k} (k-m)!;
     rho is the largest term and worst the largest term / |a-b|^alpha, first
     attained, in the order (a, b, m), at worst_pair = (a, b, m), or None
-    when it is 0.  Pairs go through _GATE_BLOCK at a time: P_a is recentered
-    at b for all of them at once, and each order m is one ``opnorms`` call.
-    The powers of |a-b| are libm pow per pair, so that terms are those of
-    one pair at a time to the last bit.
+    when it is 0.  Pairs go through _GATE_BLOCK at a time.  The powers of
+    |a-b| are libm pow per pair, so that terms are those of one pair at a
+    time to the last bit.
 
     The arrays select the two maxima; their values are then those of the
     selected pair alone (``_pair_term``).  For n = 1 that changes no bit.
@@ -346,8 +346,8 @@ class WhitneyPartition:
     def h(self, pts: np.ndarray) -> np.ndarray:
         return h_function(self.A, pts)
 
-    def active_pairs(self, X: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """(rows, centers) of the pairs with |X[row] - c| < 10 h(c), sorted by row, then center.
+    def active_pairs(self, X: np.ndarray, h: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """(rows, centers) of the pairs with |X[row] - c| < 10 h(c), by row, then center; h at X.
 
         |x - c| < 10 h(c) <= 10 h(x) + |x - c| / 2 gives |x - c| < 20 h(x), so
         the candidates of x are the centers in the slab |c_0 - x_0| < 20 h(x)
@@ -357,7 +357,7 @@ class WhitneyPartition:
         X = np.asarray(X, dtype=float).reshape(-1, self.n)
         order = np.argsort(self.centers[:, 0], kind="stable")
         c0 = self.centers[order, 0]
-        w = 20.0 * self.h(X) * (1.0 + _SLAB_MARGIN)
+        w = 20.0 * h * (1.0 + _SLAB_MARGIN)
         lo = np.searchsorted(c0, X[:, 0] - w, side="left")
         counts = np.searchsorted(c0, X[:, 0] + w, side="right") - lo
         ends = np.cumsum(counts)
@@ -381,9 +381,9 @@ class WhitneyPartition:
             return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
         return np.concatenate(out_rows), np.concatenate(out_ci)
 
-    def weight_jets(self, X: np.ndarray, order: int
+    def weight_jets(self, X: np.ndarray, order: int, h: np.ndarray
                     ) -> Tuple[np.ndarray, np.ndarray, Dict[MultiIndex, np.ndarray]]:
-        """(rows, centers, D): the active pairs of X (npts, n) and D^xi zeta on them.
+        """(rows, centers, D): the active pairs of X (npts, n), with h at X, and D^xi zeta.
 
         D maps every multi-index xi of order <= ``order`` (<= 2) to the values
         of D^xi zeta_c(X[row]) over the pairs.  There is one ``core_eval``
@@ -394,7 +394,7 @@ class WhitneyPartition:
         if order > 2:
             raise ValueError("partition weights expose derivatives up to order 2")
         X = np.asarray(X, dtype=float).reshape(-1, self.n)
-        rows, ci = self.active_pairs(X)
+        rows, ci = self.active_pairs(X, h)
         used, at = np.unique(ci, return_inverse=True)
         s = 10.0 * self.radii[used]
         u = (X[rows] - self.centers[ci]) / s[at, None]
@@ -528,6 +528,17 @@ def _pack_line(xs: List[float], hs: List[float]) -> np.ndarray:
     return np.array(sorted(kept), dtype=np.int64)
 
 
+def _finite_ball(region: Ball) -> Tuple[np.ndarray, float]:
+    """(center, radius) of a ball of positive radius and finite extent."""
+    center, radius = np.asarray(region[0], dtype=float).reshape(-1), float(region[1])
+    with np.errstate(over="ignore"):
+        ends = np.concatenate([center - radius, center + radius])
+    if not (radius > 0.0 and np.isfinite(ends).all()):
+        raise PartitionConstructionError(f"the region must be a finite ball, not radius "
+                                         f"{radius!r} around {center.tolist()}")
+    return center, radius
+
+
 def partition_of_unity(A: ASet, region: Ball, max_level: Optional[int] = None,
                        probe_count: int = 1000, seed: int = 0) -> WhitneyPartition:
     """Packing-based partition subordinate to {B(c, 10h(c))} on region minus A.
@@ -537,12 +548,15 @@ def partition_of_unity(A: ASet, region: Ball, max_level: Optional[int] = None,
     m <= 2 and the overlap bound.  A check with no probe above the floor
     fails, so the grid is refined rather than certified vacuously.
     """
-    center = np.asarray(region[0], dtype=float).reshape(-1)
+    center, radius = _finite_ball(region)
     n = center.size
-    radius = float(region[1])
     levels = max_level if max_level is not None else (14 if n == 1 else 9)
     for attempt in range(2):
         lv = levels + attempt * 2
+        size = (2 ** (lv + 1) + 1) ** n
+        if size > _GRID_POINTS:  # checked before the grid is built
+            raise PartitionConstructionError(f"the level-{lv} candidate grid in {n} dimensions "
+                                             f"has {size} points, above {_GRID_POINTS}")
         cand, h = _candidate_grid(A, region, n, lv)
         if cand.shape[0] == 0:
             raise PartitionConstructionError("no candidate centers off A in the region")
@@ -575,7 +589,7 @@ def _verify_partition(part: WhitneyPartition, probe_count: int, seed: int,
     pts, h = pts[h > floor], h[h > floor]
     if pts.shape[0] == 0:
         return False, V, 0
-    rows, ci, D = part.weight_jets(pts, 2)
+    rows, ci, D = part.weight_jets(pts, 2, h)
     z = D[zero_index(part.n)]
     total = np.bincount(rows, weights=z, minlength=pts.shape[0])
     if np.any(np.abs(total - 1.0) > 1e-10):
@@ -673,7 +687,8 @@ class WhitneyExtension:
         out = np.zeros((X.shape[0], len(xis), self.field.d))
         if self.field.points:
             nearest, dist = _nearest(np.asarray(self.field.points, dtype=float), X)
-            rows, ci, D = self.partition.weight_jets(X, max((e.order for e in xis), default=0))
+            rows, ci, D = self.partition.weight_jets(X, max((e.order for e in xis), default=0),
+                                                     np.minimum(1.0, dist) / 20.0)  # h at X
             covered = np.bincount(rows, weights=D[zero_index(n)], minlength=X.shape[0]) > 0.0
             own = (dist <= _DATA_ATOL) | ~covered
             off = ~own[rows]
@@ -714,6 +729,14 @@ def extend(F: JetField, region: Optional[Ball] = None,
         raise ValueError(f"the gate constant kappa_F must be finite and positive, "
                          f"not {kappa_F!r}")
     n = F.n
+    if F.points:
+        if region is None:
+            arr = np.asarray(F.points, dtype=float)
+            with np.errstate(over="ignore"):  # an overflow is refused just below
+                center = (arr.min(axis=0) + arr.max(axis=0)) / 2.0
+                radius = float(np.max(np.linalg.norm(arr - center[None, :], axis=1))) + 1.0
+            region = (tuple(center), radius)
+        _finite_ball(region)  # before the gate, whose distances would overflow too
     _, worst, worst_pair = _gate(F)
     if kappa_F is not None and worst > kappa_F * (1 + 1e-9):
         raise WhitneyGateError(
@@ -727,11 +750,6 @@ def extend(F: JetField, region: Optional[Ball] = None,
                                 np.zeros((0, n)), np.zeros(0), {0: 1.0, 1: 0.0, 2: 0.0}, 0)
         return WhitneyExtension(F, part, np.zeros(0, dtype=int), kf)
     A = make_point_set(F.points)
-    if region is None:
-        arr = np.asarray(F.points, dtype=float)
-        center = (arr.min(axis=0) + arr.max(axis=0)) / 2.0
-        radius = float(np.max(np.linalg.norm(arr - center[None, :], axis=1))) + 1.0
-        region = (tuple(center), radius)
     part = partition_of_unity(A, region, max_level=max_level)
     nearest, _ = _nearest(np.asarray(F.points, dtype=float), part.centers)
     return WhitneyExtension(F, part, nearest, kf)

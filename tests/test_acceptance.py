@@ -251,7 +251,7 @@ def test_whitney_extension(dict_cache):
     rng = np.random.default_rng(11)
     xs = rng.uniform(-0.95, 0.95, size=1000)
     xs = xs[np.abs(xs) > 20.0 * part.h_floor]
-    rows, ci, D = part.weight_jets(xs[:, None], 0)
+    rows, ci, D = part.weight_jets(xs[:, None], 0, part.h(xs[:, None]))
     z = D[zero_index(1)]
     sums = np.bincount(rows, weights=z, minlength=len(xs))
     if np.any(np.abs(sums - 1.0) > 1e-10):

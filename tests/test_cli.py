@@ -6,6 +6,7 @@ import warnings
 
 import pytest
 
+from ptdiff import whitney
 from ptdiff.cli import main
 from ptdiff.corpus import DATA_DIR, CorpusWarning
 
@@ -280,6 +281,27 @@ class TestWhitneyCommand:
         assert code == 0
         lines = (tmp_path / "whitney_extension.csv").read_text().splitlines()
         assert [float(line.split(",")[1]) for line in lines[1:]] == [0.0, 3.0]
+
+    @pytest.mark.parametrize("points", [[[0.0, 0.0, 0.0], [0.5, 0.0, 0.0]],  # 3-D
+                                        [[-1e200], [1e200]],  # its region's radius overflows
+                                        [[1e16], [1e16 + 2.0]]])  # spacing below the ulp
+    def test_unpartitionable_field_is_input_error(self, tmp_path, capsys, monkeypatch, points):
+        # each exits 3 with one line; the 3-D field's level-9 grid would hold
+        # 1025^3 points, and none is built
+        def no_grid(*args):
+            raise AssertionError("a candidate grid was built")
+        if len(points[0]) == 3:
+            monkeypatch.setattr(whitney, "_candidate_grid", no_grid)
+        doc = {"degree": 0, "alpha": 1.0, "points": points,
+               "jets": [{"coeffs": {",".join("0" * len(p)): 0.0}} for p in points]}
+        path = tmp_path / "field.json"
+        path.write_text(json.dumps(doc))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run(["whitney", "--field", str(path), "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot partition") and err.count("\n") == 1, err
+        assert not (tmp_path / "whitney_extension.csv").exists()
 
     def test_nonfinite_query_is_input_error(self, tmp_path, capsys):
         path = self.field_doc(tmp_path)

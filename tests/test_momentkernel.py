@@ -28,11 +28,12 @@ def residuals_one_at_a_time(n, k, fn):
                 if n == 2:  # (s, t) in the unit square onto s (cos 2 pi t, sin 2 pi t)
                     s, angle = pts[:, 0], 2.0 * np.pi * pts[:, 1]
                     x = np.stack([np.cos(angle) * s, np.sin(angle) * s], axis=1)
-                vals = fn(x)[:, 0] * (2.0 * np.pi * pts[:, 0] if n == 2 else 1.0)
+                vals = fn(x)[:, 0]
                 for j, e in enumerate(xi.entries):
                     if e:
                         vals = vals * x[:, j] ** e
-                return vals
+                # the Jacobian after the monomials, as the engine applies it
+                return vals * (2.0 * np.pi * pts[:, 0]) if n == 2 else vals
             lo, hi = ([0.0, 0.0], [1.0, 1.0]) if n == 2 else ([-1.0] * n, [1.0] * n)
             v, _, _ = integrate_box(f, lo, hi, (), VERIFY_QUAD)
             out[xi.entries] = abs(v - (1.0 if xi.order == 0 else 0.0))

@@ -171,6 +171,62 @@ class TestIntegrateBoxes:
         assert got == [integrate_box(f, *job, config=config, strict=False)
                        for f, job in zip(fs, jobs)]
 
+    @pytest.mark.parametrize("M", [None, 3])
+    def test_disk_job_is_the_mapped_unit_square(self, M, monkeypatch):
+        # a disk job equals, bit for bit, a unit-square job whose integrand
+        # maps its own points onto the disk and multiplies by the Jacobian,
+        # point by point: in one call with a box job and a second disk, for
+        # a scalar and a 3-component integrand.  The engine takes one cos and
+        # one sin per t node of a cell: 16 per coarse cell, 42 per split one
+        def g(x):  # no cos or sin, so that the engine's alone are counted
+            v = np.exp(-np.sum(x * x, axis=1)) * np.abs(x[:, 0] - 0.3) ** 0.5
+            return v if M is None else np.column_stack([v, v * x[:, 0], v * x[:, 1] ** 2])
+
+        def mapped(c, rho):  # the per-point map, in the engine's float operations
+            def h(st):
+                angle = 2.0 * np.pi * st[:, 1]
+                r = rho * st[:, 0]
+                x = np.column_stack([np.cos(angle) * r + c[0], np.sin(angle) * r + c[1]])
+                jacobian = r * rho * (2.0 * np.pi)
+                v = g(x)
+                return v * (jacobian if M is None else jacobian[:, None])
+            return h
+
+        def dispatch(fs):
+            def f(pts, job):
+                out = np.empty((len(pts),) if M is None else (len(pts), M))
+                for j in np.unique(job):
+                    out[job == j] = fs[j](pts[job == j])
+                return out
+            return f
+        disks = [((0.3, -0.2), 0.7), ((0.28, 0.1), 0.05)]
+        box = ([-1.0, -1.0], [1.0, 1.0], [[0.3], []])
+        square = ([0.0, 0.0], [1.0, 1.0], ())
+        config = QuadratureConfig(rel_tol=1e-12, abs_floor=1e-15, max_cells=2 ** 8)
+        want = integrate_boxes(dispatch([mapped(*disks[0]), g, mapped(*disks[1])]),
+                               [square, box, square], config, strict=False)
+        calls, cells = {"cos": 0, "sin": 0}, []
+        for name in calls:
+            def counted(a, *args, name=name, ufunc=getattr(np, name), **kwargs):
+                calls[name] += np.size(a)
+                return ufunc(a, *args, **kwargs)
+            monkeypatch.setattr(np, name, counted)
+        cell_values = quadrature._cell_values
+
+        def spy(f, lo, hi, job, disks, axis=None):
+            cells.append((np.count_nonzero(job != 1), axis is not None))
+            return cell_values(f, lo, hi, job, disks, axis)
+        monkeypatch.setattr(quadrature, "_cell_values", spy)
+        got = integrate_boxes(dispatch([g, g, g]), [box[:2] + ((), disks[0]), box,
+                                                    box[:2] + ((), disks[1])],
+                              config, strict=False)
+        monkeypatch.undo()
+        assert [(np.asarray(v).tolist(), np.asarray(e).tolist(), c) for v, e, c in got] == [
+            (np.asarray(v).tolist(), np.asarray(e).tolist(), c) for v, e, c in want]
+        assert got[0][2] > 4 and got[2][2] > 1
+        assert calls["cos"] == calls["sin"] == sum(k * (42 if split else 16)
+                                                   for k, split in cells)
+
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_points_and_runs(self, n, monkeypatch):
         # every integrand call gets the cells' points in the cell-major
@@ -180,7 +236,7 @@ class TestIntegrateBoxes:
         calls = []  # per _cell_values call: (lo, hi, job, axis, [(pts, job) per f call], axes)
         cell_values = quadrature._cell_values
 
-        def spy(f, lo, hi, job, axis=None):
+        def spy(f, lo, hi, job, disks, axis=None):
             seen = []
 
             def g(pts, pjob):
@@ -188,7 +244,7 @@ class TestIntegrateBoxes:
                 if n > 1:
                     assert pts.flags.f_contiguous  # built axis by axis
                 return f(pts, pjob)
-            out, axes = cell_values(g, lo, hi, job, axis)
+            out, axes = cell_values(g, lo, hi, job, disks, axis)
             calls.append((lo.copy(), hi.copy(), job.copy(), axis, seen, axes))
             return out, axes
 
@@ -490,8 +546,7 @@ class TestHonesty2D:
         # bump, x^(1, 0), x^(2, 0), x^(1, 1)
         phis = [members[k].rescale(center, r) for r in (0.5, 1.0 / 64) for k in (0, 1, 3, 4)]
         got = pair_many([(corpus[item].build(), phi) for phi in phis], CLASSIFY_QUAD)
-        assert [(tuple(lo), tuple(hi)) == ((0.0, 0.0), (1.0, 1.0))
-                for lo, hi, _ in boxes] == [polar] * len(phis)
+        assert [disk is not None for *_, disk in boxes] == [polar] * len(phis)
         for one, phi in zip(got, phis):
             f, (atom,) = _closed_form(phi), phi.atoms
             want, want_err = _disk_reference(lambda x, y: data(x, y) * f(x, y), atom.center,
@@ -544,7 +599,8 @@ class TestPolarDispatch:
         assert abs(got[1].value - want) <= got[1].abs_error_bound + abs(want - coarse)
         assert [tuple(map(tuple, box[:2])) for box in boxes] == [
             ((-0.4, -0.45), (0.6, 0.55)), ((-0.3, -0.6), (0.7, 0.4)),
-            ((0.0, 0.0), (1.0, 1.0)), ((-0.4,), (0.6,))]
+            ((0.7 - 0.5, -0.5), (1.2, 0.5)), ((-0.4,), (0.6,))]
+        assert [box[3] for box in boxes] == [None, None, ((0.7, 0.0), 0.5), None]
         # heaviside is 1 on the whole disk: the pairing is the probe's mass
         phi = pairs[3][1]
         mass = momentkernel.moment_table(2)[0][0] * phi.radii[0] ** 2 * phi.coeffs[0, 0]
@@ -775,6 +831,29 @@ class TestBoundedMemory:
             pytest.skip("the platform reports no minor faults")
         assert second < 1000, (first, second)
 
+    def test_repeated_2d_jet_reuses_its_pages(self, tmp_path):
+        # the same for the polar map: a second gauss2d jet at k = 2 in one
+        # process faults in under 1,000 pages, as the engine maps its disk
+        # cells in its kept point and Jacobian arrays
+        pytest.importorskip("resource")
+        code = (
+            "import resource, sys\n"
+            "from ptdiff import cli\n"
+            "argv = ['jet', '--item', 'gauss2d', '--point', '0.2,-0.1', '--k', '2',\n"
+            "        '--out', sys.argv[1]]\n"
+            "faults = []\n"
+            "for _ in range(2):\n"
+            "    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "    assert cli.main(argv) == 0\n"
+            "    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+            "print(*faults)")
+        out = subprocess.run([sys.executable, "-c", code, str(tmp_path)], capture_output=True,
+                             text=True, check=True)
+        first, second = map(int, out.stdout.split())
+        if first == 0:
+            pytest.skip("the platform reports no minor faults")
+        assert second < 1000, (first, second)
+
     def test_culled_kept_arrays_are_bounded(self):
         # after the heaviside classify above, the culled search keeps at
         # most 1.03 MB of block arrays, a few entries per point or pair of
@@ -785,7 +864,8 @@ class TestBoundedMemory:
             "config = ClassifierConfig(r0=1.0, levels=10, dict_size=12, seed=1)\n"
             "classify(T, [0.0], 0, config=config)\n"
             "print(sum(a.nbytes for name, a in vars(quadrature._KEPT).items()\n"
-            "          if not name.startswith(('ball_', 'polar_'))))")
+            "          if not name.startswith('ball_')\n"
+            "          and name not in ('cell_points', 'cell_jacobian')))")
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              check=True)
         assert int(out.stdout) <= 1.03e6
@@ -913,7 +993,7 @@ class TestVectorJobs:
     def test_column_integrand_is_scalar_integrand(self, d, kernel_cache):
         # component c of a vector job is data . phi_c on a contiguous
         # (points, d) array: the scalar integrand of (data, phi_c), bit for
-        # bit, on the support box and on the disk in polar coordinates
+        # bit
         kernel, a = kernel_cache(2, 2), [0.2, -0.1]
         (data,) = function_distribution(2, ["exp(-x1^2 - x2^2)", "cos(3*x1) * x2"][:d], d).atoms
         xis = [xi for m in range(2) for xi in xi_set(2, m)]
@@ -923,17 +1003,11 @@ class TestVectorJobs:
         pts = np.concatenate([np.asarray(a) + rng.uniform(-r, r, size=(200, 2))
                               for r in (0.5, 0.05)])
         job = np.repeat([0, 1], 200)
-        boxes, disks = [None, None], [(tuple(a), r) for r in (0.5, 0.05)]
-        got = distribution._integrand(jobs, d, boxes)(pts, job)
+        got = distribution._integrand(jobs, d)(pts, job)
         assert got.shape == (len(pts), len(xis) * d)
-        square = rng.uniform(size=(400, 2))
-        polar = distribution._integrand(jobs, d, disks)(square, job)
         for c in range(got.shape[1]):
             scalar = [(f, (phis[c],), s) for f, phis, s in jobs]
-            assert np.array_equal(got[:, c], distribution._integrand(scalar, d, boxes)(
-                pts, job)[:, 0]), c
-            assert np.array_equal(polar[:, c], distribution._integrand(scalar, d, disks)(
-                square, job)[:, 0]), c
+            assert np.array_equal(got[:, c], distribution._integrand(scalar, d)(pts, job)[:, 0]), c
             for j, (_, phis, _) in enumerate(jobs):
                 sel = job == j
                 want = np.einsum("ij,ij->i", data.eval(pts[sel]),

@@ -88,9 +88,9 @@ class TestSplitAxis:
         cells = []
         cell_values = quadrature._cell_values
 
-        def spy(f, lo, hi, job, axis=None):
+        def spy(f, lo, hi, job, disks, axis=None):
             cells.append(hi - lo)
-            return cell_values(f, lo, hi, job, axis)
+            return cell_values(f, lo, hi, job, disks, axis)
         monkeypatch.setattr(quadrature, "_cell_values", spy)
         config = QuadratureConfig(max_cells=256, min_width=1e-3)
         v, e, _ = integrate_box(lambda p: np.abs(p[:, 0] - 0.3) ** 0.5, [0.0, 0.0],

@@ -1,5 +1,6 @@
 """Bump-based test functions: derivatives, rescaling, seminorms, dictionaries."""
 
+import functools
 import itertools
 import math
 import threading
@@ -374,6 +375,21 @@ class TestBatchedAtoms:
     def test_plateau_2d_seminorm_pinned(self):
         # the value before atoms were culled, to the last bit
         assert seminorm(_probe(2, "plateau_w0.2", seed=0), 0) == 1.9636091265808011
+
+    def test_seminorm_builds_two_bin_indices(self, monkeypatch):
+        # a culled function's seminorm evaluates through two stacks, its
+        # grid screen's and its refinement's, so two atom-bin indices
+        builds = []
+        bins = testfn.StackedFns.bins.func
+
+        def counted(st):
+            builds.append(len(st.layout))
+            return bins(st)
+        prop = functools.cached_property(counted)
+        prop.__set_name__(testfn.StackedFns, "bins")
+        monkeypatch.setattr(testfn.StackedFns, "bins", prop)
+        assert seminorm(_probe(2, "plateau_w0.2", seed=0), 0) == 1.9636091265808011
+        assert builds == [1, 1]
 
     @pytest.mark.parametrize("args", sorted(PINNED_NORMALIZERS))
     def test_dictionary_normalizers_pinned(self, args):

@@ -274,7 +274,7 @@ class TestPartition:
         assert set(part.V) == {0, 1, 2}
         assert part.overlap_bound >= 1
         X = np.array([[0.5], [-0.5], [0.1], [-0.1]])
-        rows, ci, D = part.weight_jets(X, 0)
+        rows, ci, D = part.weight_jets(X, 0, part.h(X))
         z = D[zero_index(1)]
         assert np.all(np.abs(np.bincount(rows, weights=z, minlength=4) - 1.0) <= 1e-10)
         # support containment and h-comparability at these probes
@@ -288,15 +288,17 @@ class TestPartition:
         rng = np.random.default_rng(3)
         xs = rng.uniform(-0.9, 0.9, size=40)
         xs = xs[np.abs(xs) > part.h_floor * 20.0]
-        rows, _, D = part.weight_jets(xs[:, None], 2)
-        hx = part.h(xs[:, None])[rows]
+        h = part.h(xs[:, None])
+        rows, _, D = part.weight_jets(xs[:, None], 2, h)
+        hx = h[rows]
         assert np.all(np.abs(D[MultiIndex((1,))]) <= part.V[1] / hx * (1 + 1e-6))
         assert np.all(np.abs(D[MultiIndex((2,))]) <= part.V[2] / hx ** 2 * (1 + 1e-6))
 
     def test_halfspace_partition(self):
         A = HalfSpace(axis=0, value=0.0, side="le")
         part = partition_of_unity(A, ([1.0], 1.0))
-        rows, _, D = part.weight_jets(np.array([[0.5], [1.0], [1.8]]), 0)
+        X = np.array([[0.5], [1.0], [1.8]])
+        rows, _, D = part.weight_jets(X, 0, part.h(X))
         sums = np.bincount(rows, weights=D[zero_index(1)], minlength=3)
         assert np.all(np.abs(sums - 1.0) <= 1e-10)
 
@@ -309,7 +311,7 @@ class TestPartition:
         A = make_point_set([[0.0]])
         part = partition_of_unity(A, ([0.0], 1.0))
         with pytest.raises(ValueError):
-            part.weight_jets(np.array([[0.5]]), 3)
+            part.weight_jets(np.array([[0.5]]), 3, np.array([0.025]))
 
 
 @pytest.fixture(scope="module")
@@ -520,7 +522,8 @@ class TestBatch:
             off = rng.uniform(-0.3, 1.3, size=(40, dim))
         # collar points: far below the floor, where no center is active
         collar = data[:3] + 1e-7
-        assert not ext.partition.weight_jets(collar, 0)[2][zero_index(dim)].any()
+        assert not ext.partition.weight_jets(collar, 0, ext.partition.h(collar))[2][
+            zero_index(dim)].any()
         return ext, np.concatenate([data, collar, off])
 
     @pytest.mark.parametrize("dim", [1, 2])
@@ -579,7 +582,7 @@ class TestBatch:
             part = partition_of_unity(HalfSpace(0, 0.0, "le"), ((0.5, 0.0), 1.0),
                                       max_level=6, probe_count=200)
             X = rng.uniform([-0.5, -1.0], [1.5, 1.0], size=(200, 2))
-        rows, centers = part.active_pairs(X)
+        rows, centers = part.active_pairs(X, part.h(X))
         assert list(zip(rows.tolist(), centers.tolist())) == brute_force_pairs(part, X)
         assert len(rows) > len(X)
 
