@@ -29,12 +29,24 @@ coordinate 0.  There is then one ``core_eval`` call per derivative of eta
 over all pairs, and the jets' derivatives at the rows are read from the
 stacked arrays in one pass.  The greedy packing tests a candidate t
 against the kept centers in the slab |c_0 - t_0| < (40/19) h(t), by the
-same bound.  For n = 1 the kept intervals (c - h(c), c + h(c)) are
-disjoint, and only the kept centers just left and right of t are tested.
+same bound.
+
+On the line, h is a tent between consecutive points of A, clipped at
+1/20, and c -+ k h(c) increases with c for every k < 20, so each
+neighbourhood query is a run of candidates or centers sorted by
+coordinate.  The active centers of x are the run with c - 10 h(c) < x <
+c + 10 h(c), found by two ``searchsorted`` calls on ends the partition
+keeps.  The packing is built by sweeps outward from each tent's top, and
+is taken only after an array check shows it to be the greedy's; when the
+check fails, the slab loop decides.  At the grid levels of spacing s with
+80 s < 1, h is evaluated only within 80 s of A, since no point farther
+out passes the level's band test.
 
 Nearest points of a finite set are found by a scan over its points; for
 n = 1 by a sorted search, where the next point out on each side detects
-ties in floating point.  Either way, tied rows are settled exactly.
+ties in floating point.  Where the nearest point's index is read (the
+extension's jets), tied rows are settled exactly; distances alone, and so
+h, skip that.
 """
 
 from __future__ import annotations
@@ -42,6 +54,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -68,15 +81,29 @@ _GRID_POINTS = 2 ** 25  # most points of one candidate grid level
 def _nearest(points: np.ndarray, X: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """(index of a nearest row of points, distance to it) for each row of X.
 
+    The distances are ``_search``'s.  A row whose smallest squared distances
+    tie in floating point takes the nearest point in exact rational
+    arithmetic, the first of exact ties: far from the points, their
+    distances round to one value.  Otherwise the index is the one point at
+    the smallest float distance.
+    """
+    arg, dist, tied = _search(points, X)
+    for i in np.flatnonzero(tied & np.isfinite(X).all(axis=1)):
+        exact = [sum((Fraction(a) - Fraction(b)) ** 2 for a, b in zip(X[i], p)) for p in points]
+        arg[i] = exact.index(min(exact))
+    return arg, dist
+
+
+def _search(points: np.ndarray, X: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(first index at the smallest float distance, that distance, tied) for each row of X.
+
     The smallest squared distance, then one sqrt: the same distances as the
     minimum of the norms.  With no points the distance is inf, and so it is
     for rows that are not finite, with index 0.  Coordinates above 2^500
     would overflow the squares, so then all are first scaled by one exact
-    power of two, set by the largest finite coordinate.  A row whose
-    smallest squared distances tie in floating point takes the nearest
-    point in exact rational arithmetic, the first of exact ties: far from
-    the points, their distances round to one value.  Otherwise the index is
-    the one point at the smallest float distance.
+    power of two, set by the largest finite coordinate.  A row is tied when
+    two points take its smallest squared distance; only ``_nearest``, for
+    callers that read the index, settles those rows.
 
     For n = 1 and finite points, the points are sorted once.  A rounded
     (x - p)^2 does not increase as p nears x from either side, so the
@@ -91,10 +118,7 @@ def _nearest(points: np.ndarray, X: np.ndarray) -> Tuple[np.ndarray, np.ndarray]
         arg, best, tied = _nearest_line(points.reshape(-1) * scale, X[:, 0] * scale)
     else:
         arg, best, tied = _nearest_scan(points * scale, X * scale)
-    for i in np.flatnonzero(tied & np.isfinite(X).all(axis=1)):
-        exact = [sum((Fraction(a) - Fraction(b)) ** 2 for a, b in zip(X[i], p)) for p in points]
-        arg[i] = exact.index(min(exact))
-    return arg, np.sqrt(best) / scale
+    return arg, np.sqrt(best) / scale, tied
 
 
 def _nearest_scan(points: np.ndarray, X: np.ndarray
@@ -145,7 +169,7 @@ class FinitePointSet:
     points: Tuple[Tuple[float, ...], ...]
 
     def dist(self, pts: np.ndarray) -> np.ndarray:
-        return _nearest(np.asarray(self.points, dtype=float), pts)[1]
+        return _search(np.asarray(self.points, dtype=float), pts)[1]
 
     def ball_complement_measure(self, n: int, a, radius: float) -> float:
         # finitely many points are Lebesgue null
@@ -346,20 +370,38 @@ class WhitneyPartition:
     def h(self, pts: np.ndarray) -> np.ndarray:
         return h_function(self.A, pts)
 
+    @cached_property
+    def _sorted(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(order of the centers by coordinate 0, then c_0 - 10 h(c) and c_0 + 10 h(c) in it).
+
+        The ends are widened by _SLAB_MARGIN.  Since h is 1/20-Lipschitz,
+        c_0 -+ 10 h(c) increase with c_0 when n = 1.
+        """
+        order = np.argsort(self.centers[:, 0], kind="stable")
+        c0, w = self.centers[order, 0], 10.0 * self.radii[order] * (1.0 + _SLAB_MARGIN)
+        return order, c0 - w, c0 + w
+
     def active_pairs(self, X: np.ndarray, h: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """(rows, centers) of the pairs with |X[row] - c| < 10 h(c), by row, then center; h at X.
 
-        |x - c| < 10 h(c) <= 10 h(x) + |x - c| / 2 gives |x - c| < 20 h(x), so
-        the candidates of x are the centers in the slab |c_0 - x_0| < 20 h(x)
-        of the centers sorted by coordinate 0.  Points are taken in blocks
-        of about _PAIR_BLOCK candidates, so memory stays bounded.
+        For n = 1 the candidates of x are the run of centers, sorted by
+        coordinate, with c - 10 h(c) <= x <= c + 10 h(c) on the widened ends.
+        Otherwise |x - c| < 10 h(c) <= 10 h(x) + |x - c| / 2 gives |x - c| <
+        20 h(x), so the candidates of x are the centers in the slab |c_0 -
+        x_0| < 20 h(x).  Either way the norm test then decides.  Points are
+        taken in blocks of about _PAIR_BLOCK candidates, so memory stays
+        bounded.
         """
         X = np.asarray(X, dtype=float).reshape(-1, self.n)
-        order = np.argsort(self.centers[:, 0], kind="stable")
-        c0 = self.centers[order, 0]
-        w = 20.0 * h * (1.0 + _SLAB_MARGIN)
-        lo = np.searchsorted(c0, X[:, 0] - w, side="left")
-        counts = np.searchsorted(c0, X[:, 0] + w, side="right") - lo
+        order, lo_ends, hi_ends = self._sorted
+        if self.n == 1:
+            lo = np.searchsorted(hi_ends, X[:, 0], side="left")
+            counts = np.maximum(np.searchsorted(lo_ends, X[:, 0], side="right") - lo, 0)
+        else:
+            c0 = self.centers[order, 0]
+            w = 20.0 * h * (1.0 + _SLAB_MARGIN)
+            lo = np.searchsorted(c0, X[:, 0] - w, side="left")
+            counts = np.searchsorted(c0, X[:, 0] + w, side="right") - lo
         ends = np.cumsum(counts)
         out_rows, out_ci = [], []
         start = 0
@@ -408,7 +450,8 @@ class WhitneyPartition:
         def eta(xi: MultiIndex) -> np.ndarray:
             # (10 h(c))^-m by libm pow per center: numpy's vectorized power
             # can differ from it in the last bit, and tables carry 17 digits
-            scale = np.array([math.pow(v, -xi.order) for v in s.tolist()])
+            power = -xi.order
+            scale = np.array([math.pow(v, power) for v in s.tolist()])
             return cores.core_eval(self.n, cores.BUMP, None, xi, u) * scale[at]
 
         def total(v: np.ndarray) -> np.ndarray:
@@ -443,16 +486,35 @@ class WhitneyPartition:
 
 
 def _candidate_grid(A: ASet, region: Ball, n: int, max_level: int) -> Tuple[np.ndarray, np.ndarray]:
-    """(candidate centers, h at them) over the dyadic grid levels 1..max_level."""
+    """(candidate centers, h at them) over the dyadic grid levels 1..max_level.
+
+    A level of spacing s keeps the points with s/4 <= h <= 4s.  When 80 s <
+    1, h = min(1, dist)/20 <= 4s needs dist <= 80 s, so on the line h is
+    evaluated only at the axis points within 80 s (1 + _SLAB_MARGIN) of the
+    points of A, or of the end of a half-line, whose inner side has h = 0.
+    Each window's ends are rounded outward by one more ulp.
+    """
     center = np.asarray(region[0], dtype=float).reshape(n)
     radius = float(region[1])
+    if n == 1:
+        ends = (np.asarray(A.points, dtype=float).reshape(-1) if isinstance(A, FinitePointSet)
+                else np.array([A.value]))
     cands, hs = [np.zeros((0, n))], [np.zeros(0)]
     for level in range(1, max_level + 1):
         spacing = radius / 2 ** level
         axes = [np.arange(center[j] - radius, center[j] + radius + spacing / 2, spacing)
                 for j in range(n)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack([m.ravel() for m in mesh], axis=1)
+        if n == 1 and 80.0 * spacing < 1.0:
+            reach = 80.0 * spacing * (1.0 + _SLAB_MARGIN)
+            lo = np.searchsorted(axes[0], np.nextafter(ends - reach, -np.inf), side="left")
+            hi = np.searchsorted(axes[0], np.nextafter(ends + reach, np.inf), side="right")
+            # the axis points covered by some window [lo, hi)
+            depth = np.cumsum(np.bincount(lo, minlength=axes[0].size + 1)
+                              - np.bincount(hi, minlength=axes[0].size + 1))
+            pts = axes[0][depth[:-1] > 0, None]
+        else:
+            mesh = np.meshgrid(*axes, indexing="ij")
+            pts = np.stack([m.ravel() for m in mesh], axis=1)
         h = h_function(A, pts)
         # keep points whose scale this grid level actually resolves; every
         # h value above the floor lands in some dyadic band
@@ -465,15 +527,22 @@ def _candidate_grid(A: ASet, region: Ball, n: int, max_level: int) -> Tuple[np.n
 def _pack(cand: np.ndarray, h: np.ndarray) -> np.ndarray:
     """Rows of a greedy maximal packing: in order, keep t unless a kept c has |c - t| < h(c) + h(t).
 
-    The kept rows are held sorted by coordinate 0.  For n = 1 the kept
-    intervals (c - h(c), c + h(c)) are disjoint, so t is tested only
-    against the kept centers just left and right of it (``_pack_line``).
-    For n >= 2, h is 1/20-Lipschitz, so |c - t| < h(c) + h(t) <= 2 h(t) +
-    |c - t| / 20 gives |c - t| < (40/19) h(t): only kept centers in that
-    slab of coordinate 0 are tested.
+    h is 1/20-Lipschitz, so |c - t| < h(c) + h(t) <= 2 h(t) + |c - t| / 20
+    gives |c - t| < (40/19) h(t): the greedy tests t only against the kept
+    centers in that slab of coordinate 0 (``_slab_pack``).  For n = 1 the
+    rows come from sweeps (``_sweep_line``) instead, and are returned when
+    ``_is_greedy`` finds that they are the slab loop's; otherwise the slab
+    loop decides.
     """
     if cand.shape[1] == 1:
-        return _pack_line(cand[:, 0].tolist(), h.tolist())
+        swept = _sweep_line(cand[:, 0], h)
+        if swept is not None and _is_greedy(cand[:, 0], h, *swept):
+            return swept[0]
+    return _slab_pack(cand, h)
+
+
+def _slab_pack(cand: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """``_pack`` by a sequential loop, with the kept rows held sorted by coordinate 0."""
     pts = cand.tolist()
     hs = h.tolist()
     keys: List[float] = []
@@ -497,35 +566,137 @@ def _pack(cand: np.ndarray, h: np.ndarray) -> np.ndarray:
     return np.array(sorted(kept), dtype=np.int64)
 
 
-def _pack_line(xs: List[float], hs: List[float]) -> np.ndarray:
-    """``_pack`` for n = 1: t is tested against the kept centers L and R just left and right of it.
+def _overlaps(xc: np.ndarray, hc: np.ndarray, xt: np.ndarray, ht: np.ndarray) -> np.ndarray:
+    """The packing's test sqrt(|c - t|^2) < h(c) + h(t) on the line, elementwise."""
+    d = xc - xt
+    return np.sqrt(d * d) < hc + ht
 
-    The kept intervals (c - h(c), c + h(c)) are disjoint, so a kept c
-    beyond L has |c - L| >= h(c) + h(L).  With h(t) <= h(L) + |L - t| / 20
-    this gives |c - t| - h(c) - h(t) >= (19/20) |L - t|: when L does not
-    overlap t, neither does c, by a slack of at least (19/20) (h(L) +
-    h(t)).  Every candidate's h is at least a quarter of its grid spacing,
-    so the slack is far above rounding, and the kept rows are those of the
-    slab test.  The same holds beyond R.
+
+def _sweep_line(x: np.ndarray, h: np.ndarray) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+    """(kept rows, a witness row per row) for candidates x in order of descending h, on the line.
+
+    Rows tied with the top h (the 1/20 clip plateau) go through the slab
+    loop.  Sorted by coordinate, with equal coordinates standing for the
+    first of them in order, h falls from a top to a valley on each side:
+    on h = min(1, dist(x, A))/20 the valleys are the candidates nearest the
+    points of A, and a valley belongs to the stretch on each side of it.  In
+    a stretch the first candidate in order is kept, or the kept plateau
+    rows; the rest are taken outward from there.  t beyond a kept c is
+    taken before the candidates farther out, and kept unless it overlaps c:
+    candidates nearer the top came before it, the farther ones after it,
+    and those across a point of A are at least 20 (h(c) + h(t)) away.  So
+    the next kept candidate out from c is its successor, the first one out
+    that c does not overlap.  Since h is 1/20-Lipschitz, x + h and x - h
+    increase with x, and one ``searchsorted`` on them finds every successor
+    to within rounding; one step each way of the exact test fixes it.  Each
+    side needs the successors only of the places from a stretch's top out.
+    The chains of successors from the kept tops are then marked over all
+    stretches at once, by jumps of 1, 2, 4, ... successors.  A valley is
+    kept when the chains from both sides reach it.
+
+    The witness of a row is the kept row next to it on the left, when that
+    one comes earlier and overlaps it, and otherwise the one on its right.
+    None when there is no candidate or a stretch has no kept top.
     """
-    keys: List[float] = []  # kept centers, ascending
-    khs: List[float] = []  # h at them
-    kept: List[int] = []
-    for t, (x0, ht) in enumerate(zip(xs, hs)):
-        at = bisect.bisect_right(keys, x0)
-        # the overlap test of _pack, sqrt(|c - t|^2) < h(c) + h(t), on each side
-        if at:
-            d = keys[at - 1] - x0
-            if math.sqrt(d * d) < khs[at - 1] + ht:
-                continue
-        if at < len(keys):
-            d = keys[at] - x0
-            if math.sqrt(d * d) < khs[at] + ht:
-                continue
-        keys.insert(at, x0)
-        khs.insert(at, ht)
-        kept.insert(at, t)
-    return np.array(sorted(kept), dtype=np.int64)
+    m = x.size
+    if not m:
+        return None
+    q = m - int(np.searchsorted(h[::-1], h[0]))  # the rows tied with the top h
+    top = _slab_pack(x[:q, None], h[:q])
+    srt = np.argsort(x)
+    xs = x[srt]
+    head = np.concatenate(([True], xs[1:] != xs[:-1]))
+    where = np.empty(m, dtype=np.int64)  # each row's place among the distinct coordinates
+    where[srt] = np.cumsum(head) - 1
+    srt = np.minimum.reduceat(srt, np.flatnonzero(head))  # the first row at each place
+    xs, hs = x[srt], h[srt]
+    M = xs.size
+    at = np.arange(M)
+    # stretches between valleys, where h stops falling and starts rising; a
+    # flat step keeps the direction before it
+    fall = np.sign(np.diff(hs))
+    fall = fall[np.maximum.accumulate(np.where(fall != 0, at[:-1], 0))]
+    valley = np.zeros(M, dtype=bool)
+    valley[1:-1] = (fall[:-1] < 0) & (fall[1:] > 0)
+    stretch = np.cumsum(valley)  # a valley starts the stretch on its right
+    starts = np.concatenate(([0], np.flatnonzero(valley)))
+    stops = np.concatenate((starts[1:], [M - 1]))
+    kept = np.zeros(M, dtype=bool)
+    kept[where[top]] = True
+    first = np.minimum.reduceat(srt, starts)  # the first row in order of each stretch
+    kept[where[first[first >= q]]] = True
+    marks = np.flatnonzero(kept)
+    if not marks.size:
+        return None
+    left = marks[np.minimum(np.searchsorted(marks, starts), marks.size - 1)]
+    right = marks[np.maximum(np.searchsorted(marks, stops, side="right") - 1, 0)]
+    if np.any((left < starts) | (left > stops) | (right < starts) | (right > stops)):
+        return None
+    reached = []
+    sides = ((xs + hs, "right", -1, stretch, starts, left),
+             (xs - hs, "left", 1, stretch - valley, stops, right))
+    for ends, side, step, own, bounds, seeds in sides:
+        # the successor on this side of each place from its stretch's seed
+        # outward, or the place itself at the end of its run
+        sub = np.flatnonzero(at * step >= seeds[own] * step)
+        limit = bounds[own[sub]]
+        xq, hq = xs[sub], hs[sub]
+        j = np.searchsorted(np.maximum.accumulate(ends), xq + step * hq, side=side)
+        j = np.clip(j - 1 if step < 0 else j, 0, M - 1)
+        j = np.where(_overlaps(xs[j], hs[j], xq, hq), np.clip(j + step, 0, M - 1), j)
+        nearer = np.clip(j - step, 0, M - 1)
+        j = np.where((nearer * step > sub * step) & ~_overlaps(xs[nearer], hs[nearer], xq, hq),
+                     nearer, j)
+        jump = at.copy()
+        jump[sub] = np.where((j * step > sub * step) & (j * step <= limit * step)
+                             & ~_overlaps(xs[j], hs[j], xq, hq), j, sub)
+        on = np.zeros(M, dtype=bool)
+        on[seeds] = True
+        while True:
+            new = jump[on]
+            if on[new].all():
+                break
+            on[new] = True
+            jump = jump[jump]
+        reached.append(on)
+    kept |= np.where(valley, reached[0] & reached[1], reached[0] | reached[1])
+    # the kept places at or before, and at or after, each place (the ends
+    # of the line when there is none)
+    before = np.maximum.accumulate(np.where(kept, at, 0))
+    after = np.minimum.accumulate(np.where(kept, at, M - 1)[::-1])[::-1]
+    use = kept[before] & (srt[before] < srt) & _overlaps(xs[before], hs[before], xs, hs)
+    witness = srt[np.where(use, before, after)]
+    return np.sort(srt[kept]), witness[where]
+
+
+def _is_greedy(x: np.ndarray, h: np.ndarray, kept: np.ndarray, witness: np.ndarray) -> bool:
+    """Whether kept (sorted rows) is ``_slab_pack``'s packing of candidates x in order, on the line.
+
+    It is exactly when, with t's slab the kept centers within (40/19) h(t)
+    of t as ``_slab_pack`` bounds it: no kept t overlaps an earlier kept
+    row in its slab, and every other t overlaps an earlier kept row in its
+    slab.  The first is tested for each kept row against every kept row in
+    its slab, the second for each other row t against witness[t].
+    """
+    is_kept = np.zeros(x.size, dtype=bool)
+    is_kept[kept] = True
+    w = 40.0 / 19.0 * h * (1.0 + _SLAB_MARGIN)
+    xc = x[witness]
+    if not np.all(is_kept | (is_kept[witness] & (witness < np.arange(x.size)) & (xc >= x - w)
+                             & (xc <= x + w) & _overlaps(xc, h[witness], x, h))):
+        return False
+    ks = kept[np.argsort(x[kept])]  # kept rows by coordinate
+    xk = x[ks]
+    i = np.arange(ks.size)
+    first = np.searchsorted(xk, xk - w[ks], side="left")
+    stop = np.searchsorted(xk, xk + w[ks], side="right")
+    for k in range(1, int(max((stop - i).max(initial=0), (i - first + 1).max(initial=0)))):
+        for j in (i + k, i - k):
+            inside = (j >= first) & (j < stop)
+            t, c = ks[i[inside]], ks[j[inside]]
+            if np.any((c < t) & _overlaps(x[c], h[c], x[t], h[t])):
+                return False
+    return True
 
 
 def _finite_ball(region: Ball) -> Tuple[np.ndarray, float]:

@@ -18,7 +18,7 @@ from ptdiff import (FinitePointSet, HalfSpace, JetField, MultiIndex, PolyJet,
 from ptdiff.quadrature import QuadratureConfig
 from ptdiff.tensor import opnorm_bounds
 from ptdiff.whitney import (PartitionConstructionError, WhitneyExtension, _candidate_grid,
-                            _nearest, _pack, h_function)
+                            _is_greedy, _nearest, _pack, _sweep_line, h_function)
 
 QUAD = QuadratureConfig(rel_tol=1e-9, abs_floor=1e-13, max_cells=2 ** 12)
 
@@ -743,6 +743,146 @@ class TestPackLine:
         assert kept.tolist() == slab_pack(cand, h).tolist()
         # the touching tests decide some candidates either way
         assert 0 < kept.size < cand.shape[0]
+
+
+def full_grid(A, region, n, max_level):
+    """_candidate_grid without its 1-D windows: h at every point of every level."""
+    center = np.asarray(region[0], dtype=float).reshape(n)
+    radius = float(region[1])
+    cands, hs = [np.zeros((0, n))], [np.zeros(0)]
+    for level in range(1, max_level + 1):
+        spacing = radius / 2 ** level
+        axes = [np.arange(center[j] - radius, center[j] + radius + spacing / 2, spacing)
+                for j in range(n)]
+        mesh = np.meshgrid(*axes, indexing="ij")
+        pts = np.stack([m.ravel() for m in mesh], axis=1)
+        h = h_function(A, pts)
+        keep = (h >= spacing / 4.0) & (h <= spacing * 4.0)
+        cands.append(pts[keep])
+        hs.append(h[keep])
+    return np.concatenate(cands), np.concatenate(hs)
+
+
+def jittered_field(seed, count=40):
+    """(point set, region) of a jittered 1-D field, with the region ``extend`` gives it."""
+    rng = np.random.default_rng(seed)
+    pts = (np.arange(count) + 0.5 + rng.uniform(-0.25, 0.25, size=count)) / count
+    center = (pts.min() + pts.max()) / 2.0
+    return make_point_set(pts[:, None]), ((center,), float(np.max(np.abs(pts - center))) + 1.0)
+
+
+LINE_SETS = {
+    # h clipped at 1/20 on [-3, -1], [1, 2], [4, 9] and [11, 13]
+    "plateau": (make_point_set([[0.0], [3.0], [10.0]]), ((5.0,), 8.0), 12),
+    # exact grid midpoints and candidates repeated across levels
+    "dyadic": (make_point_set(np.arange(17)[:, None] / 16), ((0.5,), 1.0), 12),
+    "uniform-200": (make_point_set(np.random.default_rng(0).uniform(0.0, 1.0, (200, 1))),
+                    ((0.5,), 1.5), 14),
+    **{f"field-{seed}": (*jittered_field(seed), 14) for seed in (1, 2, 3)},
+}
+
+
+class TestLineSweeps:
+    """The 1-D packing, candidate grid and active pairs against the general versions."""
+
+    @pytest.mark.parametrize("case", sorted(LINE_SETS))
+    def test_sweep_is_the_greedy(self, case):
+        A, region, levels = LINE_SETS[case]
+        cand, h = TestPackLine.ordered_grid(A, region, levels)
+        swept = _sweep_line(cand[:, 0], h)
+        # the sweep's rows pass the check, so the slab loop does not run
+        assert swept is not None and _is_greedy(cand[:, 0], h, *swept)
+        assert swept[0].tolist() == _pack(cand, h).tolist() == slab_pack(cand, h).tolist()
+
+    @pytest.mark.parametrize("x,h", [
+        # the valley at 0.01 overlaps the kept 0.0105 on its own side of 0
+        ([-0.5, 0.5, -0.3, 0.0105, 0.01], [0.025, 0.025, 0.015, 0.000525, 0.0005]),
+        # the second row clears the first, though x + h rounds past x_0 - h_0
+        ([0.10693527929607104, 0.009908689665855851, -0.01402519293613896],
+         [0.049158824426225566, 0.04786776520398962, 0.043080988683590664]),
+        # the second row overlaps the first, though x + h rounds below x_0 - h_0
+        ([1.8195289525024236, 1.7805260458007066, 1.7433280282162504],
+         [0.02040389790948893, 0.018599008792228127, 0.016739107913005313]),
+    ])
+    def test_sweep_at_hand_built_edges(self, x, h):
+        x, h = np.array(x), np.array(h)
+        swept = _sweep_line(x, h)
+        assert swept is not None and _is_greedy(x, h, *swept)
+        assert swept[0].tolist() == slab_pack(x[:, None], h).tolist()
+
+    def test_fallback_decides_out_of_order(self):
+        # the candidates of field-1 in a shuffled order: h no longer descends
+        A, region, levels = LINE_SETS["field-1"]
+        cand, h = TestPackLine.ordered_grid(A, region, 10)
+        shuffle = np.random.default_rng(3).permutation(h.size)
+        cand, h = cand[shuffle], h[shuffle]
+        swept = _sweep_line(cand[:, 0], h)
+        assert swept is None or not _is_greedy(cand[:, 0], h, *swept)
+        assert _pack(cand, h).tolist() == slab_pack(cand, h).tolist()
+
+    def test_check_rejects_other_rows(self):
+        A, region, levels = LINE_SETS["plateau"]
+        cand, h = TestPackLine.ordered_grid(A, region, levels)
+        x = cand[:, 0]
+        kept, witness = _sweep_line(x, h)
+        dropped = np.setdiff1d(np.arange(x.size), kept)
+        assert _is_greedy(x, h, kept, witness)
+        assert not _is_greedy(x, h, kept[1:], witness)  # a row missing
+        assert not _is_greedy(x, h, np.union1d(kept, dropped[:1]), witness)  # a row too many
+        wrong = witness.copy()
+        wrong[dropped[0]] = dropped[0]  # a dropped row is not its own witness
+        assert not _is_greedy(x, h, kept, wrong)
+
+    @pytest.mark.parametrize("A,region", [
+        (make_point_set(np.random.default_rng(2).uniform(-1.0, 1.0, (25, 1))), ((0.0,), 2.0)),
+        (make_point_set(np.arange(17)[:, None] / 16), ((0.5,), 1.0)),
+        (make_point_set([[0.0], [3.0], [10.0]]), ((5.0,), 8.0)),
+        (make_point_set([[0.1]]), ((0.0,), 0.7)),
+        (HalfSpace(0, 0.25, "le"), ((0.0,), 1.5)),
+        (HalfSpace(0, 0.25, "ge"), ((0.0,), 1.5)),
+    ])
+    def test_grid_matches_full_grid(self, A, region):
+        got, want = _candidate_grid(A, region, 1, 13), full_grid(A, region, 1, 13)
+        assert got[0].tobytes() == want[0].tobytes() and got[1].tobytes() == want[1].tobytes()
+
+    def test_grid_evaluates_the_band_windows(self, monkeypatch):
+        # TestPartitionPins' 40-point field: 65,546 grid points in all, of
+        # which about 18,000 lie within 80 s of a data point at their level
+        from ptdiff import whitney
+        counted = []
+
+        def counting(A, pts):
+            counted.append(pts.shape[0])
+            return h_function(A, pts)
+
+        monkeypatch.setattr(whitney, "h_function", counting)
+        _candidate_grid(jittered_field(5)[0], ((0.5,), 1.5), 1, 14)
+        assert sum(counted) <= 20_000
+
+    def test_distances_settle_no_ties(self, monkeypatch):
+        # every exact grid midpoint of a dyadic set ties; only the index needs settling
+        from ptdiff import whitney
+
+        def refuse(*args):
+            raise AssertionError("exact tie settling")
+
+        monkeypatch.setattr(whitney, "Fraction", refuse)
+        points = np.arange(33)[:, None] / 32
+        cand, h = _candidate_grid(make_point_set(points), ((0.5,), 1.0), 1, 10)
+        assert np.array_equal(h, make_point_set(points).dist(cand) / 20.0)
+        with pytest.raises(AssertionError, match="exact tie settling"):
+            _nearest(points, np.array([[1 / 64]]))
+
+    @pytest.mark.parametrize("case", ["dyadic", "field-1"])
+    def test_line_active_pairs_at_the_ends(self, case):
+        A, region, _ = LINE_SETS[case]
+        part = partition_of_unity(A, region, max_level=10, probe_count=200)
+        c, r = part.centers[:, 0], 10.0 * part.radii
+        ends = np.concatenate([c - r, c + r])
+        X = np.concatenate([ends, np.nextafter(ends, -np.inf), np.nextafter(ends, np.inf)])[:, None]
+        rows, centers = part.active_pairs(X, part.h(X))
+        assert list(zip(rows.tolist(), centers.tolist())) == brute_force_pairs(part, X)
+        assert len(rows) > len(X)
 
 
 class TestPartitionPins:
